@@ -27,6 +27,7 @@ bit-for-bit.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
@@ -59,6 +60,10 @@ class StepParams:
     clip: Optional[float] = None
 
     def __post_init__(self):
+        for name in ("k_pct", "gamma", "beta1", "beta2", "clip"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise InvalidParamsError(f"{name} must be finite, got {value}")
         if not self.k_pct > 0.0:
             raise InvalidParamsError("k_pct must be > 0")
         if not 0.0 < self.gamma <= 1.0:
@@ -150,6 +155,14 @@ class BinnerState:
         return cls(cv=cv, target_frac=target_frac, params=params, n_bins=n_bins)
 
 
+def _step_scale(params: StepParams, n_bins: int) -> float:
+    """The optimized step's scale ``(k_pct/100) * n_bins``; must be finite."""
+    scale = (params.k_pct / 100.0) * n_bins
+    if not math.isfinite(scale):
+        raise InvalidParamsError(f"step scale (k_pct/100)*n_bins overflows: k_pct={params.k_pct}")
+    return scale
+
+
 def _decay(params: StepParams, n: int) -> float:
     return params.gamma ** min(n, params.decay_freeze_cycle)
 
@@ -206,7 +219,7 @@ def run_optimized(
     offsets = stream.cycle_offsets.tolist()
     n_bins_f = float(stream.n_bins)
     one_m_b1 = 1.0 - p.beta1
-    coef_base = (1.0 - p.beta2) * ((p.k_pct / 100.0) * stream.n_bins)
+    coef_base = (1.0 - p.beta2) * _step_scale(p, stream.n_bins)
     lim = p.clip * stream.n_bins if p.clip is not None else None
     freeze = p.decay_freeze_cycle
 
@@ -292,7 +305,7 @@ class BinnerBank:
         self.n = 0
         # precomputed update constants
         self._one_m_b1 = 1.0 - params.beta1
-        self._coef_base = (1.0 - params.beta2) * ((params.k_pct / 100.0) * n_bins)
+        self._coef_base = (1.0 - params.beta2) * _step_scale(params, n_bins)
         self._lim = params.clip * n_bins if params.clip is not None else None
 
     def step_cycle(self, cycle_timestamps: np.ndarray) -> None:

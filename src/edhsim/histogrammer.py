@@ -17,8 +17,10 @@ Equi-depth boundary sets always carry the forced endpoints 0 and n_bins.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -45,6 +47,8 @@ class EdhBoundaries:
             raise InvalidParamsError("q must be >= 1")
         if b.shape != (self.q + 1,):
             raise InvalidParamsError(f"need q+1={self.q + 1} boundaries, got {b.shape}")
+        if not np.all(np.isfinite(b)):
+            raise InvalidParamsError("boundaries must be finite")
         if b[0] != 0.0:
             raise InvalidParamsError("boundary set must start at 0")
         if np.any(np.diff(b) < 0.0):
@@ -129,64 +133,57 @@ def pedh(stream: PhotonStream, q: int, params: Optional[StepParams] = None) -> E
     return EdhBoundaries(q, bounds)
 
 
-def hedh(
-    stream: PhotonStream,
-    q: int,
-    fixed_step_size: float = 1.0,
-    level_fractions: Optional[Sequence[float]] = None,
-) -> EdhBoundaries:
+def hedh(stream: PhotonStream, q: int, fixed_step_size: float = 1.0) -> EdhBoundaries:
     """Hierarchical equi-depth boundaries from fixed-stepping median binners.
 
     log2(q) levels run sequentially, splitting the exposure's cycles as
-    evenly as possible across levels (``level_fractions`` reweights the
-    split). Level 1 runs one median binner over the full range; level l runs
-    2**(l-1) median binners, each confined to one interval delimited by the
-    boundaries already found (photons outside the interval are invisible to
-    that binner) and initialized at the interval midpoint.
+    evenly as possible across levels. Level 1 runs one median binner over the
+    full range; level l runs 2**(l-1) median binners, each confined to one
+    interval delimited by the boundaries already found (photons outside the
+    interval are invisible to that binner) and initialized at the interval
+    midpoint.
+
+    The walk is photon-driven: within a cycle, each run of photons that
+    lands in one interval updates that interval's binner only, so the cost
+    grows with photons per cycle rather than with intervals. A binner whose
+    interval saw no photon in a cycle does not move, exactly as the
+    fixed-step rule prescribes for an empty cycle.
 
     Raises:
         PowerOfTwoError: if q is not a power of two.
     """
     if q < 2 or q & (q - 1):
         raise PowerOfTwoError(f"hedh requires a power-of-two q, got {q}")
-    if not fixed_step_size > 0.0:
-        raise InvalidParamsError("fixed_step_size must be > 0")
+    if not 0.0 < fixed_step_size < math.inf:
+        raise InvalidParamsError("fixed_step_size must be finite and > 0")
     n_levels = q.bit_length() - 1
-    cuts = _level_cuts(stream.n_cycles, n_levels, level_fractions)
+    cuts = np.rint(np.arange(n_levels + 1) / n_levels * stream.n_cycles).astype(np.int64).tolist()
+    ts = stream.timestamps.tolist()
+    offsets = stream.cycle_offsets.tolist()
+    step = fixed_step_size
 
-    n_bins_f = float(stream.n_bins)
     interior: list[float] = []
     for level in range(n_levels):
-        edges = np.array(sorted([0.0] + interior + [n_bins_f]))
-        lo, hi = edges[:-1], edges[1:]
-        cvs = (lo + hi) / 2.0
+        edges = sorted(interior)
+        lo = [0.0] + edges
+        hi = edges + [float(stream.n_bins)]
+        cvs = [(a + b) / 2.0 for a, b in zip(lo, hi)]
         for i in range(cuts[level], cuts[level + 1]):
-            ts = stream.cycle(i)
-            at_lo = np.searchsorted(ts, lo, side="left")
-            at_cv = np.searchsorted(ts, cvs, side="left")
-            at_hi = np.searchsorted(ts, hi, side="left")
-            early = at_cv - at_lo
-            total = at_hi - at_lo
-            frac = np.divide(
-                early, total, out=np.zeros(early.shape, np.float64), where=total > 0
-            )
-            dn = np.where(total > 0, 0.5 - frac, 0.0)
-            cvs = np.clip(cvs + fixed_step_size * np.sign(dn), lo, hi)
-        interior.extend(cvs.tolist())
+            j, end = offsets[i], offsets[i + 1]
+            while j < end:
+                # ts[j:top] is the run of this cycle's photons in interval k
+                k = bisect_right(edges, ts[j])
+                top = bisect_left(ts, hi[k], j, end)
+                twice_early = 2 * (bisect_left(ts, cvs[k], j, top) - j)
+                if twice_early < top - j:
+                    cvs[k] = min(cvs[k] + step, hi[k])
+                elif twice_early > top - j:
+                    cvs[k] = max(cvs[k] - step, lo[k])
+                j = top
+        interior.extend(cvs)
 
-    bounds = np.concatenate(([0.0], np.sort(interior), [n_bins_f]))
+    bounds = np.concatenate(([0.0], np.sort(interior), [float(stream.n_bins)]))
     return EdhBoundaries(q, bounds)
-
-
-def _level_cuts(n_cycles: int, n_levels: int, fractions: Optional[Sequence[float]]) -> np.ndarray:
-    if fractions is None:
-        weights = np.ones(n_levels)
-    else:
-        weights = np.asarray(fractions, dtype=np.float64)
-        if weights.shape != (n_levels,) or np.any(weights <= 0.0):
-            raise InvalidParamsError(f"level_fractions must be {n_levels} positive values")
-    cum = np.concatenate(([0.0], np.cumsum(weights))) / weights.sum()
-    return np.rint(cum * n_cycles).astype(np.int64)
 
 
 def ewh(stream: PhotonStream, bin_count: int) -> EwHistogram:

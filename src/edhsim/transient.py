@@ -57,6 +57,10 @@ class SimConfig:
     c: float = SPEED_OF_LIGHT
 
     def __post_init__(self):
+        for name in ("n_bins", "n_cycles"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+                raise InvalidParamsError(f"{name} must be an integer, got {value!r}")
         if self.n_bins < 2:
             raise InvalidParamsError("n_bins must be >= 2")
         if not self.rep_period > 0.0:
@@ -187,7 +191,7 @@ class PhotonStream:
         if np.any(np.diff(off) < 0):
             raise InvalidParamsError("cycle_offsets must be non-decreasing")
         if ts.size:
-            if ts.min() < 0.0 or ts.max() >= self.n_bins:
+            if not (ts.min() >= 0.0 and ts.max() < self.n_bins):  # also rejects NaN
                 raise InvalidParamsError("timestamps must lie in [0, n_bins)")
             dips = np.nonzero(np.diff(ts) < 0.0)[0]
             if dips.size and not np.isin(dips, off[1:-1] - 1).all():

@@ -38,6 +38,21 @@ class TestStepParams:
         with pytest.raises(InvalidParamsError):
             StepParams(**kwargs)
 
+    @pytest.mark.parametrize("name", ["k_pct", "gamma", "beta1", "beta2", "clip"])
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_rejected(self, name, bad):
+        with pytest.raises(InvalidParamsError):
+            StepParams(**{name: bad})
+
+    def test_overflowing_step_scale_rejected(self):
+        # (k_pct/100) * n_bins overflows to inf although k_pct itself is finite
+        p = StepParams(k_pct=1e308)
+        stream = PhotonStream.from_cycles([np.array([1.0])], 1024)
+        with pytest.raises(InvalidParamsError):
+            BinnerBank([0.5], p, 1024)
+        with pytest.raises(InvalidParamsError):
+            run_optimized(stream, 0.5, p)
+
 
 class TestDelta:
     def test_three_early_one_late(self):

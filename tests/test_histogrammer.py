@@ -23,6 +23,34 @@ def _stream_from(pixel, n_cycles=5000, seed=0):
     return sample_stream(build_transient(pixel, SIM), n_cycles, seed)
 
 
+def reference_hedh(stream, q, fixed_step_size):
+    """Independent oracle for hedh: every interval of a level is stepped on
+    every cycle with vectorized counts, empty intervals moving by step*0."""
+    n_levels = q.bit_length() - 1
+    cum = np.concatenate(([0.0], np.cumsum(np.ones(n_levels)))) / n_levels
+    cuts = np.rint(cum * stream.n_cycles).astype(np.int64)
+    n_bins_f = float(stream.n_bins)
+    interior = []
+    for level in range(n_levels):
+        edges = np.array(sorted([0.0] + interior + [n_bins_f]))
+        lo, hi = edges[:-1], edges[1:]
+        cvs = (lo + hi) / 2.0
+        for i in range(cuts[level], cuts[level + 1]):
+            ts = stream.cycle(i)
+            at_lo = np.searchsorted(ts, lo, side="left")
+            at_cv = np.searchsorted(ts, cvs, side="left")
+            at_hi = np.searchsorted(ts, hi, side="left")
+            early = at_cv - at_lo
+            total = at_hi - at_lo
+            frac = np.divide(
+                early, total, out=np.zeros(early.shape, np.float64), where=total > 0
+            )
+            dn = np.where(total > 0, 0.5 - frac, 0.0)
+            cvs = np.clip(cvs + fixed_step_size * np.sign(dn), lo, hi)
+        interior.extend(cvs.tolist())
+    return np.concatenate(([0.0], np.sort(interior), [n_bins_f]))
+
+
 def brute_force_quantile_bounds(pooled_sorted, q, n_bins):
     """Independent oracle: scan for the first CDF crossing of each j/q."""
     n = len(pooled_sorted)
@@ -44,6 +72,13 @@ class TestEdhBoundaries:
             EdhBoundaries(2, np.array([0.0, 700.0, 512.0]))  # decreasing
         with pytest.raises(InvalidParamsError):
             EdhBoundaries(3, np.array([0.0, 512.0, 1024.0]))  # wrong length
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(InvalidParamsError):
+            EdhBoundaries(2, np.array([0.0, bad, 1024.0]))
+        with pytest.raises(InvalidParamsError):
+            EdhBoundaries(2, np.array([0.0, 512.0, bad]))
 
 
 class TestOedh:
@@ -172,6 +207,35 @@ class TestHedh:
             pedh_rmse.append(boundary_rmse(pedh(stream, 32, p), oracle))
             hedh_rmse.append(boundary_rmse(hedh(stream, 32, 1.0), oracle))
         assert np.mean(hedh_rmse) > np.mean(pedh_rmse)
+
+    @pytest.mark.parametrize("q", [2, 4, 8, 32])
+    @pytest.mark.parametrize("bkg", [1.0, 2.0, 5.0])
+    def test_matches_reference_on_sampled_streams(self, q, bkg):
+        stream = _stream_from(PixelConfig(5.0, 1.0, bkg), seed=int(q * 10 + bkg))
+        assert np.array_equal(hedh(stream, q, 1.0).bounds, reference_hedh(stream, q, 1.0))
+
+    @given(
+        data=st.data(),
+        n_bins=st.sampled_from([4, 8, 16]),
+        q=st.sampled_from([2, 4, 8, 16]),
+        step=st.one_of(st.sampled_from([0.25, 0.5, 1.0, 1.5, 2.0, 3.0]), st.floats(0.25, 3.0)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference_on_tie_heavy_streams(self, data, n_bins, q, step):
+        # half-integer timestamps land on CVs and edges, small n_bins make
+        # CVs clamp onto each other (zero-width intervals), and empty cycles
+        # are common
+        half_steps = st.integers(0, 2 * n_bins - 1)
+        cycle = st.lists(half_steps, max_size=6).map(lambda c: np.sort(c) / 2.0)
+        cycles = data.draw(st.lists(cycle, min_size=1, max_size=60))
+        stream = PhotonStream.from_cycles(cycles, n_bins)
+        assert np.array_equal(hedh(stream, q, step).bounds, reference_hedh(stream, q, step))
+
+    @pytest.mark.parametrize("step", [0.0, -1.0, np.inf, np.nan])
+    def test_step_size_validated(self, step):
+        stream = PhotonStream.from_cycles([np.array([1.0])], B)
+        with pytest.raises(InvalidParamsError):
+            hedh(stream, 4, step)
 
     def test_output_sorted_and_nested(self):
         stream = _stream_from(PixelConfig(5.0, 1.0, 2.0), n_cycles=2000, seed=11)

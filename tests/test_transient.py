@@ -43,6 +43,16 @@ class TestSimConfig:
         with pytest.raises(InvalidParamsError):
             SimConfig(n_cycles=0)
 
+    @pytest.mark.parametrize(
+        "kwargs", [dict(n_bins=1024.5), dict(n_bins=1024.0), dict(n_cycles=5000.5), dict(n_cycles="5000")]
+    )
+    def test_non_integer_sizes_rejected(self, kwargs):
+        with pytest.raises(InvalidParamsError):
+            SimConfig(**kwargs)
+
+    def test_numpy_integer_sizes_accepted(self):
+        assert SimConfig(n_bins=np.int64(512), n_cycles=np.int32(100)).dt == pytest.approx(100e-9 / 512)
+
 
 class TestBuildTransient:
     def test_peak_bin_location(self):
@@ -200,6 +210,10 @@ class TestPhotonStream:
     def test_out_of_range_rejected(self):
         with pytest.raises(InvalidParamsError):
             PhotonStream.from_cycles([np.array([1024.0])], 1024)
+
+    def test_nan_timestamp_rejected(self):
+        with pytest.raises(InvalidParamsError):
+            PhotonStream.from_cycles([np.array([1.0, np.nan])], 1024)
 
 
 class TestTrueQuantiles:
