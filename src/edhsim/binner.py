@@ -163,6 +163,13 @@ def _step_scale(params: StepParams, n_bins: int) -> float:
     return scale
 
 
+def check_fixed_step_size(step_size: float) -> None:
+    """Reject a fixed step that is not finite and > 0 (an infinite step
+    turns a balanced or empty cycle into ``inf*0 = nan``)."""
+    if not 0.0 < step_size < math.inf:
+        raise InvalidParamsError("fixed_step_size must be finite and > 0")
+
+
 def _decay(params: StepParams, n: int) -> float:
     return params.gamma ** min(n, params.decay_freeze_cycle)
 
@@ -193,8 +200,7 @@ def fixed_step(state: BinnerState, obs: CycleObservation, step_size: float) -> B
     Moves by exactly ``step_size`` in the direction of the imbalance
     (no move on a balanced or empty cycle). Smoother memories are unused.
     """
-    if not step_size > 0.0:
-        raise InvalidParamsError("step_size must be > 0")
+    check_fixed_step_size(step_size)
     dn = delta(state.target_frac, obs)
     sign = (dn > 0.0) - (dn < 0.0)
     cv = min(max(state.cv + step_size * sign, 0.0), float(state.n_bins))
@@ -248,12 +254,10 @@ def run_fixed(
     target_frac: float,
     step_size: float,
     cv0: Optional[float] = None,
-    params: Optional[StepParams] = None,
 ) -> BinnerState:
     """Feed a whole photon stream through one fixed-stepping binner."""
-    if not step_size > 0.0:
-        raise InvalidParamsError("step_size must be > 0")
-    state = BinnerState.initial(target_frac, params or StepParams(), stream.n_bins, cv=cv0)
+    check_fixed_step_size(step_size)
+    state = BinnerState.initial(target_frac, StepParams(), stream.n_bins, cv=cv0)
     ts = stream.timestamps.tolist()
     offsets = stream.cycle_offsets.tolist()
     n_bins_f = float(stream.n_bins)

@@ -18,18 +18,25 @@ import numpy as np
 
 from . import config as cfgmod
 from .errors import EdhsimError
-from .estimator import DistanceMap, bin_to_distance, ewh_peak, rho1, t0_hat, t1_hat
+from .estimator import DistanceMap, bin_to_distance
 from .harness import (
+    EDH_METHODS,
+    ESTIMATORS,
+    SWEEPABLE_PARAMS,
     SweepSpec,
+    conditions,
     dump_stream_csv,
+    estimate_bins,
     export_density_features,
     pipeline_stream_seed,
     read_boundaries_csv,
     run_experiment,
+    summarize,
     sweep,
     write_boundaries_csv,
+    write_channel_grid,
 )
-from .histogrammer import EdhBoundaries, ewh, hedh, oedh, pedh
+from .histogrammer import EdhBoundaries
 from .metrics import distance_metrics
 from .scene import load_depth_map, load_grid, save_grid
 from .transient import build_transient, sample_stream
@@ -72,20 +79,13 @@ def _cmd_edh(args) -> int:
     step = cfgmod.build_step_params(conf)
     grid = None
     for _sim, scene, r, c, _pixel, stream in _pipeline_streams(conf, args.seed):
-        if args.method == "oedh":
-            bounds = oedh(stream, args.q)
-        elif args.method == "pedh":
-            bounds = pedh(stream, args.q, step)
-        else:
-            bounds = hedh(stream, args.q, args.fixed_step_size)
+        bounds = summarize(stream, args.method, args.q, step, args.fixed_step_size)
         if grid is None:
             grid = np.empty((scene.height, scene.width, args.q + 1))
         grid[r, c, :] = bounds.bounds
     write_boundaries_csv(args.out, grid)
     print(f"wrote {args.method} boundaries ({args.q} bins/pixel) to {args.out}")
     if args.raw_out:
-        from .harness import write_channel_grid
-
         write_channel_grid(args.raw_out, grid.astype(np.float32))
         print(f"wrote raw boundary grid to {args.raw_out}")
     return 0
@@ -95,31 +95,23 @@ def _cmd_estimate(args) -> int:
     conf = cfgmod.parse_config_file(args.config)
     sim = cfgmod.build_sim_config(conf)
     if args.bounds:
-        if args.estimator == "ewh_peak":
-            raise EdhsimError("--bounds provides boundary sets; ewh_peak needs a pipeline run")
         grid = read_boundaries_csv(args.bounds)
         q = grid.shape[2] - 1
         est = np.empty(grid.shape[:2])
         for r in range(grid.shape[0]):
             for c in range(grid.shape[1]):
-                bounds = EdhBoundaries(q, grid[r, c])
-                t = t0_hat(bounds) if args.estimator == "t0" else t1_hat(rho1(bounds))
+                t = estimate_bins(args.estimator, EdhBoundaries(q, grid[r, c]))
                 est[r, c] = bin_to_distance(t, sim)
     else:
         step = cfgmod.build_step_params(conf)
+        # the estimator reads either --method's boundaries or the --ewh-bins histogram
+        [(method, _)] = conditions((args.method, f"ewh{args.ewh_bins}"), (args.estimator,))
         est = None
         for sim, scene, r, c, _pixel, stream in _pipeline_streams(conf, args.seed):
             if est is None:
                 est = np.empty((scene.height, scene.width))
-            if args.estimator == "ewh_peak":
-                t = ewh_peak(ewh(stream, args.ewh_bins))
-            else:
-                bounds = pedh(stream, args.q, step) if args.method == "pedh" else (
-                    oedh(stream, args.q) if args.method == "oedh"
-                    else hedh(stream, args.q, args.fixed_step_size)
-                )
-                t = t0_hat(bounds) if args.estimator == "t0" else t1_hat(rho1(bounds))
-            est[r, c] = bin_to_distance(t, sim)
+            summary = summarize(stream, method, args.q, step, args.fixed_step_size)
+            est[r, c] = bin_to_distance(estimate_bins(args.estimator, summary), sim)
     dmap = DistanceMap(est, args.estimator)
     save_grid(dmap.depths, args.out, _fmt_of(args.out))
     print(f"wrote {args.estimator} distance map to {args.out}")
@@ -213,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("edh", help="write equi-depth boundary sets")
     _add_config_arg(p)
-    p.add_argument("--method", choices=("oedh", "pedh", "hedh"), required=True)
+    p.add_argument("--method", choices=EDH_METHODS, required=True)
     p.add_argument("--q", type=int, default=32)
     p.add_argument("--fixed-step-size", type=float, default=1.0)
     p.add_argument("--out", required=True, help="boundary CSV path")
@@ -222,9 +214,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("estimate", help="produce a distance map")
     _add_config_arg(p)
-    p.add_argument("--estimator", choices=("t0", "t1", "ewh_peak"), required=True)
+    p.add_argument("--estimator", choices=ESTIMATORS, required=True)
     p.add_argument("--bounds", default=None, help="boundary CSV from the edh command")
-    p.add_argument("--method", choices=("oedh", "pedh", "hedh"), default="pedh")
+    p.add_argument("--method", choices=EDH_METHODS, default="pedh")
     p.add_argument("--q", type=int, default=32)
     p.add_argument("--fixed-step-size", type=float, default=1.0)
     p.add_argument("--ewh-bins", type=int, default=32)
@@ -247,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="scan one stepping parameter")
     _add_config_arg(p)
-    p.add_argument("--param", choices=("k_pct", "gamma", "beta1", "beta2"), required=True)
+    p.add_argument("--param", choices=SWEEPABLE_PARAMS, required=True)
     p.add_argument("--values", required=True, help="comma-separated values")
     p.add_argument("--out", default=None, help="optional sweep CSV")
     p.set_defaults(func=_cmd_sweep)

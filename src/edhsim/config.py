@@ -196,8 +196,8 @@ def build_experiment_config(
         scene=build_scene(conf, sim),
         sim=sim,
         pairs=_parse_pairs(conf),
-        methods=get_list(conf, "experiment.methods", ("oedh", "pedh")),
-        estimators=get_list(conf, "experiment.estimators", ("t0",)),
+        methods=get_list(conf, "experiment.methods", ExperimentConfig.methods),
+        estimators=get_list(conf, "experiment.estimators", ExperimentConfig.estimators),
         step=build_step_params(conf),
         q=get_int(conf, "experiment.q", 32),
         fixed_step_size=get_float(conf, "experiment.fixed_step_size", 1.0),

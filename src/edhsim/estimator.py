@@ -53,7 +53,6 @@ class DensityEstimate:
 
     grid: np.ndarray
     values: np.ndarray
-    source_bounds: EdhBoundaries
 
     def __post_init__(self):
         g = np.ascontiguousarray(np.asarray(self.grid, dtype=np.float64))
@@ -127,7 +126,7 @@ def rho1(bounds: EdhBoundaries, knot_mode: str = "midpoint") -> DensityEstimate:
     else:
         raise InvalidParamsError(f"knot_mode must be 'midpoint' or 'left_edge', got {knot_mode!r}")
     grid = np.arange(RHO1_GRID_SIZE, dtype=np.float64) * (bounds.span / RHO1_GRID_SIZE)
-    return DensityEstimate(grid, np.interp(grid, xs, density.values), bounds)
+    return DensityEstimate(grid, np.interp(grid, xs, density.values))
 
 
 def t1_hat(density: DensityEstimate) -> float:

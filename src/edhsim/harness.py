@@ -9,6 +9,7 @@ consumes the identical photon stream (paired comparisons).
 from __future__ import annotations
 
 import csv
+import re
 import struct
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -16,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .binner import StepParams, run_fixed, run_optimized
+from .binner import StepParams, check_fixed_step_size, run_fixed, run_optimized
 from .errors import EdhsimError, InvalidParamsError, ParseError, SweepValueError
 from .estimator import (
     RHO1_GRID_SIZE,
@@ -26,16 +27,13 @@ from .estimator import (
     t0_hat,
     t1_hat,
 )
-from .histogrammer import ewh, hedh, oedh, pedh
+from .histogrammer import EdhBoundaries, EwHistogram, ewh, hedh, oedh, pedh
 from .metrics import boundary_rmse, distance_metrics
 from .scene import PixelConfig, Scene, save_depth_map
 from .transient import PhotonStream, SimConfig, build_transient, sample_stream, true_quantiles
 
 SCHEMA_VERSION = 1
 
-METHODS = ("oedh", "pedh", "hedh", "ewh32", "ewh1024")
-ESTIMATORS = ("t0", "t1", "ewh_peak")
-_EDH_METHODS = ("oedh", "pedh", "hedh")
 SWEEPABLE_PARAMS = ("k_pct", "gamma", "beta1", "beta2")
 
 # seed-derivation contexts keep independent tools off each other's streams
@@ -62,10 +60,67 @@ def pipeline_stream_seed(global_seed: int, pixel_index: int) -> np.random.SeedSe
     return derive_seed(global_seed, _CTX_SIMULATE, pixel_index)
 
 
-def compatible(method: str, estimator: str) -> bool:
-    if method in _EDH_METHODS:
-        return estimator in ("t0", "t1")
-    return estimator == "ewh_peak"
+# Method and estimator tables. Each entry looks its function up in this
+# module when called, so a replacement installed here (a test spy, the
+# benchmark's checking and timing wrappers) is what runs; a stored function
+# reference would bypass it.
+_EDH = {
+    "oedh": lambda stream, q, step, fixed_step_size: oedh(stream, q),
+    "pedh": lambda stream, q, step, fixed_step_size: pedh(stream, q, step),
+    "hedh": lambda stream, q, step, fixed_step_size: hedh(stream, q, fixed_step_size),
+}
+# name -> (summary type the estimator reads, summary -> bin position)
+_ESTIMATORS = {
+    "t0": (EdhBoundaries, lambda bounds: t0_hat(bounds)),
+    "t1": (EdhBoundaries, lambda bounds: t1_hat(rho1(bounds))),
+    "ewh_peak": (EwHistogram, lambda hist: ewh_peak(hist)),
+}
+# any other method name must be ewhN: an N-bin equi-width histogram
+_EWH_METHOD = re.compile(r"ewh(\d+)")
+# boundary RMSE of the other equi-depth methods is measured against this one
+_ORACLE = "oedh"
+
+EDH_METHODS = tuple(_EDH)
+ESTIMATORS = tuple(_ESTIMATORS)
+
+
+def _ewh_bins(method: str) -> int:
+    match = _EWH_METHOD.fullmatch(method)
+    if match is None:
+        raise InvalidParamsError(f"unknown method {method!r}: use one of {EDH_METHODS} or ewhN")
+    return int(match.group(1))
+
+
+def _estimator(name: str):
+    if name not in _ESTIMATORS:
+        raise InvalidParamsError(f"unknown estimator {name!r}: use one of {ESTIMATORS}")
+    return _ESTIMATORS[name]
+
+
+def conditions(methods: Sequence[str], estimators: Sequence[str]) -> list[tuple[str, str]]:
+    """Every (method, estimator) pair whose estimator reads what the method
+    produces, method-major in the given orders."""
+    return [(m, e) for m in methods for e in estimators
+            if _estimator(e)[0] is (EdhBoundaries if m in _EDH else EwHistogram)]
+
+
+def summarize(stream: PhotonStream, method: str, q: int, step: StepParams,
+              fixed_step_size: float):
+    """Run one method over a stream: equi-depth boundaries for ``oedh``,
+    ``pedh`` and ``hedh``, an N-bin equi-width histogram for ``ewhN``."""
+    build = _EDH.get(method)
+    if build is not None:
+        return build(stream, q, step, fixed_step_size)
+    return ewh(stream, _ewh_bins(method))
+
+
+def estimate_bins(estimator: str, summary) -> float:
+    """Time-of-flight position, in bins, that ``estimator`` reads off a
+    summary made by :func:`summarize`."""
+    kind, estimate = _estimator(estimator)
+    if not isinstance(summary, kind):
+        raise InvalidParamsError(f"{estimator} reads {kind.__name__}, not {type(summary).__name__}")
+    return estimate(summary)
 
 
 @dataclass(frozen=True)
@@ -86,22 +141,28 @@ class ExperimentConfig:
     inlier_thresholds: tuple[float, ...] = (2.0, 10.0)
 
     def __post_init__(self):
-        if not self.methods or any(m not in METHODS for m in self.methods):
-            raise InvalidParamsError(f"methods must be a non-empty subset of {METHODS}")
-        if not self.estimators or any(e not in ESTIMATORS for e in self.estimators):
-            raise InvalidParamsError(f"estimators must be a non-empty subset of {ESTIMATORS}")
+        if not self.methods or not self.estimators:
+            raise InvalidParamsError("need at least one method and one estimator")
+        for m in self.methods:
+            if m not in _EDH and not 1 <= _ewh_bins(m) <= self.sim.n_bins:
+                raise InvalidParamsError(f"{m}: bin count must lie in [1, {self.sim.n_bins}]")
+        if not conditions(self.methods, self.estimators):
+            raise InvalidParamsError("no listed estimator reads what a listed method produces")
         if self.n_monte_carlo < 1:
             raise InvalidParamsError("n_monte_carlo must be >= 1")
         if self.global_seed < 0:
             raise InvalidParamsError("global_seed must be >= 0")
         if self.q < 2:
             raise InvalidParamsError("q must be >= 2")
+        if "hedh" in self.methods and self.q & (self.q - 1):
+            raise InvalidParamsError(f"hedh requires a power-of-two q, got {self.q}")
+        check_fixed_step_size(self.fixed_step_size)
         if not self.pairs:
             raise InvalidParamsError("need at least one (phi_sig, phi_bkg) pair")
         if self.step.decay_freeze_cycle > self.sim.n_cycles:
             raise InvalidParamsError(
-                f"decay_freeze_cycle={self.step.decay_freeze_cycle} exceeds "
-                f"n_cycles={self.sim.n_cycles}"
+                f"decay_freeze_cycle={self.step.decay_freeze_cycle} exceeds n_cycles="
+                f"{self.sim.n_cycles}; set step.decay_freeze_cycle to at most that"
             )
         if self.out_dir is not None:
             object.__setattr__(self, "out_dir", Path(self.out_dir))
@@ -135,35 +196,11 @@ def run_pixel_pipeline(
     """
     transient = build_transient(pixel, sim)
     stream = sample_stream(transient, sim.n_cycles, seed)
-    bounds: dict = {}
-    hists: dict = {}
-    for m in methods:
-        if m == "oedh":
-            bounds[m] = oedh(stream, q)
-        elif m == "pedh":
-            bounds[m] = pedh(stream, q, step)
-        elif m == "hedh":
-            bounds[m] = hedh(stream, q, fixed_step_size)
-        elif m == "ewh32":
-            hists[m] = ewh(stream, 32)
-        elif m == "ewh1024":
-            hists[m] = ewh(stream, 1024)
-        else:
-            raise InvalidParamsError(f"unknown method {m!r}")
-    est_bins: dict = {}
-    est_m: dict = {}
-    for m in methods:
-        for e in estimators:
-            if not compatible(m, e):
-                continue
-            if e == "t0":
-                t = t0_hat(bounds[m])
-            elif e == "t1":
-                t = t1_hat(rho1(bounds[m]))
-            else:
-                t = ewh_peak(hists[m])
-            est_bins[(m, e)] = t
-            est_m[(m, e)] = bin_to_distance(t, sim)
+    summaries = {m: summarize(stream, m, q, step, fixed_step_size) for m in methods}
+    est_bins = {(m, e): estimate_bins(e, summaries[m]) for m, e in conditions(methods, estimators)}
+    est_m = {key: bin_to_distance(t, sim) for key, t in est_bins.items()}
+    bounds = {m: s for m, s in summaries.items() if isinstance(s, EdhBoundaries)}
+    hists = {m: s for m, s in summaries.items() if isinstance(s, EwHistogram)}
     return PixelResult(stream.checksum(), bounds, hists, est_bins, est_m)
 
 
@@ -189,17 +226,16 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """
     pixels = [(r, c) for r in range(cfg.scene.height) for c in range(cfg.scene.width)]
     truth = cfg.scene.depth_map.depths.astype(np.float64)
+    conds = conditions(cfg.methods, cfg.estimators)
 
     summary_rows: list[dict] = []
     run_rows: list[dict] = []
     failures: list[str] = []
 
     for pair_idx, (phi_sig, phi_bkg) in enumerate(cfg.pairs):
-        est_acc: dict = {
-            (m, e): [] for m in cfg.methods for e in cfg.estimators if compatible(m, e)
-        }
-        truth_acc: dict = {k: [] for k in est_acc}
-        bnd_acc: dict = {m: [] for m in cfg.methods if m in ("pedh", "hedh")}
+        est_acc: dict = {k: [] for k in conds}
+        truth_acc: dict = {k: [] for k in conds}
+        bnd_acc: dict = {m: [] for m in cfg.methods if m in _EDH and m != _ORACLE}
         try:
             for mc in range(cfg.n_monte_carlo):
                 for pix_idx, (r, c) in enumerate(pixels):
@@ -226,50 +262,23 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                             "z_est_m": z_est,
                             "stream_checksum": res.stream_checksum,
                         })
-                    if "oedh" in res.bounds:
-                        for m in bnd_acc:
-                            if m in res.bounds:
-                                bnd_acc[m].append(
-                                    boundary_rmse(res.bounds[m], res.bounds["oedh"])
-                                )
+                    if _ORACLE in res.bounds:
+                        for m, acc in bnd_acc.items():
+                            acc.append(boundary_rmse(res.bounds[m], res.bounds[_ORACLE]))
         except EdhsimError as exc:
             failures.append(f"pair ({phi_sig}, {phi_bkg}): {exc}")
-            for m in cfg.methods:
-                for e in cfg.estimators:
-                    if compatible(m, e):
-                        summary_rows.append(_error_row(cfg, phi_sig, phi_bkg, m, e, exc))
+            summary_rows += [_summary_row(cfg, phi_sig, phi_bkg, m, e, error=exc) for m, e in conds]
             continue
 
-        for m in cfg.methods:
-            for e in cfg.estimators:
-                if not compatible(m, e):
-                    continue
-                report = distance_metrics(
-                    np.asarray(est_acc[(m, e)]).reshape(1, -1),
-                    np.asarray(truth_acc[(m, e)]).reshape(1, -1),
-                    thresholds=cfg.inlier_thresholds,
-                    z_max=cfg.sim.z_max,
-                )
-                row = {
-                    "schema_version": SCHEMA_VERSION,
-                    "scene": cfg.scene.label,
-                    "phi_sig": phi_sig,
-                    "phi_bkg": phi_bkg,
-                    "method": m,
-                    "estimator": e,
-                    "n_runs": cfg.n_monte_carlo,
-                    "n_samples": report.n_pixels,
-                    "rmse_cm": report.rmse_cm,
-                    "mae_cm": report.mae_cm,
-                    "status": "ok",
-                    "message": "",
-                }
-                for p in cfg.inlier_thresholds:
-                    row[f"inlier_{p:g}_pct"] = report.inlier_pct[float(p)]
-                row["boundary_rmse_bins"] = (
-                    float(np.mean(bnd_acc[m])) if m in bnd_acc and bnd_acc[m] else ""
-                )
-                summary_rows.append(row)
+        for m, e in conds:
+            report = distance_metrics(
+                np.asarray(est_acc[(m, e)]).reshape(1, -1),
+                np.asarray(truth_acc[(m, e)]).reshape(1, -1),
+                thresholds=cfg.inlier_thresholds,
+                z_max=cfg.sim.z_max,
+            )
+            bnd = float(np.mean(bnd_acc[m])) if bnd_acc.get(m) else ""
+            summary_rows.append(_summary_row(cfg, phi_sig, phi_bkg, m, e, report, bnd))
 
     summary_path = runs_path = None
     if cfg.out_dir is not None:
@@ -281,24 +290,22 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     return ExperimentResult(summary_rows, run_rows, failures, summary_path, runs_path)
 
 
-def _error_row(cfg, phi_sig, phi_bkg, method, estimator, exc) -> dict:
-    row = {
-        "schema_version": SCHEMA_VERSION,
-        "scene": cfg.scene.label,
-        "phi_sig": phi_sig,
-        "phi_bkg": phi_bkg,
-        "method": method,
-        "estimator": estimator,
-        "n_runs": cfg.n_monte_carlo,
-        "n_samples": "",
-        "rmse_cm": "",
-        "mae_cm": "",
-        "status": "error",
-        "message": str(exc),
-        "boundary_rmse_bins": "",
-    }
+def _summary_row(cfg, phi_sig, phi_bkg, method, estimator, report=None,
+                 boundary_rmse_bins="", error=None) -> dict:
+    """One ``summary.csv`` row: metrics from ``report``, or blanks and the
+    message of the ``error`` that stopped the condition."""
+    row = dict.fromkeys(_summary_fields(cfg), "")
+    row.update(schema_version=SCHEMA_VERSION, scene=cfg.scene.label, phi_sig=phi_sig,
+               phi_bkg=phi_bkg, method=method, estimator=estimator, n_runs=cfg.n_monte_carlo)
+    if error is not None:
+        row.update(status="error", message=str(error))
+        return row
+    row.update(
+        n_samples=report.n_pixels, rmse_cm=report.rmse_cm, mae_cm=report.mae_cm,
+        boundary_rmse_bins=boundary_rmse_bins, status="ok",
+    )
     for p in cfg.inlier_thresholds:
-        row[f"inlier_{p:g}_pct"] = ""
+        row[f"inlier_{p:g}_pct"] = report.inlier_pct[float(p)]
     return row
 
 
@@ -491,7 +498,6 @@ def export_density_features(
     q: int,
     path,
     global_seed: int = 0,
-    knot_mode: str = "midpoint",
 ) -> Path:
     """Write per-pixel interpolated photon densities as a 1024-channel grid.
 
@@ -503,7 +509,7 @@ def export_density_features(
     for pix_idx, (r, c, pixel) in enumerate(scene.iter_pixels()):
         transient = build_transient(pixel, sim)
         stream = sample_stream(transient, sim.n_cycles, derive_seed(global_seed, _CTX_FEATURES, pix_idx))
-        density = rho1(pedh(stream, q, step), knot_mode=knot_mode)
+        density = rho1(pedh(stream, q, step))
         arr[r, c, :] = density.values
     path = Path(path)
     write_channel_grid(path, arr)

@@ -17,14 +17,13 @@ Equi-depth boundary sets always carry the forced endpoints 0 and n_bins.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .binner import BinnerBank, StepParams
+from .binner import BinnerBank, StepParams, check_fixed_step_size
 from .errors import (
     BinCountError,
     InvalidParamsError,
@@ -154,8 +153,7 @@ def hedh(stream: PhotonStream, q: int, fixed_step_size: float = 1.0) -> EdhBound
     """
     if q < 2 or q & (q - 1):
         raise PowerOfTwoError(f"hedh requires a power-of-two q, got {q}")
-    if not 0.0 < fixed_step_size < math.inf:
-        raise InvalidParamsError("fixed_step_size must be finite and > 0")
+    check_fixed_step_size(fixed_step_size)
     n_levels = q.bit_length() - 1
     cuts = np.rint(np.arange(n_levels + 1) / n_levels * stream.n_cycles).astype(np.int64).tolist()
     ts = stream.timestamps.tolist()

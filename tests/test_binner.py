@@ -174,6 +174,13 @@ class TestFixedStep:
         with pytest.raises(InvalidParamsError):
             fixed_step(s, CycleObservation(1, 0), 0.0)
 
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+    def test_non_finite_step_rejected(self, bad):
+        # an infinite step turns the no-move of a balanced cycle into inf*0 = nan
+        s = BinnerState.initial(0.5, StepParams(), 1024)
+        with pytest.raises(InvalidParamsError, match="finite"):
+            fixed_step(s, CycleObservation(5, 5), bad)
+
 
 def _stream(pixel=PixelConfig(7.5, 1.0, 1.0), n_cycles=400, seed=5):
     return sample_stream(build_transient(pixel, SIM), n_cycles, seed)
@@ -199,6 +206,14 @@ class TestRunners:
             state = fixed_step(state, observe(state.cv, ts), 1.0)
         fast = run_fixed(stream, 0.5, 1.0)
         assert fast.cv == state.cv
+
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan"), -1.0])
+    def test_run_fixed_rejects_bad_step_up_front(self, bad):
+        # two cycles, the second empty: with step inf the old loop only failed
+        # after the stream, on the nan CV
+        stream = PhotonStream(np.array([100.0, 900.0]), np.array([0, 2, 2]), 1024)
+        with pytest.raises(InvalidParamsError, match="fixed_step_size must be finite and > 0"):
+            run_fixed(stream, 0.5, bad)
 
     def test_bank_matches_scalar_runs_bitwise(self):
         stream = _stream(seed=7)

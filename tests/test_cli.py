@@ -3,9 +3,30 @@ import csv
 import numpy as np
 import pytest
 
-from edhsim.cli import main
-from edhsim.harness import read_boundaries_csv, read_channel_grid
+from edhsim import config as cfgmod
+from edhsim.cli import build_parser, main
+from edhsim.estimator import bin_to_distance, ewh_peak
+from edhsim.harness import (
+    EDH_METHODS,
+    ESTIMATORS,
+    SWEEPABLE_PARAMS,
+    pipeline_stream_seed,
+    read_boundaries_csv,
+    read_channel_grid,
+)
+from edhsim.histogrammer import ewh, hedh
 from edhsim.scene import load_grid
+from edhsim.transient import build_transient, sample_stream
+
+
+def _pixel_streams(conf):
+    """(row, col, stream) for every scene pixel, as the pipeline subcommands seed them."""
+    flat = cfgmod.parse_config_file(conf)
+    sim = cfgmod.build_sim_config(flat)
+    seed = cfgmod.resolve_seed(flat)
+    for pix_idx, (r, c, pixel) in enumerate(cfgmod.build_scene(flat, sim).iter_pixels()):
+        yield r, c, sample_stream(build_transient(pixel, sim), sim.n_cycles,
+                                  pipeline_stream_seed(seed, pix_idx))
 
 
 @pytest.fixture()
@@ -84,6 +105,46 @@ def test_estimate_ewh_peak(conf, tmp_path):
     assert main(["estimate", "--config", str(conf), "--estimator", "ewh_peak",
                  "--ewh-bins", "32", "--out", str(out)]) == 0
     assert load_grid(out).shape == (1, 3)
+
+
+def test_edh_hedh_with_fixed_step_size(conf, tmp_path):
+    out = tmp_path / "bounds.csv"
+    assert main(["edh", "--config", str(conf), "--method", "hedh", "--q", "8",
+                 "--fixed-step-size", "2", "--out", str(out)]) == 0
+    grid = read_boundaries_csv(out)
+    for r, c, stream in _pixel_streams(conf):
+        assert np.array_equal(grid[r, c], hedh(stream, 8, 2.0).bounds)
+
+
+def test_estimate_ewh_peak_bins_match_library(conf, tmp_path):
+    out = tmp_path / "est.csv"
+    assert main(["estimate", "--config", str(conf), "--estimator", "ewh_peak",
+                 "--ewh-bins", "16", "--out", str(out)]) == 0
+    est = load_grid(out)
+    sim = cfgmod.build_sim_config(cfgmod.parse_config_file(conf))
+    for r, c, stream in _pixel_streams(conf):
+        assert est[r, c] == np.float32(bin_to_distance(ewh_peak(ewh(stream, 16)), sim))
+
+
+def test_estimate_ewh_peak_rejects_boundary_file(conf, tmp_path, capsys):
+    bounds_csv = tmp_path / "bounds.csv"
+    main(["edh", "--config", str(conf), "--method", "oedh", "--q", "8", "--out", str(bounds_csv)])
+    assert main(["estimate", "--config", str(conf), "--estimator", "ewh_peak",
+                 "--bounds", str(bounds_csv), "--out", str(tmp_path / "est.csv")]) == 2
+    assert "ewh_peak" in capsys.readouterr().err
+
+
+def test_parser_choices_come_from_the_harness():
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions if a.dest == "command").choices
+
+    def choices(command, dest):
+        return tuple(next(a for a in subparsers[command]._actions if a.dest == dest).choices)
+
+    assert choices("edh", "method") == EDH_METHODS
+    assert choices("estimate", "method") == EDH_METHODS
+    assert choices("estimate", "estimator") == ESTIMATORS
+    assert choices("sweep", "param") == SWEEPABLE_PARAMS
 
 
 def test_experiment_command(conf, tmp_path, capsys):

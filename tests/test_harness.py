@@ -11,6 +11,8 @@ from edhsim.config import (
     parse_config_file,
 )
 from edhsim.errors import InvalidParamsError, ParseError
+from edhsim.estimator import distance_to_bin
+import edhsim.harness as harness
 from edhsim.harness import (
     ExperimentConfig,
     SweepSpec,
@@ -71,6 +73,26 @@ class TestRunPixelPipeline:
         t = res.est_bins[("pedh", "t0")]
         center = (2.0 * 7.5 / sim.c) / sim.dt
         assert abs(t - center) <= 2.0
+
+    def test_table_looks_functions_up_on_the_module(self, monkeypatch):
+        # replacing a histogrammer or estimator on the harness module must
+        # reach the pipeline: the benchmark's checks and layer spans rely on it
+        calls = []
+
+        def spy(name):
+            real = getattr(harness, name)
+
+            def wrapped(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+
+            return wrapped
+
+        for name in ("pedh", "t0_hat"):
+            monkeypatch.setattr(harness, name, spy(name))
+        pixel = PixelConfig(7.5, 1.0, 1.0)
+        run_pixel_pipeline(pixel, SIM_SMALL, ("pedh",), ("t0",), STEP_SMALL, 8, 1.0, seed=3)
+        assert calls == ["pedh", "t0_hat"]
 
     def test_same_seed_same_result(self):
         pixel = PixelConfig(5.0, 1.0, 2.0)
@@ -163,7 +185,53 @@ class TestRunExperiment:
             small_config(step=StepParams())  # freeze cycle beyond n_cycles
 
 
+class TestConfigChecks:
+    """Settings that would fail every pair are rejected when the config is built."""
+
+    @pytest.mark.parametrize("bad", [-1.0, 0.0, float("inf"), float("nan")])
+    def test_fixed_step_size_must_be_finite_and_positive(self, bad):
+        with pytest.raises(InvalidParamsError, match="fixed_step_size"):
+            small_config(methods=("hedh", "pedh"), fixed_step_size=bad)
+
+    def test_hedh_needs_power_of_two_q(self):
+        with pytest.raises(InvalidParamsError, match="power-of-two"):
+            small_config(methods=("hedh", "pedh"), q=6)
+        assert small_config(methods=("oedh", "pedh"), q=6).q == 6
+
+    @pytest.mark.parametrize("method", ["ewh0", "ewh1025"])
+    def test_ewh_bin_count_within_n_bins(self, method):
+        with pytest.raises(InvalidParamsError, match=r"\[1, 1024\]"):
+            small_config(methods=(method,), estimators=("ewh_peak",))
+
+    @pytest.mark.parametrize("method", ["ewh", "ewhx", "ewh-4", "EDH", "pedh2"])
+    def test_unknown_method_name(self, method):
+        with pytest.raises(InvalidParamsError, match="unknown method"):
+            small_config(methods=("pedh", method))
+
+    def test_methods_and_estimators_must_pair(self):
+        # oedh gives boundaries and ewh_peak reads histograms: an empty grid
+        with pytest.raises(InvalidParamsError, match="no listed estimator"):
+            small_config(methods=("oedh",), estimators=("ewh_peak",))
+        with pytest.raises(InvalidParamsError, match="unknown estimator"):
+            small_config(estimators=("t0", "t2"))
+
+    def test_freeze_cycle_error_names_the_key(self):
+        with pytest.raises(InvalidParamsError, match="set step.decay_freeze_cycle"):
+            small_config(step=StepParams())
+
+
 class TestMethodComparisonTable:
+    def test_any_ewh_resolution(self):
+        result = run_experiment(small_config(methods=("ewh16",), estimators=("t0", "ewh_peak")))
+        assert result.ok
+        assert {(r["method"], r["estimator"]) for r in result.summary_rows} == {
+            ("ewh16", "ewh_peak")
+        }
+        # every estimate is the center of one of 16 bins, each 1024/16 = 64 wide
+        for row in result.run_rows:
+            t = distance_to_bin(row["z_est_m"], SIM_SMALL)
+            assert abs(t / 64.0 - 0.5 - round(t / 64.0 - 0.5)) < 1e-9
+
     def test_four_method_columns(self):
         # the standard comparison: both equi-width resolutions against the
         # parallel histogrammer with both boundary estimators
