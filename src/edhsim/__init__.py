@@ -41,7 +41,7 @@ from .harness import (
     run_pixel_pipeline,
     sweep,
 )
-from .histogrammer import EdhBoundaries, EwHistogram, ewh, hedh, oedh, pedh
+from .histogrammer import EdhBoundaries, EwHistogram, ewh, hedh, oedh, pedh, pedh_variants
 from .metrics import MetricsReport, boundary_rmse, distance_metrics
 from .scene import (
     DepthMap,
@@ -72,7 +72,7 @@ __all__ = [
     "ewh_peak", "rho0", "rho1", "t0_hat", "t1_hat",
     "ExperimentConfig", "SweepSpec", "export_density_features",
     "median_tracking_experiment", "run_experiment", "run_pixel_pipeline", "sweep",
-    "EdhBoundaries", "EwHistogram", "ewh", "hedh", "oedh", "pedh",
+    "EdhBoundaries", "EwHistogram", "ewh", "hedh", "oedh", "pedh", "pedh_variants",
     "MetricsReport", "boundary_rmse", "distance_metrics",
     "DepthMap", "PixelConfig", "Scene", "load_depth_map", "save_depth_map", "synth_scene",
     "PhotonStream", "SimConfig", "Transient", "build_transient",

@@ -20,9 +20,9 @@ Two stepping strategies:
 
 The scalar API (:class:`BinnerState`, :func:`optimized_step`,
 :func:`fixed_step`) is the reference implementation. :class:`BinnerBank`
-updates many binners per cycle with vectorized arithmetic and is kept
-operation-for-operation identical to the scalar path, so the two agree
-bit-for-bit.
+updates many binners per cycle with vectorized arithmetic, optionally under
+several step schedules at once, and is kept operation-for-operation
+identical to the scalar path, so the two agree bit-for-bit.
 """
 
 from __future__ import annotations
@@ -277,19 +277,22 @@ def run_fixed(
 
 
 class BinnerBank:
-    """A bank of optimized binners updated together, one per target quantile.
+    """A bank of optimized binners updated together.
 
-    Per-cycle arithmetic is elementwise over the bank and mirrors the scalar
-    update exactly (same operations, same order), so a bank of one binner
-    reproduces :func:`run_optimized` bit-for-bit. Total state is three
-    float64 arrays of length ``len(targets)`` plus a cycle counter; nothing
-    scales with the photon count.
+    The bank carries one or more step schedules ("variants"); binner
+    ``(v, j)`` tracks quantile ``targets[j]`` under variant ``v``, and all
+    ``V * len(targets)`` binners take one vectorized update per cycle from
+    one pass over the stream. Per-cycle arithmetic is elementwise and
+    mirrors the scalar update exactly (same operations, same order), so
+    each binner reproduces :func:`run_optimized` bit-for-bit. Total state is
+    four float64 arrays of one entry per binner (variant-major) plus a
+    cycle counter; nothing scales with the photon count.
     """
 
     def __init__(
         self,
         targets: Sequence[float],
-        params: StepParams,
+        params: StepParams | Sequence[StepParams],
         n_bins: int,
         cvs0: Optional[np.ndarray] = None,
     ):
@@ -298,39 +301,78 @@ class BinnerBank:
             raise InvalidParamsError("need at least one target quantile")
         if np.any(targets <= 0.0) or np.any(targets >= 1.0):
             raise InvalidParamsError("target fractions must lie in (0, 1)")
-        self.targets = targets
-        self.params = params
+        if not isinstance(n_bins, (int, np.integer)) or isinstance(n_bins, bool) or n_bins < 1:
+            raise InvalidParamsError(f"n_bins must be a positive integer, got {n_bins!r}")
+        variants = (params,) if isinstance(params, StepParams) else tuple(params)
+        if not variants:
+            raise InvalidParamsError("need at least one step schedule")
+        for p in variants:
+            _step_scale(p, n_bins)
+        self.variants = variants
         self.n_bins = n_bins
-        self.cvs = targets * n_bins if cvs0 is None else np.asarray(cvs0, np.float64).copy()
-        if self.cvs.shape != targets.shape:
-            raise InvalidParamsError("cvs0 must match targets in shape")
+        self.targets = np.tile(targets, len(variants))
+        if cvs0 is None:
+            self.cvs = self.targets * n_bins
+        else:
+            self.cvs = np.asarray(cvs0, np.float64).copy()
+            if self.cvs.shape != self.targets.shape:
+                raise InvalidParamsError("cvs0 must hold one value per binner")
+            if not np.all((self.cvs >= 0.0) & (self.cvs <= n_bins)):  # also rejects NaN
+                raise InvalidParamsError(f"cvs0 must lie in [0, {n_bins}]")
         self.smoothed_step = np.zeros_like(self.cvs)
         self.smoothed_delta = np.zeros_like(self.cvs)
         self.n = 0
-        # precomputed update constants
-        self._one_m_b1 = 1.0 - params.beta1
-        self._coef_base = (1.0 - params.beta2) * _step_scale(params, n_bins)
-        self._lim = params.clip * n_bins if params.clip is not None else None
 
     def step_cycle(self, cycle_timestamps: np.ndarray) -> None:
         """Observe one cycle (sorted timestamps) and update every binner."""
-        p = self.params
-        total = cycle_timestamps.size
-        if total:
-            early = np.searchsorted(cycle_timestamps, self.cvs, side="left")
-            dn = self.targets - early / total
-        else:
-            dn = 0.0
-        self.smoothed_delta = p.beta1 * self.smoothed_delta + self._one_m_b1 * dn
-        coef = self._coef_base * _decay(p, self.n)
-        self.smoothed_step = p.beta2 * self.smoothed_step + coef * self.smoothed_delta
-        if self._lim is not None:
-            np.clip(self.smoothed_step, -self._lim, self._lim, out=self.smoothed_step)
-        self.cvs = np.clip(self.cvs + self.smoothed_step, 0.0, float(self.n_bins))
-        self.n += 1
+        self.run(PhotonStream.from_cycles([cycle_timestamps], self.n_bins))
 
     def run(self, stream: PhotonStream) -> np.ndarray:
-        """Consume every cycle of a stream; returns the final CVs."""
-        for ts in stream.cycles():
-            self.step_cycle(ts)
-        return self.cvs
+        """Consume every cycle of a stream; returns the final CVs, one per
+        binner, variant-major (the bank's own array, updated in place).
+
+        The per-variant schedule is expanded to one column entry per binner
+        and the step coefficient is tabulated per cycle, up to the cycle
+        where every variant's decay is frozen. These are locals of the
+        update, so the bank's state stays its four arrays.
+        """
+        if stream.n_bins != self.n_bins:
+            raise InvalidParamsError(
+                f"stream has n_bins={stream.n_bins}, bank has n_bins={self.n_bins}")
+        variants, n0, n_cycles = self.variants, self.n, stream.n_cycles
+        variant = np.repeat(np.arange(len(variants)), self.targets.size // len(variants))
+
+        def column(values):
+            return np.array(values, dtype=np.float64)[variant]
+
+        b1 = column([p.beta1 for p in variants])
+        one_m_b1 = 1.0 - b1
+        b2 = column([p.beta2 for p in variants])
+        clip = None
+        if any(p.clip is not None for p in variants):
+            lim = column([p.clip * self.n_bins if p.clip is not None else math.inf for p in variants])
+            clip = (-lim, lim)
+        rows = max(1, min(n_cycles, max(p.decay_freeze_cycle for p in variants) - n0 + 1))
+        coef = np.empty((rows, len(variants)))
+        for v, p in enumerate(variants):
+            base = (1.0 - p.beta2) * _step_scale(p, self.n_bins)
+            coef[:, v] = [base * _decay(p, n0 + i) for i in range(rows)]
+
+        targets, cvs = self.targets, self.cvs
+        s, dtil = self.smoothed_step, self.smoothed_delta
+        ts = stream.timestamps
+        offsets = stream.cycle_offsets.tolist()
+        n_bins_f = float(self.n_bins)
+        for i in range(n_cycles):
+            lo, hi = offsets[i], offsets[i + 1]
+            if hi > lo:
+                dn = targets - ts[lo:hi].searchsorted(cvs) / (hi - lo)
+            else:
+                dn = 0.0
+            np.add(b1 * dtil, one_m_b1 * dn, out=dtil)
+            np.add(b2 * s, coef[min(i, rows - 1)][variant] * dtil, out=s)
+            if clip is not None:
+                s.clip(*clip, out=s)
+            (cvs + s).clip(0.0, n_bins_f, out=cvs)
+        self.n += n_cycles
+        return cvs

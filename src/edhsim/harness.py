@@ -27,7 +27,7 @@ from .estimator import (
     t0_hat,
     t1_hat,
 )
-from .histogrammer import EdhBoundaries, EwHistogram, ewh, hedh, oedh, pedh
+from .histogrammer import EdhBoundaries, EwHistogram, ewh, hedh, oedh, pedh, pedh_variants
 from .metrics import boundary_rmse, distance_metrics
 from .scene import PixelConfig, Scene, save_depth_map
 from .transient import PhotonStream, SimConfig, build_transient, sample_stream, true_quantiles
@@ -227,6 +227,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     pixels = [(r, c) for r in range(cfg.scene.height) for c in range(cfg.scene.width)]
     truth = cfg.scene.depth_map.depths.astype(np.float64)
     conds = conditions(cfg.methods, cfg.estimators)
+    # a method no listed estimator reads is not run
+    methods = tuple(dict.fromkeys(m for m, _ in conds))
 
     summary_rows: list[dict] = []
     run_rows: list[dict] = []
@@ -235,14 +237,14 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     for pair_idx, (phi_sig, phi_bkg) in enumerate(cfg.pairs):
         est_acc: dict = {k: [] for k in conds}
         truth_acc: dict = {k: [] for k in conds}
-        bnd_acc: dict = {m: [] for m in cfg.methods if m in _EDH and m != _ORACLE}
+        bnd_acc: dict = {m: [] for m in methods if m in _EDH and m != _ORACLE}
         try:
             for mc in range(cfg.n_monte_carlo):
                 for pix_idx, (r, c) in enumerate(pixels):
                     pixel = PixelConfig(float(truth[r, c]), phi_sig, phi_bkg)
                     seed = derive_seed(cfg.global_seed, _CTX_EXPERIMENT, pair_idx, mc, pix_idx)
                     res = run_pixel_pipeline(
-                        pixel, cfg.sim, cfg.methods, cfg.estimators,
+                        pixel, cfg.sim, methods, cfg.estimators,
                         cfg.step, cfg.q, cfg.fixed_step_size, seed,
                     )
                     for (m, e), z_est in res.est_m.items():
@@ -404,9 +406,10 @@ def sweep(spec: SweepSpec, cfg: ExperimentConfig, out_path: Optional[Path] = Non
 
     Every sweep value sees the identical streams (seeds are derived exactly
     as in :func:`run_experiment`), so value-to-value differences are not
-    sampling noise. Boundary RMSE is measured against the population
-    quantiles of each transient; distance RMSE uses the narrowest-bin
-    estimator against the scene truth.
+    sampling noise. Each stream is stepped once: the values are the variant
+    axis of one binner bank (:func:`pedh_variants`). Boundary RMSE is
+    measured against the population quantiles of each transient; distance
+    RMSE uses the narrowest-bin estimator against the scene truth.
     """
     step_variants = []
     for v in spec.values:
@@ -430,8 +433,7 @@ def sweep(spec: SweepSpec, cfg: ExperimentConfig, out_path: Optional[Path] = Non
                 true_bounds = true_quantiles(transient, targets)
                 seed = derive_seed(cfg.global_seed, _CTX_EXPERIMENT, pair_idx, mc, pix_idx)
                 stream = sample_stream(transient, cfg.sim.n_cycles, seed)
-                for value, step in zip(spec.values, step_variants):
-                    bounds = pedh(stream, cfg.q, step)
+                for value, bounds in zip(spec.values, pedh_variants(stream, cfg.q, step_variants)):
                     est_acc[value].append(bin_to_distance(t0_hat(bounds), cfg.sim))
                     truth_acc[value].append(pixel.z)
                     bnd_sq[value].extend(((bounds.interior - true_bounds) ** 2).tolist())

@@ -7,6 +7,7 @@ Four ways of summarizing an exposure:
   reference, not a sensor design.
 * :func:`pedh`  - proportional equi-depth boundaries: one optimized binner
   per interior quantile, all running in parallel over the full exposure.
+  :func:`pedh_variants` does this for several step schedules in one pass.
 * :func:`hedh`  - hierarchical equi-depth boundaries: a binary tree of
   fixed-stepping median binners run level by level, each level consuming its
   share of the cycles and refining within the intervals found so far.
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -42,8 +43,7 @@ class EdhBoundaries:
 
     def __post_init__(self):
         b = np.ascontiguousarray(np.asarray(self.bounds, dtype=np.float64))
-        if self.q < 1:
-            raise InvalidParamsError("q must be >= 1")
+        object.__setattr__(self, "q", _check_q(self.q, 1))
         if b.shape != (self.q + 1,):
             raise InvalidParamsError(f"need q+1={self.q + 1} boundaries, got {b.shape}")
         if not np.all(np.isfinite(b)):
@@ -90,6 +90,14 @@ class EwHistogram:
         return self.span / self.bin_count
 
 
+def _check_q(q: int, least: int) -> int:
+    """A bin count q as a Python int; rejects one that is not an integer
+    >= ``least``."""
+    if not isinstance(q, (int, np.integer)) or isinstance(q, bool) or q < least:
+        raise InvalidParamsError(f"q must be an integer >= {least}, got {q!r}")
+    return int(q)
+
+
 def oedh(stream: PhotonStream, q: int) -> EdhBoundaries:
     """Exact empirical quantile boundaries from the pooled timestamps.
 
@@ -100,8 +108,7 @@ def oedh(stream: PhotonStream, q: int) -> EdhBoundaries:
     Raises:
         TooFewPhotonsError: if the stream pooled fewer than q photons.
     """
-    if q < 1:
-        raise InvalidParamsError("q must be >= 1")
+    q = _check_q(q, 1)
     pooled = stream.pooled()
     n = pooled.size
     if n < q:
@@ -119,17 +126,25 @@ def pedh(stream: PhotonStream, q: int, params: Optional[StepParams] = None) -> E
     Instantiates q-1 optimized binners with targets j/q, every one consuming
     every cycle of the stream. Final CVs can cross under noise since the
     binners are independent; the output is sorted to restore a valid
-    boundary set.
+    boundary set. This is :func:`pedh_variants` with one schedule.
     """
-    if q < 2:
-        raise InvalidParamsError("pedh needs q >= 2")
-    if params is None:
-        params = StepParams()
+    return pedh_variants(stream, q, [StepParams() if params is None else params])[0]
+
+
+def pedh_variants(stream: PhotonStream, q: int, steps: Sequence[StepParams]) -> list[EdhBoundaries]:
+    """:func:`pedh` under several step schedules at once, one boundary set
+    per schedule in the given order.
+
+    One :class:`BinnerBank` holds ``len(steps) * (q-1)`` binners and makes
+    a single pass over the stream, so the per-cycle cost is shared by every
+    schedule; each result equals ``pedh(stream, q, step)`` bit for bit.
+    """
+    q = _check_q(q, 2)
     targets = np.arange(1, q, dtype=np.float64) / q
-    bank = BinnerBank(targets, params, stream.n_bins)
-    interior = np.sort(bank.run(stream))
-    bounds = np.concatenate(([0.0], interior, [float(stream.n_bins)]))
-    return EdhBoundaries(q, bounds)
+    bank = BinnerBank(targets, steps, stream.n_bins)
+    cvs = bank.run(stream).reshape(len(bank.variants), q - 1)
+    end = [float(stream.n_bins)]
+    return [EdhBoundaries(q, np.concatenate(([0.0], np.sort(row), end))) for row in cvs]
 
 
 def hedh(stream: PhotonStream, q: int, fixed_step_size: float = 1.0) -> EdhBoundaries:
@@ -151,6 +166,7 @@ def hedh(stream: PhotonStream, q: int, fixed_step_size: float = 1.0) -> EdhBound
     Raises:
         PowerOfTwoError: if q is not a power of two.
     """
+    q = _check_q(q, 1)
     if q < 2 or q & (q - 1):
         raise PowerOfTwoError(f"hedh requires a power-of-two q, got {q}")
     check_fixed_step_size(fixed_step_size)

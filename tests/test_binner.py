@@ -232,6 +232,106 @@ class TestRunners:
         assert bank.cvs[0] == run_optimized(stream, 0.5, p).cv
 
 
+def _hand_stream(cycles, n_bins=16):
+    return PhotonStream.from_cycles([np.sort(np.asarray(c, np.float64)) for c in cycles], n_bins)
+
+
+step_params = st.builds(
+    StepParams,
+    k_pct=st.floats(0.5, 80.0),
+    gamma=st.one_of(st.just(1.0), st.floats(0.9, 1.0)),
+    beta1=st.one_of(st.just(0.0), st.floats(0.0, 0.99)),
+    beta2=st.floats(0.0, 0.99),
+    decay_freeze_cycle=st.integers(0, 40),
+    clip=st.one_of(st.none(), st.floats(0.01, 0.5)),
+)
+# half-integer timestamps in [0, 16) so CVs land on photons; empty cycles common
+hand_cycles = st.lists(
+    st.lists(st.integers(0, 31).map(lambda k: k / 2.0), max_size=6), min_size=1, max_size=40,
+)
+
+
+class TestBankVariants:
+    @given(
+        cycles=st.one_of(hand_cycles, st.integers(1, 40).map(lambda n: [[]] * n)),
+        variants=st.lists(step_params, min_size=1, max_size=4),
+        targets=st.lists(st.sampled_from([0.125, 0.25, 0.5, 0.75, 0.9]), min_size=1, max_size=4),
+        order=st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_variants_equal_separate_banks_bitwise(self, cycles, variants, targets, order):
+        # V variants in one bank step exactly as V one-variant banks, and as
+        # the scalar reference; permuting the variants permutes the outputs
+        stream = _hand_stream(cycles)
+        k = len(targets)
+
+        def state(bank):
+            return [a.reshape(-1, k) for a in (bank.cvs, bank.smoothed_step, bank.smoothed_delta)]
+
+        bank = BinnerBank(targets, variants, stream.n_bins)
+        bank.run(stream)
+        assert bank.targets.size == len(variants) * k
+        together = state(bank)
+        for v, p in enumerate(variants):
+            alone = BinnerBank(targets, p, stream.n_bins)
+            alone.run(stream)
+            for a, b in zip(together, state(alone)):
+                assert np.array_equal(a[v], b[0])
+            for j, t in enumerate(targets):
+                ref = run_optimized(stream, t, p)
+                assert (together[0][v, j], together[1][v, j], together[2][v, j]) == (
+                    ref.cv, ref.s_prev, ref.delta_tilde_prev)
+
+        perm = list(range(len(variants)))
+        order.shuffle(perm)
+        shuffled = BinnerBank(targets, [variants[i] for i in perm], stream.n_bins)
+        shuffled.run(stream)
+        for a, b in zip(state(shuffled), together):
+            assert np.array_equal(a, b[perm])
+
+    def test_step_cycle_matches_run(self):
+        stream = _stream(seed=9)
+        steps = [StepParams(decay_freeze_cycle=100), StepParams(gamma=1.0, clip=0.01)]
+        stepped = BinnerBank(np.arange(1, 8) / 8, steps, stream.n_bins)
+        for ts in stream.cycles():
+            stepped.step_cycle(ts)
+        ran = BinnerBank(np.arange(1, 8) / 8, steps, stream.n_bins)
+        ran.run(stream)
+        assert np.array_equal(stepped.cvs, ran.cvs)
+        assert stepped.n == ran.n == stream.n_cycles
+
+    def test_state_is_four_arrays_per_binner(self):
+        bank = BinnerBank(np.arange(1, 32) / 32, [StepParams(gamma=g) for g in (0.99, 1.0)], 1024)
+        bank.run(_stream(n_cycles=50))
+        arrays = [v for v in vars(bank).values() if isinstance(v, np.ndarray)]
+        assert sum(a.size for a in arrays) == 4 * 2 * 31
+
+
+class TestBankValidation:
+    @pytest.mark.parametrize("n_bins", [0, -4, 8.5, True])
+    def test_n_bins_must_be_positive_integer(self, n_bins):
+        with pytest.raises(InvalidParamsError, match="n_bins must be a positive integer"):
+            BinnerBank([0.5], StepParams(), n_bins)
+
+    @pytest.mark.parametrize("cv", [float("nan"), -3.0, 100.0])
+    def test_cvs0_must_lie_in_range(self, cv):
+        with pytest.raises(InvalidParamsError, match=r"cvs0 must lie in \[0, 8\]"):
+            BinnerBank([0.25, 0.5], StepParams(), 8, cvs0=[1.0, cv])
+
+    def test_cvs0_one_per_binner(self):
+        with pytest.raises(InvalidParamsError, match="one value per binner"):
+            BinnerBank([0.5], [StepParams(), StepParams()], 8, cvs0=[1.0])
+
+    def test_stream_n_bins_must_match(self):
+        bank = BinnerBank([0.5], StepParams(), 8)
+        with pytest.raises(InvalidParamsError, match="n_bins"):
+            bank.run(PhotonStream.from_cycles([np.array([1.0, 12.0])], 16))
+
+    def test_empty_variant_list(self):
+        with pytest.raises(InvalidParamsError, match="at least one step schedule"):
+            BinnerBank([0.5], [], 8)
+
+
 class TestConvergence:
     def test_monotone_self_correction_on_point_mass(self):
         # basic proportional stepping (no smoothing): the same single

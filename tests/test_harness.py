@@ -1,4 +1,5 @@
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from edhsim.errors import InvalidParamsError, ParseError
 from edhsim.estimator import distance_to_bin
 import edhsim.harness as harness
 from edhsim.harness import (
+    SWEEPABLE_PARAMS,
     ExperimentConfig,
     SweepSpec,
     export_density_features,
@@ -26,11 +28,63 @@ from edhsim.harness import (
     write_boundaries_csv,
 )
 from edhsim.metrics import distance_metrics
+from edhsim.histogrammer import pedh
 from edhsim.scene import PixelConfig, synth_scene
-from edhsim.transient import SimConfig
+from edhsim.transient import SimConfig, build_transient, sample_stream, true_quantiles
 
 SIM_SMALL = SimConfig(n_cycles=400)
 STEP_SMALL = StepParams(decay_freeze_cycle=300)
+
+
+def call_spy(monkeypatch, names):
+    """Replace each named function on the harness module with a wrapper
+    that records its name in the returned list, then calls the original."""
+    calls = []
+
+    def spy(name):
+        real = getattr(harness, name)
+
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        return wrapped
+
+    for name in names:
+        monkeypatch.setattr(harness, name, spy(name))
+    return calls
+
+
+def reference_sweep(spec, cfg):
+    """Independent oracle for sweep: one pedh run per (stream, value)."""
+    pixels = [(r, c) for r in range(cfg.scene.height) for c in range(cfg.scene.width)]
+    truth = cfg.scene.depth_map.depths.astype(np.float64)
+    targets = np.arange(1, cfg.q) / cfg.q
+    est = {v: [] for v in spec.values}
+    true_z = {v: [] for v in spec.values}
+    sq = {v: [] for v in spec.values}
+    for pair_idx, (phi_sig, phi_bkg) in enumerate(cfg.pairs):
+        for mc in range(cfg.n_monte_carlo):
+            for pix_idx, (r, c) in enumerate(pixels):
+                pixel = PixelConfig(float(truth[r, c]), phi_sig, phi_bkg)
+                transient = build_transient(pixel, cfg.sim)
+                seed = harness.derive_seed(cfg.global_seed, harness._CTX_EXPERIMENT, pair_idx, mc, pix_idx)
+                stream = sample_stream(transient, cfg.sim.n_cycles, seed)
+                for value in spec.values:
+                    step = replace(cfg.step, **{spec.param: value})
+                    bounds = pedh(stream, cfg.q, step)
+                    est[value].append(harness.bin_to_distance(harness.t0_hat(bounds), cfg.sim))
+                    true_z[value].append(pixel.z)
+                    sq[value].extend(((bounds.interior - true_quantiles(transient, targets)) ** 2))
+    rows = []
+    for value in spec.values:
+        report = distance_metrics(np.reshape(est[value], (1, -1)), np.reshape(true_z[value], (1, -1)),
+                                  z_max=cfg.sim.z_max)
+        rows.append({"schema_version": 1, "param": spec.param, "value": value,
+                     "n_runs": len(est[value]),
+                     "boundary_rmse_bins": float(np.sqrt(np.mean(sq[value]))),
+                     "distance_rmse_cm": report.rmse_cm})
+    return rows
 
 
 def small_config(**overrides):
@@ -77,19 +131,7 @@ class TestRunPixelPipeline:
     def test_table_looks_functions_up_on_the_module(self, monkeypatch):
         # replacing a histogrammer or estimator on the harness module must
         # reach the pipeline: the benchmark's checks and layer spans rely on it
-        calls = []
-
-        def spy(name):
-            real = getattr(harness, name)
-
-            def wrapped(*args, **kwargs):
-                calls.append(name)
-                return real(*args, **kwargs)
-
-            return wrapped
-
-        for name in ("pedh", "t0_hat"):
-            monkeypatch.setattr(harness, name, spy(name))
+        calls = call_spy(monkeypatch, ("pedh", "t0_hat"))
         pixel = PixelConfig(7.5, 1.0, 1.0)
         run_pixel_pipeline(pixel, SIM_SMALL, ("pedh",), ("t0",), STEP_SMALL, 8, 1.0, seed=3)
         assert calls == ["pedh", "t0_hat"]
@@ -185,6 +227,16 @@ class TestRunExperiment:
             small_config(step=StepParams())  # freeze cycle beyond n_cycles
 
 
+    def test_methods_no_estimator_reads_are_not_run(self, monkeypatch):
+        calls = call_spy(monkeypatch, ("oedh", "hedh", "ewh"))
+        result = run_experiment(small_config(
+            methods=("oedh", "hedh", "ewh32"), estimators=("ewh_peak",), n_monte_carlo=3,
+        ))
+        assert result.ok
+        assert calls == ["ewh"] * 9  # 3 pixels x 3 runs, ewh32 only
+        assert [r["method"] for r in result.summary_rows] == ["ewh32"]
+
+
 class TestConfigChecks:
     """Settings that would fail every pair are rejected when the config is built."""
 
@@ -273,6 +325,21 @@ class TestSweep:
         exp_rmse = [r["rmse_cm"] for r in result.summary_rows
                     if r["method"] == "pedh" and r["estimator"] == "t0"]
         assert rows[0]["distance_rmse_cm"] == exp_rmse[0]
+
+    @pytest.mark.parametrize("param", SWEEPABLE_PARAMS)
+    def test_rows_equal_one_pedh_run_per_value(self, param):
+        values = {"k_pct": (1.0, 3.0, 30.0), "gamma": (0.99, 0.999, 1.0),
+                  "beta1": (0.0, 0.5, 0.95), "beta2": (0.0, 0.8)}[param]
+        spec = SweepSpec(param, values)
+        cfg = small_config(methods=("pedh",), pairs=((1.0, 1.0), (1.0, 5.0)),
+                           step=StepParams(decay_freeze_cycle=300, clip=0.05))
+        assert sweep(spec, cfg) == reference_sweep(spec, cfg)
+
+    def test_each_stream_stepped_once(self, monkeypatch):
+        calls = call_spy(monkeypatch, ("pedh", "pedh_variants"))
+        cfg = small_config(methods=("pedh",))
+        sweep(SweepSpec("gamma", (0.99, 0.999, 1.0)), cfg)
+        assert calls == ["pedh_variants"] * 6  # 3 pixels x 2 runs
 
     def test_invalid_value_rejected(self):
         cfg = small_config()

@@ -10,7 +10,7 @@ from edhsim.errors import (
     PowerOfTwoError,
     TooFewPhotonsError,
 )
-from edhsim.histogrammer import EdhBoundaries, ewh, hedh, oedh, pedh
+from edhsim.histogrammer import EdhBoundaries, ewh, hedh, oedh, pedh, pedh_variants
 from edhsim.metrics import boundary_rmse
 from edhsim.scene import PixelConfig
 from edhsim.transient import PhotonStream, SimConfig, build_transient, sample_stream
@@ -179,6 +179,57 @@ class TestPedh:
             sizes.append(state_floats(bank))
         assert sizes[0] == sizes[1]
         assert sizes[0] <= 4 * 31  # a few scalars per tracked quantile
+
+
+class TestPedhVariants:
+    STEPS = (
+        StepParams(),
+        StepParams(gamma=1.0, clip=0.005),
+        StepParams(k_pct=30.0, beta1=0.0, beta2=0.0, decay_freeze_cycle=0),
+        StepParams(gamma=0.99, decay_freeze_cycle=50),
+    )
+
+    @pytest.mark.parametrize("bkg", [0.0, 1.0, 5.0])
+    def test_each_result_equals_pedh(self, bkg):
+        stream = _stream_from(PixelConfig(7.5, 1.0, bkg), n_cycles=800, seed=4)
+        results = pedh_variants(stream, 16, self.STEPS)
+        assert len(results) == len(self.STEPS)
+        for bounds, step in zip(results, self.STEPS):
+            assert np.array_equal(bounds.bounds, pedh(stream, 16, step).bounds)
+
+    @given(
+        cycles=st.lists(st.lists(st.floats(0.0, 15.99), max_size=5), min_size=1, max_size=60),
+        q=st.integers(2, 9),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_bounds_inside_range_and_end_at_n_bins(self, cycles, q):
+        stream = PhotonStream.from_cycles([np.sort(c) for c in cycles], 16)
+        for bounds in pedh_variants(stream, q, self.STEPS):
+            b = bounds.bounds
+            assert b.shape == (q + 1,)
+            assert b[0] == 0.0 and b[-1] == 16.0
+            assert np.all((b >= 0.0) & (b <= 16.0)) and np.all(np.diff(b) >= 0.0)
+
+
+class TestQMustBeInteger:
+    STREAM = PhotonStream.from_cycles([np.array([1.0, 5.0, 9.0, 300.0])] * 4, B)
+
+    @pytest.mark.parametrize("build", [
+        lambda s, q: oedh(s, q),
+        lambda s, q: pedh(s, q),
+        lambda s, q: pedh_variants(s, q, [StepParams()]),
+        lambda s, q: hedh(s, q),
+    ], ids=["oedh", "pedh", "pedh_variants", "hedh"])
+    @pytest.mark.parametrize("q", [4.0, 2.5, "4", True])
+    def test_non_integer_q_rejected(self, build, q):
+        with pytest.raises(InvalidParamsError, match="q must be an integer"):
+            build(self.STREAM, q)
+
+    def test_numpy_integer_q_accepted(self):
+        q = np.int64(4)
+        assert oedh(self.STREAM, q).q == 4
+        assert np.array_equal(pedh(self.STREAM, q).bounds, pedh(self.STREAM, 4).bounds)
+        assert np.array_equal(hedh(self.STREAM, q).bounds, hedh(self.STREAM, 4).bounds)
 
 
 class TestHedh:
