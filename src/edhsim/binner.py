@@ -20,9 +20,10 @@ Two stepping strategies:
 
 The scalar API (:class:`BinnerState`, :func:`optimized_step`,
 :func:`fixed_step`) is the reference implementation. :class:`BinnerBank`
-updates many binners per cycle with vectorized arithmetic, optionally under
-several step schedules at once, and is kept operation-for-operation
-identical to the scalar path, so the two agree bit-for-bit.
+updates many binners per cycle with vectorized arithmetic, over a block of
+streams (pixels) and several step schedules at once, and is kept
+operation-for-operation identical to the scalar path, so the two agree
+bit-for-bit.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import InvalidParamsError
-from .transient import PhotonStream
+from .transient import PhotonStream, StreamBlock
 
 
 @dataclass(frozen=True)
@@ -276,17 +277,28 @@ def run_fixed(
     return replace(state, cv=cv, n=stream.n_cycles)
 
 
+# cycles whose offsets one stream turns into a Python list at a time; a
+# whole-stream list would hold ~36 B per cycle for every stream of a block
+_OFFSET_CHUNK = 128
+
+
 class BinnerBank:
     """A bank of optimized binners updated together.
 
-    The bank carries one or more step schedules ("variants"); binner
-    ``(v, j)`` tracks quantile ``targets[j]`` under variant ``v``, and all
-    ``V * len(targets)`` binners take one vectorized update per cycle from
-    one pass over the stream. Per-cycle arithmetic is elementwise and
-    mirrors the scalar update exactly (same operations, same order), so
-    each binner reproduces :func:`run_optimized` bit-for-bit. Total state is
-    four float64 arrays of one entry per binner (variant-major) plus a
-    cycle counter; nothing scales with the photon count.
+    Binner ``(p, v, j)`` tracks quantile ``targets[j]`` of stream ``p`` of a
+    :class:`~edhsim.transient.StreamBlock` under step schedule ("variant")
+    ``v``. Each cycle, every stream's early counts come from one
+    ``searchsorted`` over that stream's own cycle slice, written into the
+    stream's part of one shared raw-step array; then all
+    ``n_streams * V * len(targets)`` binners take one vectorized update.
+    Streams are not padded to a common photon count: a ``+inf``-padded
+    compare over (cycles, streams, photons) costs more than the per-stream
+    searches it replaces, and most on a block of one. Per-cycle arithmetic
+    is elementwise and mirrors the scalar update exactly (same operations,
+    same order), so each binner reproduces :func:`run_optimized`
+    bit-for-bit. Total state is four float64 arrays of one entry per binner
+    (stream-major, then variant) plus a cycle counter; nothing scales with
+    the photon count.
     """
 
     def __init__(
@@ -295,14 +307,17 @@ class BinnerBank:
         params: StepParams | Sequence[StepParams],
         n_bins: int,
         cvs0: Optional[np.ndarray] = None,
+        n_streams: int = 1,
     ):
         targets = np.asarray(targets, dtype=np.float64)
         if targets.ndim != 1 or targets.size == 0:
             raise InvalidParamsError("need at least one target quantile")
         if np.any(targets <= 0.0) or np.any(targets >= 1.0):
             raise InvalidParamsError("target fractions must lie in (0, 1)")
-        if not isinstance(n_bins, (int, np.integer)) or isinstance(n_bins, bool) or n_bins < 1:
+        if not _is_positive_int(n_bins):
             raise InvalidParamsError(f"n_bins must be a positive integer, got {n_bins!r}")
+        if not _is_positive_int(n_streams):
+            raise InvalidParamsError(f"n_streams must be a positive integer, got {n_streams!r}")
         variants = (params,) if isinstance(params, StepParams) else tuple(params)
         if not variants:
             raise InvalidParamsError("need at least one step schedule")
@@ -310,7 +325,8 @@ class BinnerBank:
             _step_scale(p, n_bins)
         self.variants = variants
         self.n_bins = n_bins
-        self.targets = np.tile(targets, len(variants))
+        self.n_streams = int(n_streams)
+        self.targets = np.tile(targets, self.n_streams * len(variants))
         if cvs0 is None:
             self.cvs = self.targets * n_bins
         else:
@@ -324,23 +340,32 @@ class BinnerBank:
         self.n = 0
 
     def step_cycle(self, cycle_timestamps: np.ndarray) -> None:
-        """Observe one cycle (sorted timestamps) and update every binner."""
+        """Observe one cycle (sorted timestamps) and update every binner of
+        a one-stream bank."""
         self.run(PhotonStream.from_cycles([cycle_timestamps], self.n_bins))
 
-    def run(self, stream: PhotonStream) -> np.ndarray:
-        """Consume every cycle of a stream; returns the final CVs, one per
-        binner, variant-major (the bank's own array, updated in place).
+    def run(self, block: PhotonStream | StreamBlock) -> np.ndarray:
+        """Consume every cycle of a block (or of one stream, for a
+        one-stream bank); returns the final CVs, one per binner,
+        stream-major then variant (the bank's own array, updated in place).
 
         The per-variant schedule is expanded to one column entry per binner
         and the step coefficient is tabulated per cycle, up to the cycle
         where every variant's decay is frozen. These are locals of the
         update, so the bank's state stays its four arrays.
         """
-        if stream.n_bins != self.n_bins:
+        if isinstance(block, PhotonStream):
+            block = StreamBlock([block])
+        if block.n_bins != self.n_bins:
             raise InvalidParamsError(
-                f"stream has n_bins={stream.n_bins}, bank has n_bins={self.n_bins}")
-        variants, n0, n_cycles = self.variants, self.n, stream.n_cycles
-        variant = np.repeat(np.arange(len(variants)), self.targets.size // len(variants))
+                f"stream has n_bins={block.n_bins}, bank has n_bins={self.n_bins}")
+        if len(block) != self.n_streams:
+            raise InvalidParamsError(
+                f"block has {len(block)} streams, bank has n_streams={self.n_streams}")
+        variants, n0, n_cycles = self.variants, self.n, block.n_cycles
+        per_stream = self.targets.size // self.n_streams
+        variant = np.tile(np.repeat(np.arange(len(variants)), per_stream // len(variants)),
+                          self.n_streams)
 
         def column(values):
             return np.array(values, dtype=np.float64)[variant]
@@ -358,21 +383,32 @@ class BinnerBank:
             base = (1.0 - p.beta2) * _step_scale(p, self.n_bins)
             coef[:, v] = [base * _decay(p, n0 + i) for i in range(rows)]
 
-        targets, cvs = self.targets, self.cvs
-        s, dtil = self.smoothed_step, self.smoothed_delta
-        ts = stream.timestamps
-        offsets = stream.cycle_offsets.tolist()
+        cvs, s, dtil = self.cvs, self.smoothed_step, self.smoothed_delta
+        dn = np.empty_like(cvs)
+        # per stream: its timestamps and its views of the targets, CVs and raw steps
+        lanes = [
+            (stream.timestamps,) + tuple(a[p * per_stream:(p + 1) * per_stream]
+                                         for a in (self.targets, cvs, dn))
+            for p, stream in enumerate(block.streams)
+        ]
         n_bins_f = float(self.n_bins)
-        for i in range(n_cycles):
-            lo, hi = offsets[i], offsets[i + 1]
-            if hi > lo:
-                dn = targets - ts[lo:hi].searchsorted(cvs) / (hi - lo)
-            else:
-                dn = 0.0
-            np.add(b1 * dtil, one_m_b1 * dn, out=dtil)
-            np.add(b2 * s, coef[min(i, rows - 1)][variant] * dtil, out=s)
-            if clip is not None:
-                s.clip(*clip, out=s)
-            (cvs + s).clip(0.0, n_bins_f, out=cvs)
+        for c0 in range(0, n_cycles, _OFFSET_CHUNK):
+            offsets = [st.cycle_offsets[c0:c0 + _OFFSET_CHUNK + 1].tolist() for st in block.streams]
+            for k in range(len(offsets[0]) - 1):
+                for (ts, targets, cv, d), off in zip(lanes, offsets):
+                    lo, hi = off[k], off[k + 1]
+                    if hi > lo:
+                        np.subtract(targets, ts[lo:hi].searchsorted(cv) / (hi - lo), out=d)
+                    else:
+                        d.fill(0.0)
+                np.add(b1 * dtil, one_m_b1 * dn, out=dtil)
+                np.add(b2 * s, coef[min(c0 + k, rows - 1)][variant] * dtil, out=s)
+                if clip is not None:
+                    s.clip(*clip, out=s)
+                (cvs + s).clip(0.0, n_bins_f, out=cvs)
         self.n += n_cycles
         return cvs
+
+
+def _is_positive_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= 1

@@ -31,7 +31,7 @@ from .harness import (
     pipeline_stream_seed,
     read_boundaries_csv,
     run_experiment,
-    summarize,
+    scene_summaries,
     sweep,
     write_boundaries_csv,
     write_channel_grid,
@@ -51,37 +51,33 @@ def _add_config_arg(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=None, help="override the global seed")
 
 
-def _pipeline_streams(conf, seed_override):
-    """Yield (row, col, pixel, stream) for every scene pixel, seeded stably."""
+def _pipeline_scene(conf, seed_override):
+    """The config's sim, scene, and one stable stream seed per scene pixel."""
     sim = cfgmod.build_sim_config(conf)
     scene = cfgmod.build_scene(conf, sim)
     seed = cfgmod.resolve_seed(conf, seed_override)
-    for pix_idx, (r, c, pixel) in enumerate(scene.iter_pixels()):
-        transient = build_transient(pixel, sim)
-        stream = sample_stream(transient, sim.n_cycles, pipeline_stream_seed(seed, pix_idx))
-        yield sim, scene, r, c, pixel, stream
+    return sim, scene, [pipeline_stream_seed(seed, i) for i in range(scene.height * scene.width)]
 
 
 def _cmd_simulate(args) -> int:
     conf = cfgmod.parse_config_file(args.config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    n = 0
-    for _sim, _scene, r, c, _pixel, stream in _pipeline_streams(conf, args.seed):
-        dump_stream_csv(stream, out / f"stream_r{r}_c{c}.csv")
-        n += 1
-    print(f"wrote {n} stream dumps to {out}")
+    sim, scene, seeds = _pipeline_scene(conf, args.seed)
+    for (r, c, pixel), seed in zip(scene.iter_pixels(), seeds):
+        dump_stream_csv(sample_stream(build_transient(pixel, sim), sim.n_cycles, seed),
+                        out / f"stream_r{r}_c{c}.csv")
+    print(f"wrote {len(seeds)} stream dumps to {out}")
     return 0
 
 
 def _cmd_edh(args) -> int:
     conf = cfgmod.parse_config_file(args.config)
     step = cfgmod.build_step_params(conf)
-    grid = None
-    for _sim, scene, r, c, _pixel, stream in _pipeline_streams(conf, args.seed):
-        bounds = summarize(stream, args.method, args.q, step, args.fixed_step_size)
-        if grid is None:
-            grid = np.empty((scene.height, scene.width, args.q + 1))
+    sim, scene, seeds = _pipeline_scene(conf, args.seed)
+    grid = np.empty((scene.height, scene.width, args.q + 1))
+    for r, c, bounds in scene_summaries(scene, sim, args.method, args.q, step,
+                                        args.fixed_step_size, seeds):
         grid[r, c, :] = bounds.bounds
     write_boundaries_csv(args.out, grid)
     print(f"wrote {args.method} boundaries ({args.q} bins/pixel) to {args.out}")
@@ -106,11 +102,10 @@ def _cmd_estimate(args) -> int:
         step = cfgmod.build_step_params(conf)
         # the estimator reads either --method's boundaries or the --ewh-bins histogram
         [(method, _)] = conditions((args.method, f"ewh{args.ewh_bins}"), (args.estimator,))
-        est = None
-        for sim, scene, r, c, _pixel, stream in _pipeline_streams(conf, args.seed):
-            if est is None:
-                est = np.empty((scene.height, scene.width))
-            summary = summarize(stream, method, args.q, step, args.fixed_step_size)
+        sim, scene, seeds = _pipeline_scene(conf, args.seed)
+        est = np.empty((scene.height, scene.width))
+        for r, c, summary in scene_summaries(scene, sim, method, args.q, step,
+                                             args.fixed_step_size, seeds):
             est[r, c] = bin_to_distance(estimate_bins(args.estimator, summary), sim)
     dmap = DistanceMap(est, args.estimator)
     save_grid(dmap.depths, args.out, _fmt_of(args.out))

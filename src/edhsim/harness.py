@@ -4,6 +4,11 @@ Everything here is deterministic given the experiment's global seed: each
 (pair, run, pixel) gets its own generator derived from stable integer keys,
 so results do not depend on execution order, and every method within one run
 consumes the identical photon stream (paired comparisons).
+
+Pixels are sampled in blocks of at most ``_BLOCK`` streams, and ``pedh``
+steps a whole block in one pass over the cycles (:func:`pedh_variants`);
+the other methods run stream by stream. The bound keeps the streams held at
+once, and so the memory, small; results do not depend on it.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ import re
 import struct
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -27,7 +32,9 @@ from .estimator import (
     t0_hat,
     t1_hat,
 )
-from .histogrammer import EdhBoundaries, EwHistogram, ewh, hedh, oedh, pedh, pedh_variants
+# every pedh run here goes through pedh_variants; pedh stays importable as
+# harness.pedh, where the benchmark's checks and spans (perfbench/) patch it
+from .histogrammer import EdhBoundaries, EwHistogram, ewh, hedh, oedh, pedh, pedh_variants  # noqa: F401
 from .metrics import boundary_rmse, distance_metrics
 from .scene import PixelConfig, Scene, save_depth_map
 from .transient import PhotonStream, SimConfig, build_transient, sample_stream, true_quantiles
@@ -41,6 +48,9 @@ _CTX_EXPERIMENT = 0
 _CTX_FEATURES = 1
 _CTX_SIMULATE = 2
 _CTX_MEDIAN = 3
+
+# pixels sampled and stepped together; a block holds this many streams at once
+_BLOCK = 16
 
 FEATURE_MAGIC = b"EDHF"
 _FEATURE_HEADER = struct.Struct("<4sIII")
@@ -63,11 +73,15 @@ def pipeline_stream_seed(global_seed: int, pixel_index: int) -> np.random.SeedSe
 # Method and estimator tables. Each entry looks its function up in this
 # module when called, so a replacement installed here (a test spy, the
 # benchmark's checking and timing wrappers) is what runs; a stored function
-# reference would bypass it.
+# reference would bypass it. A method maps a block of streams to one
+# summary per stream: pedh steps the block in one bank, the others go
+# stream by stream.
 _EDH = {
-    "oedh": lambda stream, q, step, fixed_step_size: oedh(stream, q),
-    "pedh": lambda stream, q, step, fixed_step_size: pedh(stream, q, step),
-    "hedh": lambda stream, q, step, fixed_step_size: hedh(stream, q, fixed_step_size),
+    "oedh": lambda streams, q, step, fixed_step_size: [oedh(s, q) for s in streams],
+    "pedh": lambda streams, q, step, fixed_step_size: [
+        b for [b] in pedh_variants(streams, q, [step])],
+    "hedh": lambda streams, q, step, fixed_step_size: [
+        hedh(s, q, fixed_step_size) for s in streams],
 }
 # name -> (summary type the estimator reads, summary -> bin position)
 _ESTIMATORS = {
@@ -104,19 +118,38 @@ def conditions(methods: Sequence[str], estimators: Sequence[str]) -> list[tuple[
             if _estimator(e)[0] is (EdhBoundaries if m in _EDH else EwHistogram)]
 
 
-def summarize(stream: PhotonStream, method: str, q: int, step: StepParams,
-              fixed_step_size: float):
-    """Run one method over a stream: equi-depth boundaries for ``oedh``,
-    ``pedh`` and ``hedh``, an N-bin equi-width histogram for ``ewhN``."""
+def summarize_block(streams: Sequence[PhotonStream], method: str, q: int, step: StepParams,
+                    fixed_step_size: float) -> list:
+    """Run one method over a block of streams, one summary per stream:
+    equi-depth boundaries for ``oedh``, ``pedh`` and ``hedh``, an N-bin
+    equi-width histogram for ``ewhN``."""
     build = _EDH.get(method)
     if build is not None:
-        return build(stream, q, step, fixed_step_size)
-    return ewh(stream, _ewh_bins(method))
+        return build(streams, q, step, fixed_step_size)
+    return [ewh(s, _ewh_bins(method)) for s in streams]
+
+
+def _blocks(items: Sequence) -> Iterator[Sequence]:
+    """Consecutive slices of ``items``, each at most ``_BLOCK`` long."""
+    return (items[i:i + _BLOCK] for i in range(0, len(items), _BLOCK))
+
+
+def scene_summaries(scene: Scene, sim: SimConfig, method: str, q: int, step: StepParams,
+                    fixed_step_size: float, seeds: Sequence) -> Iterator[tuple[int, int, object]]:
+    """Sample every scene pixel (the i-th, row-major, from ``seeds[i]``) and
+    yield ``(row, col, summary)`` of ``method`` for each, in that order,
+    stepping the pixels in blocks (see :func:`summarize_block`)."""
+    for block in _blocks(list(zip(scene.iter_pixels(), seeds))):
+        streams = [sample_stream(build_transient(pixel, sim), sim.n_cycles, seed)
+                   for (_r, _c, pixel), seed in block]
+        summaries = summarize_block(streams, method, q, step, fixed_step_size)
+        for ((r, c, _pixel), _seed), summary in zip(block, summaries):
+            yield r, c, summary
 
 
 def estimate_bins(estimator: str, summary) -> float:
     """Time-of-flight position, in bins, that ``estimator`` reads off a
-    summary made by :func:`summarize`."""
+    summary made by :func:`summarize_block`."""
     kind, estimate = _estimator(estimator)
     if not isinstance(summary, kind):
         raise InvalidParamsError(f"{estimator} reads {kind.__name__}, not {type(summary).__name__}")
@@ -179,6 +212,52 @@ class PixelResult:
     est_m: dict
 
 
+def run_block_pipeline(
+    pixels: Sequence[PixelConfig],
+    sim: SimConfig,
+    methods: Sequence[str],
+    estimators: Sequence[str],
+    step: StepParams,
+    q: int,
+    fixed_step_size: float,
+    seeds: Sequence,
+) -> tuple[list[PixelResult], dict[str, EdhsimError]]:
+    """Sample one stream per pixel and push the block through every
+    requested method; returns one result per pixel and the errors of the
+    methods that failed.
+
+    All methods consume the identical streams so their errors are directly
+    comparable run by run. A method that raises, in its summary or in one of
+    its estimates, is left out of every result and its error is returned
+    under its name; the other methods are unaffected.
+    """
+    streams = [sample_stream(build_transient(pixel, sim), sim.n_cycles, seed)
+               for pixel, seed in zip(pixels, seeds)]
+    conds = conditions(methods, estimators)
+    done, errors = {}, {}
+    for m in methods:
+        try:
+            summaries = summarize_block(streams, m, q, step, fixed_step_size)
+            est_bins = {e: [estimate_bins(e, s) for s in summaries] for mm, e in conds if mm == m}
+            est_m = {e: [bin_to_distance(t, sim) for t in ts] for e, ts in est_bins.items()}
+        except EdhsimError as exc:
+            errors[m] = exc
+            continue
+        done[m] = summaries, est_bins, est_m
+    ok = [(m, e) for m, e in conds if m in done]
+    results = []
+    for i, stream in enumerate(streams):
+        summaries = {m: done[m][0][i] for m in done}
+        results.append(PixelResult(
+            stream.checksum(),
+            {m: s for m, s in summaries.items() if isinstance(s, EdhBoundaries)},
+            {m: s for m, s in summaries.items() if isinstance(s, EwHistogram)},
+            {(m, e): done[m][1][e][i] for m, e in ok},
+            {(m, e): done[m][2][e][i] for m, e in ok},
+        ))
+    return results, errors
+
+
 def run_pixel_pipeline(
     pixel: PixelConfig,
     sim: SimConfig,
@@ -189,19 +268,25 @@ def run_pixel_pipeline(
     fixed_step_size: float,
     seed,
 ) -> PixelResult:
-    """Sample one stream and push it through every requested method.
+    """Sample one stream and push it through every requested method
+    (:func:`run_block_pipeline` on one pixel); raises the error of the first
+    method that failed."""
+    [result], errors = run_block_pipeline(
+        [pixel], sim, methods, estimators, step, q, fixed_step_size, [seed])
+    if errors:
+        raise next(iter(errors.values()))
+    return result
 
-    All methods consume the identical stream so their errors are directly
-    comparable run by run.
-    """
-    transient = build_transient(pixel, sim)
-    stream = sample_stream(transient, sim.n_cycles, seed)
-    summaries = {m: summarize(stream, m, q, step, fixed_step_size) for m in methods}
-    est_bins = {(m, e): estimate_bins(e, summaries[m]) for m, e in conditions(methods, estimators)}
-    est_m = {key: bin_to_distance(t, sim) for key, t in est_bins.items()}
-    bounds = {m: s for m, s in summaries.items() if isinstance(s, EdhBoundaries)}
-    hists = {m: s for m, s in summaries.items() if isinstance(s, EwHistogram)}
-    return PixelResult(stream.checksum(), bounds, hists, est_bins, est_m)
+
+def _experiment_blocks(cfg: ExperimentConfig, pair_idx: int, mc: int) -> Iterator[tuple]:
+    """The pixels of run ``mc`` of pair ``pair_idx`` in blocks: for each
+    block, the (row, col) cells, their pixels and their stream seeds."""
+    phi_sig, phi_bkg = cfg.pairs[pair_idx]
+    depths = cfg.scene.depth_map.depths.astype(np.float64)
+    for block in _blocks(range(cfg.scene.height * cfg.scene.width)):
+        cells = [divmod(i, cfg.scene.width) for i in block]
+        yield (cells, [PixelConfig(float(depths[rc]), phi_sig, phi_bkg) for rc in cells],
+               [derive_seed(cfg.global_seed, _CTX_EXPERIMENT, pair_idx, mc, i) for i in block])
 
 
 @dataclass
@@ -220,12 +305,13 @@ class ExperimentResult:
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Run the full (pair x run x pixel x method x estimator) grid.
 
-    A condition that raises is recorded as an error row and the remaining
-    conditions keep going; callers should treat a non-empty ``failures`` list
-    as a nonzero exit.
+    Each (pair, run) samples its pixels in blocks (:func:`run_block_pipeline`).
+    A method that raises stops for the rest of its pair: its conditions get
+    error rows and its run rows of that pair are dropped, while the other
+    methods keep theirs (``boundary_rmse_bins`` stays blank if the oracle
+    failed). A pair whose streams cannot be sampled fails every condition.
+    Callers should treat a non-empty ``failures`` list as a nonzero exit.
     """
-    pixels = [(r, c) for r in range(cfg.scene.height) for c in range(cfg.scene.width)]
-    truth = cfg.scene.depth_map.depths.astype(np.float64)
     conds = conditions(cfg.methods, cfg.estimators)
     # a method no listed estimator reads is not run
     methods = tuple(dict.fromkeys(m for m, _ in conds))
@@ -238,48 +324,56 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         est_acc: dict = {k: [] for k in conds}
         truth_acc: dict = {k: [] for k in conds}
         bnd_acc: dict = {m: [] for m in methods if m in _EDH and m != _ORACLE}
+        pair_rows: list[dict] = []
+        errors: dict = {}
         try:
             for mc in range(cfg.n_monte_carlo):
-                for pix_idx, (r, c) in enumerate(pixels):
-                    pixel = PixelConfig(float(truth[r, c]), phi_sig, phi_bkg)
-                    seed = derive_seed(cfg.global_seed, _CTX_EXPERIMENT, pair_idx, mc, pix_idx)
-                    res = run_pixel_pipeline(
-                        pixel, cfg.sim, methods, cfg.estimators,
-                        cfg.step, cfg.q, cfg.fixed_step_size, seed,
+                for cells, block_pixels, seeds in _experiment_blocks(cfg, pair_idx, mc):
+                    results, failed = run_block_pipeline(
+                        block_pixels, cfg.sim, [m for m in methods if m not in errors],
+                        cfg.estimators, cfg.step, cfg.q, cfg.fixed_step_size, seeds,
                     )
-                    for (m, e), z_est in res.est_m.items():
-                        est_acc[(m, e)].append(z_est)
-                        truth_acc[(m, e)].append(pixel.z)
-                        run_rows.append({
-                            "schema_version": SCHEMA_VERSION,
-                            "scene": cfg.scene.label,
-                            "phi_sig": phi_sig,
-                            "phi_bkg": phi_bkg,
-                            "mc_index": mc,
-                            "pixel_row": r,
-                            "pixel_col": c,
-                            "method": m,
-                            "estimator": e,
-                            "z_true_m": pixel.z,
-                            "z_est_m": z_est,
-                            "stream_checksum": res.stream_checksum,
-                        })
-                    if _ORACLE in res.bounds:
-                        for m, acc in bnd_acc.items():
-                            acc.append(boundary_rmse(res.bounds[m], res.bounds[_ORACLE]))
+                    errors.update(failed)
+                    for (r, c), pixel, res in zip(cells, block_pixels, results):
+                        for (m, e), z_est in res.est_m.items():
+                            est_acc[(m, e)].append(z_est)
+                            truth_acc[(m, e)].append(pixel.z)
+                            pair_rows.append({
+                                "schema_version": SCHEMA_VERSION,
+                                "scene": cfg.scene.label,
+                                "phi_sig": phi_sig,
+                                "phi_bkg": phi_bkg,
+                                "mc_index": mc,
+                                "pixel_row": r,
+                                "pixel_col": c,
+                                "method": m,
+                                "estimator": e,
+                                "z_true_m": pixel.z,
+                                "z_est_m": z_est,
+                                "stream_checksum": res.stream_checksum,
+                            })
+                        if _ORACLE in res.bounds:
+                            for m, acc in bnd_acc.items():
+                                if m in res.bounds:
+                                    acc.append(boundary_rmse(res.bounds[m], res.bounds[_ORACLE]))
         except EdhsimError as exc:
             failures.append(f"pair ({phi_sig}, {phi_bkg}): {exc}")
             summary_rows += [_summary_row(cfg, phi_sig, phi_bkg, m, e, error=exc) for m, e in conds]
             continue
 
+        run_rows += [row for row in pair_rows if row["method"] not in errors]
+        failures += [f"pair ({phi_sig}, {phi_bkg}), {m}: {errors[m]}" for m in methods if m in errors]
         for m, e in conds:
+            if m in errors:
+                summary_rows.append(_summary_row(cfg, phi_sig, phi_bkg, m, e, error=errors[m]))
+                continue
             report = distance_metrics(
                 np.asarray(est_acc[(m, e)]).reshape(1, -1),
                 np.asarray(truth_acc[(m, e)]).reshape(1, -1),
                 thresholds=cfg.inlier_thresholds,
                 z_max=cfg.sim.z_max,
             )
-            bnd = float(np.mean(bnd_acc[m])) if bnd_acc.get(m) else ""
+            bnd = float(np.mean(bnd_acc[m])) if bnd_acc.get(m) and _ORACLE not in errors else ""
             summary_rows.append(_summary_row(cfg, phi_sig, phi_bkg, m, e, report, bnd))
 
     summary_path = runs_path = None
@@ -406,8 +500,9 @@ def sweep(spec: SweepSpec, cfg: ExperimentConfig, out_path: Optional[Path] = Non
 
     Every sweep value sees the identical streams (seeds are derived exactly
     as in :func:`run_experiment`), so value-to-value differences are not
-    sampling noise. Each stream is stepped once: the values are the variant
-    axis of one binner bank (:func:`pedh_variants`). Boundary RMSE is
+    sampling noise. Each block of pixels is stepped once: the pixels are the
+    stream axis and the values the variant axis of one binner bank
+    (:func:`pedh_variants`). Boundary RMSE is
     measured against the population quantiles of each transient; distance
     RMSE uses the narrowest-bin estimator against the scene truth.
     """
@@ -418,25 +513,24 @@ def sweep(spec: SweepSpec, cfg: ExperimentConfig, out_path: Optional[Path] = Non
         except InvalidParamsError as exc:
             raise SweepValueError(f"{spec.param}={v}: {exc}") from None
 
-    pixels = [(r, c) for r in range(cfg.scene.height) for c in range(cfg.scene.width)]
-    truth = cfg.scene.depth_map.depths.astype(np.float64)
     targets = np.arange(1, cfg.q, dtype=np.float64) / cfg.q
 
     est_acc = {v: [] for v in spec.values}
     truth_acc = {v: [] for v in spec.values}
     bnd_sq = {v: [] for v in spec.values}
-    for pair_idx, (phi_sig, phi_bkg) in enumerate(cfg.pairs):
+    for pair_idx in range(len(cfg.pairs)):
         for mc in range(cfg.n_monte_carlo):
-            for pix_idx, (r, c) in enumerate(pixels):
-                pixel = PixelConfig(float(truth[r, c]), phi_sig, phi_bkg)
-                transient = build_transient(pixel, cfg.sim)
-                true_bounds = true_quantiles(transient, targets)
-                seed = derive_seed(cfg.global_seed, _CTX_EXPERIMENT, pair_idx, mc, pix_idx)
-                stream = sample_stream(transient, cfg.sim.n_cycles, seed)
-                for value, bounds in zip(spec.values, pedh_variants(stream, cfg.q, step_variants)):
-                    est_acc[value].append(bin_to_distance(t0_hat(bounds), cfg.sim))
-                    truth_acc[value].append(pixel.z)
-                    bnd_sq[value].extend(((bounds.interior - true_bounds) ** 2).tolist())
+            for _cells, block_pixels, seeds in _experiment_blocks(cfg, pair_idx, mc):
+                transients = [build_transient(pixel, cfg.sim) for pixel in block_pixels]
+                streams = [sample_stream(transient, cfg.sim.n_cycles, seed)
+                           for transient, seed in zip(transients, seeds)]
+                per_stream = pedh_variants(streams, cfg.q, step_variants)
+                for pixel, transient, results in zip(block_pixels, transients, per_stream):
+                    true_bounds = true_quantiles(transient, targets)
+                    for value, bounds in zip(spec.values, results):
+                        est_acc[value].append(bin_to_distance(t0_hat(bounds), cfg.sim))
+                        truth_acc[value].append(pixel.z)
+                        bnd_sq[value].extend(((bounds.interior - true_bounds) ** 2).tolist())
 
     rows = []
     for value in spec.values:
@@ -504,15 +598,14 @@ def export_density_features(
     """Write per-pixel interpolated photon densities as a 1024-channel grid.
 
     Runs the parallel histogrammer on each pixel (using the scene's own
-    photon levels) and stores the interpolated density as float32 channels,
-    plus a sidecar ``<path>.truth.csv`` with the ground-truth depths.
+    photon levels, pixels stepped in blocks by :func:`scene_summaries`) and
+    stores the interpolated density as float32 channels, plus a sidecar
+    ``<path>.truth.csv`` with the ground-truth depths.
     """
     arr = np.empty((scene.height, scene.width, RHO1_GRID_SIZE), dtype=np.float32)
-    for pix_idx, (r, c, pixel) in enumerate(scene.iter_pixels()):
-        transient = build_transient(pixel, sim)
-        stream = sample_stream(transient, sim.n_cycles, derive_seed(global_seed, _CTX_FEATURES, pix_idx))
-        density = rho1(pedh(stream, q, step))
-        arr[r, c, :] = density.values
+    seeds = [derive_seed(global_seed, _CTX_FEATURES, i) for i in range(scene.height * scene.width)]
+    for r, c, bounds in scene_summaries(scene, sim, "pedh", q, step, 1.0, seeds):
+        arr[r, c, :] = rho1(bounds).values
     path = Path(path)
     write_channel_grid(path, arr)
     save_depth_map(scene.depth_map, Path(str(path) + ".truth.csv"), "csv")

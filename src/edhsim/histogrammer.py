@@ -7,7 +7,8 @@ Four ways of summarizing an exposure:
   reference, not a sensor design.
 * :func:`pedh`  - proportional equi-depth boundaries: one optimized binner
   per interior quantile, all running in parallel over the full exposure.
-  :func:`pedh_variants` does this for several step schedules in one pass.
+  :func:`pedh_variants` does this for a block of streams (pixels) under
+  several step schedules in one pass over the cycles.
 * :func:`hedh`  - hierarchical equi-depth boundaries: a binary tree of
   fixed-stepping median binners run level by level, each level consuming its
   share of the cycles and refining within the intervals found so far.
@@ -31,7 +32,7 @@ from .errors import (
     PowerOfTwoError,
     TooFewPhotonsError,
 )
-from .transient import PhotonStream
+from .transient import PhotonStream, StreamBlock
 
 
 @dataclass(frozen=True)
@@ -126,25 +127,40 @@ def pedh(stream: PhotonStream, q: int, params: Optional[StepParams] = None) -> E
     Instantiates q-1 optimized binners with targets j/q, every one consuming
     every cycle of the stream. Final CVs can cross under noise since the
     binners are independent; the output is sorted to restore a valid
-    boundary set. This is :func:`pedh_variants` with one schedule.
+    boundary set. This is :func:`pedh_variants` on a block of one stream
+    with one schedule.
     """
-    return pedh_variants(stream, q, [StepParams() if params is None else params])[0]
+    return pedh_variants([stream], q, [StepParams() if params is None else params])[0][0]
 
 
-def pedh_variants(stream: PhotonStream, q: int, steps: Sequence[StepParams]) -> list[EdhBoundaries]:
-    """:func:`pedh` under several step schedules at once, one boundary set
-    per schedule in the given order.
+def pedh_variants(
+    streams: Sequence[PhotonStream], q: int, steps: Sequence[StepParams],
+) -> list[list[EdhBoundaries]]:
+    """:func:`pedh` over a block of streams under several step schedules at
+    once: for each stream, in block order, one boundary set per schedule in
+    the given order.
 
-    One :class:`BinnerBank` holds ``len(steps) * (q-1)`` binners and makes
-    a single pass over the stream, so the per-cycle cost is shared by every
-    schedule; each result equals ``pedh(stream, q, step)`` bit for bit.
+    One :class:`BinnerBank` holds ``len(streams) * len(steps) * (q-1)``
+    binners, binner ``(p, v, j)`` tracking quantile ``(j+1)/q`` of stream
+    ``p`` under schedule ``v``, and makes a single pass over the cycles, so
+    the per-cycle cost is shared by every stream and schedule; each result
+    equals ``pedh(stream, q, step)`` bit for bit. Streams keep their own
+    photon counts (no padding to a common length; see :class:`BinnerBank`
+    for why). The bank holds every stream of the block at once, so callers
+    bound the block size (the harness steps at most 16 pixels together).
+
+    Raises:
+        InvalidParamsError: if the block is empty or its streams differ in
+            ``n_cycles`` or ``n_bins``.
     """
     q = _check_q(q, 2)
+    block = StreamBlock(streams)
     targets = np.arange(1, q, dtype=np.float64) / q
-    bank = BinnerBank(targets, steps, stream.n_bins)
-    cvs = bank.run(stream).reshape(len(bank.variants), q - 1)
-    end = [float(stream.n_bins)]
-    return [EdhBoundaries(q, np.concatenate(([0.0], np.sort(row), end))) for row in cvs]
+    bank = BinnerBank(targets, steps, block.n_bins, n_streams=len(block))
+    cvs = np.sort(bank.run(block).reshape(len(block), len(bank.variants), q - 1))
+    end = [float(block.n_bins)]
+    return [[EdhBoundaries(q, np.concatenate(([0.0], row, end))) for row in per_stream]
+            for per_stream in cvs]
 
 
 def hedh(stream: PhotonStream, q: int, fixed_step_size: float = 1.0) -> EdhBoundaries:
@@ -172,7 +188,6 @@ def hedh(stream: PhotonStream, q: int, fixed_step_size: float = 1.0) -> EdhBound
     check_fixed_step_size(fixed_step_size)
     n_levels = q.bit_length() - 1
     cuts = np.rint(np.arange(n_levels + 1) / n_levels * stream.n_cycles).astype(np.int64).tolist()
-    ts = stream.timestamps.tolist()
     offsets = stream.cycle_offsets.tolist()
     step = fixed_step_size
 
@@ -182,8 +197,13 @@ def hedh(stream: PhotonStream, q: int, fixed_step_size: float = 1.0) -> EdhBound
         lo = [0.0] + edges
         hi = edges + [float(stream.n_bins)]
         cvs = [(a + b) / 2.0 for a, b in zip(lo, hi)]
+        # this level's photons only, as a list indexed from ``base``: a
+        # whole-stream list (~32 B per photon) would sit beside every
+        # stream of the block the harness holds
+        base = offsets[cuts[level]]
+        ts = stream.timestamps[base:offsets[cuts[level + 1]]].tolist()
         for i in range(cuts[level], cuts[level + 1]):
-            j, end = offsets[i], offsets[i + 1]
+            j, end = offsets[i] - base, offsets[i + 1] - base
             while j < end:
                 # ts[j:top] is the run of this cycle's photons in interval k
                 k = bisect_right(edges, ts[j])

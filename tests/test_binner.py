@@ -17,7 +17,15 @@ from edhsim.binner import (
 )
 from edhsim.errors import InvalidParamsError
 from edhsim.scene import PixelConfig
-from edhsim.transient import PhotonStream, SimConfig, build_transient, sample_stream, true_quantiles
+from edhsim.transient import (
+    PhotonStream,
+    SimConfig,
+    StreamBlock,
+    build_transient,
+    sample_stream,
+    true_quantiles,
+)
+import edhsim.binner as binner
 
 SIM = SimConfig()
 
@@ -307,7 +315,92 @@ class TestBankVariants:
         assert sum(a.size for a in arrays) == 4 * 2 * 31
 
 
+@st.composite
+def stream_blocks(draw):
+    """1-5 hand-built streams sharing n_cycles: unequal photon counts, empty
+    cycles common, and whole zero-photon streams."""
+    n_cycles = draw(st.integers(1, 30))
+    cycle = st.lists(st.integers(0, 31).map(lambda k: k / 2.0), max_size=6)
+    stream = st.one_of(st.lists(cycle, min_size=n_cycles, max_size=n_cycles),
+                       st.just([[]] * n_cycles))
+    return [_hand_stream(c) for c in draw(st.lists(stream, min_size=1, max_size=5))]
+
+
+class TestBankStreams:
+    @given(
+        streams=stream_blocks(),
+        variants=st.lists(step_params, min_size=1, max_size=3),
+        targets=st.lists(st.sampled_from([0.125, 0.25, 0.5, 0.75, 0.9]), min_size=1, max_size=3),
+        order=st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_streams_equal_separate_banks_bitwise(self, streams, variants, targets, order):
+        # a P-stream bank steps exactly as P one-stream banks, and as the
+        # scalar reference; permuting the streams permutes the outputs
+        shape = (len(streams), len(variants), len(targets))
+
+        def state(bank):
+            return [a.reshape(-1, *shape[1:]) for a in (bank.cvs, bank.smoothed_step, bank.smoothed_delta)]
+
+        bank = BinnerBank(targets, variants, 16, n_streams=len(streams))
+        bank.run(StreamBlock(streams))
+        assert bank.targets.size == np.prod(shape)
+        together = state(bank)
+        for p, stream in enumerate(streams):
+            alone = BinnerBank(targets, variants, 16)
+            alone.run(stream)
+            for a, b in zip(together, state(alone)):
+                assert np.array_equal(a[p], b[0])
+            for v, params in enumerate(variants):
+                for j, t in enumerate(targets):
+                    ref = run_optimized(stream, t, params)
+                    assert (together[0][p, v, j], together[1][p, v, j], together[2][p, v, j]) == (
+                        ref.cv, ref.s_prev, ref.delta_tilde_prev)
+
+        perm = list(range(len(streams)))
+        order.shuffle(perm)
+        shuffled = BinnerBank(targets, variants, 16, n_streams=len(streams))
+        shuffled.run(StreamBlock([streams[i] for i in perm]))
+        for a, b in zip(state(shuffled), together):
+            assert np.array_equal(a, b[perm])
+
+    @pytest.mark.parametrize("chunk", [1, 7, 512])
+    def test_offset_chunks_do_not_change_results(self, monkeypatch, chunk):
+        # 1,100 cycles cross the offset-list chunk boundaries of every size
+        monkeypatch.setattr(binner, "_OFFSET_CHUNK", chunk)
+        streams = [_stream(PixelConfig(z, 1.0, 2.0), n_cycles=1100, seed=s)
+                   for s, z in enumerate((3.0, 9.0))]
+        steps = [StepParams(decay_freeze_cycle=700), StepParams(gamma=1.0, clip=0.01)]
+        bank = BinnerBank([0.25, 0.5], steps, SIM.n_bins, n_streams=2)
+        cvs = bank.run(StreamBlock(streams)).reshape(2, 2, 2)
+        for p, stream in enumerate(streams):
+            for v, step in enumerate(steps):
+                assert [cvs[p, v, j] for j in range(2)] == [
+                    run_optimized(stream, t, step).cv for t in (0.25, 0.5)]
+
+    def test_state_is_four_arrays_per_binner(self):
+        streams = [_stream(n_cycles=50, seed=s) for s in range(3)]
+        bank = BinnerBank(np.arange(1, 32) / 32, [StepParams(gamma=g) for g in (0.99, 1.0)],
+                          1024, n_streams=3)
+        bank.run(StreamBlock(streams))
+        arrays = [v for v in vars(bank).values() if isinstance(v, np.ndarray)]
+        assert sum(a.size for a in arrays) == 4 * 3 * 2 * 31
+
+
 class TestBankValidation:
+    @pytest.mark.parametrize("n_streams", [0, -1, 2.0, True])
+    def test_n_streams_must_be_positive_integer(self, n_streams):
+        with pytest.raises(InvalidParamsError, match="n_streams must be a positive integer"):
+            BinnerBank([0.5], StepParams(), 8, n_streams=n_streams)
+
+    def test_block_size_must_match_bank(self):
+        stream = PhotonStream.from_cycles([np.array([1.0])], 8)
+        bank = BinnerBank([0.5], StepParams(), 8, n_streams=2)
+        with pytest.raises(InvalidParamsError, match="n_streams=2"):
+            bank.run(stream)
+        with pytest.raises(InvalidParamsError, match="n_streams=2"):
+            bank.run(StreamBlock([stream] * 3))
+
     @pytest.mark.parametrize("n_bins", [0, -4, 8.5, True])
     def test_n_bins_must_be_positive_integer(self, n_bins):
         with pytest.raises(InvalidParamsError, match="n_bins must be a positive integer"):

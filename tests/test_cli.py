@@ -14,7 +14,8 @@ from edhsim.harness import (
     read_boundaries_csv,
     read_channel_grid,
 )
-from edhsim.histogrammer import ewh, hedh
+from edhsim.histogrammer import ewh, hedh, pedh
+import edhsim.harness as harness
 from edhsim.scene import load_grid
 from edhsim.transient import build_transient, sample_stream
 
@@ -98,6 +99,18 @@ def test_estimate_direct_pipeline_matches_bounds_route(conf, tmp_path):
     main(["estimate", "--config", str(conf), "--estimator", "t0",
           "--method", "pedh", "--q", "8", "--out", str(direct)])
     assert np.array_equal(load_grid(via_bounds), load_grid(direct))
+
+
+@pytest.mark.parametrize("block", [2, 16])
+def test_edh_pedh_grid_equals_per_pixel_pedh(conf, tmp_path, monkeypatch, block):
+    # 3 pixels: blocks of 2 and 1, or one block of 3
+    monkeypatch.setattr(harness, "_BLOCK", block)
+    out = tmp_path / "bounds.csv"
+    assert main(["edh", "--config", str(conf), "--method", "pedh", "--q", "8", "--out", str(out)]) == 0
+    grid = read_boundaries_csv(out)
+    step = cfgmod.build_step_params(cfgmod.parse_config_file(conf))
+    for r, c, stream in _pixel_streams(conf):
+        assert np.array_equal(grid[r, c], pedh(stream, 8, step).bounds)
 
 
 def test_estimate_ewh_peak(conf, tmp_path):

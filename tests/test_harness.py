@@ -11,7 +11,7 @@ from edhsim.config import (
     load_experiment_config,
     parse_config_file,
 )
-from edhsim.errors import InvalidParamsError, ParseError
+from edhsim.errors import InvalidParamsError, ParseError, TooFewPhotonsError
 from edhsim.estimator import distance_to_bin
 import edhsim.harness as harness
 from edhsim.harness import (
@@ -131,10 +131,17 @@ class TestRunPixelPipeline:
     def test_table_looks_functions_up_on_the_module(self, monkeypatch):
         # replacing a histogrammer or estimator on the harness module must
         # reach the pipeline: the benchmark's checks and layer spans rely on it
-        calls = call_spy(monkeypatch, ("pedh", "t0_hat"))
+        calls = call_spy(monkeypatch, ("pedh", "pedh_variants", "t0_hat"))
         pixel = PixelConfig(7.5, 1.0, 1.0)
         run_pixel_pipeline(pixel, SIM_SMALL, ("pedh",), ("t0",), STEP_SMALL, 8, 1.0, seed=3)
-        assert calls == ["pedh", "t0_hat"]
+        # pedh runs as a block of one through pedh_variants
+        assert calls == ["pedh_variants", "t0_hat"]
+
+    def test_failing_method_still_raises(self):
+        # too few photons for the oracle's 8 quantiles
+        pixel = PixelConfig(7.5, 0.001, 0.001)
+        with pytest.raises(TooFewPhotonsError):
+            run_pixel_pipeline(pixel, SIM_SMALL, ("pedh", "oedh"), ("t0",), STEP_SMALL, 8, 1.0, seed=3)
 
     def test_same_seed_same_result(self):
         pixel = PixelConfig(5.0, 1.0, 2.0)
@@ -226,6 +233,63 @@ class TestRunExperiment:
         with pytest.raises(InvalidParamsError):
             small_config(step=StepParams())  # freeze cycle beyond n_cycles
 
+
+    def test_failing_method_keeps_the_other_methods_rows(self, tmp_path):
+        # at 0.001:0.001 the oracle sees too few photons; pedh's rows stand
+        cfg = small_config(pairs=((1.0, 1.0), (0.001, 0.001)), estimators=("t0", "t1"),
+                           out_dir=tmp_path)
+        result = run_experiment(cfg)
+        assert len(result.failures) == 1 and "(0.001, 0.001), oedh" in result.failures[0]
+        low = {(r["method"], r["estimator"]): r for r in result.summary_rows if r["phi_sig"] == 0.001}
+        assert [k for k in low] == [("oedh", "t0"), ("oedh", "t1"), ("pedh", "t0"), ("pedh", "t1")]
+        for est in ("t0", "t1"):
+            assert low[("oedh", est)]["status"] == "error"
+            assert "photons" in low[("oedh", est)]["message"]
+            assert low[("pedh", est)]["status"] == "ok"
+            assert low[("pedh", est)]["boundary_rmse_bins"] == ""  # no oracle to compare with
+            assert low[("pedh", est)]["n_samples"] == 6
+        low_runs = [r for r in result.run_rows if r["phi_sig"] == 0.001]
+        assert {r["method"] for r in low_runs} == {"pedh"} and len(low_runs) == 2 * 6
+        # the good pair is what it is on its own
+        alone = run_experiment(small_config(estimators=("t0", "t1")))
+        assert [r for r in result.summary_rows if r["phi_sig"] == 1.0] == alone.summary_rows
+        assert [r for r in result.run_rows if r["phi_sig"] == 1.0] == alone.run_rows
+
+    def test_method_failing_mid_pair_drops_its_rows(self, monkeypatch):
+        # oedh fails on the second run: its first run's rows go too, it is
+        # not called again for the pair, and pedh keeps every row
+        real, calls = harness.oedh, []
+
+        def oedh(stream, q):
+            calls.append(q)
+            if len(calls) == 4:
+                raise TooFewPhotonsError("injected")
+            return real(stream, q)
+
+        monkeypatch.setattr(harness, "oedh", oedh)
+        result = run_experiment(small_config())
+        assert len(calls) == 4
+        assert result.failures == ["pair (1.0, 1.0), oedh: injected"]
+        assert [(r["method"], r["status"]) for r in result.summary_rows] == [
+            ("oedh", "error"), ("pedh", "ok")]
+        assert result.summary_rows[1]["boundary_rmse_bins"] == ""
+        assert [r["method"] for r in result.run_rows] == ["pedh"] * 6
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 64])
+    def test_outputs_do_not_depend_on_the_block_size(self, monkeypatch, block):
+        cfg = small_config(
+            scene=synth_scene("staircase", n_steps=5, z_min=2.0, z_max=12.0, phi_sig=1.0, phi_bkg=1.0),
+            pairs=((1.0, 1.0), (0.001, 0.001)),
+            methods=("oedh", "pedh", "hedh", "ewh32"), estimators=("t0", "t1", "ewh_peak"),
+        )
+        spec = SweepSpec("gamma", (0.99, 1.0))
+        default = run_experiment(cfg), sweep(spec, cfg)
+        monkeypatch.setattr(harness, "_BLOCK", block)
+        blocked = run_experiment(cfg), sweep(spec, cfg)
+        assert blocked[0].summary_rows == default[0].summary_rows
+        assert blocked[0].run_rows == default[0].run_rows
+        assert blocked[0].failures == default[0].failures
+        assert blocked[1] == default[1]
 
     def test_methods_no_estimator_reads_are_not_run(self, monkeypatch):
         calls = call_spy(monkeypatch, ("oedh", "hedh", "ewh"))
@@ -339,7 +403,8 @@ class TestSweep:
         calls = call_spy(monkeypatch, ("pedh", "pedh_variants"))
         cfg = small_config(methods=("pedh",))
         sweep(SweepSpec("gamma", (0.99, 0.999, 1.0)), cfg)
-        assert calls == ["pedh_variants"] * 6  # 3 pixels x 2 runs
+        # one block of 3 pixels per run: each stream stepped once
+        assert calls == ["pedh_variants"] * 2
 
     def test_invalid_value_rejected(self):
         cfg = small_config()
@@ -372,6 +437,18 @@ class TestFeatureExport:
         # sidecar with ground truth
         sidecar = tmp_path / "features.bin.truth.csv"
         assert sidecar.exists()
+
+    def test_density_equals_per_pixel_pedh(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(harness, "_BLOCK", 2)  # 3 pixels: blocks of 2 and 1
+        scene = synth_scene("staircase", n_steps=3, z_min=3.0, z_max=12.0, phi_sig=1.0, phi_bkg=2.0)
+        path = tmp_path / "features.bin"
+        export_density_features(scene, SIM_SMALL, STEP_SMALL, 8, path, global_seed=4)
+        arr = read_channel_grid(path)
+        for pix_idx, (r, c, pixel) in enumerate(scene.iter_pixels()):
+            seed = harness.derive_seed(4, harness._CTX_FEATURES, pix_idx)
+            stream = sample_stream(build_transient(pixel, SIM_SMALL), SIM_SMALL.n_cycles, seed)
+            density = harness.rho1(pedh(stream, 8, STEP_SMALL)).values.astype(np.float32)
+            assert np.array_equal(arr[r, c], density)
 
     def test_no_photon_pixel_gives_flat_density(self, tmp_path):
         # background so weak the exposure sees no photons: the parallel
