@@ -37,9 +37,7 @@ from .harness import (
     SweepSpec,
     export_density_features,
     median_tracking_experiment,
-    run_block_pipeline,
     run_experiment,
-    run_pixel_pipeline,
     sweep,
 )
 from .histogrammer import EdhBoundaries, EwHistogram, ewh, hedh, oedh, pedh, pedh_variants
@@ -73,8 +71,7 @@ __all__ = [
     "DensityEstimate", "DistanceMap", "bin_to_distance", "distance_to_bin",
     "ewh_peak", "rho0", "rho1", "t0_hat", "t1_hat",
     "ExperimentConfig", "SweepSpec", "export_density_features",
-    "median_tracking_experiment", "run_block_pipeline", "run_experiment", "run_pixel_pipeline",
-    "sweep",
+    "median_tracking_experiment", "run_experiment", "sweep",
     "EdhBoundaries", "EwHistogram", "ewh", "hedh", "oedh", "pedh", "pedh_variants",
     "MetricsReport", "boundary_rmse", "distance_metrics",
     "DepthMap", "PixelConfig", "Scene", "load_depth_map", "save_depth_map", "synth_scene",

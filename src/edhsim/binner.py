@@ -18,18 +18,19 @@ Two stepping strategies:
   ``beta2`` on the applied step). Large early steps give fast convergence;
   the decay and smoothing let the CV settle instead of wandering.
 
-The scalar API (:class:`BinnerState`, :func:`optimized_step`,
-:func:`fixed_step`) is the reference implementation. :class:`BinnerBank`
-updates many binners per cycle with vectorized arithmetic, over a block of
-streams (pixels) and several step schedules at once, and is kept
-operation-for-operation identical to the scalar path, so the two agree
-bit-for-bit.
+Where each rule lives: :func:`fixed_step` and :func:`optimized_step` advance
+one binner by one cycle and serve as oracles. :func:`fixed_walk` is the one
+fixed-step loop, behind :func:`run_fixed` and ``hedh``. :func:`run_optimized`
+runs one optimized binner over a stream and :class:`BinnerBank` many at once,
+vectorized over a block of streams (pixels) and several step schedules; both
+are kept operation-for-operation identical to :func:`optimized_step`, so all
+three agree bit-for-bit.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -208,19 +209,14 @@ def fixed_step(state: BinnerState, obs: CycleObservation, step_size: float) -> B
     return replace(state, cv=cv, n=state.n + 1)
 
 
-def run_optimized(
-    stream: PhotonStream,
-    target_frac: float,
-    params: StepParams,
-    cv0: Optional[float] = None,
-) -> BinnerState:
+def run_optimized(stream: PhotonStream, target_frac: float, params: StepParams) -> BinnerState:
     """Feed a whole photon stream through one optimized binner.
 
     Equivalent to folding :func:`optimized_step` over the cycles, written as
     a tight loop (no per-cycle allocation) because single-binner exposures
     are the inner loop of Monte-Carlo sweeps.
     """
-    state = BinnerState.initial(target_frac, params, stream.n_bins, cv=cv0)
+    state = BinnerState.initial(target_frac, params, stream.n_bins)
     p = params
     ts = stream.timestamps.tolist()
     offsets = stream.cycle_offsets.tolist()
@@ -250,30 +246,51 @@ def run_optimized(
     return replace(state, cv=cv, s_prev=s, delta_tilde_prev=dtil, n=stream.n_cycles)
 
 
-def run_fixed(
-    stream: PhotonStream,
-    target_frac: float,
-    step_size: float,
-    cv0: Optional[float] = None,
-) -> BinnerState:
-    """Feed a whole photon stream through one fixed-stepping binner."""
-    check_fixed_step_size(step_size)
-    state = BinnerState.initial(target_frac, StepParams(), stream.n_bins, cv=cv0)
-    ts = stream.timestamps.tolist()
-    offsets = stream.cycle_offsets.tolist()
-    n_bins_f = float(stream.n_bins)
+def fixed_walk(stream: PhotonStream, c0: int, c1: int, edges: list[float], cvs: list[float],
+               target_frac: float, step_size: float) -> list[float]:
+    """Step fixed-stepping binners over cycles ``[c0, c1)`` of a stream and
+    return their final CVs.
 
-    cv = state.cv
-    for n in range(stream.n_cycles):
-        lo, hi = offsets[n], offsets[n + 1]
-        total = hi - lo
-        if total:
-            early = bisect_left(ts, cv, lo, hi) - lo
-            dn = target_frac - early / total
-        else:
-            dn = 0.0
-        sign = (dn > 0.0) - (dn < 0.0)
-        cv = min(max(cv + step_size * sign, 0.0), n_bins_f)
+    Binner k starts at ``cvs[k]`` and is confined to the k-th interval
+    between the sorted ``edges`` (0 and n_bins close the ends); photons
+    outside it are invisible to it. On each cycle with n > 0 photons in its
+    interval, ``early`` of them before its CV, it moves by ``step_size`` on
+    the sign of ``target_frac - early/n`` (the rule of :func:`fixed_step`).
+    With no edges this is one binner over the full range (:func:`run_fixed`);
+    ``hedh`` runs one level of its tree per call.
+
+    The walk is photon-driven: within a cycle, each run of photons that
+    lands in one interval updates that interval's binner only, so the cost
+    grows with photons per cycle rather than with intervals.
+    """
+    check_fixed_step_size(step_size)
+    lo = [0.0] + edges
+    hi = edges + [float(stream.n_bins)]
+    cvs = list(cvs)
+    offsets = stream.cycle_offsets[c0:c1 + 1]
+    # these cycles' photons only: a whole-stream list (~32 B per photon) per
+    # hedh level would sit beside every stream of the block the harness holds
+    ts = stream.timestamps[offsets[0]:offsets[-1]].tolist()
+    offsets = (offsets - offsets[0]).tolist()
+    for j, end in zip(offsets, offsets[1:]):
+        while j < end:
+            # ts[j:top] is the run of this cycle's photons in interval k
+            k = bisect_right(edges, ts[j])
+            top = bisect_left(ts, hi[k], j, end)
+            d = target_frac - (bisect_left(ts, cvs[k], j, top) - j) / (top - j)
+            if d > 0.0:
+                cvs[k] = min(cvs[k] + step_size, hi[k])
+            elif d < 0.0:
+                cvs[k] = max(cvs[k] - step_size, lo[k])
+            j = top
+    return cvs
+
+
+def run_fixed(stream: PhotonStream, target_frac: float, step_size: float) -> BinnerState:
+    """Feed a whole photon stream through one fixed-stepping binner: the
+    one-interval case of :func:`fixed_walk`."""
+    state = BinnerState.initial(target_frac, StepParams(), stream.n_bins)
+    [cv] = fixed_walk(stream, 0, stream.n_cycles, [], [state.cv], target_frac, step_size)
     return replace(state, cv=cv, n=stream.n_cycles)
 
 

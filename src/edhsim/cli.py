@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import config as cfgmod
-from .errors import EdhsimError
+from .errors import EdhsimError, InvalidParamsError
 from .estimator import DistanceMap, bin_to_distance
 from .harness import (
     EDH_METHODS,
@@ -75,10 +75,10 @@ def _cmd_edh(args) -> int:
     conf = cfgmod.parse_config_file(args.config)
     step = cfgmod.build_step_params(conf)
     sim, scene, seeds = _pipeline_scene(conf, args.seed)
-    grid = np.empty((scene.height, scene.width, args.q + 1))
-    for r, c, bounds in scene_summaries(scene, sim, args.method, args.q, step,
-                                        args.fixed_step_size, seeds):
-        grid[r, c, :] = bounds.bounds
+    # row-major, as scene_summaries yields them; the method checks q first
+    grid = np.array([bounds.bounds for _r, _c, bounds in scene_summaries(
+        scene, sim, args.method, args.q, step, args.fixed_step_size, seeds)])
+    grid = grid.reshape(scene.height, scene.width, -1)
     write_boundaries_csv(args.out, grid)
     print(f"wrote {args.method} boundaries ({args.q} bins/pixel) to {args.out}")
     if args.raw_out:
@@ -96,6 +96,10 @@ def _cmd_estimate(args) -> int:
         est = np.empty(grid.shape[:2])
         for r in range(grid.shape[0]):
             for c in range(grid.shape[1]):
+                if grid[r, c, -1] != sim.n_bins:
+                    raise InvalidParamsError(
+                        f"{args.bounds}: the row of pixel ({r}, {c}) ends at {grid[r, c, -1]!r}, "
+                        f"not at n_bins={sim.n_bins}")
                 t = estimate_bins(args.estimator, EdhBoundaries(q, grid[r, c]))
                 est[r, c] = bin_to_distance(t, sim)
     else:

@@ -5,10 +5,13 @@ Everything here is deterministic given the experiment's global seed: each
 so results do not depend on execution order, and every method within one run
 consumes the identical photon stream (paired comparisons).
 
-Pixels are sampled in blocks of at most ``_BLOCK`` streams, and ``pedh``
-steps a whole block in one pass over the cycles (:func:`pedh_variants`);
-the other methods run stream by stream. The bound keeps the streams held at
-once, and so the memory, small; results do not depend on it.
+Every entry point (:func:`run_experiment`, :func:`sweep`,
+:func:`scene_summaries`) samples its pixels through one block sampler,
+:func:`_sampled_blocks`, in blocks of at most ``_BLOCK`` streams, and
+``pedh`` steps a whole block in one pass over the cycles
+(:func:`pedh_variants`); the other methods run stream by stream. The bound
+keeps the streams held at once, and so the memory, small; results do not
+depend on it.
 """
 
 from __future__ import annotations
@@ -129,9 +132,16 @@ def summarize_block(streams: Sequence[PhotonStream], method: str, q: int, step: 
     return [ewh(s, _ewh_bins(method)) for s in streams]
 
 
-def _blocks(items: Sequence) -> Iterator[Sequence]:
-    """Consecutive slices of ``items``, each at most ``_BLOCK`` long."""
-    return (items[i:i + _BLOCK] for i in range(0, len(items), _BLOCK))
+def _sampled_blocks(pixels: Sequence[PixelConfig], sim: SimConfig,
+                    seeds: Sequence) -> Iterator[tuple[int, list, list[PhotonStream]]]:
+    """Build each pixel's transient and sample its stream, the i-th from
+    ``seeds[i]``; yields ``(start, transients, streams)`` for consecutive
+    blocks of at most ``_BLOCK`` pixels, ``start`` being the index of the
+    block's first pixel."""
+    for start in range(0, len(pixels), _BLOCK):
+        transients = [build_transient(pixel, sim) for pixel in pixels[start:start + _BLOCK]]
+        yield start, transients, [sample_stream(t, sim.n_cycles, seed)
+                                  for t, seed in zip(transients, seeds[start:start + _BLOCK])]
 
 
 def scene_summaries(scene: Scene, sim: SimConfig, method: str, q: int, step: StepParams,
@@ -139,11 +149,10 @@ def scene_summaries(scene: Scene, sim: SimConfig, method: str, q: int, step: Ste
     """Sample every scene pixel (the i-th, row-major, from ``seeds[i]``) and
     yield ``(row, col, summary)`` of ``method`` for each, in that order,
     stepping the pixels in blocks (see :func:`summarize_block`)."""
-    for block in _blocks(list(zip(scene.iter_pixels(), seeds))):
-        streams = [sample_stream(build_transient(pixel, sim), sim.n_cycles, seed)
-                   for (_r, _c, pixel), seed in block]
+    cells = list(scene.iter_pixels())
+    for start, _transients, streams in _sampled_blocks([p for _r, _c, p in cells], sim, seeds):
         summaries = summarize_block(streams, method, q, step, fixed_step_size)
-        for ((r, c, _pixel), _seed), summary in zip(block, summaries):
+        for (r, c, _pixel), summary in zip(cells[start:], summaries):
             yield r, c, summary
 
 
@@ -201,92 +210,15 @@ class ExperimentConfig:
             object.__setattr__(self, "out_dir", Path(self.out_dir))
 
 
-@dataclass
-class PixelResult:
-    """All per-method outputs for one pixel and one seeded stream."""
-
-    stream_checksum: str
-    bounds: dict
-    histograms: dict
-    est_bins: dict
-    est_m: dict
-
-
-def run_block_pipeline(
-    pixels: Sequence[PixelConfig],
-    sim: SimConfig,
-    methods: Sequence[str],
-    estimators: Sequence[str],
-    step: StepParams,
-    q: int,
-    fixed_step_size: float,
-    seeds: Sequence,
-) -> tuple[list[PixelResult], dict[str, EdhsimError]]:
-    """Sample one stream per pixel and push the block through every
-    requested method; returns one result per pixel and the errors of the
-    methods that failed.
-
-    All methods consume the identical streams so their errors are directly
-    comparable run by run. A method that raises, in its summary or in one of
-    its estimates, is left out of every result and its error is returned
-    under its name; the other methods are unaffected.
-    """
-    streams = [sample_stream(build_transient(pixel, sim), sim.n_cycles, seed)
-               for pixel, seed in zip(pixels, seeds)]
-    conds = conditions(methods, estimators)
-    done, errors = {}, {}
-    for m in methods:
-        try:
-            summaries = summarize_block(streams, m, q, step, fixed_step_size)
-            est_bins = {e: [estimate_bins(e, s) for s in summaries] for mm, e in conds if mm == m}
-            est_m = {e: [bin_to_distance(t, sim) for t in ts] for e, ts in est_bins.items()}
-        except EdhsimError as exc:
-            errors[m] = exc
-            continue
-        done[m] = summaries, est_bins, est_m
-    ok = [(m, e) for m, e in conds if m in done]
-    results = []
-    for i, stream in enumerate(streams):
-        summaries = {m: done[m][0][i] for m in done}
-        results.append(PixelResult(
-            stream.checksum(),
-            {m: s for m, s in summaries.items() if isinstance(s, EdhBoundaries)},
-            {m: s for m, s in summaries.items() if isinstance(s, EwHistogram)},
-            {(m, e): done[m][1][e][i] for m, e in ok},
-            {(m, e): done[m][2][e][i] for m, e in ok},
-        ))
-    return results, errors
-
-
-def run_pixel_pipeline(
-    pixel: PixelConfig,
-    sim: SimConfig,
-    methods: Sequence[str],
-    estimators: Sequence[str],
-    step: StepParams,
-    q: int,
-    fixed_step_size: float,
-    seed,
-) -> PixelResult:
-    """Sample one stream and push it through every requested method
-    (:func:`run_block_pipeline` on one pixel); raises the error of the first
-    method that failed."""
-    [result], errors = run_block_pipeline(
-        [pixel], sim, methods, estimators, step, q, fixed_step_size, [seed])
-    if errors:
-        raise next(iter(errors.values()))
-    return result
-
-
-def _experiment_blocks(cfg: ExperimentConfig, pair_idx: int, mc: int) -> Iterator[tuple]:
-    """The pixels of run ``mc`` of pair ``pair_idx`` in blocks: for each
-    block, the (row, col) cells, their pixels and their stream seeds."""
+def _experiment_pixels(cfg: ExperimentConfig, pair_idx: int, mc: int) -> tuple[list, list, list]:
+    """The scene of run ``mc`` of pair ``pair_idx``, row-major: the
+    (row, col) cells, their pixels and their stream seeds."""
     phi_sig, phi_bkg = cfg.pairs[pair_idx]
     depths = cfg.scene.depth_map.depths.astype(np.float64)
-    for block in _blocks(range(cfg.scene.height * cfg.scene.width)):
-        cells = [divmod(i, cfg.scene.width) for i in block]
-        yield (cells, [PixelConfig(float(depths[rc]), phi_sig, phi_bkg) for rc in cells],
-               [derive_seed(cfg.global_seed, _CTX_EXPERIMENT, pair_idx, mc, i) for i in block])
+    n = cfg.scene.height * cfg.scene.width
+    cells = [divmod(i, cfg.scene.width) for i in range(n)]
+    return (cells, [PixelConfig(float(depths[rc]), phi_sig, phi_bkg) for rc in cells],
+            [derive_seed(cfg.global_seed, _CTX_EXPERIMENT, pair_idx, mc, i) for i in range(n)])
 
 
 @dataclass
@@ -305,12 +237,14 @@ class ExperimentResult:
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Run the full (pair x run x pixel x method x estimator) grid.
 
-    Each (pair, run) samples its pixels in blocks (:func:`run_block_pipeline`).
-    A method that raises stops for the rest of its pair: its conditions get
-    error rows and its run rows of that pair are dropped, while the other
-    methods keep theirs (``boundary_rmse_bins`` stays blank if the oracle
-    failed). A pair whose streams cannot be sampled fails every condition.
-    Callers should treat a non-empty ``failures`` list as a nonzero exit.
+    Each (pair, run) samples its pixels in blocks (:func:`_sampled_blocks`)
+    and runs every method over each block (:func:`summarize_block`); run
+    rows come pixel-major, then in :func:`conditions` order. A method that
+    raises stops for the rest of its pair: its conditions get error rows and
+    its run rows of that pair are dropped, while the other methods keep
+    theirs (``boundary_rmse_bins`` stays blank if the oracle failed). A pair
+    whose streams cannot be sampled fails every condition. Callers should
+    treat a non-empty ``failures`` list as a nonzero exit.
     """
     conds = conditions(cfg.methods, cfg.estimators)
     # a method no listed estimator reads is not run
@@ -328,14 +262,28 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         errors: dict = {}
         try:
             for mc in range(cfg.n_monte_carlo):
-                for cells, block_pixels, seeds in _experiment_blocks(cfg, pair_idx, mc):
-                    results, failed = run_block_pipeline(
-                        block_pixels, cfg.sim, [m for m in methods if m not in errors],
-                        cfg.estimators, cfg.step, cfg.q, cfg.fixed_step_size, seeds,
-                    )
-                    errors.update(failed)
-                    for (r, c), pixel, res in zip(cells, block_pixels, results):
-                        for (m, e), z_est in res.est_m.items():
+                cells, pixels, seeds = _experiment_pixels(cfg, pair_idx, mc)
+                for start, _transients, streams in _sampled_blocks(pixels, cfg.sim, seeds):
+                    # every method reads the identical streams; one that
+                    # raises, in its summary or an estimate, joins ``errors``
+                    done = {}
+                    for m in (m for m in methods if m not in errors):
+                        try:
+                            summaries = summarize_block(streams, m, cfg.q, cfg.step,
+                                                        cfg.fixed_step_size)
+                            est_bins = {e: [estimate_bins(e, s) for s in summaries]
+                                        for mm, e in conds if mm == m}
+                            done[m] = summaries, {e: [bin_to_distance(t, cfg.sim) for t in ts]
+                                                  for e, ts in est_bins.items()}
+                        except EdhsimError as exc:
+                            errors[m] = exc
+                    for i, stream in enumerate(streams):
+                        (r, c), pixel = cells[start + i], pixels[start + i]
+                        checksum = stream.checksum()
+                        for m, e in conds:
+                            if m not in done:
+                                continue
+                            z_est = done[m][1][e][i]
                             est_acc[(m, e)].append(z_est)
                             truth_acc[(m, e)].append(pixel.z)
                             pair_rows.append({
@@ -350,12 +298,12 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                                 "estimator": e,
                                 "z_true_m": pixel.z,
                                 "z_est_m": z_est,
-                                "stream_checksum": res.stream_checksum,
+                                "stream_checksum": checksum,
                             })
-                        if _ORACLE in res.bounds:
+                        if _ORACLE in done:
                             for m, acc in bnd_acc.items():
-                                if m in res.bounds:
-                                    acc.append(boundary_rmse(res.bounds[m], res.bounds[_ORACLE]))
+                                if m in done:
+                                    acc.append(boundary_rmse(done[m][0][i], done[_ORACLE][0][i]))
         except EdhsimError as exc:
             failures.append(f"pair ({phi_sig}, {phi_bkg}): {exc}")
             summary_rows += [_summary_row(cfg, phi_sig, phi_bkg, m, e, error=exc) for m, e in conds]
@@ -520,12 +468,10 @@ def sweep(spec: SweepSpec, cfg: ExperimentConfig, out_path: Optional[Path] = Non
     bnd_sq = {v: [] for v in spec.values}
     for pair_idx in range(len(cfg.pairs)):
         for mc in range(cfg.n_monte_carlo):
-            for _cells, block_pixels, seeds in _experiment_blocks(cfg, pair_idx, mc):
-                transients = [build_transient(pixel, cfg.sim) for pixel in block_pixels]
-                streams = [sample_stream(transient, cfg.sim.n_cycles, seed)
-                           for transient, seed in zip(transients, seeds)]
+            _cells, pixels, seeds = _experiment_pixels(cfg, pair_idx, mc)
+            for start, transients, streams in _sampled_blocks(pixels, cfg.sim, seeds):
                 per_stream = pedh_variants(streams, cfg.q, step_variants)
-                for pixel, transient, results in zip(block_pixels, transients, per_stream):
+                for pixel, transient, results in zip(pixels[start:], transients, per_stream):
                     true_bounds = true_quantiles(transient, targets)
                     for value, bounds in zip(spec.values, results):
                         est_acc[value].append(bin_to_distance(t0_hat(bounds), cfg.sim))

@@ -11,7 +11,8 @@ Four ways of summarizing an exposure:
   several step schedules in one pass over the cycles.
 * :func:`hedh`  - hierarchical equi-depth boundaries: a binary tree of
   fixed-stepping median binners run level by level, each level consuming its
-  share of the cycles and refining within the intervals found so far.
+  share of the cycles and refining within the intervals found so far; a
+  level is one call of the fixed-step walk that also runs ``run_fixed``.
 * :func:`ewh`   - a plain equi-width photon-count histogram.
 
 Equi-depth boundary sets always carry the forced endpoints 0 and n_bins.
@@ -19,13 +20,12 @@ Equi-depth boundary sets always carry the forced endpoints 0 and n_bins.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .binner import BinnerBank, StepParams, check_fixed_step_size
+from .binner import BinnerBank, StepParams, fixed_walk
 from .errors import (
     BinCountError,
     InvalidParamsError,
@@ -171,13 +171,8 @@ def hedh(stream: PhotonStream, q: int, fixed_step_size: float = 1.0) -> EdhBound
     full range; level l runs 2**(l-1) median binners, each confined to one
     interval delimited by the boundaries already found (photons outside the
     interval are invisible to that binner) and initialized at the interval
-    midpoint.
-
-    The walk is photon-driven: within a cycle, each run of photons that
-    lands in one interval updates that interval's binner only, so the cost
-    grows with photons per cycle rather than with intervals. A binner whose
-    interval saw no photon in a cycle does not move, exactly as the
-    fixed-step rule prescribes for an empty cycle.
+    midpoint. Each level is one :func:`~edhsim.binner.fixed_walk` at target
+    0.5, the walk behind :func:`~edhsim.binner.run_fixed`.
 
     Raises:
         PowerOfTwoError: if q is not a power of two.
@@ -185,37 +180,13 @@ def hedh(stream: PhotonStream, q: int, fixed_step_size: float = 1.0) -> EdhBound
     q = _check_q(q, 1)
     if q < 2 or q & (q - 1):
         raise PowerOfTwoError(f"hedh requires a power-of-two q, got {q}")
-    check_fixed_step_size(fixed_step_size)
     n_levels = q.bit_length() - 1
     cuts = np.rint(np.arange(n_levels + 1) / n_levels * stream.n_cycles).astype(np.int64).tolist()
-    offsets = stream.cycle_offsets.tolist()
-    step = fixed_step_size
-
     interior: list[float] = []
     for level in range(n_levels):
         edges = sorted(interior)
-        lo = [0.0] + edges
-        hi = edges + [float(stream.n_bins)]
-        cvs = [(a + b) / 2.0 for a, b in zip(lo, hi)]
-        # this level's photons only, as a list indexed from ``base``: a
-        # whole-stream list (~32 B per photon) would sit beside every
-        # stream of the block the harness holds
-        base = offsets[cuts[level]]
-        ts = stream.timestamps[base:offsets[cuts[level + 1]]].tolist()
-        for i in range(cuts[level], cuts[level + 1]):
-            j, end = offsets[i] - base, offsets[i + 1] - base
-            while j < end:
-                # ts[j:top] is the run of this cycle's photons in interval k
-                k = bisect_right(edges, ts[j])
-                top = bisect_left(ts, hi[k], j, end)
-                twice_early = 2 * (bisect_left(ts, cvs[k], j, top) - j)
-                if twice_early < top - j:
-                    cvs[k] = min(cvs[k] + step, hi[k])
-                elif twice_early > top - j:
-                    cvs[k] = max(cvs[k] - step, lo[k])
-                j = top
-        interior.extend(cvs)
-
+        cvs = [(a + b) / 2.0 for a, b in zip([0.0] + edges, edges + [float(stream.n_bins)])]
+        interior += fixed_walk(stream, cuts[level], cuts[level + 1], edges, cvs, 0.5, fixed_step_size)
     bounds = np.concatenate(([0.0], np.sort(interior), [float(stream.n_bins)]))
     return EdhBoundaries(q, bounds)
 

@@ -215,6 +215,32 @@ class TestRunners:
         fast = run_fixed(stream, 0.5, 1.0)
         assert fast.cv == state.cv
 
+    @given(
+        data=st.data(),
+        n_bins=st.sampled_from([4, 8, 16]),
+        target=st.one_of(st.sampled_from([0.25, 0.5, 0.75, 1 / 3]),
+                         st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+        step=st.one_of(st.sampled_from([0.25, 0.5, 1.0, 1.5, 2.0, 3.0]), st.floats(0.25, 3.0)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_run_fixed_matches_stepwise_fold_at_any_target(self, data, n_bins, target, step):
+        # half-integer timestamps land on the CV, targets like 1/4 and 1/2
+        # meet early/n exactly (no move), empty cycles are common, and a
+        # stream may hold no photon at all
+        half_steps = st.integers(0, 2 * n_bins - 1)
+        cycle = st.lists(half_steps, max_size=6).map(lambda c: np.sort(c) / 2.0)
+        cycles = data.draw(st.one_of(
+            st.lists(cycle, min_size=1, max_size=60),
+            st.integers(1, 5).map(lambda n: [np.array([])] * n),
+        ))
+        stream = PhotonStream.from_cycles(cycles, n_bins)
+        state = BinnerState.initial(target, StepParams(), n_bins)
+        for ts in stream.cycles():
+            state = fixed_step(state, observe(state.cv, ts), step)
+        fast = run_fixed(stream, target, step)
+        assert fast.cv == state.cv
+        assert fast.n == state.n == len(cycles)
+
     @pytest.mark.parametrize("bad", [float("inf"), float("nan"), -1.0])
     def test_run_fixed_rejects_bad_step_up_front(self, bad):
         # two cycles, the second empty: with step inf the old loop only failed

@@ -206,3 +206,31 @@ def test_error_reporting(tmp_path, capsys):
     missing.write_text("scene.kind = warp\n")
     assert main(["experiment", "--config", str(missing)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("end", [400.0, 5000.0])
+def test_estimate_rejects_bounds_not_ending_at_n_bins(conf, tmp_path, capsys, end):
+    # the config has 1,024 bins; a row ending anywhere else would give a
+    # confident depth from boundaries that do not span the window
+    bounds_csv = tmp_path / "bounds.csv"
+    assert main(["edh", "--config", str(conf), "--method", "oedh", "--q", "8",
+                 "--out", str(bounds_csv)]) == 0
+    grid = read_boundaries_csv(bounds_csv)
+    grid[0, 2, :] *= end / 1024.0
+    harness.write_boundaries_csv(bounds_csv, grid)
+    capsys.readouterr()
+    for est in ("t0", "t1"):
+        assert main(["estimate", "--config", str(conf), "--estimator", est,
+                     "--bounds", str(bounds_csv), "--out", str(tmp_path / "est.csv")]) == 2
+        err = capsys.readouterr().err
+        assert "pixel (0, 2)" in err and "n_bins=1024" in err
+    assert not (tmp_path / "est.csv").exists()
+
+
+@pytest.mark.parametrize("q", [-3, 0, 1])
+def test_edh_rejects_q_below_two(conf, tmp_path, capsys, q):
+    out = tmp_path / "bounds.csv"
+    assert main(["edh", "--config", str(conf), "--method", "pedh", "--q", str(q),
+                 "--out", str(out)]) == 2
+    assert f"q must be an integer >= 2, got {q}" in capsys.readouterr().err
+    assert not out.exists()

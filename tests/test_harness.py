@@ -23,7 +23,6 @@ from edhsim.harness import (
     read_boundaries_csv,
     read_channel_grid,
     run_experiment,
-    run_pixel_pipeline,
     sweep,
     write_boundaries_csv,
 )
@@ -104,51 +103,16 @@ def small_config(**overrides):
     return ExperimentConfig(**base)
 
 
-class TestRunPixelPipeline:
-    def test_all_methods_share_one_stream(self):
-        pixel = PixelConfig(7.5, 1.0, 1.0)
-        res = run_pixel_pipeline(
-            pixel, SIM_SMALL, ("oedh", "pedh", "ewh32"), ("t0", "ewh_peak"),
-            STEP_SMALL, 8, 1.0, seed=3,
-        )
-        # one checksum covers the run because one stream was sampled
-        assert res.stream_checksum
-        assert set(res.bounds) == {"oedh", "pedh"}
-        assert set(res.histograms) == {"ewh32"}
-        assert set(res.est_m) == {("oedh", "t0"), ("pedh", "t0"), ("ewh32", "ewh_peak")}
-
+class TestSceneSummaries:
     def test_strong_signal_converges_to_truth(self):
         # near-noiseless run: lots of signal photons, no background
         sim = SimConfig(n_cycles=5000)
-        pixel = PixelConfig(7.5, 5.0, 0.0)
-        res = run_pixel_pipeline(
-            pixel, sim, ("pedh",), ("t0",), StepParams(), 32, 1.0, seed=1,
-        )
-        t = res.est_bins[("pedh", "t0")]
+        scene = synth_scene("constant", z=7.5, width=1, height=1, phi_sig=5.0, phi_bkg=0.0)
+        [(r, c, bounds)] = harness.scene_summaries(scene, sim, "pedh", 32, StepParams(), 1.0, [1])
+        assert (r, c) == (0, 0)
+        t = harness.estimate_bins("t0", bounds)
         center = (2.0 * 7.5 / sim.c) / sim.dt
         assert abs(t - center) <= 2.0
-
-    def test_table_looks_functions_up_on_the_module(self, monkeypatch):
-        # replacing a histogrammer or estimator on the harness module must
-        # reach the pipeline: the benchmark's checks and layer spans rely on it
-        calls = call_spy(monkeypatch, ("pedh", "pedh_variants", "t0_hat"))
-        pixel = PixelConfig(7.5, 1.0, 1.0)
-        run_pixel_pipeline(pixel, SIM_SMALL, ("pedh",), ("t0",), STEP_SMALL, 8, 1.0, seed=3)
-        # pedh runs as a block of one through pedh_variants
-        assert calls == ["pedh_variants", "t0_hat"]
-
-    def test_failing_method_still_raises(self):
-        # too few photons for the oracle's 8 quantiles
-        pixel = PixelConfig(7.5, 0.001, 0.001)
-        with pytest.raises(TooFewPhotonsError):
-            run_pixel_pipeline(pixel, SIM_SMALL, ("pedh", "oedh"), ("t0",), STEP_SMALL, 8, 1.0, seed=3)
-
-    def test_same_seed_same_result(self):
-        pixel = PixelConfig(5.0, 1.0, 2.0)
-        a = run_pixel_pipeline(pixel, SIM_SMALL, ("pedh",), ("t0",), STEP_SMALL, 8, 1.0, 7)
-        b = run_pixel_pipeline(pixel, SIM_SMALL, ("pedh",), ("t0",), STEP_SMALL, 8, 1.0, 7)
-        assert a.stream_checksum == b.stream_checksum
-        assert a.est_m == b.est_m
 
 
 class TestRunExperiment:
@@ -167,6 +131,15 @@ class TestRunExperiment:
         assert len(result.run_rows) == 2 * cfg.n_monte_carlo * n_pixels * 5
         assert (tmp_path / "summary.csv").exists()
         assert (tmp_path / "runs.csv").exists()
+
+    def test_table_looks_functions_up_on_the_module(self, monkeypatch):
+        # replacing a histogrammer or estimator on the harness module must
+        # reach the pipeline: the benchmark's checks and layer spans rely on it
+        calls = call_spy(monkeypatch, ("pedh", "pedh_variants", "t0_hat"))
+        scene = synth_scene("constant", z=7.5, width=1, height=1, phi_sig=1.0, phi_bkg=1.0)
+        run_experiment(small_config(scene=scene, methods=("pedh",), n_monte_carlo=1))
+        # pedh runs as a block (here of one pixel) through pedh_variants
+        assert calls == ["pedh_variants", "t0_hat"]
 
     def test_byte_identical_outputs(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
