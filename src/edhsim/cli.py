@@ -23,7 +23,9 @@ from .harness import (
     EDH_METHODS,
     ESTIMATORS,
     SWEEPABLE_PARAMS,
+    ExperimentConfig,
     SweepSpec,
+    check_span,
     conditions,
     dump_stream_csv,
     estimate_bins,
@@ -96,12 +98,13 @@ def _cmd_estimate(args) -> int:
         est = np.empty(grid.shape[:2])
         for r in range(grid.shape[0]):
             for c in range(grid.shape[1]):
-                if grid[r, c, -1] != sim.n_bins:
+                try:
+                    bounds = EdhBoundaries(q, grid[r, c])
+                    check_span(bounds, sim.n_bins)
+                except InvalidParamsError as exc:
                     raise InvalidParamsError(
-                        f"{args.bounds}: the row of pixel ({r}, {c}) ends at {grid[r, c, -1]!r}, "
-                        f"not at n_bins={sim.n_bins}")
-                t = estimate_bins(args.estimator, EdhBoundaries(q, grid[r, c]))
-                est[r, c] = bin_to_distance(t, sim)
+                        f"{args.bounds}: the row of pixel ({r}, {c}): {exc}") from None
+                est[r, c] = bin_to_distance(estimate_bins(args.estimator, bounds), sim)
     else:
         step = cfgmod.build_step_params(conf)
         # the estimator reads either --method's boundaries or the --ewh-bins histogram
@@ -186,7 +189,7 @@ def _cmd_export_features(args) -> int:
     sim = cfgmod.build_sim_config(conf)
     scene = cfgmod.build_scene(conf, sim)
     step = cfgmod.build_step_params(conf)
-    q = cfgmod.get_int(conf, "experiment.q", 32)
+    q = cfgmod.get_int(conf, "experiment.q", ExperimentConfig.q)
     seed = cfgmod.resolve_seed(conf, args.seed)
     path = export_density_features(scene, sim, step, q, args.out, global_seed=seed)
     print(f"wrote {scene.height}x{scene.width}x1024 density features to {path}")
@@ -205,8 +208,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("edh", help="write equi-depth boundary sets")
     _add_config_arg(p)
     p.add_argument("--method", choices=EDH_METHODS, required=True)
-    p.add_argument("--q", type=int, default=32)
-    p.add_argument("--fixed-step-size", type=float, default=1.0)
+    p.add_argument("--q", type=int, default=ExperimentConfig.q)
+    p.add_argument("--fixed-step-size", type=float, default=ExperimentConfig.fixed_step_size)
     p.add_argument("--out", required=True, help="boundary CSV path")
     p.add_argument("--raw-out", default=None, help="optional raw channel-grid path")
     p.set_defaults(func=_cmd_edh)
@@ -216,8 +219,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--estimator", choices=ESTIMATORS, required=True)
     p.add_argument("--bounds", default=None, help="boundary CSV from the edh command")
     p.add_argument("--method", choices=EDH_METHODS, default="pedh")
-    p.add_argument("--q", type=int, default=32)
-    p.add_argument("--fixed-step-size", type=float, default=1.0)
+    p.add_argument("--q", type=int, default=ExperimentConfig.q)
+    p.add_argument("--fixed-step-size", type=float, default=ExperimentConfig.fixed_step_size)
     p.add_argument("--ewh-bins", type=int, default=32)
     p.add_argument("--out", required=True, help="distance map path (.csv or raw_f32)")
     p.set_defaults(func=_cmd_estimate)

@@ -6,6 +6,11 @@ geometry and photon levels, ``experiment.*`` run setup). Unknown keys are
 rejected so typos surface immediately. The ``EDH_SEED`` environment variable
 overrides ``experiment.seed``.
 
+The keys and their defaults are read off the declarations they fill:
+``sim.X`` is field ``X`` of :class:`~edhsim.transient.SimConfig`, ``step.X``
+field ``X`` of :class:`~edhsim.binner.StepParams`, and ``scene.X`` parameter
+``X`` of the scene kind's builder in :data:`~edhsim.scene.SCENE_BUILDERS`.
+
 Example::
 
     scene.kind = staircase
@@ -19,33 +24,39 @@ Example::
 
 from __future__ import annotations
 
+import inspect
 import os
+from dataclasses import fields
 from pathlib import Path
 from typing import Optional
 
 from .binner import StepParams
 from .errors import ParseError
 from .harness import ExperimentConfig
-from .scene import Scene, load_depth_map, synth_scene
+from .scene import SCENE_BUILDERS, Scene, load_depth_map, synth_scene
 from .transient import SimConfig
 
-_SIM_KEYS = {"sim.n_bins", "sim.rep_period", "sim.fwhm", "sim.n_cycles", "sim.c"}
-_STEP_KEYS = {
-    "step.k_pct", "step.gamma", "step.beta1", "step.beta2",
-    "step.decay_freeze_cycle", "step.clip",
-}
-_SCENE_KEYS = {
-    "scene.kind", "scene.z", "scene.width", "scene.height", "scene.n_steps",
-    "scene.z_min", "scene.z_max", "scene.z_left", "scene.z_right",
-    "scene.step_width", "scene.phi_sig", "scene.phi_bkg",
-    "scene.path", "scene.format",
-}
-_EXPERIMENT_KEYS = {
-    "experiment.pairs", "experiment.methods", "experiment.estimators",
-    "experiment.n_monte_carlo", "experiment.seed", "experiment.out_dir",
-    "experiment.q", "experiment.fixed_step_size", "experiment.inliers",
-}
-KNOWN_KEYS = _SIM_KEYS | _STEP_KEYS | _SCENE_KEYS | _EXPERIMENT_KEYS
+
+def _field_defaults(cls) -> dict:
+    return {f.name: f.default for f in fields(cls)}
+
+
+def _builder_defaults(builder) -> dict:
+    """A scene builder's settable parameters and their defaults: every one
+    with a default except ``z_limit``, which comes from ``sim``."""
+    return {name: p.default for name, p in inspect.signature(builder).parameters.items()
+            if p.default is not p.empty and name != "z_limit"}
+
+
+KNOWN_KEYS = (
+    {f"sim.{name}" for name in _field_defaults(SimConfig)}
+    | {f"step.{name}" for name in _field_defaults(StepParams)}
+    | {f"scene.{name}" for b in SCENE_BUILDERS.values() for name in _builder_defaults(b)}
+    | {"scene.kind", "scene.phi_sig", "scene.phi_bkg", "scene.path", "scene.format"}
+    | {f"experiment.{name}" for name in (
+        "pairs", "methods", "estimators", "n_monte_carlo", "seed", "out_dir", "q",
+        "fixed_step_size", "inliers")}
+)
 
 
 def parse_config_file(path) -> dict[str, str]:
@@ -85,31 +96,29 @@ def get_list(conf, key, default):
     return tuple(tok.strip() for tok in conf[key].split(",") if tok.strip())
 
 
+def _settings(conf: dict, prefix: str, defaults: dict) -> dict:
+    """``{name: value}`` of ``prefix + name`` for every name in ``defaults``,
+    each parsed by the type of its default (an int as an integer, a float as
+    a number) or left at the default when unset. A ``None`` default marks a
+    number that ``none``, ``off`` or an empty value switches off."""
+    values = {}
+    for name, default in defaults.items():
+        key = prefix + name
+        if isinstance(default, int):
+            values[name] = get_int(conf, key, default)
+        elif default is None and conf.get(key, "").lower() in ("", "none", "off"):
+            values[name] = None
+        else:
+            values[name] = get_float(conf, key, default)
+    return values
+
+
 def build_sim_config(conf: dict) -> SimConfig:
-    base = SimConfig()
-    return SimConfig(
-        n_bins=get_int(conf, "sim.n_bins", base.n_bins),
-        rep_period=get_float(conf, "sim.rep_period", base.rep_period),
-        fwhm=get_float(conf, "sim.fwhm", base.fwhm),
-        n_cycles=get_int(conf, "sim.n_cycles", base.n_cycles),
-        c=get_float(conf, "sim.c", base.c),
-    )
+    return SimConfig(**_settings(conf, "sim.", _field_defaults(SimConfig)))
 
 
 def build_step_params(conf: dict) -> StepParams:
-    base = StepParams()
-    clip = base.clip
-    if "step.clip" in conf:
-        raw = conf["step.clip"].lower()
-        clip = None if raw in ("", "none", "off") else get_float(conf, "step.clip", None)
-    return StepParams(
-        k_pct=get_float(conf, "step.k_pct", base.k_pct),
-        gamma=get_float(conf, "step.gamma", base.gamma),
-        beta1=get_float(conf, "step.beta1", base.beta1),
-        beta2=get_float(conf, "step.beta2", base.beta2),
-        decay_freeze_cycle=get_int(conf, "step.decay_freeze_cycle", base.decay_freeze_cycle),
-        clip=clip,
-    )
+    return StepParams(**_settings(conf, "step.", _field_defaults(StepParams)))
 
 
 def build_scene(conf: dict, sim: Optional[SimConfig] = None) -> Scene:
@@ -124,41 +133,16 @@ def build_scene(conf: dict, sim: Optional[SimConfig] = None) -> Scene:
             conf["scene.path"], conf.get("scene.format", "csv"), z_limit=sim.z_max
         )
         return Scene.uniform(depth_map, phi_sig, phi_bkg, label=Path(conf["scene.path"]).stem)
-    common = {"phi_sig": phi_sig, "phi_bkg": phi_bkg, "z_limit": sim.z_max}
-    if kind == "constant":
-        return synth_scene(
-            "constant",
-            z=get_float(conf, "scene.z", 7.5),
-            width=get_int(conf, "scene.width", 1),
-            height=get_int(conf, "scene.height", 1),
-            **common,
-        )
-    if kind == "staircase":
-        return synth_scene(
-            "staircase",
-            n_steps=get_int(conf, "scene.n_steps", 10),
-            z_min=get_float(conf, "scene.z_min", 1.5),
-            z_max=get_float(conf, "scene.z_max", 13.5),
-            step_width=get_int(conf, "scene.step_width", 1),
-            height=get_int(conf, "scene.height", 1),
-            **common,
-        )
-    if kind == "two_plane":
-        return synth_scene(
-            "two_plane",
-            z_left=get_float(conf, "scene.z_left", 3.0),
-            z_right=get_float(conf, "scene.z_right", 12.0),
-            width=get_int(conf, "scene.width", 2),
-            height=get_int(conf, "scene.height", 1),
-            **common,
-        )
-    raise ParseError(f"unknown scene.kind {kind!r}")
+    if kind not in SCENE_BUILDERS:
+        raise ParseError(f"unknown scene.kind {kind!r}")
+    params = _settings(conf, "scene.", _builder_defaults(SCENE_BUILDERS[kind]))
+    return synth_scene(kind, phi_sig=phi_sig, phi_bkg=phi_bkg, z_limit=sim.z_max, **params)
 
 
 def _parse_pairs(conf: dict) -> tuple[tuple[float, float], ...]:
     raw = get_list(conf, "experiment.pairs", ())
     if not raw:
-        return ((1.0, 1.0),)
+        return ExperimentConfig.pairs
     pairs = []
     for tok in raw:
         if ":" not in tok:
@@ -181,7 +165,7 @@ def resolve_seed(conf: dict, override: Optional[int] = None) -> int:
             return int(env)
         except ValueError:
             raise ParseError(f"EDH_SEED must be an integer, got {env!r}") from None
-    return get_int(conf, "experiment.seed", 0)
+    return get_int(conf, "experiment.seed", ExperimentConfig.global_seed)
 
 
 def build_experiment_config(
@@ -190,7 +174,8 @@ def build_experiment_config(
     seed_override: Optional[int] = None,
 ) -> ExperimentConfig:
     sim = build_sim_config(conf)
-    inliers = tuple(float(p) for p in get_list(conf, "experiment.inliers", ("2", "10")))
+    inliers = tuple(float(p) for p in get_list(conf, "experiment.inliers",
+                                                   ExperimentConfig.inlier_thresholds))
     out = out_dir if out_dir is not None else conf.get("experiment.out_dir")
     return ExperimentConfig(
         scene=build_scene(conf, sim),
@@ -199,9 +184,10 @@ def build_experiment_config(
         methods=get_list(conf, "experiment.methods", ExperimentConfig.methods),
         estimators=get_list(conf, "experiment.estimators", ExperimentConfig.estimators),
         step=build_step_params(conf),
-        q=get_int(conf, "experiment.q", 32),
-        fixed_step_size=get_float(conf, "experiment.fixed_step_size", 1.0),
-        n_monte_carlo=get_int(conf, "experiment.n_monte_carlo", 50),
+        q=get_int(conf, "experiment.q", ExperimentConfig.q),
+        fixed_step_size=get_float(conf, "experiment.fixed_step_size",
+                                  ExperimentConfig.fixed_step_size),
+        n_monte_carlo=get_int(conf, "experiment.n_monte_carlo", ExperimentConfig.n_monte_carlo),
         global_seed=resolve_seed(conf, seed_override),
         out_dir=Path(out) if out is not None else None,
         inlier_thresholds=inliers,

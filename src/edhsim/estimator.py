@@ -110,21 +110,14 @@ def t0_hat(bounds: EdhBoundaries) -> float:
     return float((density.edges[j] + density.edges[j + 1]) / 2.0)
 
 
-def rho1(bounds: EdhBoundaries, knot_mode: str = "midpoint") -> DensityEstimate:
+def rho1(bounds: EdhBoundaries) -> DensityEstimate:
     """Linearly interpolated photon density on the fixed 1024-point grid.
 
     Knot ordinates are the reciprocal bin widths; knot abscissae are the bin
-    midpoints (``knot_mode="midpoint"``, default) or the left bin edges
-    (``knot_mode="left_edge"``). The density is held constant beyond the
-    outermost knots.
+    midpoints. The density is held constant beyond the outermost knots.
     """
     density = rho0(bounds)
-    if knot_mode == "midpoint":
-        xs = (density.edges[:-1] + density.edges[1:]) / 2.0
-    elif knot_mode == "left_edge":
-        xs = density.edges[:-1]
-    else:
-        raise InvalidParamsError(f"knot_mode must be 'midpoint' or 'left_edge', got {knot_mode!r}")
+    xs = (density.edges[:-1] + density.edges[1:]) / 2.0
     grid = np.arange(RHO1_GRID_SIZE, dtype=np.float64) * (bounds.span / RHO1_GRID_SIZE)
     return DensityEstimate(grid, np.interp(grid, xs, density.values))
 

@@ -125,11 +125,22 @@ def summarize_block(streams: Sequence[PhotonStream], method: str, q: int, step: 
                     fixed_step_size: float) -> list:
     """Run one method over a block of streams, one summary per stream:
     equi-depth boundaries for ``oedh``, ``pedh`` and ``hedh``, an N-bin
-    equi-width histogram for ``ewhN``."""
+    equi-width histogram for ``ewhN``. Every boundary set must end at its
+    stream's ``n_bins`` (:func:`check_span`)."""
     build = _EDH.get(method)
-    if build is not None:
-        return build(streams, q, step, fixed_step_size)
-    return [ewh(s, _ewh_bins(method)) for s in streams]
+    if build is None:
+        return [ewh(s, _ewh_bins(method)) for s in streams]
+    summaries = build(streams, q, step, fixed_step_size)
+    for stream, bounds in zip(streams, summaries):
+        check_span(bounds, stream.n_bins)
+    return summaries
+
+
+def check_span(bounds: EdhBoundaries, n_bins: int) -> None:
+    """Reject a boundary set that does not end at ``n_bins``: it does not
+    span the time window, so no depth read off it can be trusted."""
+    if bounds.span != n_bins:
+        raise InvalidParamsError(f"boundary set ends at {bounds.span!r}, not at n_bins={n_bins}")
 
 
 def _sampled_blocks(pixels: Sequence[PixelConfig], sim: SimConfig,
@@ -242,9 +253,11 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     rows come pixel-major, then in :func:`conditions` order. A method that
     raises stops for the rest of its pair: its conditions get error rows and
     its run rows of that pair are dropped, while the other methods keep
-    theirs (``boundary_rmse_bins`` stays blank if the oracle failed). A pair
-    whose streams cannot be sampled fails every condition. Callers should
-    treat a non-empty ``failures`` list as a nonzero exit.
+    theirs (``boundary_rmse_bins`` stays blank if the oracle failed); a
+    boundary set that does not end at ``n_bins`` is such a raise. A pair
+    whose streams cannot be sampled fails every condition. Each condition's
+    distance metrics come from its kept run rows. Callers should treat a
+    non-empty ``failures`` list as a nonzero exit.
     """
     conds = conditions(cfg.methods, cfg.estimators)
     # a method no listed estimator reads is not run
@@ -255,8 +268,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     failures: list[str] = []
 
     for pair_idx, (phi_sig, phi_bkg) in enumerate(cfg.pairs):
-        est_acc: dict = {k: [] for k in conds}
-        truth_acc: dict = {k: [] for k in conds}
         bnd_acc: dict = {m: [] for m in methods if m in _EDH and m != _ORACLE}
         pair_rows: list[dict] = []
         errors: dict = {}
@@ -271,10 +282,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                         try:
                             summaries = summarize_block(streams, m, cfg.q, cfg.step,
                                                         cfg.fixed_step_size)
-                            est_bins = {e: [estimate_bins(e, s) for s in summaries]
-                                        for mm, e in conds if mm == m}
-                            done[m] = summaries, {e: [bin_to_distance(t, cfg.sim) for t in ts]
-                                                  for e, ts in est_bins.items()}
+                            done[m] = summaries, {
+                                e: [bin_to_distance(estimate_bins(e, s), cfg.sim) for s in summaries]
+                                for mm, e in conds if mm == m}
                         except EdhsimError as exc:
                             errors[m] = exc
                     for i, stream in enumerate(streams):
@@ -283,9 +293,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                         for m, e in conds:
                             if m not in done:
                                 continue
-                            z_est = done[m][1][e][i]
-                            est_acc[(m, e)].append(z_est)
-                            truth_acc[(m, e)].append(pixel.z)
                             pair_rows.append({
                                 "schema_version": SCHEMA_VERSION,
                                 "scene": cfg.scene.label,
@@ -297,7 +304,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                                 "method": m,
                                 "estimator": e,
                                 "z_true_m": pixel.z,
-                                "z_est_m": z_est,
+                                "z_est_m": done[m][1][e][i],
                                 "stream_checksum": checksum,
                             })
                         if _ORACLE in done:
@@ -315,9 +322,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             if m in errors:
                 summary_rows.append(_summary_row(cfg, phi_sig, phi_bkg, m, e, error=errors[m]))
                 continue
+            rows = [row for row in pair_rows if (row["method"], row["estimator"]) == (m, e)]
             report = distance_metrics(
-                np.asarray(est_acc[(m, e)]).reshape(1, -1),
-                np.asarray(truth_acc[(m, e)]).reshape(1, -1),
+                np.array([[row["z_est_m"] for row in rows]]),
+                np.array([[row["z_true_m"] for row in rows]]),
                 thresholds=cfg.inlier_thresholds,
                 z_max=cfg.sim.z_max,
             )
@@ -452,7 +460,9 @@ def sweep(spec: SweepSpec, cfg: ExperimentConfig, out_path: Optional[Path] = Non
     stream axis and the values the variant axis of one binner bank
     (:func:`pedh_variants`). Boundary RMSE is
     measured against the population quantiles of each transient; distance
-    RMSE uses the narrowest-bin estimator against the scene truth.
+    RMSE uses the narrowest-bin estimator against the scene truth. A
+    boundary set that does not end at ``n_bins`` raises
+    (:func:`check_span`).
     """
     step_variants = []
     for v in spec.values:
@@ -464,7 +474,7 @@ def sweep(spec: SweepSpec, cfg: ExperimentConfig, out_path: Optional[Path] = Non
     targets = np.arange(1, cfg.q, dtype=np.float64) / cfg.q
 
     est_acc = {v: [] for v in spec.values}
-    truth_acc = {v: [] for v in spec.values}
+    truth = []
     bnd_sq = {v: [] for v in spec.values}
     for pair_idx in range(len(cfg.pairs)):
         for mc in range(cfg.n_monte_carlo):
@@ -473,16 +483,17 @@ def sweep(spec: SweepSpec, cfg: ExperimentConfig, out_path: Optional[Path] = Non
                 per_stream = pedh_variants(streams, cfg.q, step_variants)
                 for pixel, transient, results in zip(pixels[start:], transients, per_stream):
                     true_bounds = true_quantiles(transient, targets)
+                    truth.append(pixel.z)
                     for value, bounds in zip(spec.values, results):
+                        check_span(bounds, cfg.sim.n_bins)
                         est_acc[value].append(bin_to_distance(t0_hat(bounds), cfg.sim))
-                        truth_acc[value].append(pixel.z)
                         bnd_sq[value].extend(((bounds.interior - true_bounds) ** 2).tolist())
 
     rows = []
     for value in spec.values:
         report = distance_metrics(
             np.asarray(est_acc[value]).reshape(1, -1),
-            np.asarray(truth_acc[value]).reshape(1, -1),
+            np.asarray(truth).reshape(1, -1),
             z_max=cfg.sim.z_max,
         )
         rows.append({
@@ -610,9 +621,16 @@ def read_boundaries_csv(path) -> np.ndarray:
         raise ParseError(f"{path}: empty boundary file")
     h = max(e[0] for e in entries) + 1
     w = max(e[1] for e in entries) + 1
-    arr = np.full((h, w, len(t_cols)), np.nan)
+    arr = np.empty((h, w, len(t_cols)))
+    filled = np.zeros((h, w), dtype=bool)
     for r, c, vals in entries:
+        if r < 0 or c < 0:
+            raise ParseError(f"{path}: bad row: negative pixel index ({r}, {c})")
+        if not np.all(np.isfinite(vals)):
+            raise ParseError(f"{path}: the row of pixel ({r}, {c}) holds a non-finite value")
         arr[r, c, :] = vals
-    if np.any(np.isnan(arr)):
-        raise ParseError(f"{path}: boundary grid has missing pixels")
+        filled[r, c] = True
+    if not filled.all():
+        r, c = np.argwhere(~filled)[0].tolist()
+        raise ParseError(f"{path}: boundary grid has missing pixels, the first ({r}, {c})")
     return arr

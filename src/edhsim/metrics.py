@@ -9,7 +9,7 @@ alternative ``"relative"`` mode uses p% of each pixel's true depth.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -32,7 +32,6 @@ class MetricsReport:
     mae_cm: float
     inlier_pct: dict[float, float]
     n_pixels: int
-    boundary_rmse_bins: Optional[float] = None
 
     def format_table(self) -> str:
         lines = [
@@ -42,8 +41,6 @@ class MetricsReport:
         ]
         for p in sorted(self.inlier_pct):
             lines.append(f"{f'{p:g}% inliers (%)':>22}: {self.inlier_pct[p]:.2f}")
-        if self.boundary_rmse_bins is not None:
-            lines.append(f"{'boundary RMSE (bins)':>22}: {self.boundary_rmse_bins:.4f}")
         return "\n".join(lines)
 
 

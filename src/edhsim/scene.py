@@ -239,11 +239,11 @@ def _parse_raw(path: Path) -> np.ndarray:
 
 
 def constant_scene(
-    z: float,
-    width: int,
-    height: int,
     phi_sig: float,
     phi_bkg: float,
+    z: float = 7.5,
+    width: int = 1,
+    height: int = 1,
     z_limit: float = DEFAULT_Z_LIMIT,
 ) -> Scene:
     """All pixels at the same distance with the same photon levels."""
@@ -255,11 +255,11 @@ def constant_scene(
 
 
 def staircase_scene(
-    n_steps: int,
-    z_min: float,
-    z_max: float,
     phi_sig: float,
     phi_bkg: float,
+    n_steps: int = 10,
+    z_min: float = 1.5,
+    z_max: float = 13.5,
     step_width: int = 1,
     height: int = 1,
     z_limit: float = DEFAULT_Z_LIMIT,
@@ -280,12 +280,12 @@ def staircase_scene(
 
 
 def two_plane_scene(
-    z_left: float,
-    z_right: float,
-    width: int,
-    height: int,
     phi_sig: float,
     phi_bkg: float,
+    z_left: float = 3.0,
+    z_right: float = 12.0,
+    width: int = 2,
+    height: int = 1,
     z_limit: float = DEFAULT_Z_LIMIT,
 ) -> Scene:
     """Two fronto-parallel planes split at column width // 2."""
@@ -299,16 +299,20 @@ def two_plane_scene(
     return Scene.uniform(DepthMap(grid), phi_sig, phi_bkg, label="two_plane")
 
 
+# scene kind -> builder; the config's scene.* keys are the builders' parameters
+SCENE_BUILDERS = {
+    "constant": constant_scene,
+    "staircase": staircase_scene,
+    "two_plane": two_plane_scene,
+}
+
+
 def synth_scene(kind: str, **params) -> Scene:
-    """Dispatch on scene kind: constant | staircase | two_plane."""
-    builders = {
-        "constant": constant_scene,
-        "staircase": staircase_scene,
-        "two_plane": two_plane_scene,
-    }
-    if kind not in builders:
-        raise InvalidParamsError(f"unknown scene kind {kind!r}; choose from {sorted(builders)}")
+    """Dispatch on scene kind: one of :data:`SCENE_BUILDERS`."""
+    if kind not in SCENE_BUILDERS:
+        raise InvalidParamsError(
+            f"unknown scene kind {kind!r}; choose from {sorted(SCENE_BUILDERS)}")
     try:
-        return builders[kind](**params)
+        return SCENE_BUILDERS[kind](**params)
     except TypeError as exc:
         raise InvalidParamsError(f"bad parameters for {kind!r} scene: {exc}") from None

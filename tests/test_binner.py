@@ -432,15 +432,6 @@ class TestBankValidation:
         with pytest.raises(InvalidParamsError, match="n_bins must be a positive integer"):
             BinnerBank([0.5], StepParams(), n_bins)
 
-    @pytest.mark.parametrize("cv", [float("nan"), -3.0, 100.0])
-    def test_cvs0_must_lie_in_range(self, cv):
-        with pytest.raises(InvalidParamsError, match=r"cvs0 must lie in \[0, 8\]"):
-            BinnerBank([0.25, 0.5], StepParams(), 8, cvs0=[1.0, cv])
-
-    def test_cvs0_one_per_binner(self):
-        with pytest.raises(InvalidParamsError, match="one value per binner"):
-            BinnerBank([0.5], [StepParams(), StepParams()], 8, cvs0=[1.0])
-
     def test_stream_n_bins_must_match(self):
         bank = BinnerBank([0.5], StepParams(), 8)
         with pytest.raises(InvalidParamsError, match="n_bins"):

@@ -227,6 +227,25 @@ def test_estimate_rejects_bounds_not_ending_at_n_bins(conf, tmp_path, capsys, en
     assert not (tmp_path / "est.csv").exists()
 
 
+@pytest.mark.parametrize("bad, message", [
+    ({0: 5.0}, "boundary set must start at 0"),
+    ({3: 700.0, 4: 300.0}, "boundaries must be non-decreasing"),
+])
+def test_estimate_names_the_file_and_pixel_of_a_bad_row(conf, tmp_path, capsys, bad, message):
+    bounds_csv = tmp_path / "bounds.csv"
+    assert main(["edh", "--config", str(conf), "--method", "oedh", "--q", "8",
+                 "--out", str(bounds_csv)]) == 0
+    grid = read_boundaries_csv(bounds_csv)
+    for j, value in bad.items():
+        grid[0, 1, j] = value
+    harness.write_boundaries_csv(bounds_csv, grid)
+    capsys.readouterr()
+    assert main(["estimate", "--config", str(conf), "--estimator", "t0",
+                 "--bounds", str(bounds_csv), "--out", str(tmp_path / "est.csv")]) == 2
+    assert f"{bounds_csv}: the row of pixel (0, 1): {message}" in capsys.readouterr().err
+    assert not (tmp_path / "est.csv").exists()
+
+
 @pytest.mark.parametrize("q", [-3, 0, 1])
 def test_edh_rejects_q_below_two(conf, tmp_path, capsys, q):
     out = tmp_path / "bounds.csv"

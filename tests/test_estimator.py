@@ -3,7 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from edhsim.errors import BinPositionError, EmptyHistogramError, InvalidParamsError
+from edhsim.errors import BinPositionError, EmptyHistogramError
 from edhsim.estimator import (
     RHO1_GRID_SIZE,
     bin_to_distance,
@@ -126,13 +126,6 @@ class TestRho1:
         # brute-force scan of the grid
         best = density.grid[int(np.argmax(density.values))]
         assert 400.0 <= best <= 402.0 or abs(best - 401.0) <= B / RHO1_GRID_SIZE
-
-    def test_left_edge_mode(self):
-        bounds = bounds_of(0.0, 512.0, 1024.0)
-        density = rho1(bounds, knot_mode="left_edge")
-        assert np.allclose(density.values, 1 / 512)
-        with pytest.raises(InvalidParamsError):
-            rho1(bounds, knot_mode="weird")
 
     @given(random_bounds())
     @settings(max_examples=40)

@@ -27,7 +27,7 @@ from edhsim.harness import (
     write_boundaries_csv,
 )
 from edhsim.metrics import distance_metrics
-from edhsim.histogrammer import pedh
+from edhsim.histogrammer import EdhBoundaries, pedh
 from edhsim.scene import PixelConfig, synth_scene
 from edhsim.transient import SimConfig, build_transient, sample_stream, true_quantiles
 
@@ -84,6 +84,25 @@ def reference_sweep(spec, cfg):
                      "boundary_rmse_bins": float(np.sqrt(np.mean(sq[value]))),
                      "distance_rmse_cm": report.rmse_cm})
     return rows
+
+
+def shifted_pedh_variants(shift):
+    """harness.pedh_variants with bound q//2 of every set pushed up by
+    ``shift`` and the set re-sorted; a shift of 1e4 leaves each set ending
+    past n_bins."""
+    real = harness.pedh_variants
+
+    def pedh_variants(streams, q, steps):
+        shifted = []
+        for per_stream in real(streams, q, steps):
+            shifted.append([])
+            for bounds in per_stream:
+                b = bounds.bounds.copy()
+                b[q // 2] += shift
+                shifted[-1].append(EdhBoundaries(q, np.sort(b)))
+        return shifted
+
+    return pedh_variants
 
 
 def small_config(**overrides):
@@ -248,6 +267,16 @@ class TestRunExperiment:
         assert result.summary_rows[1]["boundary_rmse_bins"] == ""
         assert [r["method"] for r in result.run_rows] == ["pedh"] * 6
 
+    def test_boundary_set_past_n_bins_is_an_error_row(self, monkeypatch):
+        monkeypatch.setattr(harness, "pedh_variants", shifted_pedh_variants(1e4))
+        result = run_experiment(small_config())
+        [failure] = result.failures
+        assert failure.startswith("pair (1.0, 1.0), pedh: boundary set ends at ")
+        assert failure.endswith(", not at n_bins=1024")
+        assert [(r["method"], r["status"]) for r in result.summary_rows] == [
+            ("oedh", "ok"), ("pedh", "error")]
+        assert [r["method"] for r in result.run_rows] == ["oedh"] * 6
+
     @pytest.mark.parametrize("block", [1, 2, 3, 64])
     def test_outputs_do_not_depend_on_the_block_size(self, monkeypatch, block):
         cfg = small_config(
@@ -379,6 +408,11 @@ class TestSweep:
         # one block of 3 pixels per run: each stream stepped once
         assert calls == ["pedh_variants"] * 2
 
+    def test_boundary_set_past_n_bins_rejected(self, monkeypatch):
+        monkeypatch.setattr(harness, "pedh_variants", shifted_pedh_variants(1e4))
+        with pytest.raises(InvalidParamsError, match="not at n_bins=1024"):
+            sweep(SweepSpec("gamma", (0.99, 1.0)), small_config(methods=("pedh",)))
+
     def test_invalid_value_rejected(self):
         cfg = small_config()
         with pytest.raises(Exception):
@@ -451,7 +485,23 @@ class TestBoundariesCsv:
         path.write_text(
             "schema_version,pixel_row,pixel_col,t_0,t_1\n1,1,1,0.0,1024.0\n"
         )
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError, match=r"missing pixels, the first \(0, 0\)"):
+            read_boundaries_csv(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_value_rejected(self, tmp_path, value):
+        path = tmp_path / "bad.csv"
+        path.write_text("schema_version,pixel_row,pixel_col,t_0,t_1,t_2\n"
+                        "1,0,0,0.0,512.0,1024.0\n"
+                        f"1,0,1,0.0,{value},1024.0\n")
+        with pytest.raises(ParseError, match=r"bad.csv: the row of pixel \(0, 1\) holds a non-finite"):
+            read_boundaries_csv(path)
+
+    def test_negative_pixel_index_rejected(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("schema_version,pixel_row,pixel_col,t_0,t_1\n"
+                        "1,0,0,0.0,1024.0\n1,-1,0,0.0,1024.0\n")
+        with pytest.raises(ParseError, match=r"negative pixel index \(-1, 0\)"):
             read_boundaries_csv(path)
 
 
