@@ -36,7 +36,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import InvalidParamsError
+from .errors import InvalidParamsError, check_int
 from .transient import PhotonStream, StreamBlock
 
 
@@ -62,22 +62,17 @@ class StepParams:
     clip: Optional[float] = None
 
     def __post_init__(self):
-        for name in ("k_pct", "gamma", "beta1", "beta2", "clip"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise InvalidParamsError(f"{name} must be finite, got {value}")
-        if not self.k_pct > 0.0:
-            raise InvalidParamsError("k_pct must be > 0")
+        if not 0.0 < self.k_pct < math.inf:
+            raise InvalidParamsError(f"k_pct must be finite and > 0, got {self.k_pct!r}")
         if not 0.0 < self.gamma <= 1.0:
-            raise InvalidParamsError("gamma must lie in (0, 1]")
+            raise InvalidParamsError(f"gamma must lie in (0, 1], got {self.gamma!r}")
         if not 0.0 <= self.beta1 < 1.0:
-            raise InvalidParamsError("beta1 must lie in [0, 1)")
+            raise InvalidParamsError(f"beta1 must lie in [0, 1), got {self.beta1!r}")
         if not 0.0 <= self.beta2 < 1.0:
-            raise InvalidParamsError("beta2 must lie in [0, 1)")
-        if self.decay_freeze_cycle < 0:
-            raise InvalidParamsError("decay_freeze_cycle must be >= 0")
-        if self.clip is not None and not self.clip > 0.0:
-            raise InvalidParamsError("clip must be > 0 when enabled")
+            raise InvalidParamsError(f"beta2 must lie in [0, 1), got {self.beta2!r}")
+        check_int("decay_freeze_cycle", self.decay_freeze_cycle, 0)
+        if self.clip is not None and not 0.0 < self.clip < math.inf:
+            raise InvalidParamsError(f"clip must be finite and > 0 when enabled, got {self.clip!r}")
 
 
 @dataclass(frozen=True)
@@ -327,12 +322,10 @@ class BinnerBank:
         targets = np.asarray(targets, dtype=np.float64)
         if targets.ndim != 1 or targets.size == 0:
             raise InvalidParamsError("need at least one target quantile")
-        if np.any(targets <= 0.0) or np.any(targets >= 1.0):
+        if not np.all((0.0 < targets) & (targets < 1.0)):
             raise InvalidParamsError("target fractions must lie in (0, 1)")
-        if not _is_positive_int(n_bins):
-            raise InvalidParamsError(f"n_bins must be a positive integer, got {n_bins!r}")
-        if not _is_positive_int(n_streams):
-            raise InvalidParamsError(f"n_streams must be a positive integer, got {n_streams!r}")
+        check_int("n_bins", n_bins, 1)
+        self.n_streams = check_int("n_streams", n_streams, 1)
         variants = (params,) if isinstance(params, StepParams) else tuple(params)
         if not variants:
             raise InvalidParamsError("need at least one step schedule")
@@ -340,7 +333,6 @@ class BinnerBank:
             _step_scale(p, n_bins)
         self.variants = variants
         self.n_bins = n_bins
-        self.n_streams = int(n_streams)
         self.targets = np.tile(targets, self.n_streams * len(variants))
         self.cvs = self.targets * n_bins
         self.smoothed_step = np.zeros_like(self.cvs)
@@ -416,7 +408,3 @@ class BinnerBank:
                 (cvs + s).clip(0.0, n_bins_f, out=cvs)
         self.n += n_cycles
         return cvs
-
-
-def _is_positive_int(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= 1

@@ -39,7 +39,7 @@ from .harness import (
     write_channel_grid,
 )
 from .histogrammer import EdhBoundaries
-from .metrics import distance_metrics
+from .metrics import DEFAULT_Z_MAX, distance_metrics
 from .scene import load_depth_map, load_grid, save_grid
 from .transient import build_transient, sample_stream
 
@@ -123,7 +123,7 @@ def _cmd_estimate(args) -> int:
 def _cmd_evaluate(args) -> int:
     truth = load_depth_map(args.truth, _fmt_of(args.truth), z_limit=float("inf"))
     est = load_grid(args.est, _fmt_of(args.est))
-    thresholds = tuple(float(p) for p in args.inliers.split(","))
+    thresholds = cfgmod.parse_numbers("--inliers", args.inliers)
     report = distance_metrics(
         est, truth.depths, thresholds=thresholds,
         z_max=args.z_max, inlier_mode="relative" if args.relative else "range",
@@ -171,7 +171,7 @@ def _fmt_num(v) -> str:
 
 def _cmd_sweep(args) -> int:
     cfg = cfgmod.load_experiment_config(args.config, seed_override=args.seed)
-    spec = SweepSpec(args.param, tuple(float(v) for v in args.values.split(",")))
+    spec = SweepSpec(args.param, cfgmod.parse_numbers("--values", args.values))
     rows = sweep(spec, cfg, out_path=args.out)
     print(f"{'value':>12}  {'boundary_rmse_bins':>20}  {'distance_rmse_cm':>18}")
     for row in rows:
@@ -230,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--est", required=True)
     p.add_argument("--inliers", default="2,10", help="comma-separated inlier percentages")
     p.add_argument("--relative", action="store_true", help="inlier threshold relative to true depth")
-    p.add_argument("--z-max", type=float, default=None)
+    p.add_argument("--z-max", type=float, default=DEFAULT_Z_MAX)
     p.add_argument("--out", default=None, help="optional metrics CSV")
     p.set_defaults(func=_cmd_evaluate)
 
@@ -256,10 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "z_max", None) is None and args.command == "evaluate":
-        from .metrics import DEFAULT_Z_MAX
-
-        args.z_max = DEFAULT_Z_MAX
     try:
         return args.func(args)
     except EdhsimError as exc:

@@ -83,17 +83,29 @@ def get_int(conf, key, default):
         raise ParseError(f"{key} must be an integer, got {conf[key]!r}") from None
 
 
-def get_float(conf, key, default):
+def _number(name: str, text: str) -> float:
     try:
-        return float(conf[key]) if key in conf else default
+        return float(text)
     except ValueError:
-        raise ParseError(f"{key} must be a number, got {conf[key]!r}") from None
+        raise ParseError(f"{name} must be a number, got {text!r}") from None
+
+
+def get_float(conf, key, default):
+    return _number(key, conf[key]) if key in conf else default
+
+
+def _entries(text: str) -> tuple[str, ...]:
+    return tuple(tok.strip() for tok in text.split(",") if tok.strip())
 
 
 def get_list(conf, key, default):
-    if key not in conf:
-        return default
-    return tuple(tok.strip() for tok in conf[key].split(",") if tok.strip())
+    return _entries(conf[key]) if key in conf else default
+
+
+def parse_numbers(name: str, text: str) -> tuple[float, ...]:
+    """The comma-separated numbers (empty entries skipped) of config key or
+    CLI flag ``name``; the ParseError for an entry that is not one names it."""
+    return tuple(_number(f"each entry of {name}", tok) for tok in _entries(text))
 
 
 def _settings(conf: dict, prefix: str, defaults: dict) -> dict:
@@ -147,11 +159,7 @@ def _parse_pairs(conf: dict) -> tuple[tuple[float, float], ...]:
     for tok in raw:
         if ":" not in tok:
             raise ParseError(f"experiment.pairs entries must be 'sig:bkg', got {tok!r}")
-        sig, bkg = tok.split(":", 1)
-        try:
-            pairs.append((float(sig), float(bkg)))
-        except ValueError:
-            raise ParseError(f"bad photon pair {tok!r}") from None
+        pairs.append(tuple(_number(f"each side of the pair {tok!r}", x) for x in tok.split(":", 1)))
     return tuple(pairs)
 
 
@@ -159,13 +167,8 @@ def resolve_seed(conf: dict, override: Optional[int] = None) -> int:
     """Seed precedence: explicit override > EDH_SEED env > config > 0."""
     if override is not None:
         return int(override)
-    env = os.environ.get("EDH_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ParseError(f"EDH_SEED must be an integer, got {env!r}") from None
-    return get_int(conf, "experiment.seed", ExperimentConfig.global_seed)
+    env = get_int(os.environ, "EDH_SEED", None)
+    return env if env is not None else get_int(conf, "experiment.seed", ExperimentConfig.global_seed)
 
 
 def build_experiment_config(
@@ -174,8 +177,7 @@ def build_experiment_config(
     seed_override: Optional[int] = None,
 ) -> ExperimentConfig:
     sim = build_sim_config(conf)
-    inliers = tuple(float(p) for p in get_list(conf, "experiment.inliers",
-                                                   ExperimentConfig.inlier_thresholds))
+    inliers = conf.get("experiment.inliers")
     out = out_dir if out_dir is not None else conf.get("experiment.out_dir")
     return ExperimentConfig(
         scene=build_scene(conf, sim),
@@ -190,7 +192,8 @@ def build_experiment_config(
         n_monte_carlo=get_int(conf, "experiment.n_monte_carlo", ExperimentConfig.n_monte_carlo),
         global_seed=resolve_seed(conf, seed_override),
         out_dir=Path(out) if out is not None else None,
-        inlier_thresholds=inliers,
+        inlier_thresholds=(ExperimentConfig.inlier_thresholds if inliers is None
+                           else parse_numbers("experiment.inliers", inliers)),
     )
 
 

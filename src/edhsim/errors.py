@@ -1,4 +1,6 @@
-"""Exception types raised across the package."""
+"""Exception types raised across the package, and the one integer rule."""
+
+from numbers import Integral
 
 
 class EdhsimError(Exception):
@@ -10,20 +12,24 @@ class ParseError(EdhsimError):
 
 
 class DepthOutOfRangeError(EdhsimError):
-    """A depth value lies outside the valid (0, z_limit] range."""
+    """A depth value is not finite or lies outside the valid (0, z_limit] range."""
 
-    def __init__(self, value, limit=None):
-        if limit is None:
-            msg = f"depth {value!r} m must be positive and finite"
-        else:
-            msg = f"depth {value!r} m outside (0, {limit!r}] m"
-        super().__init__(msg)
+    def __init__(self, value, limit):
+        super().__init__(f"depth must be finite and in (0, {limit!r}] m, got {value!r} m")
         self.value = value
         self.limit = limit
 
 
 class InvalidParamsError(EdhsimError):
     """Parameters violate a documented precondition."""
+
+
+def check_int(name: str, value, least: int, error: type[EdhsimError] = InvalidParamsError) -> int:
+    """``value`` as a Python int. Raises ``error`` unless it is an integer
+    (a numpy integer is, a bool or a float is not) >= ``least``."""
+    if not isinstance(value, Integral) or isinstance(value, bool) or value < least:
+        raise error(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
 
 
 class DistanceExceedsRangeError(EdhsimError):

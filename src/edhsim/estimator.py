@@ -59,8 +59,8 @@ class DensityEstimate:
         v = np.ascontiguousarray(np.asarray(self.values, dtype=np.float64))
         if g.shape != (RHO1_GRID_SIZE,) or v.shape != (RHO1_GRID_SIZE,):
             raise InvalidParamsError(f"grid and values must have length {RHO1_GRID_SIZE}")
-        if np.any(v < 0.0):
-            raise InvalidParamsError("density values must be >= 0")
+        if not np.all((0.0 <= v) & (v < np.inf)):
+            raise InvalidParamsError("density values must be finite and >= 0")
         g.setflags(write=False)
         v.setflags(write=False)
         object.__setattr__(self, "grid", g)
@@ -83,7 +83,7 @@ class DistanceMap:
         d = np.ascontiguousarray(np.asarray(self.depths, dtype=np.float64))
         if d.ndim != 2:
             raise InvalidParamsError("distance map must be 2-d")
-        if np.any(d < 0.0) or not np.all(np.isfinite(d)):
+        if not np.all((0.0 <= d) & (d < np.inf)):
             raise InvalidParamsError("distances must be finite and >= 0")
         d.setflags(write=False)
         object.__setattr__(self, "depths", d)

@@ -26,7 +26,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .binner import StepParams, check_fixed_step_size, run_fixed, run_optimized
-from .errors import EdhsimError, InvalidParamsError, ParseError, SweepValueError
+from .errors import EdhsimError, InvalidParamsError, ParseError, SweepValueError, check_int
 from .estimator import (
     RHO1_GRID_SIZE,
     bin_to_distance,
@@ -38,7 +38,7 @@ from .estimator import (
 # every pedh run here goes through pedh_variants; pedh stays importable as
 # harness.pedh, where the benchmark's checks and spans (perfbench/) patch it
 from .histogrammer import EdhBoundaries, EwHistogram, ewh, hedh, oedh, pedh, pedh_variants  # noqa: F401
-from .metrics import boundary_rmse, distance_metrics
+from .metrics import boundary_rmse, check_metric_limits, distance_metrics
 from .scene import PixelConfig, Scene, save_depth_map
 from .transient import PhotonStream, SimConfig, build_transient, sample_stream, true_quantiles
 
@@ -201,15 +201,13 @@ class ExperimentConfig:
                 raise InvalidParamsError(f"{m}: bin count must lie in [1, {self.sim.n_bins}]")
         if not conditions(self.methods, self.estimators):
             raise InvalidParamsError("no listed estimator reads what a listed method produces")
-        if self.n_monte_carlo < 1:
-            raise InvalidParamsError("n_monte_carlo must be >= 1")
-        if self.global_seed < 0:
-            raise InvalidParamsError("global_seed must be >= 0")
-        if self.q < 2:
-            raise InvalidParamsError("q must be >= 2")
+        check_int("n_monte_carlo", self.n_monte_carlo, 1)
+        check_int("global_seed", self.global_seed, 0)
+        check_int("q", self.q, 2)
         if "hedh" in self.methods and self.q & (self.q - 1):
             raise InvalidParamsError(f"hedh requires a power-of-two q, got {self.q}")
         check_fixed_step_size(self.fixed_step_size)
+        check_metric_limits(self.inlier_thresholds, self.sim.z_max)
         if not self.pairs:
             raise InvalidParamsError("need at least one (phi_sig, phi_bkg) pair")
         if self.step.decay_freeze_cycle > self.sim.n_cycles:
@@ -405,8 +403,12 @@ def median_tracking_experiment(
     fed to both stepping strategies; the error is the final CV minus the
     population median of the transient. Returns
     ``{(strategy, bkg): rmse_bins}`` and optionally writes a CSV table with
-    one row per strategy and one column per background level.
+    one row per strategy and one column per background level. Empty
+    ``bkg_levels`` or ``distances`` raise :class:`InvalidParamsError`.
     """
+    if len(bkg_levels) == 0 or len(distances) == 0:
+        raise InvalidParamsError("need at least one background level and one distance")
+    check_int("n_seeds", n_seeds, 1)
     sq_err = {("fixed", b): [] for b in bkg_levels}
     sq_err.update({("optimized", b): [] for b in bkg_levels})
     for bkg_idx, bkg in enumerate(bkg_levels):
@@ -599,7 +601,8 @@ def write_boundaries_csv(path, grid: np.ndarray) -> None:
 
 
 def read_boundaries_csv(path) -> np.ndarray:
-    """Read a boundary grid written by :func:`write_boundaries_csv`."""
+    """Read a boundary grid written by :func:`write_boundaries_csv`; every
+    pixel must have exactly one row."""
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         t_cols = sorted(
@@ -626,6 +629,8 @@ def read_boundaries_csv(path) -> np.ndarray:
     for r, c, vals in entries:
         if r < 0 or c < 0:
             raise ParseError(f"{path}: bad row: negative pixel index ({r}, {c})")
+        if filled[r, c]:
+            raise ParseError(f"{path}: pixel ({r}, {c}) has more than one row")
         if not np.all(np.isfinite(vals)):
             raise ParseError(f"{path}: the row of pixel ({r}, {c}) holds a non-finite value")
         arr[r, c, :] = vals

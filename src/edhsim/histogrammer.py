@@ -31,6 +31,7 @@ from .errors import (
     InvalidParamsError,
     PowerOfTwoError,
     TooFewPhotonsError,
+    check_int,
 )
 from .transient import PhotonStream, StreamBlock
 
@@ -44,7 +45,7 @@ class EdhBoundaries:
 
     def __post_init__(self):
         b = np.ascontiguousarray(np.asarray(self.bounds, dtype=np.float64))
-        object.__setattr__(self, "q", _check_q(self.q, 1))
+        object.__setattr__(self, "q", check_int("q", self.q, 1))
         if b.shape != (self.q + 1,):
             raise InvalidParamsError(f"need q+1={self.q + 1} boundaries, got {b.shape}")
         if not np.all(np.isfinite(b)):
@@ -77,7 +78,7 @@ class EwHistogram:
         c = np.ascontiguousarray(np.asarray(self.counts))
         if c.ndim != 1:
             raise InvalidParamsError("histogram counts must be 1-d")
-        if c.size and (np.any(c < 0) or not np.all(np.isfinite(c.astype(np.float64)))):
+        if not np.all((0 <= c) & (c < np.inf)):
             raise InvalidParamsError("histogram counts must be finite and >= 0")
         c.setflags(write=False)
         object.__setattr__(self, "counts", c)
@@ -91,14 +92,6 @@ class EwHistogram:
         return self.span / self.bin_count
 
 
-def _check_q(q: int, least: int) -> int:
-    """A bin count q as a Python int; rejects one that is not an integer
-    >= ``least``."""
-    if not isinstance(q, (int, np.integer)) or isinstance(q, bool) or q < least:
-        raise InvalidParamsError(f"q must be an integer >= {least}, got {q!r}")
-    return int(q)
-
-
 def oedh(stream: PhotonStream, q: int) -> EdhBoundaries:
     """Exact empirical quantile boundaries from the pooled timestamps.
 
@@ -109,7 +102,7 @@ def oedh(stream: PhotonStream, q: int) -> EdhBoundaries:
     Raises:
         TooFewPhotonsError: if the stream pooled fewer than q photons.
     """
-    q = _check_q(q, 1)
+    q = check_int("q", q, 1)
     pooled = stream.pooled()
     n = pooled.size
     if n < q:
@@ -153,7 +146,7 @@ def pedh_variants(
         InvalidParamsError: if the block is empty or its streams differ in
             ``n_cycles`` or ``n_bins``.
     """
-    q = _check_q(q, 2)
+    q = check_int("q", q, 2)
     block = StreamBlock(streams)
     targets = np.arange(1, q, dtype=np.float64) / q
     bank = BinnerBank(targets, steps, block.n_bins, n_streams=len(block))
@@ -177,7 +170,7 @@ def hedh(stream: PhotonStream, q: int, fixed_step_size: float = 1.0) -> EdhBound
     Raises:
         PowerOfTwoError: if q is not a power of two.
     """
-    q = _check_q(q, 1)
+    q = check_int("q", q, 1)
     if q < 2 or q & (q - 1):
         raise PowerOfTwoError(f"hedh requires a power-of-two q, got {q}")
     n_levels = q.bit_length() - 1
@@ -195,10 +188,10 @@ def ewh(stream: PhotonStream, bin_count: int) -> EwHistogram:
     """Equi-width photon-count histogram over the pooled stream.
 
     Raises:
-        BinCountError: unless 1 <= bin_count <= n_bins.
+        BinCountError: unless bin_count is an integer in [1, n_bins].
     """
-    if not isinstance(bin_count, (int, np.integer)) or not 1 <= bin_count <= stream.n_bins:
-        raise BinCountError(f"bin_count must be an integer in [1, {stream.n_bins}], got {bin_count}")
+    if check_int("bin_count", bin_count, 1, BinCountError) > stream.n_bins:
+        raise BinCountError(f"bin_count must be at most n_bins={stream.n_bins}, got {bin_count}")
     width = stream.n_bins / bin_count
     idx = (stream.timestamps // width).astype(np.int64)
     np.clip(idx, 0, bin_count - 1, out=idx)

@@ -8,6 +8,7 @@ alternative ``"relative"`` mode uses p% of each pixel's true depth.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -52,6 +53,16 @@ def _as_grid(x: GridLike) -> np.ndarray:
     return np.asarray(x)
 
 
+def check_metric_limits(thresholds: Sequence[float], z_max: float) -> None:
+    """Reject a ``z_max`` that is not finite and > 0, or an inlier threshold
+    (a percentage) that is not finite and >= 0."""
+    if not 0.0 < z_max < math.inf:
+        raise InvalidParamsError(f"z_max must be finite and > 0, got {z_max!r}")
+    for p in thresholds:
+        if not 0.0 <= p < math.inf:
+            raise InvalidParamsError(f"inlier thresholds must be finite and >= 0, got {p!r}")
+
+
 def distance_metrics(
     est: GridLike,
     truth: GridLike,
@@ -63,6 +74,7 @@ def distance_metrics(
 
     Raises:
         ShapeMismatchError: if the two grids differ in shape.
+        InvalidParamsError: if :func:`check_metric_limits` rejects the limits.
     """
     est_arr = np.asarray(_as_grid(est), dtype=np.float64)
     truth_arr = np.asarray(_as_grid(truth), dtype=np.float64)
@@ -70,6 +82,7 @@ def distance_metrics(
         raise ShapeMismatchError(f"estimate {est_arr.shape} vs truth {truth_arr.shape}")
     if inlier_mode not in ("range", "relative"):
         raise InvalidParamsError(f"inlier_mode must be 'range' or 'relative', got {inlier_mode!r}")
+    check_metric_limits(thresholds, z_max)
 
     err_cm = (est_arr - truth_arr).ravel() * 100.0
     abs_err = np.abs(err_cm)

@@ -14,6 +14,7 @@ is bit-exact.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -21,7 +22,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import DepthOutOfRangeError, InvalidParamsError, ParseError
+from .errors import DepthOutOfRangeError, InvalidParamsError, ParseError, check_int
 from .transient import SimConfig
 
 DEFAULT_Z_LIMIT = SimConfig().z_max
@@ -40,9 +41,7 @@ class DepthMap:
         d = np.ascontiguousarray(np.asarray(self.depths, dtype=np.float32))
         if d.ndim != 2 or d.size == 0:
             raise InvalidParamsError("depth grid must be a non-empty 2-d array")
-        if not np.all(np.isfinite(d)) or np.any(d <= 0.0):
-            bad = d[~np.isfinite(d) | (d <= 0.0)].flat[0]
-            raise DepthOutOfRangeError(float(bad))
+        check_depth_range(d, math.inf)
         d.setflags(write=False)
         object.__setattr__(self, "depths", d)
 
@@ -56,9 +55,9 @@ class DepthMap:
 
 
 def check_depth_range(depths: np.ndarray, z_limit: float) -> None:
-    """Reject depths outside (0, z_limit]."""
+    """Reject depths that are not finite or lie outside (0, z_limit]."""
     arr = np.asarray(depths, dtype=np.float64)
-    bad = ~np.isfinite(arr) | (arr <= 0.0) | (arr > z_limit)
+    bad = ~(np.isfinite(arr) & (0.0 < arr) & (arr <= z_limit))
     if np.any(bad):
         raise DepthOutOfRangeError(float(arr[bad].flat[0]), z_limit)
 
@@ -76,10 +75,10 @@ class PixelConfig:
     phi_bkg: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.z) and self.z > 0.0):
+        if not 0.0 < self.z < math.inf:
             raise InvalidParamsError(f"pixel distance must be positive, got {self.z}")
         for name, v in (("phi_sig", self.phi_sig), ("phi_bkg", self.phi_bkg)):
-            if not (np.isfinite(v) and v >= 0.0):
+            if not 0.0 <= v < math.inf:
                 raise InvalidParamsError(f"{name} must be finite and >= 0, got {v}")
         if self.phi_sig == 0.0 and self.phi_bkg == 0.0:
             raise InvalidParamsError("phi_sig and phi_bkg cannot both be zero")
@@ -105,7 +104,7 @@ class Scene:
                 raise InvalidParamsError(
                     f"{name} grid does not match the {shape[1]}x{shape[0]} depth map"
                 ) from None
-            if np.any(arr < 0.0) or not np.all(np.isfinite(arr)):
+            if not np.all((0.0 <= arr) & (arr < np.inf)):
                 raise InvalidParamsError(f"{name} grid must be finite and >= 0")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -247,8 +246,8 @@ def constant_scene(
     z_limit: float = DEFAULT_Z_LIMIT,
 ) -> Scene:
     """All pixels at the same distance with the same photon levels."""
-    if width < 1 or height < 1:
-        raise InvalidParamsError("scene dimensions must be >= 1")
+    check_int("width", width, 1)
+    check_int("height", height, 1)
     check_depth_range(np.array([z]), z_limit)
     grid = np.full((height, width), z, dtype=np.float32)
     return Scene.uniform(DepthMap(grid), phi_sig, phi_bkg, label=f"constant_{z:g}m")
@@ -268,8 +267,8 @@ def staircase_scene(
 
     Each step occupies ``step_width`` columns; the map has ``height`` rows.
     """
-    if n_steps < 1 or step_width < 1 or height < 1:
-        raise InvalidParamsError("n_steps, step_width and height must be >= 1")
+    for name, value in (("n_steps", n_steps), ("step_width", step_width), ("height", height)):
+        check_int(name, value, 1)
     if not z_min <= z_max:
         raise InvalidParamsError("need z_min <= z_max")
     check_depth_range(np.array([z_min, z_max]), z_limit)
@@ -289,8 +288,8 @@ def two_plane_scene(
     z_limit: float = DEFAULT_Z_LIMIT,
 ) -> Scene:
     """Two fronto-parallel planes split at column width // 2."""
-    if width < 2 or height < 1:
-        raise InvalidParamsError("two-plane scene needs width >= 2 and height >= 1")
+    check_int("width", width, 2)
+    check_int("height", height, 1)
     check_depth_range(np.array([z_left, z_right]), z_limit)
     grid = np.empty((height, width), dtype=np.float32)
     split = width // 2

@@ -27,6 +27,7 @@ from .errors import (
     DistanceExceedsRangeError,
     InvalidParamsError,
     ZeroBackgroundError,
+    check_int,
 )
 
 if TYPE_CHECKING:
@@ -57,20 +58,14 @@ class SimConfig:
     c: float = SPEED_OF_LIGHT
 
     def __post_init__(self):
-        for name in ("n_bins", "n_cycles"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-                raise InvalidParamsError(f"{name} must be an integer, got {value!r}")
-        if self.n_bins < 2:
-            raise InvalidParamsError("n_bins must be >= 2")
-        if not self.rep_period > 0.0:
-            raise InvalidParamsError("rep_period must be positive")
+        check_int("n_bins", self.n_bins, 2)
+        check_int("n_cycles", self.n_cycles, 1)
+        if not 0.0 < self.rep_period < math.inf:
+            raise InvalidParamsError(f"rep_period must be finite and > 0, got {self.rep_period!r}")
         if not 0.0 < self.fwhm < self.rep_period:
             raise InvalidParamsError("fwhm must lie in (0, rep_period)")
-        if self.n_cycles < 1:
-            raise InvalidParamsError("n_cycles must be >= 1")
-        if not self.c > 0.0:
-            raise InvalidParamsError("c must be positive")
+        if not 0.0 < self.c < math.inf:
+            raise InvalidParamsError(f"c must be finite and > 0, got {self.c!r}")
 
     @property
     def dt(self) -> float:
@@ -101,7 +96,7 @@ class Transient:
             raise InvalidParamsError(
                 f"transient must have shape ({self.config.n_bins},), got {vals.shape}"
             )
-        if np.any(vals < 0.0) or not np.all(np.isfinite(vals)):
+        if not np.all((0.0 <= vals) & (vals < np.inf)):
             raise InvalidParamsError("transient values must be finite and >= 0")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
@@ -154,7 +149,7 @@ def true_quantiles(transient: Transient, fracs: Sequence[float]) -> np.ndarray:
     with knots at integer bin edges; quantiles follow by exact inversion.
     """
     fr = np.asarray(fracs, dtype=np.float64)
-    if np.any(fr <= 0.0) or np.any(fr >= 1.0):
+    if not np.all((0.0 < fr) & (fr < 1.0)):
         raise InvalidParamsError("quantile fractions must lie in (0, 1)")
     cum = np.concatenate(([0.0], np.cumsum(transient.values)))
     total = cum[-1]
@@ -184,6 +179,7 @@ class PhotonStream:
     seed: object = None
 
     def __post_init__(self):
+        check_int("n_bins", self.n_bins, 1)
         ts = np.ascontiguousarray(np.asarray(self.timestamps, dtype=np.float64))
         off = np.ascontiguousarray(np.asarray(self.cycle_offsets, dtype=np.int64))
         if off.ndim != 1 or off.size < 2 or off[0] != 0 or off[-1] != ts.size:
@@ -295,8 +291,7 @@ def sample_stream(transient: Transient, n_cycles: int, seed) -> PhotonStream:
     in bulk for speed. Identical ``(transient, n_cycles, seed)`` always
     reproduces the identical stream.
     """
-    if n_cycles < 1:
-        raise InvalidParamsError("n_cycles must be >= 1")
+    check_int("n_cycles", n_cycles, 1)
     cfg = transient.config
     rng = np.random.default_rng(seed)
     cum = np.cumsum(transient.values)

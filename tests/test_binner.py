@@ -40,7 +40,8 @@ class TestStepParams:
     @pytest.mark.parametrize(
         "kwargs",
         [dict(gamma=0.0), dict(gamma=1.1), dict(beta1=1.0), dict(beta2=-0.1),
-         dict(k_pct=0.0), dict(decay_freeze_cycle=-1), dict(clip=0.0)],
+         dict(k_pct=0.0), dict(decay_freeze_cycle=-1), dict(clip=0.0),
+         dict(decay_freeze_cycle=2.5), dict(decay_freeze_cycle=True)],
     )
     def test_validation(self, kwargs):
         with pytest.raises(InvalidParamsError):
@@ -416,7 +417,7 @@ class TestBankStreams:
 class TestBankValidation:
     @pytest.mark.parametrize("n_streams", [0, -1, 2.0, True])
     def test_n_streams_must_be_positive_integer(self, n_streams):
-        with pytest.raises(InvalidParamsError, match="n_streams must be a positive integer"):
+        with pytest.raises(InvalidParamsError, match="n_streams must be an integer >= 1"):
             BinnerBank([0.5], StepParams(), 8, n_streams=n_streams)
 
     def test_block_size_must_match_bank(self):
@@ -429,8 +430,13 @@ class TestBankValidation:
 
     @pytest.mark.parametrize("n_bins", [0, -4, 8.5, True])
     def test_n_bins_must_be_positive_integer(self, n_bins):
-        with pytest.raises(InvalidParamsError, match="n_bins must be a positive integer"):
+        with pytest.raises(InvalidParamsError, match="n_bins must be an integer >= 1"):
             BinnerBank([0.5], StepParams(), n_bins)
+
+    @pytest.mark.parametrize("targets", [[np.nan, 0.5], [0.5, np.nan]])
+    def test_targets_must_lie_in_open_unit_interval(self, targets):
+        with pytest.raises(InvalidParamsError, match=r"target fractions must lie in \(0, 1\)"):
+            BinnerBank(targets, StepParams(), 8)
 
     def test_stream_n_bins_must_match(self):
         bank = BinnerBank([0.5], StepParams(), 8)

@@ -208,6 +208,31 @@ def test_error_reporting(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, conf_line", [
+    (["evaluate", "--inliers", "2,x"], ""),
+    (["evaluate", "--inliers", "nan"], ""),
+    (["evaluate", "--z-max", "nan"], ""),
+    (["evaluate", "--z-max", "0"], ""),
+    (["sweep", "--param", "gamma", "--values", "0.99,abc"], ""),
+    (["sweep", "--param", "gamma", "--values", ","], ""),
+    (["experiment"], "experiment.inliers = 2,x"),
+    (["experiment"], "experiment.inliers = nan"),
+])
+def test_bad_number_list_or_metric_limit_exits_2(conf, tmp_path, capsys, argv, conf_line):
+    # each is refused before any work, with one error line and no traceback
+    if argv[0] == "evaluate":
+        truth = tmp_path / "truth.csv"
+        truth.write_text("3.0,9.0\n")
+        argv = argv + ["--truth", str(truth), "--est", str(truth)]
+    else:
+        conf.write_text(conf.read_text() + conf_line + "\n")
+        argv = argv + ["--config", str(conf)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("end", [400.0, 5000.0])
 def test_estimate_rejects_bounds_not_ending_at_n_bins(conf, tmp_path, capsys, end):
     # the config has 1,024 bins; a row ending anywhere else would give a

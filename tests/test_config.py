@@ -143,6 +143,7 @@ def test_every_experiment_key(tmp_path):
     ("experiment.q = 3.5", "experiment.q must be an integer, got '3.5'"),
     ("experiment.fixed_step_size = big", "experiment.fixed_step_size must be a number, got 'big'"),
     ("experiment.n_monte_carlo = many", "experiment.n_monte_carlo must be an integer, got 'many'"),
+    ("experiment.inliers = 2, x", "each entry of experiment.inliers must be a number, got 'x'"),
 ])
 def test_bad_values_are_named(tmp_path, line, message):
     with pytest.raises(ParseError) as exc:

@@ -224,6 +224,11 @@ class TestRunExperiment:
             small_config(n_monte_carlo=0)
         with pytest.raises(InvalidParamsError):
             small_config(step=StepParams())  # freeze cycle beyond n_cycles
+        for bad in (dict(q=8.0), dict(n_monte_carlo=1.5), dict(global_seed=1.5),
+                    dict(inlier_thresholds=(2.0, float("nan"))),
+                    dict(inlier_thresholds=(float("inf"),)), dict(inlier_thresholds=(-1.0,))):
+            with pytest.raises(InvalidParamsError):
+                small_config(**bad)
 
 
     def test_failing_method_keeps_the_other_methods_rows(self, tmp_path):
@@ -382,6 +387,15 @@ class TestMedianTracking:
         assert [r["strategy"] for r in rows] == ["fixed", "optimized"]
         assert set(rows[0]) == {"schema_version", "strategy", "bkg_0.5", "bkg_2"}
 
+    @pytest.mark.parametrize("bad", [
+        dict(n_seeds=0), dict(n_seeds=1.5), dict(bkg_levels=[]), dict(distances=[]),
+    ])
+    def test_validation(self, bad):
+        args = dict(bkg_levels=[0.5], distances=[3.0], phi_sig=1.0, n_seeds=1,
+                    sim=SIM_SMALL, step=STEP_SMALL)
+        with pytest.raises(InvalidParamsError):
+            median_tracking_experiment(**{**args, **bad})
+
 
 class TestSweep:
     def test_single_value_sweep_matches_experiment(self, tmp_path):
@@ -502,6 +516,14 @@ class TestBoundariesCsv:
         path.write_text("schema_version,pixel_row,pixel_col,t_0,t_1\n"
                         "1,0,0,0.0,1024.0\n1,-1,0,0.0,1024.0\n")
         with pytest.raises(ParseError, match=r"negative pixel index \(-1, 0\)"):
+            read_boundaries_csv(path)
+
+    def test_duplicate_pixel_rejected(self, tmp_path):
+        # two rows for one pixel: neither may silently win
+        path = tmp_path / "bad.csv"
+        path.write_text("schema_version,pixel_row,pixel_col,t_0,t_1,t_2\n"
+                        "1,0,0,0.0,100.0,1024.0\n1,0,0,0.0,900.0,1024.0\n")
+        with pytest.raises(ParseError, match=r"bad.csv: pixel \(0, 0\) has more than one row"):
             read_boundaries_csv(path)
 
 

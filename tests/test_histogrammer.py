@@ -12,7 +12,8 @@ from edhsim.errors import (
 )
 from edhsim.histogrammer import EdhBoundaries, ewh, hedh, oedh, pedh, pedh_variants
 from edhsim.metrics import boundary_rmse
-from edhsim.scene import PixelConfig
+from edhsim.harness import ExperimentConfig
+from edhsim.scene import PixelConfig, constant_scene
 from edhsim.transient import PhotonStream, SimConfig, build_transient, sample_stream
 
 SIM = SimConfig()
@@ -254,7 +255,8 @@ class TestQMustBeInteger:
         lambda s, q: pedh(s, q),
         lambda s, q: pedh_variants([s], q, [StepParams()]),
         lambda s, q: hedh(s, q),
-    ], ids=["oedh", "pedh", "pedh_variants", "hedh"])
+        lambda s, q: ExperimentConfig(constant_scene(1.0, 1.0), q=q),
+    ], ids=["oedh", "pedh", "pedh_variants", "hedh", "ExperimentConfig"])
     @pytest.mark.parametrize("q", [4.0, 2.5, "4", True])
     def test_non_integer_q_rejected(self, build, q):
         with pytest.raises(InvalidParamsError, match="q must be an integer"):
@@ -362,6 +364,8 @@ class TestEwh:
             ewh(stream, 0)
         with pytest.raises(BinCountError):
             ewh(stream, B + 1)
+        with pytest.raises(BinCountError):
+            ewh(stream, True)
 
 
 class TestEwhRefinement:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edhsim.errors import QuantileMismatchError, ShapeMismatchError
+from edhsim.errors import InvalidParamsError, QuantileMismatchError, ShapeMismatchError
 from edhsim.histogrammer import EdhBoundaries
 from edhsim.metrics import DEFAULT_Z_MAX, boundary_rmse, distance_metrics
 
@@ -15,6 +15,15 @@ class TestDistanceMetrics:
         assert report.rmse_cm == 0.0 and report.mae_cm == 0.0
         assert all(v == 100.0 for v in report.inlier_pct.values())
         assert report.n_pixels == 4
+
+    @pytest.mark.parametrize("bad", [
+        dict(z_max=np.nan), dict(z_max=np.inf), dict(z_max=0.0), dict(z_max=-1.0),
+        dict(thresholds=(2.0, np.nan)), dict(thresholds=(np.inf,)), dict(thresholds=(-1.0,)),
+    ])
+    def test_metric_limits_validated(self, bad):
+        truth = np.array([[1.0, 5.0]])
+        with pytest.raises(InvalidParamsError):
+            distance_metrics(truth.copy(), truth, **bad)
 
     def test_single_pixel_ten_cm_error(self):
         report = distance_metrics(np.array([[10.1]]), np.array([[10.0]]))

@@ -7,6 +7,7 @@ from edhsim.scene import (
     DepthMap,
     PixelConfig,
     Scene,
+    constant_scene,
     load_depth_map,
     load_grid,
     save_depth_map,
@@ -145,6 +146,8 @@ class TestSynthScenes:
     def test_invalid_params(self):
         with pytest.raises(InvalidParamsError):
             synth_scene("staircase", n_steps=0, z_min=1.0, z_max=2.0, phi_sig=1.0, phi_bkg=1.0)
+        with pytest.raises(InvalidParamsError, match="width must be an integer >= 1, got 2.5"):
+            constant_scene(1.0, 1.0, width=2.5)
         with pytest.raises(DepthOutOfRangeError):
             synth_scene("constant", z=99.0, width=1, height=1, phi_sig=1.0, phi_bkg=1.0)
         with pytest.raises(InvalidParamsError):

@@ -42,6 +42,10 @@ class TestSimConfig:
             SimConfig(fwhm=200e-9)
         with pytest.raises(InvalidParamsError):
             SimConfig(n_cycles=0)
+        with pytest.raises(InvalidParamsError):
+            SimConfig(c=np.inf)
+        with pytest.raises(InvalidParamsError):
+            SimConfig(rep_period=np.inf)
 
     @pytest.mark.parametrize(
         "kwargs", [dict(n_bins=1024.5), dict(n_bins=1024.0), dict(n_cycles=5000.5), dict(n_cycles="5000")]
@@ -215,6 +219,11 @@ class TestPhotonStream:
         with pytest.raises(InvalidParamsError):
             PhotonStream.from_cycles([np.array([1.0, np.nan])], 1024)
 
+    @pytest.mark.parametrize("n_bins", [8.5, True])
+    def test_n_bins_must_be_an_integer(self, n_bins):
+        with pytest.raises(InvalidParamsError, match="n_bins must be an integer >= 1"):
+            PhotonStream.from_cycles([np.array([0.5])], n_bins)
+
 
 class TestTrueQuantiles:
     def test_flat_background_quantiles(self):
@@ -243,3 +252,5 @@ class TestTrueQuantiles:
             true_quantiles(tr, [0.0])
         with pytest.raises(InvalidParamsError):
             true_quantiles(tr, [1.0])
+        with pytest.raises(InvalidParamsError):
+            true_quantiles(tr, [np.nan])
