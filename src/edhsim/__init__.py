@@ -23,7 +23,6 @@ from .binner import (
 from .errors import EdhsimError
 from .estimator import (
     DensityEstimate,
-    DistanceMap,
     bin_to_distance,
     distance_to_bin,
     ewh_peak,
@@ -47,7 +46,6 @@ from .scene import (
     PixelConfig,
     Scene,
     load_depth_map,
-    save_depth_map,
     synth_scene,
 )
 from .transient import (
@@ -56,9 +54,7 @@ from .transient import (
     StreamBlock,
     Transient,
     build_transient,
-    sample_cycle,
     sample_stream,
-    sbr,
     true_quantiles,
 )
 
@@ -68,14 +64,14 @@ __all__ = [
     "BinnerBank", "BinnerState", "CycleObservation", "StepParams",
     "delta", "fixed_step", "observe", "optimized_step", "run_fixed", "run_optimized",
     "EdhsimError",
-    "DensityEstimate", "DistanceMap", "bin_to_distance", "distance_to_bin",
+    "DensityEstimate", "bin_to_distance", "distance_to_bin",
     "ewh_peak", "rho0", "rho1", "t0_hat", "t1_hat",
     "ExperimentConfig", "SweepSpec", "export_density_features",
     "median_tracking_experiment", "run_experiment", "sweep",
     "EdhBoundaries", "EwHistogram", "ewh", "hedh", "oedh", "pedh", "pedh_variants",
     "MetricsReport", "boundary_rmse", "distance_metrics",
-    "DepthMap", "PixelConfig", "Scene", "load_depth_map", "save_depth_map", "synth_scene",
+    "DepthMap", "PixelConfig", "Scene", "load_depth_map", "synth_scene",
     "PhotonStream", "SimConfig", "StreamBlock", "Transient", "build_transient",
-    "sample_cycle", "sample_stream", "sbr", "true_quantiles",
+    "sample_stream", "true_quantiles",
     "__version__",
 ]

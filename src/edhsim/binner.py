@@ -86,10 +86,6 @@ class CycleObservation:
         if self.early < 0 or self.late < 0:
             raise InvalidParamsError("photon counts cannot be negative")
 
-    @property
-    def total(self) -> int:
-        return self.early + self.late
-
 
 def observe(cv: float, cycle_timestamps) -> CycleObservation:
     """Split one cycle's sorted timestamps at the CV.

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import config as cfgmod
 from .errors import EdhsimError, InvalidParamsError
-from .estimator import DistanceMap, bin_to_distance
+from .estimator import bin_to_distance
 from .harness import (
     EDH_METHODS,
     ESTIMATORS,
@@ -37,11 +37,12 @@ from .harness import (
     sweep,
     write_boundaries_csv,
     write_channel_grid,
+    write_csv,
 )
 from .histogrammer import EdhBoundaries
-from .metrics import DEFAULT_Z_MAX, distance_metrics
+from .metrics import distance_metrics
 from .scene import load_depth_map, load_grid, save_grid
-from .transient import build_transient, sample_stream
+from .transient import DEFAULT_Z_MAX, build_transient, sample_stream
 
 
 def _fmt_of(path: str) -> str:
@@ -114,8 +115,7 @@ def _cmd_estimate(args) -> int:
         for r, c, summary in scene_summaries(scene, sim, method, args.q, step,
                                              args.fixed_step_size, seeds):
             est[r, c] = bin_to_distance(estimate_bins(args.estimator, summary), sim)
-    dmap = DistanceMap(est, args.estimator)
-    save_grid(dmap.depths, args.out, _fmt_of(args.out))
+    save_grid(est, args.out, _fmt_of(args.out))
     print(f"wrote {args.estimator} distance map to {args.out}")
     return 0
 
@@ -130,15 +130,10 @@ def _cmd_evaluate(args) -> int:
     )
     print(report.format_table())
     if args.out:
-        import csv
-
         fields = ["rmse_cm", "mae_cm"] + [f"inlier_{p:g}_pct" for p in thresholds] + ["n_pixels"]
         row = {"rmse_cm": report.rmse_cm, "mae_cm": report.mae_cm, "n_pixels": report.n_pixels}
         row.update({f"inlier_{p:g}_pct": report.inlier_pct[p] for p in thresholds})
-        with open(args.out, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=fields)
-            writer.writeheader()
-            writer.writerow(row)
+        write_csv(args.out, [row], fields)
     return 0
 
 

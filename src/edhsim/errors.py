@@ -36,10 +36,6 @@ class DistanceExceedsRangeError(EdhsimError):
     """Round-trip time of flight does not fit inside one laser period."""
 
 
-class ZeroBackgroundError(EdhsimError):
-    """Signal-to-background ratio is undefined for zero background."""
-
-
 class TooFewPhotonsError(EdhsimError):
     """Not enough pooled photons to place the requested quantiles."""
 

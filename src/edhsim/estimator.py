@@ -67,28 +67,6 @@ class DensityEstimate:
         object.__setattr__(self, "values", v)
 
 
-@dataclass(frozen=True)
-class DistanceMap:
-    """Per-pixel distance estimates in meters, tagged with their estimator.
-
-    Estimates can be zero (a peak in the first bin) but never negative;
-    the upper bound is enforced where estimates are produced, since the
-    map itself does not know the sensor range.
-    """
-
-    depths: np.ndarray
-    estimator: str
-
-    def __post_init__(self):
-        d = np.ascontiguousarray(np.asarray(self.depths, dtype=np.float64))
-        if d.ndim != 2:
-            raise InvalidParamsError("distance map must be 2-d")
-        if not np.all((0.0 <= d) & (d < np.inf)):
-            raise InvalidParamsError("distances must be finite and >= 0")
-        d.setflags(write=False)
-        object.__setattr__(self, "depths", d)
-
-
 def _merged_edges(bounds: EdhBoundaries) -> np.ndarray:
     # Coincident boundaries signal crossed/stuck CVs, not infinite density:
     # zero-width bins are merged into their neighbor before any reciprocal.

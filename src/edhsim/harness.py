@@ -39,7 +39,7 @@ from .estimator import (
 # harness.pedh, where the benchmark's checks and spans (perfbench/) patch it
 from .histogrammer import EdhBoundaries, EwHistogram, ewh, hedh, oedh, pedh, pedh_variants  # noqa: F401
 from .metrics import boundary_rmse, check_metric_limits, distance_metrics
-from .scene import PixelConfig, Scene, save_depth_map
+from .scene import PixelConfig, Scene, save_grid
 from .transient import PhotonStream, SimConfig, build_transient, sample_stream, true_quantiles
 
 SCHEMA_VERSION = 1
@@ -210,11 +210,6 @@ class ExperimentConfig:
         check_metric_limits(self.inlier_thresholds, self.sim.z_max)
         if not self.pairs:
             raise InvalidParamsError("need at least one (phi_sig, phi_bkg) pair")
-        if self.step.decay_freeze_cycle > self.sim.n_cycles:
-            raise InvalidParamsError(
-                f"decay_freeze_cycle={self.step.decay_freeze_cycle} exceeds n_cycles="
-                f"{self.sim.n_cycles}; set step.decay_freeze_cycle to at most that"
-            )
         if self.out_dir is not None:
             object.__setattr__(self, "out_dir", Path(self.out_dir))
 
@@ -335,8 +330,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         cfg.out_dir.mkdir(parents=True, exist_ok=True)
         summary_path = cfg.out_dir / "summary.csv"
         runs_path = cfg.out_dir / "runs.csv"
-        _write_csv(summary_path, summary_rows, _summary_fields(cfg))
-        _write_csv(runs_path, run_rows, _RUN_FIELDS)
+        write_csv(summary_path, summary_rows, _summary_fields(cfg))
+        write_csv(runs_path, run_rows, _RUN_FIELDS)
     return ExperimentResult(summary_rows, run_rows, failures, summary_path, runs_path)
 
 
@@ -375,7 +370,8 @@ _RUN_FIELDS = [
 ]
 
 
-def _write_csv(path: Path, rows: list, fieldnames: list) -> None:
+def write_csv(path, rows: list, fieldnames: list) -> None:
+    """Write ``rows`` (dicts) as a CSV table under a ``fieldnames`` header."""
     with open(path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=fieldnames)
         writer.writeheader()
@@ -430,7 +426,7 @@ def median_tracking_experiment(
             row = {"schema_version": SCHEMA_VERSION, "strategy": strat}
             row.update({f"bkg_{b:g}": table[(strat, b)] for b in bkg_levels})
             rows.append(row)
-        _write_csv(Path(out_path), rows, fields)
+        write_csv(out_path, rows, fields)
     return table
 
 
@@ -507,10 +503,8 @@ def sweep(spec: SweepSpec, cfg: ExperimentConfig, out_path: Optional[Path] = Non
             "distance_rmse_cm": report.rmse_cm,
         })
     if out_path is not None:
-        _write_csv(
-            Path(out_path), rows,
-            ["schema_version", "param", "value", "n_runs", "boundary_rmse_bins", "distance_rmse_cm"],
-        )
+        write_csv(out_path, rows, ["schema_version", "param", "value", "n_runs",
+                                   "boundary_rmse_bins", "distance_rmse_cm"])
     return rows
 
 
@@ -567,7 +561,7 @@ def export_density_features(
         arr[r, c, :] = rho1(bounds).values
     path = Path(path)
     write_channel_grid(path, arr)
-    save_depth_map(scene.depth_map, Path(str(path) + ".truth.csv"), "csv")
+    save_grid(scene.depth_map.depths, Path(str(path) + ".truth.csv"), "csv")
     return path
 
 
@@ -597,7 +591,7 @@ def write_boundaries_csv(path, grid: np.ndarray) -> None:
             row = {"schema_version": SCHEMA_VERSION, "pixel_row": r, "pixel_col": c}
             row.update({f"t_{j}": repr(float(arr[r, c, j])) for j in range(q + 1)})
             rows.append(row)
-    _write_csv(Path(path), rows, fields)
+    write_csv(path, rows, fields)
 
 
 def read_boundaries_csv(path) -> np.ndarray:

@@ -10,19 +10,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
 from .errors import InvalidParamsError, QuantileMismatchError, ShapeMismatchError
-from .estimator import DistanceMap
 from .histogrammer import EdhBoundaries
-from .scene import DepthMap
-from .transient import SimConfig
-
-DEFAULT_Z_MAX = SimConfig().z_max
-
-GridLike = Union[DistanceMap, DepthMap, np.ndarray]
+from .transient import DEFAULT_Z_MAX
 
 
 @dataclass(frozen=True)
@@ -45,27 +39,24 @@ class MetricsReport:
         return "\n".join(lines)
 
 
-def _as_grid(x: GridLike) -> np.ndarray:
-    if isinstance(x, DistanceMap):
-        return x.depths
-    if isinstance(x, DepthMap):
-        return x.depths
-    return np.asarray(x)
-
-
 def check_metric_limits(thresholds: Sequence[float], z_max: float) -> None:
     """Reject a ``z_max`` that is not finite and > 0, or an inlier threshold
-    (a percentage) that is not finite and >= 0."""
+    (a percentage) that is not finite and >= 0 or repeats one before it
+    (``2`` and ``2.0`` are the same threshold)."""
     if not 0.0 < z_max < math.inf:
         raise InvalidParamsError(f"z_max must be finite and > 0, got {z_max!r}")
+    seen = set()
     for p in thresholds:
         if not 0.0 <= p < math.inf:
             raise InvalidParamsError(f"inlier thresholds must be finite and >= 0, got {p!r}")
+        if float(p) in seen:
+            raise InvalidParamsError(f"inlier thresholds must be distinct, got {p!r} twice")
+        seen.add(float(p))
 
 
 def distance_metrics(
-    est: GridLike,
-    truth: GridLike,
+    est: np.ndarray,
+    truth: np.ndarray,
     thresholds: Sequence[float] = (2.0, 10.0),
     z_max: float = DEFAULT_Z_MAX,
     inlier_mode: str = "range",
@@ -76,8 +67,8 @@ def distance_metrics(
         ShapeMismatchError: if the two grids differ in shape.
         InvalidParamsError: if :func:`check_metric_limits` rejects the limits.
     """
-    est_arr = np.asarray(_as_grid(est), dtype=np.float64)
-    truth_arr = np.asarray(_as_grid(truth), dtype=np.float64)
+    est_arr = np.asarray(est, dtype=np.float64)
+    truth_arr = np.asarray(truth, dtype=np.float64)
     if est_arr.shape != truth_arr.shape:
         raise ShapeMismatchError(f"estimate {est_arr.shape} vs truth {truth_arr.shape}")
     if inlier_mode not in ("range", "relative"):

@@ -23,9 +23,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import DepthOutOfRangeError, InvalidParamsError, ParseError, check_int
-from .transient import SimConfig
-
-DEFAULT_Z_LIMIT = SimConfig().z_max
+from .transient import DEFAULT_Z_MAX
 
 RAW_MAGIC = b"EDHD"
 _RAW_HEADER = struct.Struct("<4sIII")
@@ -170,11 +168,7 @@ def load_grid(path, fmt: str = "csv") -> np.ndarray:
     raise InvalidParamsError(f"unknown depth-map format {fmt!r}")
 
 
-def save_depth_map(depth_map: DepthMap, path, fmt: str = "csv") -> None:
-    save_grid(depth_map.depths, path, fmt)
-
-
-def load_depth_map(path, fmt: str = "csv", z_limit: float = DEFAULT_Z_LIMIT) -> DepthMap:
+def load_depth_map(path, fmt: str = "csv", z_limit: float = DEFAULT_Z_MAX) -> DepthMap:
     """Load and validate a depth map; depths must lie in (0, z_limit]."""
     grid = load_grid(path, fmt)
     check_depth_range(grid, z_limit)
@@ -243,7 +237,7 @@ def constant_scene(
     z: float = 7.5,
     width: int = 1,
     height: int = 1,
-    z_limit: float = DEFAULT_Z_LIMIT,
+    z_limit: float = DEFAULT_Z_MAX,
 ) -> Scene:
     """All pixels at the same distance with the same photon levels."""
     check_int("width", width, 1)
@@ -261,7 +255,7 @@ def staircase_scene(
     z_max: float = 13.5,
     step_width: int = 1,
     height: int = 1,
-    z_limit: float = DEFAULT_Z_LIMIT,
+    z_limit: float = DEFAULT_Z_MAX,
 ) -> Scene:
     """Distance staircase: ``n_steps`` depths linearly spaced on [z_min, z_max].
 
@@ -285,7 +279,7 @@ def two_plane_scene(
     z_right: float = 12.0,
     width: int = 2,
     height: int = 1,
-    z_limit: float = DEFAULT_Z_LIMIT,
+    z_limit: float = DEFAULT_Z_MAX,
 ) -> Scene:
     """Two fronto-parallel planes split at column width // 2."""
     check_int("width", width, 2)

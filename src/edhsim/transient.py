@@ -23,12 +23,7 @@ from typing import TYPE_CHECKING, Iterator, Sequence
 import numpy as np
 from scipy.special import ndtr
 
-from .errors import (
-    DistanceExceedsRangeError,
-    InvalidParamsError,
-    ZeroBackgroundError,
-    check_int,
-)
+from .errors import DistanceExceedsRangeError, InvalidParamsError, check_int
 
 if TYPE_CHECKING:
     from .scene import PixelConfig
@@ -66,6 +61,9 @@ class SimConfig:
             raise InvalidParamsError("fwhm must lie in (0, rep_period)")
         if not 0.0 < self.c < math.inf:
             raise InvalidParamsError(f"c must be finite and > 0, got {self.c!r}")
+        if not float(self.c) * float(self.rep_period) < math.inf:  # no numpy overflow warning
+            raise InvalidParamsError(f"c * rep_period must be finite, got c={self.c!r}, "
+                                     f"rep_period={self.rep_period!r}")
 
     @property
     def dt(self) -> float:
@@ -81,6 +79,9 @@ class SimConfig:
     def pulse_sigma(self) -> float:
         """Gaussian pulse standard deviation in seconds."""
         return self.fwhm * _FWHM_TO_SIGMA
+
+
+DEFAULT_Z_MAX = SimConfig().z_max
 
 
 @dataclass(frozen=True)
@@ -130,17 +131,6 @@ def build_transient(pixel: "PixelConfig", cfg: SimConfig) -> Transient:
     return Transient(values, cfg)
 
 
-def sbr(pixel: "PixelConfig") -> float:
-    """Signal-to-background ratio: total signal over total background per cycle.
-
-    Raises:
-        ZeroBackgroundError: if the pixel has no background flux.
-    """
-    if pixel.phi_bkg <= 0.0:
-        raise ZeroBackgroundError("SBR undefined for phi_bkg == 0")
-    return pixel.phi_sig / pixel.phi_bkg
-
-
 def true_quantiles(transient: Transient, fracs: Sequence[float]) -> np.ndarray:
     """Population quantiles of the arrival-time distribution, in bin positions.
 
@@ -176,7 +166,6 @@ class PhotonStream:
     timestamps: np.ndarray
     cycle_offsets: np.ndarray
     n_bins: int
-    seed: object = None
 
     def __post_init__(self):
         check_int("n_bins", self.n_bins, 1)
@@ -198,11 +187,11 @@ class PhotonStream:
         object.__setattr__(self, "cycle_offsets", off)
 
     @classmethod
-    def from_cycles(cls, cycles: Sequence[np.ndarray], n_bins: int, seed=None) -> "PhotonStream":
+    def from_cycles(cls, cycles: Sequence[np.ndarray], n_bins: int) -> "PhotonStream":
         arrays = [np.asarray(c, dtype=np.float64) for c in cycles]
         flat = np.concatenate(arrays) if arrays else np.empty(0)
         offsets = np.concatenate(([0], np.cumsum([a.size for a in arrays], dtype=np.int64)))
-        return cls(flat, offsets, n_bins, seed)
+        return cls(flat, offsets, n_bins)
 
     @property
     def n_cycles(self) -> int:
@@ -268,28 +257,15 @@ class StreamBlock:
         return self.streams[0].n_bins
 
 
-def sample_cycle(transient: Transient, rng: np.random.Generator) -> np.ndarray:
-    """Sample one laser cycle: per-bin Poisson counts with sub-bin jitter.
-
-    Each bin k draws ``Poisson(values[k])`` photons; every photon lands at
-    ``k + u`` with u uniform in [0, 1). Returns sorted positions.
-    """
-    counts = rng.poisson(transient.values)
-    bins = np.repeat(np.arange(transient.config.n_bins), counts)
-    positions = bins + rng.random(bins.size)
-    np.minimum(positions, np.nextafter(transient.config.n_bins, 0.0), out=positions)
-    positions.sort()
-    return positions
-
-
 def sample_stream(transient: Transient, n_cycles: int, seed) -> PhotonStream:
     """Sample an exposure of ``n_cycles`` independent laser cycles.
 
-    Same photon process as :func:`sample_cycle` (the per-cycle photon count is
-    Poisson with the transient's total mean, and each photon's bin follows the
-    normalized transient, independently, with uniform sub-bin jitter), drawn
-    in bulk for speed. Identical ``(transient, n_cycles, seed)`` always
-    reproduces the identical stream.
+    Each cycle's photon count is Poisson with the transient's total mean;
+    each photon independently picks bin k with probability ``values[k] /
+    total`` and lands at ``k + u``, u uniform in [0, 1). Every cycle's
+    photons are drawn in bulk and sorted within their cycle; a zero-flux
+    transient gives ``n_cycles`` empty cycles. Identical ``(transient,
+    n_cycles, seed)`` always reproduces the identical stream.
     """
     check_int("n_cycles", n_cycles, 1)
     cfg = transient.config
@@ -309,4 +285,4 @@ def sample_stream(transient: Transient, n_cycles: int, seed) -> PhotonStream:
     else:
         positions = np.empty(0, dtype=np.float64)
     offsets = np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
-    return PhotonStream(positions, offsets, cfg.n_bins, seed)
+    return PhotonStream(positions, offsets, cfg.n_bins)

@@ -217,6 +217,8 @@ def test_error_reporting(tmp_path, capsys):
     (["sweep", "--param", "gamma", "--values", ","], ""),
     (["experiment"], "experiment.inliers = 2,x"),
     (["experiment"], "experiment.inliers = nan"),
+    (["experiment"], "experiment.inliers = 2, 2"),
+    (["evaluate", "--inliers", "2,2.0"], ""),
 ])
 def test_bad_number_list_or_metric_limit_exits_2(conf, tmp_path, capsys, argv, conf_line):
     # each is refused before any work, with one error line and no traceback

@@ -12,12 +12,12 @@ from edhsim.config import (
     build_step_params,
     parse_config_file,
 )
-from edhsim.errors import ParseError
+from edhsim.errors import InvalidParamsError, ParseError
 from edhsim.harness import ExperimentConfig
-from edhsim.scene import DepthMap, Scene, load_depth_map, save_depth_map, synth_scene
+from edhsim.scene import Scene, load_depth_map, save_grid, synth_scene
 from edhsim.transient import SimConfig
 
-# n_cycles and the decay freeze cycle fit together in every experiment below
+# a short exposure keeps every experiment below small
 SHORT = "sim.n_cycles = 300\nstep.decay_freeze_cycle = 250\n"
 
 
@@ -100,7 +100,7 @@ def test_scene_defaults_per_kind(tmp_path, kind, other_keys, params):
 
 def test_scene_from_file(tmp_path):
     depth = tmp_path / "room.raw"
-    save_depth_map(DepthMap(np.array([[3.0, 4.0], [5.0, 6.0]])), depth, "raw_f32")
+    save_grid(np.array([[3.0, 4.0], [5.0, 6.0]]), depth, "raw_f32")
     conf = conf_of(tmp_path, f"scene.kind = file\nscene.path = {depth}\nscene.format = raw_f32\n"
                              "scene.phi_sig = 0.5\nscene.phi_bkg = 3\n")
     expected = Scene.uniform(load_depth_map(depth, "raw_f32"), 0.5, 3.0, label="room")
@@ -149,6 +149,13 @@ def test_bad_values_are_named(tmp_path, line, message):
     with pytest.raises(ParseError) as exc:
         build_experiment_config(conf_of(tmp_path, SHORT + line + "\n"))
     assert str(exc.value) == message
+
+
+def test_overflowing_c_times_rep_period_is_refused(tmp_path):
+    # each setting is finite, but z_max = c * rep_period / 2 would be inf
+    conf = conf_of(tmp_path, "sim.c = 1e308\nsim.rep_period = 10\nsim.fwhm = 1e-9\n")
+    with pytest.raises(InvalidParamsError, match=r"c=1e\+308, rep_period=10\.0"):
+        build_sim_config(conf)
 
 
 @pytest.mark.parametrize("value", ["off", "OFF", "none", "None", ""])

@@ -222,11 +222,10 @@ class TestRunExperiment:
             small_config(methods=("bogus",))
         with pytest.raises(InvalidParamsError):
             small_config(n_monte_carlo=0)
-        with pytest.raises(InvalidParamsError):
-            small_config(step=StepParams())  # freeze cycle beyond n_cycles
         for bad in (dict(q=8.0), dict(n_monte_carlo=1.5), dict(global_seed=1.5),
                     dict(inlier_thresholds=(2.0, float("nan"))),
-                    dict(inlier_thresholds=(float("inf"),)), dict(inlier_thresholds=(-1.0,))):
+                    dict(inlier_thresholds=(float("inf"),)), dict(inlier_thresholds=(-1.0,)),
+                    dict(inlier_thresholds=(2, 2.0))):
             with pytest.raises(InvalidParamsError):
                 small_config(**bad)
 
@@ -338,9 +337,15 @@ class TestConfigChecks:
         with pytest.raises(InvalidParamsError, match="unknown estimator"):
             small_config(estimators=("t0", "t2"))
 
-    def test_freeze_cycle_error_names_the_key(self):
-        with pytest.raises(InvalidParamsError, match="set step.decay_freeze_cycle"):
-            small_config(step=StepParams())
+    def test_freeze_past_the_end_changes_nothing(self, tmp_path):
+        # a freeze at or past the last cycle never triggers
+        n = SIM_SMALL.n_cycles
+        outputs = []
+        for freeze in (n, n + 1, 4000):
+            out = tmp_path / str(freeze)
+            run_experiment(small_config(step=StepParams(decay_freeze_cycle=freeze), out_dir=out))
+            outputs.append([(out / name).read_bytes() for name in ("summary.csv", "runs.csv")])
+        assert outputs[0] == outputs[1] == outputs[2]
 
 
 class TestMethodComparisonTable:

@@ -19,6 +19,7 @@ class TestDistanceMetrics:
     @pytest.mark.parametrize("bad", [
         dict(z_max=np.nan), dict(z_max=np.inf), dict(z_max=0.0), dict(z_max=-1.0),
         dict(thresholds=(2.0, np.nan)), dict(thresholds=(np.inf,)), dict(thresholds=(-1.0,)),
+        dict(thresholds=(2, 10, 2.0)),
     ])
     def test_metric_limits_validated(self, bad):
         truth = np.array([[1.0, 5.0]])
@@ -109,13 +110,3 @@ class TestBoundaryRmse:
 
 def test_default_z_max_matches_config():
     assert DEFAULT_Z_MAX == pytest.approx(2.998e8 * 100e-9 / 2)
-
-
-def test_accepts_dataclass_grids():
-    from edhsim.estimator import DistanceMap
-    from edhsim.scene import DepthMap
-
-    truth = DepthMap(np.array([[5.0, 10.0]], dtype=np.float32))
-    est = DistanceMap(np.array([[5.05, 10.0]]), estimator="t0")
-    report = distance_metrics(est, truth)
-    assert report.mae_cm == pytest.approx(2.5, abs=1e-4)

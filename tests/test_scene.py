@@ -3,16 +3,16 @@ import pytest
 
 from edhsim.errors import DepthOutOfRangeError, InvalidParamsError, ParseError
 from edhsim.scene import (
-    DEFAULT_Z_LIMIT,
     DepthMap,
     PixelConfig,
     Scene,
     constant_scene,
     load_depth_map,
     load_grid,
-    save_depth_map,
+    save_grid,
     synth_scene,
 )
+from edhsim.transient import DEFAULT_Z_MAX
 
 
 class TestDepthMapCsv:
@@ -31,7 +31,7 @@ class TestDepthMapCsv:
 
     def test_depth_beyond_range_rejected(self, tmp_path):
         p = tmp_path / "m.csv"
-        p.write_text(f"{DEFAULT_Z_LIMIT * 1.01}\n")
+        p.write_text(f"{DEFAULT_Z_MAX * 1.01}\n")
         with pytest.raises(DepthOutOfRangeError):
             load_depth_map(p, "csv")
 
@@ -98,7 +98,7 @@ def test_save_load_bit_exact(tmp_path, fmt):
     grid = rng.uniform(0.1, 14.9, size=(5, 7)).astype(np.float32)
     m = DepthMap(grid)
     p = tmp_path / ("m.csv" if fmt == "csv" else "m.bin")
-    save_depth_map(m, p, fmt)
+    save_grid(m.depths, p, fmt)
     again = load_depth_map(p, fmt)
     assert np.array_equal(m.depths, again.depths)
     assert m.depths.dtype == again.depths.dtype

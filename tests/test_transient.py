@@ -3,19 +3,14 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import norm
 
-from edhsim.errors import (
-    DistanceExceedsRangeError,
-    InvalidParamsError,
-    ZeroBackgroundError,
-)
+from edhsim.errors import DistanceExceedsRangeError, InvalidParamsError
 from edhsim.scene import PixelConfig
 from edhsim.transient import (
     PhotonStream,
     SimConfig,
+    Transient,
     build_transient,
-    sample_cycle,
     sample_stream,
-    sbr,
     true_quantiles,
 )
 
@@ -46,6 +41,10 @@ class TestSimConfig:
             SimConfig(c=np.inf)
         with pytest.raises(InvalidParamsError):
             SimConfig(rep_period=np.inf)
+        # each finite, but c * rep_period overflows to inf
+        for c in (1e308, np.float64(1e308)):
+            with pytest.raises(InvalidParamsError, match=r"c=.*1e\+308.*, rep_period=10\.0"):
+                SimConfig(c=c, rep_period=10.0, fwhm=1e-9)
 
     @pytest.mark.parametrize(
         "kwargs", [dict(n_bins=1024.5), dict(n_bins=1024.0), dict(n_cycles=5000.5), dict(n_cycles="5000")]
@@ -119,42 +118,6 @@ class TestBuildTransient:
             build_transient(PixelConfig(SIM.z_max, 1.0, 1.0), SIM)
 
 
-class TestSbr:
-    @pytest.mark.parametrize(
-        "sig,bkg,expected", [(1.0, 1.0, 1.0), (1.0, 10.0, 0.1), (0.5, 2.5, 0.2)]
-    )
-    def test_photon_pairs(self, sig, bkg, expected):
-        assert sbr(PixelConfig(5.0, sig, bkg)) == pytest.approx(expected)
-
-    def test_zero_background(self):
-        with pytest.raises(ZeroBackgroundError):
-            sbr(PixelConfig(5.0, 1.0, 0.0))
-
-
-class TestSampleCycle:
-    def test_zero_transient_gives_empty_cycles(self):
-        tr = build_transient(PixelConfig(7.5, 0.0, 1.0), SIM)
-        zero = type(tr)(np.zeros(SIM.n_bins), SIM)
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            assert sample_cycle(zero, rng).size == 0
-
-    def test_poisson_mean(self):
-        tr = build_transient(PixelConfig(7.5, 0.0, 1.0), SIM)
-        rng = np.random.default_rng(1)
-        n_cycles = 10_000
-        total = sum(sample_cycle(tr, rng).size for _ in range(n_cycles))
-        mean = total / n_cycles
-        assert abs(mean - 1.0) <= 3.0 * np.sqrt(1.0 / n_cycles)
-
-    def test_sorted_and_in_range(self):
-        tr = build_transient(PixelConfig(7.5, 5.0, 5.0), SIM)
-        rng = np.random.default_rng(2)
-        ts = sample_cycle(tr, rng)
-        assert np.all(np.diff(ts) >= 0)
-        assert ts.min() >= 0.0 and ts.max() < SIM.n_bins
-
-
 class TestSampleStream:
     def test_seed_determinism(self):
         tr = build_transient(PixelConfig(7.5, 1.0, 1.0), SIM)
@@ -165,6 +128,12 @@ class TestSampleStream:
         assert a.checksum() == b.checksum()
         c = sample_stream(tr, 200, 43)
         assert c.checksum() != a.checksum()
+
+    def test_zero_flux_gives_empty_cycles(self):
+        stream = sample_stream(Transient(np.zeros(SIM.n_bins), SIM), 20, 0)
+        assert stream.n_cycles == 20
+        assert stream.total_photons == 0
+        assert np.array_equal(stream.cycle_offsets, np.zeros(21))
 
     def test_zero_cycles_rejected(self):
         tr = build_transient(PixelConfig(7.5, 1.0, 1.0), SIM)
