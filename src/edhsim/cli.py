@@ -40,7 +40,7 @@ from .harness import (
     write_csv,
 )
 from .histogrammer import EdhBoundaries
-from .metrics import distance_metrics
+from .metrics import distance_metrics, inlier_column
 from .scene import load_depth_map, load_grid, save_grid
 from .transient import DEFAULT_Z_MAX, build_transient, sample_stream
 
@@ -130,9 +130,9 @@ def _cmd_evaluate(args) -> int:
     )
     print(report.format_table())
     if args.out:
-        fields = ["rmse_cm", "mae_cm"] + [f"inlier_{p:g}_pct" for p in thresholds] + ["n_pixels"]
+        fields = ["rmse_cm", "mae_cm"] + [inlier_column(p) for p in thresholds] + ["n_pixels"]
         row = {"rmse_cm": report.rmse_cm, "mae_cm": report.mae_cm, "n_pixels": report.n_pixels}
-        row.update({f"inlier_{p:g}_pct": report.inlier_pct[p] for p in thresholds})
+        row.update({inlier_column(p): report.inlier_pct[p] for p in thresholds})
         write_csv(args.out, [row], fields)
     return 0
 

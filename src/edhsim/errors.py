@@ -1,4 +1,5 @@
-"""Exception types raised across the package, and the one integer rule."""
+"""Exception types raised across the package, the one integer rule and the
+one distinctness rule."""
 
 from numbers import Integral
 
@@ -30,6 +31,19 @@ def check_int(name: str, value, least: int, error: type[EdhsimError] = InvalidPa
     if not isinstance(value, Integral) or isinstance(value, bool) or value < least:
         raise error(f"{name} must be an integer >= {least}, got {value!r}")
     return int(value)
+
+
+def check_distinct(name: str, values, label, error: type[EdhsimError] = InvalidParamsError) -> None:
+    """Raise ``error``, naming both, if two of ``values`` are equal or get the
+    same ``label(value)``: the key or the column they are reported under."""
+    seen, labels = {}, {}
+    for v in values:
+        key = label(v)
+        if v in seen:
+            raise error(f"{name} must be distinct, got {seen[v]!r} and {v!r}")
+        if key in labels:
+            raise error(f"{name} {labels[key]!r} and {v!r} share the label {key!r}")
+        seen[v] = labels[key] = v
 
 
 class DistanceExceedsRangeError(EdhsimError):

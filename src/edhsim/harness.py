@@ -26,7 +26,14 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .binner import StepParams, check_fixed_step_size, run_fixed, run_optimized
-from .errors import EdhsimError, InvalidParamsError, ParseError, SweepValueError, check_int
+from .errors import (
+    EdhsimError,
+    InvalidParamsError,
+    ParseError,
+    SweepValueError,
+    check_distinct,
+    check_int,
+)
 from .estimator import (
     RHO1_GRID_SIZE,
     bin_to_distance,
@@ -38,7 +45,7 @@ from .estimator import (
 # every pedh run here goes through pedh_variants; pedh stays importable as
 # harness.pedh, where the benchmark's checks and spans (perfbench/) patch it
 from .histogrammer import EdhBoundaries, EwHistogram, ewh, hedh, oedh, pedh, pedh_variants  # noqa: F401
-from .metrics import boundary_rmse, check_metric_limits, distance_metrics
+from .metrics import boundary_rmse, check_metric_limits, distance_metrics, inlier_column
 from .scene import PixelConfig, Scene, save_grid
 from .transient import PhotonStream, SimConfig, build_transient, sample_stream, true_quantiles
 
@@ -350,7 +357,7 @@ def _summary_row(cfg, phi_sig, phi_bkg, method, estimator, report=None,
         boundary_rmse_bins=boundary_rmse_bins, status="ok",
     )
     for p in cfg.inlier_thresholds:
-        row[f"inlier_{p:g}_pct"] = report.inlier_pct[float(p)]
+        row[inlier_column(p)] = report.inlier_pct[float(p)]
     return row
 
 
@@ -359,7 +366,7 @@ def _summary_fields(cfg: ExperimentConfig) -> list[str]:
         "schema_version", "scene", "phi_sig", "phi_bkg", "method", "estimator",
         "n_runs", "n_samples", "rmse_cm", "mae_cm",
     ]
-    fields += [f"inlier_{p:g}_pct" for p in cfg.inlier_thresholds]
+    fields += [inlier_column(p) for p in cfg.inlier_thresholds]
     fields += ["boundary_rmse_bins", "status", "message"]
     return fields
 
@@ -382,6 +389,10 @@ def write_csv(path, rows: list, fieldnames: list) -> None:
 # median-tracking comparison (fixed vs optimized stepping)
 
 
+def _bkg_column(bkg: float) -> str:
+    return f"bkg_{bkg:g}"
+
+
 def median_tracking_experiment(
     bkg_levels: Sequence[float],
     distances: Sequence[float],
@@ -400,10 +411,12 @@ def median_tracking_experiment(
     population median of the transient. Returns
     ``{(strategy, bkg): rmse_bins}`` and optionally writes a CSV table with
     one row per strategy and one column per background level. Empty
-    ``bkg_levels`` or ``distances`` raise :class:`InvalidParamsError`.
+    ``bkg_levels`` or ``distances``, or two levels that are equal or share a
+    column, raise :class:`InvalidParamsError`.
     """
     if len(bkg_levels) == 0 or len(distances) == 0:
         raise InvalidParamsError("need at least one background level and one distance")
+    check_distinct("background levels", bkg_levels, _bkg_column)
     check_int("n_seeds", n_seeds, 1)
     sq_err = {("fixed", b): [] for b in bkg_levels}
     sq_err.update({("optimized", b): [] for b in bkg_levels})
@@ -420,11 +433,11 @@ def median_tracking_experiment(
                 sq_err[("optimized", bkg)].append((cv_opt - median) ** 2)
     table = {key: float(np.sqrt(np.mean(v))) for key, v in sq_err.items()}
     if out_path is not None:
-        fields = ["schema_version", "strategy"] + [f"bkg_{b:g}" for b in bkg_levels]
+        fields = ["schema_version", "strategy"] + [_bkg_column(b) for b in bkg_levels]
         rows = []
         for strat in ("fixed", "optimized"):
             row = {"schema_version": SCHEMA_VERSION, "strategy": strat}
-            row.update({f"bkg_{b:g}": table[(strat, b)] for b in bkg_levels})
+            row.update({_bkg_column(b): table[(strat, b)] for b in bkg_levels})
             rows.append(row)
         write_csv(out_path, rows, fields)
     return table
@@ -446,6 +459,7 @@ class SweepSpec:
             raise SweepValueError(f"param must be one of {SWEEPABLE_PARAMS}, got {self.param!r}")
         if not self.values:
             raise SweepValueError("need at least one sweep value")
+        check_distinct("sweep values", self.values, str, SweepValueError)
 
 
 def sweep(spec: SweepSpec, cfg: ExperimentConfig, out_path: Optional[Path] = None) -> list:

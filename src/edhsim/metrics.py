@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidParamsError, QuantileMismatchError, ShapeMismatchError
+from .errors import InvalidParamsError, QuantileMismatchError, ShapeMismatchError, check_distinct
 from .histogrammer import EdhBoundaries
 from .transient import DEFAULT_Z_MAX
 
@@ -39,19 +39,23 @@ class MetricsReport:
         return "\n".join(lines)
 
 
+def inlier_column(p: float) -> str:
+    """The table column that reports the inlier percentage at threshold ``p``."""
+    return f"inlier_{p:g}_pct"
+
+
 def check_metric_limits(thresholds: Sequence[float], z_max: float) -> None:
     """Reject a ``z_max`` that is not finite and > 0, or an inlier threshold
-    (a percentage) that is not finite and >= 0 or repeats one before it
-    (``2`` and ``2.0`` are the same threshold)."""
+    (a percentage) that is not finite and >= 0, equals one before it (``2``
+    and ``2.0`` are the same threshold) or shares its :func:`inlier_column`
+    with one before it (``2.0000001`` and ``2.0000002`` both give
+    ``inlier_2_pct``)."""
     if not 0.0 < z_max < math.inf:
         raise InvalidParamsError(f"z_max must be finite and > 0, got {z_max!r}")
-    seen = set()
     for p in thresholds:
         if not 0.0 <= p < math.inf:
             raise InvalidParamsError(f"inlier thresholds must be finite and >= 0, got {p!r}")
-        if float(p) in seen:
-            raise InvalidParamsError(f"inlier thresholds must be distinct, got {p!r} twice")
-        seen.add(float(p))
+    check_distinct("inlier thresholds", thresholds, inlier_column)
 
 
 def distance_metrics(

@@ -257,17 +257,43 @@ class StreamBlock:
         return self.streams[0].n_bins
 
 
+def _knot_bins(cum: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(cum, x, side="right")`` for a non-decreasing ``cum``,
+    found from the needles' ranks instead of one binary search per needle.
+
+    With the needles sorted, ``below[j]`` needles lie under knot ``cum[j]``,
+    and the needle of rank ``r`` has ``cum[j] <= x`` exactly for the knots
+    with ``below[j] <= r``; counting those knots is a running sum over
+    ``below``. Equal values, flat stretches of ``cum`` and needles on a knot
+    therefore come out as the binary search has them.
+    """
+    rank = np.argsort(x)
+    below = np.searchsorted(x[rank], cum, side="left")
+    bins = np.empty(x.size, dtype=np.intp)
+    bins[rank] = np.cumsum(np.bincount(below, minlength=x.size + 1)[:x.size])
+    return bins
+
+
 def sample_stream(transient: Transient, n_cycles: int, seed) -> PhotonStream:
     """Sample an exposure of ``n_cycles`` independent laser cycles.
 
     Each cycle's photon count is Poisson with the transient's total mean;
     each photon independently picks bin k with probability ``values[k] /
-    total`` and lands at ``k + u``, u uniform in [0, 1). Every cycle's
-    photons are drawn in bulk and sorted within their cycle; a zero-flux
+    total`` and lands at ``k + u``, u uniform in [0, 1). A zero-flux
     transient gives ``n_cycles`` empty cycles. Identical ``(transient,
     n_cycles, seed)`` always reproduces the identical stream.
+
+    Draw order, from one PCG64 seeded with ``seed``: all ``n_cycles`` counts,
+    then one bin uniform per photon (inverse CDF over the running sum of
+    ``values``), then one jitter uniform per photon, photons numbered cycle
+    by cycle. The steps after the draws are exact: the bin lookup
+    (:func:`_knot_bins`) equals a right-sided binary search over the knots,
+    and the per-cycle sort (all positions, then a stable sort by cycle id,
+    a radix sort up to 65,536 cycles) keeps each cycle ascending with tied
+    positions equal floats, so the stream matches a (cycle, position)
+    lexicographic sort byte for byte.
     """
-    check_int("n_cycles", n_cycles, 1)
+    n_cycles = check_int("n_cycles", n_cycles, 1)
     cfg = transient.config
     rng = np.random.default_rng(seed)
     cum = np.cumsum(transient.values)
@@ -275,13 +301,13 @@ def sample_stream(transient: Transient, n_cycles: int, seed) -> PhotonStream:
     counts = rng.poisson(total, size=n_cycles) if total > 0.0 else np.zeros(n_cycles, np.int64)
     n_total = int(counts.sum())
     if n_total:
-        bins = np.searchsorted(cum, rng.random(n_total) * total, side="right")
+        bins = _knot_bins(cum, rng.random(n_total) * total)
         np.minimum(bins, cfg.n_bins - 1, out=bins)
         positions = bins + rng.random(n_total)
         np.minimum(positions, np.nextafter(cfg.n_bins, 0.0), out=positions)
-        cycle_ids = np.repeat(np.arange(n_cycles), counts)
-        order = np.lexsort((positions, cycle_ids))
-        positions = positions[order]
+        cycle_ids = np.repeat(np.arange(n_cycles, dtype=np.min_scalar_type(n_cycles - 1)), counts)
+        order = np.argsort(positions)
+        positions = positions[order[np.argsort(cycle_ids[order], kind="stable")]]
     else:
         positions = np.empty(0, dtype=np.float64)
     offsets = np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))

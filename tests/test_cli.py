@@ -219,6 +219,9 @@ def test_error_reporting(tmp_path, capsys):
     (["experiment"], "experiment.inliers = nan"),
     (["experiment"], "experiment.inliers = 2, 2"),
     (["evaluate", "--inliers", "2,2.0"], ""),
+    (["experiment"], "experiment.inliers = 2.0000001, 2.0000002"),
+    (["evaluate", "--inliers", "2.0000001,2.0000002"], ""),
+    (["sweep", "--param", "gamma", "--values", "0.99,0.99"], ""),
 ])
 def test_bad_number_list_or_metric_limit_exits_2(conf, tmp_path, capsys, argv, conf_line):
     # each is refused before any work, with one error line and no traceback

@@ -11,7 +11,7 @@ from edhsim.config import (
     load_experiment_config,
     parse_config_file,
 )
-from edhsim.errors import InvalidParamsError, ParseError, TooFewPhotonsError
+from edhsim.errors import InvalidParamsError, ParseError, SweepValueError, TooFewPhotonsError
 from edhsim.estimator import distance_to_bin
 import edhsim.harness as harness
 from edhsim.harness import (
@@ -225,7 +225,8 @@ class TestRunExperiment:
         for bad in (dict(q=8.0), dict(n_monte_carlo=1.5), dict(global_seed=1.5),
                     dict(inlier_thresholds=(2.0, float("nan"))),
                     dict(inlier_thresholds=(float("inf"),)), dict(inlier_thresholds=(-1.0,)),
-                    dict(inlier_thresholds=(2, 2.0))):
+                    dict(inlier_thresholds=(2, 2.0)),
+                    dict(inlier_thresholds=(2.0000001, 2.0000002))):
             with pytest.raises(InvalidParamsError):
                 small_config(**bad)
 
@@ -401,6 +402,18 @@ class TestMedianTracking:
         with pytest.raises(InvalidParamsError):
             median_tracking_experiment(**{**args, **bad})
 
+    @pytest.mark.parametrize("levels, message", [
+        ([1, 1.0], "background levels must be distinct, got 1 and 1.0"),
+        ([0.5, 1.0000001, 1.0000002],
+         "background levels 1.0000001 and 1.0000002 share the label 'bkg_1'"),
+    ])
+    def test_repeated_levels_rejected(self, levels, message):
+        # one level's streams must not be pooled with another's, nor its column shared
+        with pytest.raises(InvalidParamsError) as info:
+            median_tracking_experiment(levels, [3.0], phi_sig=1.0, n_seeds=1,
+                                       sim=SIM_SMALL, step=STEP_SMALL)
+        assert str(info.value) == message
+
 
 class TestSweep:
     def test_single_value_sweep_matches_experiment(self, tmp_path):
@@ -440,6 +453,11 @@ class TestSweep:
     def test_invalid_param_rejected(self):
         with pytest.raises(Exception):
             SweepSpec("bogus", (1.0,))
+
+    @pytest.mark.parametrize("values", [(0.99, 0.99), (0.99, 1.0, 0.99), (1, 1.0)])
+    def test_repeated_values_rejected_when_built(self, values):
+        with pytest.raises(SweepValueError, match="sweep values must be distinct"):
+            SweepSpec("gamma", values)
 
     def test_csv_written(self, tmp_path):
         out = tmp_path / "sweep.csv"

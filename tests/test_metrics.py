@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from edhsim.errors import InvalidParamsError, QuantileMismatchError, ShapeMismatchError
 from edhsim.histogrammer import EdhBoundaries
-from edhsim.metrics import DEFAULT_Z_MAX, boundary_rmse, distance_metrics
+from edhsim.metrics import DEFAULT_Z_MAX, boundary_rmse, check_metric_limits, distance_metrics, inlier_column
 
 
 class TestDistanceMetrics:
@@ -19,12 +19,29 @@ class TestDistanceMetrics:
     @pytest.mark.parametrize("bad", [
         dict(z_max=np.nan), dict(z_max=np.inf), dict(z_max=0.0), dict(z_max=-1.0),
         dict(thresholds=(2.0, np.nan)), dict(thresholds=(np.inf,)), dict(thresholds=(-1.0,)),
-        dict(thresholds=(2, 10, 2.0)),
+        dict(thresholds=(2, 10, 2.0)), dict(thresholds=(2.0000001, 2.0000002)),
     ])
     def test_metric_limits_validated(self, bad):
         truth = np.array([[1.0, 5.0]])
         with pytest.raises(InvalidParamsError):
             distance_metrics(truth.copy(), truth, **bad)
+
+    def test_inlier_columns(self):
+        assert [inlier_column(p) for p in (2, 2.0, 10.0, 0.5, 2.0000001)] == [
+            "inlier_2_pct", "inlier_2_pct", "inlier_10_pct", "inlier_0.5_pct", "inlier_2_pct"]
+
+    @pytest.mark.parametrize("thresholds, message", [
+        ((2, 10, 2.0), "inlier thresholds must be distinct, got 2 and 2.0"),
+        ((2.0000001, 5.0, 2.0000002),
+         "inlier thresholds 2.0000001 and 2.0000002 share the label 'inlier_2_pct'"),
+    ])
+    def test_thresholds_sharing_a_column_named(self, thresholds, message):
+        with pytest.raises(InvalidParamsError) as info:
+            check_metric_limits(thresholds, DEFAULT_Z_MAX)
+        assert str(info.value) == message
+
+    def test_thresholds_with_distinct_columns_accepted(self):
+        check_metric_limits((2.0, 2.5, 10.0, 0.0), DEFAULT_Z_MAX)
 
     def test_single_pixel_ten_cm_error(self):
         report = distance_metrics(np.array([[10.1]]), np.array([[10.0]]))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import norm
 
@@ -9,12 +11,57 @@ from edhsim.transient import (
     PhotonStream,
     SimConfig,
     Transient,
+    _knot_bins,
     build_transient,
     sample_stream,
     true_quantiles,
 )
 
 SIM = SimConfig()
+
+
+def reference_sample_stream(transient, n_cycles, seed):
+    """Oracle for sample_stream: the same draws, with one binary search per
+    photon for its bin and a (cycle, position) lexicographic sort."""
+    cfg = transient.config
+    rng = np.random.default_rng(seed)
+    cum = np.cumsum(transient.values)
+    total = cum[-1]
+    counts = rng.poisson(total, size=n_cycles) if total > 0.0 else np.zeros(n_cycles, np.int64)
+    n_total = int(counts.sum())
+    if n_total:
+        bins = np.searchsorted(cum, rng.random(n_total) * total, side="right")
+        np.minimum(bins, cfg.n_bins - 1, out=bins)
+        positions = bins + rng.random(n_total)
+        np.minimum(positions, np.nextafter(cfg.n_bins, 0.0), out=positions)
+        cycle_ids = np.repeat(np.arange(n_cycles), counts)
+        positions = positions[np.lexsort((positions, cycle_ids))]
+    else:
+        positions = np.empty(0, dtype=np.float64)
+    offsets = np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
+    return PhotonStream(positions, offsets, cfg.n_bins)
+
+
+@st.composite
+def transients(draw):
+    """Transients whose CDFs have the awkward shapes: no flux at all, flat
+    background only, a pulse with no background (long flat CDF stretches), a
+    pulse against the end of the range, and a pulse on background."""
+    sim = SimConfig(n_bins=draw(st.sampled_from([2, 16, 1024])))
+    kind = draw(st.sampled_from(["zero", "background", "pulse", "edge", "mixed"]))
+    if kind == "zero":
+        return Transient(np.zeros(sim.n_bins), sim)
+    flux = st.floats(0.01, 6.0)
+    z = draw(st.floats(0.05, 0.95)) * sim.z_max
+    if kind == "background":
+        pixel = PixelConfig(z, 0.0, draw(flux))
+    elif kind == "pulse":
+        pixel = PixelConfig(z, draw(flux), 0.0)
+    elif kind == "edge":
+        pixel = PixelConfig(sim.z_max * (1.0 - draw(st.floats(1e-9, 1e-3))), draw(flux), 0.0)
+    else:
+        pixel = PixelConfig(z, draw(flux), draw(flux))
+    return build_transient(pixel, sim)
 
 
 class TestSimConfig:
@@ -166,6 +213,55 @@ class TestSampleStream:
         se = np.sqrt(tr.values / n_cycles)
         dev = np.abs(counts / n_cycles - tr.values)
         assert np.all(dev <= 5.0 * se)
+
+
+class TestSamplerOracle:
+    @given(tr=transients(), n_cycles=st.integers(1, 70_000), seed=st.integers(0, 2**32 - 1))
+    @example(tr=build_transient(PixelConfig(7.5, 1.0, 2.0), SIM), n_cycles=256, seed=0)
+    @example(tr=build_transient(PixelConfig(7.5, 1.0, 2.0), SIM), n_cycles=257, seed=0)
+    @example(tr=build_transient(PixelConfig(7.5, 0.05, 0.0), SIM), n_cycles=65_536, seed=1)
+    @example(tr=build_transient(PixelConfig(7.5, 0.05, 0.0), SIM), n_cycles=65_537, seed=1)
+    @example(tr=build_transient(PixelConfig(7.5, 0.05, 0.05), SIM), n_cycles=70_000, seed=2)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_reference_byte_for_byte(self, tr, n_cycles, seed):
+        # past 65,536 cycles the cycle ids no longer fit 16 bits and the
+        # stable sort is not a radix sort
+        got = sample_stream(tr, n_cycles, seed)
+        want = reference_sample_stream(tr, n_cycles, seed)
+        assert got.timestamps.tobytes() == want.timestamps.tobytes()
+        assert got.cycle_offsets.tobytes() == want.cycle_offsets.tobytes()
+        assert got.checksum() == want.checksum()
+
+    def test_seeded_streams_match_reference(self):
+        for bkg in (0.5, 1.0, 2.0, 5.0):
+            tr = build_transient(PixelConfig(7.5, 1.0, bkg), SIM)
+            for seed in range(5):
+                assert sample_stream(tr, 5000, seed).checksum() == \
+                    reference_sample_stream(tr, 5000, seed).checksum()
+
+
+class TestKnotBins:
+    # knots with a flat stretch (1, 1) and a flat tail (3, 3): total is 3
+    CUM = np.array([0.0, 1.0, 1.0, 2.0, 3.0, 3.0])
+
+    @pytest.mark.parametrize("x", [
+        [0.0], [3.0], [1.0, 1.0, 2.0], [0.0, 1.0, 1.0, 2.0, 3.0, 3.0],
+        [3.0, 2.5, 1.0, 0.5, 0.0, 2.0, 1.0], [0.5, 1.5, 2.5], [],
+    ])
+    def test_equals_right_sided_binary_search(self, x):
+        x = np.array(x, dtype=np.float64)
+        want = np.searchsorted(self.CUM, x, side="right")
+        got = _knot_bins(self.CUM, x)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @given(st.lists(st.sampled_from([0.0, 0.25, 1.0, 1.5, 2.0, 3.0]), max_size=40),
+           st.lists(st.sampled_from([0.0, 0.25, 1.0, 2.0, 3.0]), min_size=1, max_size=30))
+    @settings(max_examples=300)
+    def test_equals_binary_search_with_ties(self, needles, steps):
+        # knots and needles drawn from one small set, so ties are common
+        cum = np.cumsum(steps)
+        x = np.array(needles) * cum[-1] / 3.0
+        assert np.array_equal(_knot_bins(cum, x), np.searchsorted(cum, x, side="right"))
 
 
 class TestPhotonStream:
