@@ -19,23 +19,25 @@ Two stepping strategies:
   the decay and smoothing let the CV settle instead of wandering.
 
 Where each rule lives: :func:`fixed_step` and :func:`optimized_step` advance
-one binner by one cycle and serve as oracles. :func:`fixed_walk` is the one
-fixed-step loop, behind :func:`run_fixed` and ``hedh``. :func:`run_optimized`
-runs one optimized binner over a stream and :class:`BinnerBank` many at once,
-vectorized over a block of streams (pixels) and several step schedules; both
-are kept operation-for-operation identical to :func:`optimized_step`, so all
-three agree bit-for-bit.
+one binner by one cycle and serve as oracles. Every stream is stepped by the
+compiled kernel (:mod:`edhsim.kernel`, source ``kernel.c``), one C function
+per rule: :func:`fixed_walk`, behind :func:`run_fixed` and ``hedh``, and the
+optimized bank update, behind :class:`BinnerBank` (many binners over a block
+of streams and several step schedules) and :func:`run_optimized` (a bank of
+one). The kernel repeats each oracle's operations in the same order, so the
+results agree bit for bit.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
+from . import kernel
 from .errors import InvalidParamsError, check_int
 from .transient import PhotonStream, StreamBlock
 
@@ -70,7 +72,11 @@ class StepParams:
             raise InvalidParamsError(f"beta1 must lie in [0, 1), got {self.beta1!r}")
         if not 0.0 <= self.beta2 < 1.0:
             raise InvalidParamsError(f"beta2 must lie in [0, 1), got {self.beta2!r}")
-        check_int("decay_freeze_cycle", self.decay_freeze_cycle, 0)
+        # plain Python numbers: the kernel takes gamma**n from libm pow, as
+        # float ** int does, and numpy's power can differ in the last bit
+        object.__setattr__(self, "gamma", float(self.gamma))
+        object.__setattr__(self, "decay_freeze_cycle",
+                           check_int("decay_freeze_cycle", self.decay_freeze_cycle, 0))
         if self.clip is not None and not 0.0 < self.clip < math.inf:
             raise InvalidParamsError(f"clip must be finite and > 0 when enabled, got {self.clip!r}")
 
@@ -192,41 +198,46 @@ def fixed_step(state: BinnerState, obs: CycleObservation, step_size: float) -> B
     return replace(state, cv=cv, n=state.n + 1)
 
 
-def run_optimized(stream: PhotonStream, target_frac: float, params: StepParams) -> BinnerState:
-    """Feed a whole photon stream through one optimized binner.
+def _optimized_bank(streams: Sequence[PhotonStream], n0: int, variants: Sequence[StepParams],
+                    n_bins: int, targets: np.ndarray, cvs: np.ndarray, s: np.ndarray,
+                    dtil: np.ndarray) -> None:
+    """Step optimized binners over every cycle of ``streams`` in one kernel
+    call, starting at cycle ``n0`` of their decay schedule.
 
-    Equivalent to folding :func:`optimized_step` over the cycles, written as
-    a tight loop (no per-cycle allocation) because single-binner exposures
-    are the inner loop of Monte-Carlo sweeps.
+    Binner ``(p, v, j)``, at flat index ``(p * V + v) * J + j``, tracks
+    ``targets`` of stream ``p`` under ``variants[v]``; ``cvs``, ``s`` and
+    ``dtil`` hold its CV and smoother memories and are updated in place. The
+    streams must share ``n_cycles``.
     """
-    state = BinnerState.initial(target_frac, params, stream.n_bins)
-    p = params
-    ts = stream.timestamps.tolist()
-    offsets = stream.cycle_offsets.tolist()
-    n_bins_f = float(stream.n_bins)
-    one_m_b1 = 1.0 - p.beta1
-    coef_base = (1.0 - p.beta2) * _step_scale(p, stream.n_bins)
-    lim = p.clip * stream.n_bins if p.clip is not None else None
-    freeze = p.decay_freeze_cycle
+    size = len(streams) * len(variants)
+    if not (targets.size == cvs.size == s.size == dtil.size and targets.size % size == 0):
+        raise InvalidParamsError(f"bank arrays of sizes {targets.size}, {cvs.size}, {s.size}, "
+                                 f"{dtil.size} do not fit {len(streams)} streams x {len(variants)} schedules")
 
-    cv = state.cv
-    s = state.s_prev
-    dtil = state.delta_tilde_prev
-    for n in range(stream.n_cycles):
-        lo, hi = offsets[n], offsets[n + 1]
-        total = hi - lo
-        if total:
-            early = bisect_left(ts, cv, lo, hi) - lo
-            dn = target_frac - early / total
-        else:
-            dn = 0.0
-        dtil = p.beta1 * dtil + one_m_b1 * dn
-        coef = coef_base * (p.gamma ** min(n, freeze))
-        s = p.beta2 * s + coef * dtil
-        if lim is not None:
-            s = min(max(s, -lim), lim)
-        cv = min(max(cv + s, 0.0), n_bins_f)
-    return replace(state, cv=cv, s_prev=s, delta_tilde_prev=dtil, n=stream.n_cycles)
+    def column(values, dtype=np.float64):
+        return np.array(values, dtype=dtype)
+
+    def addresses(name):
+        return (ctypes.c_void_p * len(streams))(*[getattr(st, name).ctypes.data for st in streams])
+
+    kernel.library().edh_optimized_bank(
+        len(streams), addresses("timestamps"), addresses("cycle_offsets"), streams[0].n_cycles, n0,
+        len(variants), column([p.beta1 for p in variants]), column([p.beta2 for p in variants]),
+        column([(1.0 - p.beta2) * _step_scale(p, n_bins) for p in variants]),
+        column([p.gamma for p in variants]), column([p.decay_freeze_cycle for p in variants], np.int64),
+        column([p.clip * n_bins if p.clip is not None else math.inf for p in variants]),
+        targets.size // size, targets, float(n_bins), cvs, s, dtil)
+
+
+def run_optimized(stream: PhotonStream, target_frac: float, params: StepParams) -> BinnerState:
+    """Feed a whole photon stream through one optimized binner: a bank of
+    one, stepped by the same kernel call as :class:`BinnerBank`, and equal
+    bit for bit to folding :func:`optimized_step` over the cycles."""
+    state = BinnerState.initial(target_frac, params, stream.n_bins)
+    cv, s, dtil = np.array([state.cv]), np.zeros(1), np.zeros(1)
+    _optimized_bank([stream], 0, [params], stream.n_bins, np.array([target_frac]), cv, s, dtil)
+    return replace(state, cv=float(cv[0]), s_prev=float(s[0]), delta_tilde_prev=float(dtil[0]),
+                   n=stream.n_cycles)
 
 
 def fixed_walk(stream: PhotonStream, c0: int, c1: int, edges: list[float], cvs: list[float],
@@ -236,37 +247,30 @@ def fixed_walk(stream: PhotonStream, c0: int, c1: int, edges: list[float], cvs: 
 
     Binner k starts at ``cvs[k]`` and is confined to the k-th interval
     between the sorted ``edges`` (0 and n_bins close the ends); photons
-    outside it are invisible to it. On each cycle with n > 0 photons in its
-    interval, ``early`` of them before its CV, it moves by ``step_size`` on
-    the sign of ``target_frac - early/n`` (the rule of :func:`fixed_step`).
-    With no edges this is one binner over the full range (:func:`run_fixed`);
-    ``hedh`` runs one level of its tree per call.
+    outside it are invisible to it, and a photon on an edge belongs to the
+    interval above. On each cycle with n > 0 photons in its interval,
+    ``early`` of them before its CV, it moves by ``step_size`` on the sign of
+    ``target_frac - early/n`` (the rule of :func:`fixed_step`). With no edges
+    this is one binner over the full range (:func:`run_fixed`); ``hedh`` runs
+    one level of its tree per call.
 
-    The walk is photon-driven: within a cycle, each run of photons that
-    lands in one interval updates that interval's binner only, so the cost
-    grows with photons per cycle rather than with intervals.
+    The walk is photon-driven and runs in the compiled kernel: within a
+    cycle, each run of photons that lands in one interval updates that
+    interval's binner only, so the cost grows with photons per cycle rather
+    than with intervals.
     """
     check_fixed_step_size(step_size)
-    lo = [0.0] + edges
-    hi = edges + [float(stream.n_bins)]
-    cvs = list(cvs)
-    offsets = stream.cycle_offsets[c0:c1 + 1]
-    # these cycles' photons only: a whole-stream list (~32 B per photon) per
-    # hedh level would sit beside every stream of the block the harness holds
-    ts = stream.timestamps[offsets[0]:offsets[-1]].tolist()
-    offsets = (offsets - offsets[0]).tolist()
-    for j, end in zip(offsets, offsets[1:]):
-        while j < end:
-            # ts[j:top] is the run of this cycle's photons in interval k
-            k = bisect_right(edges, ts[j])
-            top = bisect_left(ts, hi[k], j, end)
-            d = target_frac - (bisect_left(ts, cvs[k], j, top) - j) / (top - j)
-            if d > 0.0:
-                cvs[k] = min(cvs[k] + step_size, hi[k])
-            elif d < 0.0:
-                cvs[k] = max(cvs[k] - step_size, lo[k])
-            j = top
-    return cvs
+    edges = np.array(edges, dtype=np.float64)
+    out = np.array(cvs, dtype=np.float64)
+    if edges.ndim != 1 or out.shape != (edges.size + 1,):
+        raise InvalidParamsError(f"need one CV per interval: {edges.size} edges, {out.size} CVs")
+    if not (np.all(np.isfinite(edges)) and np.all(edges[1:] >= edges[:-1])):
+        raise InvalidParamsError("walk edges must be finite and sorted")
+    if not 0 <= c0 <= c1 <= stream.n_cycles:
+        raise InvalidParamsError(f"cycles [{c0}, {c1}) do not lie in [0, {stream.n_cycles}]")
+    kernel.library().edh_fixed_walk(stream.timestamps, stream.cycle_offsets, c0, c1, edges,
+                                    edges.size, float(stream.n_bins), out, target_frac, step_size)
+    return out.tolist()
 
 
 def run_fixed(stream: PhotonStream, target_frac: float, step_size: float) -> BinnerState:
@@ -277,35 +281,19 @@ def run_fixed(stream: PhotonStream, target_frac: float, step_size: float) -> Bin
     return replace(state, cv=cv, n=stream.n_cycles)
 
 
-# cycles whose offsets one stream turns into a Python list at a time; a
-# whole-stream list would hold ~36 B per cycle for every stream of a block
-_OFFSET_CHUNK = 128
-
-
 class BinnerBank:
     """A bank of optimized binners updated together.
 
     Binner ``(p, v, j)`` tracks quantile ``targets[j]`` of stream ``p`` of a
     :class:`~edhsim.transient.StreamBlock` under step schedule ("variant")
-    ``v``. Each cycle, every stream's early counts come from one
-    ``searchsorted`` over that stream's own cycle slice, written into the
-    stream's part of one shared raw-step array; then all
-    ``n_streams * V * len(targets)`` binners take one vectorized update.
-    Streams are not padded to a common photon count: a ``+inf``-padded
-    compare over (cycles, streams, photons) costs more than the per-stream
-    searches it replaces, and most on a block of one. Per-cycle arithmetic
-    is elementwise and mirrors the scalar update exactly (same operations,
-    same order), so each binner reproduces :func:`run_optimized`
-    bit-for-bit. Total state is four float64 arrays of one entry per binner
-    (stream-major, then variant) plus a cycle counter; nothing scales with
-    the photon count.
-
-    The state is flat, and each per-variant constant is expanded to one
-    entry per binner, because that is faster than shaping the state
-    (streams, variants, targets) and broadcasting ``(V, 1)`` columns: such a
-    bank gave the same bits, but ``pedh_variants`` over 10 streams of 5,000
-    cycles at q = 32 took 476 ms against 373 ms with 5 schedules and 306 ms
-    against 276 ms with 1 (best of 3, one core of a 2-vCPU Xeon VM).
+    ``v``. :meth:`run` hands the whole block to one call of the compiled
+    kernel, which walks the cycles and, on each, finds every binner's early
+    count with one binary search over its stream's cycle slice and applies
+    the scalar update of :func:`optimized_step` (same operations, same
+    order), so each binner reproduces :func:`run_optimized` bit-for-bit.
+    Streams are read in place, not padded to a common photon count. Total
+    state is four float64 arrays of one entry per binner (stream-major, then
+    variant) plus a cycle counter; nothing scales with the photon count.
     """
 
     def __init__(
@@ -344,11 +332,6 @@ class BinnerBank:
         """Consume every cycle of a block (or of one stream, for a
         one-stream bank); returns the final CVs, one per binner,
         stream-major then variant (the bank's own array, updated in place).
-
-        The per-variant schedule is expanded to one column entry per binner
-        and the step coefficient is tabulated per cycle, up to the cycle
-        where every variant's decay is frozen. These are locals of the
-        update, so the bank's state stays its four arrays.
         """
         if isinstance(block, PhotonStream):
             block = StreamBlock([block])
@@ -358,49 +341,7 @@ class BinnerBank:
         if len(block) != self.n_streams:
             raise InvalidParamsError(
                 f"block has {len(block)} streams, bank has n_streams={self.n_streams}")
-        variants, n0, n_cycles = self.variants, self.n, block.n_cycles
-        per_stream = self.targets.size // self.n_streams
-        variant = np.tile(np.repeat(np.arange(len(variants)), per_stream // len(variants)),
-                          self.n_streams)
-
-        def column(values):
-            return np.array(values, dtype=np.float64)[variant]
-
-        b1 = column([p.beta1 for p in variants])
-        one_m_b1 = 1.0 - b1
-        b2 = column([p.beta2 for p in variants])
-        clip = None
-        if any(p.clip is not None for p in variants):
-            lim = column([p.clip * self.n_bins if p.clip is not None else math.inf for p in variants])
-            clip = (-lim, lim)
-        rows = max(1, min(n_cycles, max(p.decay_freeze_cycle for p in variants) - n0 + 1))
-        coef = np.empty((rows, len(variants)))
-        for v, p in enumerate(variants):
-            base = (1.0 - p.beta2) * _step_scale(p, self.n_bins)
-            coef[:, v] = [base * _decay(p, n0 + i) for i in range(rows)]
-
-        cvs, s, dtil = self.cvs, self.smoothed_step, self.smoothed_delta
-        dn = np.empty_like(cvs)
-        # per stream: its timestamps and its views of the targets, CVs and raw steps
-        lanes = [
-            (stream.timestamps,) + tuple(a[p * per_stream:(p + 1) * per_stream]
-                                         for a in (self.targets, cvs, dn))
-            for p, stream in enumerate(block.streams)
-        ]
-        n_bins_f = float(self.n_bins)
-        for c0 in range(0, n_cycles, _OFFSET_CHUNK):
-            offsets = [st.cycle_offsets[c0:c0 + _OFFSET_CHUNK + 1].tolist() for st in block.streams]
-            for k in range(len(offsets[0]) - 1):
-                for (ts, targets, cv, d), off in zip(lanes, offsets):
-                    lo, hi = off[k], off[k + 1]
-                    if hi > lo:
-                        np.subtract(targets, ts[lo:hi].searchsorted(cv) / (hi - lo), out=d)
-                    else:
-                        d.fill(0.0)
-                np.add(b1 * dtil, one_m_b1 * dn, out=dtil)
-                np.add(b2 * s, coef[min(c0 + k, rows - 1)][variant] * dtil, out=s)
-                if clip is not None:
-                    s.clip(*clip, out=s)
-                (cvs + s).clip(0.0, n_bins_f, out=cvs)
-        self.n += n_cycles
-        return cvs
+        _optimized_bank(block.streams, self.n, self.variants, self.n_bins, self.targets,
+                        self.cvs, self.smoothed_step, self.smoothed_delta)
+        self.n += block.n_cycles
+        return self.cvs

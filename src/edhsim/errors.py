@@ -78,5 +78,10 @@ class QuantileMismatchError(EdhsimError):
     """Two boundary sets track different quantile counts."""
 
 
+class KernelBuildError(EdhsimError):
+    """The compiled stepping kernel could not be built (no C compiler, or an
+    unwritable cache)."""
+
+
 class SweepValueError(EdhsimError):
     """A sweep value violates the swept parameter's valid range."""

@@ -1,0 +1,98 @@
+"""Build and load the compiled stepping kernel, ``kernel.c``.
+
+The library is compiled on first use with the C compiler Python was built
+with (``sysconfig``'s ``CC``), so a C compiler is a run-time requirement. It
+is cached under ``$XDG_CACHE_HOME/edhsim`` (default ``~/.cache/edhsim``) in a
+file named by the SHA-256 of the source, the compile command and the
+interpreter's extension suffix; a later run, or an edited source, finds its
+own file. Each build writes a temporary file and renames it into place, so
+two processes building at once both end with a whole library.
+
+``-ffp-contract=off`` stops the compiler from fusing ``a*b + c`` into one
+rounding (GCC does by default where the target has FMA), and ``-ffast-math``
+is never passed: either would change the bits that the scalar oracles in
+:mod:`edhsim.binner` pin.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import functools
+import hashlib
+import os
+import shlex
+import subprocess
+import sysconfig
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+from .errors import KernelBuildError
+
+SOURCE = Path(__file__).with_name("kernel.c")
+COMPILER = shlex.split(sysconfig.get_config_var("CC") or "cc")
+FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+SUFFIX = sysconfig.get_config_var("EXT_SUFFIX") or ".so"
+
+
+def cache_dir() -> Path:
+    root = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
+    return Path(root) / "edhsim"
+
+
+def build() -> Path:
+    """Path of the compiled kernel, compiling it if no cached copy exists.
+
+    Raises:
+        KernelBuildError: if the cache directory cannot be written or the
+            compile command fails; the message names the command.
+    """
+    source = SOURCE.read_bytes()
+    command = [*COMPILER, *FLAGS]
+    key = hashlib.sha256(b"\0".join([source, *map(str.encode, command), SUFFIX.encode()]))
+    out = cache_dir() / f"kernel-{key.hexdigest()[:32]}{SUFFIX}"
+    if out.is_file():
+        return out
+    try:
+        out.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(prefix=".kernel-", suffix=SUFFIX, dir=out.parent)
+    except OSError as e:
+        raise KernelBuildError(f"cannot write the kernel cache {out.parent}: {e}") from None
+    os.close(fd)
+    command += ["-o", tmp, str(SOURCE), "-lm"]
+    try:
+        subprocess.run(command, check=True, capture_output=True, text=True)
+        os.replace(tmp, out)
+    except (OSError, subprocess.CalledProcessError) as e:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        detail = getattr(e, "stderr", None) or e
+        raise KernelBuildError(
+            f"building the stepping kernel failed: {shlex.join(command)}: {detail}") from None
+    return out
+
+
+def _doubles(writeable=False):
+    return np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS" + (",W" if writeable else ""))
+
+
+@functools.cache
+def library() -> ctypes.CDLL:
+    """The loaded kernel, with every function's argument and result types
+    declared; built (see :func:`build`) on the first call in a process."""
+    lib = ctypes.CDLL(str(build()))
+    i64, f64, ptrs = ctypes.c_int64, ctypes.c_double, ctypes.POINTER(ctypes.c_void_p)
+    lib.edh_optimized_bank.restype = None
+    lib.edh_optimized_bank.argtypes = [
+        i64, ptrs, ptrs, i64, i64,
+        i64, _doubles(), _doubles(), _doubles(), _doubles(),
+        np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS"), _doubles(),
+        i64, _doubles(), f64, _doubles(True), _doubles(True), _doubles(True),
+    ]
+    lib.edh_fixed_walk.restype = None
+    lib.edh_fixed_walk.argtypes = [
+        _doubles(), np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS"), i64, i64,
+        _doubles(), i64, f64, _doubles(True), f64, f64,
+    ]
+    return lib

@@ -1,6 +1,9 @@
+import math
+from bisect import bisect_left, bisect_right
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from edhsim.binner import (
@@ -30,6 +33,100 @@ import edhsim.binner as binner
 SIM = SimConfig()
 
 
+def reference_run_optimized(stream, target_frac, params):
+    """The Python loop that ran one optimized binner before the compiled
+    kernel; returns ``(cv, s_prev, delta_tilde_prev)``."""
+    p = params
+    ts = stream.timestamps.tolist()
+    offsets = stream.cycle_offsets.tolist()
+    n_bins_f = float(stream.n_bins)
+    coef_base = (1.0 - p.beta2) * ((p.k_pct / 100.0) * stream.n_bins)
+    lim = p.clip * stream.n_bins if p.clip is not None else None
+    cv, s, dtil = target_frac * stream.n_bins, 0.0, 0.0
+    for n in range(stream.n_cycles):
+        lo, hi = offsets[n], offsets[n + 1]
+        total = hi - lo
+        dn = target_frac - (bisect_left(ts, cv, lo, hi) - lo) / total if total else 0.0
+        dtil = p.beta1 * dtil + (1.0 - p.beta1) * dn
+        s = p.beta2 * s + coef_base * (p.gamma ** min(n, p.decay_freeze_cycle)) * dtil
+        if lim is not None:
+            s = min(max(s, -lim), lim)
+        cv = min(max(cv + s, 0.0), n_bins_f)
+    return cv, s, dtil
+
+
+def reference_bank_run(bank, block):
+    """The numpy loop that stepped a :class:`BinnerBank` before the compiled
+    kernel: per cycle, one ``searchsorted`` per stream, then one vectorized
+    update of every binner, with the step coefficient tabulated per cycle.
+    Updates the bank's arrays and cycle counter in place."""
+    variants, n0, n_cycles = bank.variants, bank.n, block.n_cycles
+    per_stream = bank.targets.size // bank.n_streams
+    variant = np.tile(np.repeat(np.arange(len(variants)), per_stream // len(variants)),
+                      bank.n_streams)
+
+    def column(values):
+        return np.array(values, dtype=np.float64)[variant]
+
+    b1, b2 = column([p.beta1 for p in variants]), column([p.beta2 for p in variants])
+    lim = column([p.clip * bank.n_bins if p.clip is not None else math.inf for p in variants])
+    rows = max(1, min(n_cycles, max(p.decay_freeze_cycle for p in variants) - n0 + 1))
+    coef = np.empty((rows, len(variants)))
+    for v, p in enumerate(variants):
+        base = (1.0 - p.beta2) * ((p.k_pct / 100.0) * bank.n_bins)
+        coef[:, v] = [base * binner._decay(p, n0 + i) for i in range(rows)]
+    cvs, s, dtil = bank.cvs, bank.smoothed_step, bank.smoothed_delta
+    dn = np.empty_like(cvs)
+    for k in range(n_cycles):
+        for p, stream in enumerate(block.streams):
+            lo, hi = stream.cycle_offsets[k], stream.cycle_offsets[k + 1]
+            part = slice(p * per_stream, (p + 1) * per_stream)
+            if hi > lo:
+                early = stream.timestamps[lo:hi].searchsorted(cvs[part])
+                np.subtract(bank.targets[part], early / (hi - lo), out=dn[part])
+            else:
+                dn[part] = 0.0
+        np.add(b1 * dtil, (1.0 - b1) * dn, out=dtil)
+        np.add(b2 * s, coef[min(k, rows - 1)][variant] * dtil, out=s)
+        s.clip(-lim, lim, out=s)
+        (cvs + s).clip(0.0, float(bank.n_bins), out=cvs)
+    bank.n += n_cycles
+
+
+def reference_fixed_walk(stream, c0, c1, edges, cvs, target_frac, step_size):
+    """The Python walk behind ``run_fixed`` and ``hedh`` before the compiled
+    kernel, with ``bisect`` for every lookup."""
+    lo, hi = [0.0] + edges, edges + [float(stream.n_bins)]
+    cvs = list(cvs)
+    ts = stream.timestamps.tolist()
+    offsets = stream.cycle_offsets[c0:c1 + 1].tolist()
+    for j, end in zip(offsets, offsets[1:]):
+        while j < end:
+            k = bisect_right(edges, ts[j])
+            top = bisect_left(ts, hi[k], j, end)
+            d = target_frac - (bisect_left(ts, cvs[k], j, top) - j) / (top - j)
+            if d > 0.0:
+                cvs[k] = min(cvs[k] + step_size, hi[k])
+            elif d < 0.0:
+                cvs[k] = max(cvs[k] - step_size, lo[k])
+            j = top
+    return cvs
+
+
+def optimized_fold(stream, target_frac, params):
+    """``(cv, s_prev, delta_tilde_prev)`` after folding :func:`optimized_step`
+    over the stream's cycles."""
+    state = BinnerState.initial(target_frac, params, stream.n_bins)
+    for ts in stream.cycles():
+        state = optimized_step(state, observe(state.cv, ts))
+    return state.cv, state.s_prev, state.delta_tilde_prev
+
+
+def cycle_slice(stream, a, b):
+    """Cycles ``[a, b)`` of a stream as a stream of their own."""
+    return PhotonStream.from_cycles([stream.cycle(i) for i in range(a, b)], stream.n_bins)
+
+
 class TestStepParams:
     def test_defaults(self):
         p = StepParams()
@@ -52,6 +149,12 @@ class TestStepParams:
     def test_non_finite_rejected(self, name, bad):
         with pytest.raises(InvalidParamsError):
             StepParams(**{name: bad})
+
+    def test_numpy_scalars_become_python_numbers(self):
+        # gamma**n must be Python's float power (libm pow), not numpy's
+        p = StepParams(gamma=np.float64(0.99), decay_freeze_cycle=np.int64(7))
+        assert type(p.gamma) is float and type(p.decay_freeze_cycle) is int
+        assert binner._decay(p, 9) == 0.99 ** 7
 
     def test_overflowing_step_scale_rejected(self):
         # (k_pct/100) * n_bins overflows to inf although k_pct itself is finite
@@ -391,15 +494,21 @@ class TestBankStreams:
         for a, b in zip(state(shuffled), together):
             assert np.array_equal(a, b[perm])
 
-    @pytest.mark.parametrize("chunk", [1, 7, 512])
-    def test_offset_chunks_do_not_change_results(self, monkeypatch, chunk):
-        # 1,100 cycles cross the offset-list chunk boundaries of every size
-        monkeypatch.setattr(binner, "_OFFSET_CHUNK", chunk)
+    @pytest.mark.parametrize("split", [1, 7, 512])
+    def test_split_run_equals_one_run(self, split):
+        # a bank resumed at cycle `split` (its decay schedule goes on from
+        # there) ends where one run over all 1,100 cycles does
         streams = [_stream(PixelConfig(z, 1.0, 2.0), n_cycles=1100, seed=s)
                    for s, z in enumerate((3.0, 9.0))]
         steps = [StepParams(decay_freeze_cycle=700), StepParams(gamma=1.0, clip=0.01)]
-        bank = BinnerBank([0.25, 0.5], steps, SIM.n_bins, n_streams=2)
-        cvs = bank.run(StreamBlock(streams)).reshape(2, 2, 2)
+        banks = [BinnerBank([0.25, 0.5], steps, SIM.n_bins, n_streams=2) for _ in range(2)]
+        banks[0].run(StreamBlock(streams))
+        for a, b in ((0, split), (split, 1100)):
+            banks[1].run(StreamBlock([cycle_slice(st, a, b) for st in streams]))
+        assert banks[0].n == banks[1].n == 1100
+        for name in ("cvs", "smoothed_step", "smoothed_delta"):
+            assert np.array_equal(getattr(banks[0], name), getattr(banks[1], name))
+        cvs = banks[1].cvs.reshape(2, 2, 2)
         for p, stream in enumerate(streams):
             for v, step in enumerate(steps):
                 assert [cvs[p, v, j] for j in range(2)] == [
@@ -412,6 +521,107 @@ class TestBankStreams:
         bank.run(StreamBlock(streams))
         arrays = [v for v in vars(bank).values() if isinstance(v, np.ndarray)]
         assert sum(a.size for a in arrays) == 4 * 3 * 2 * 31
+
+
+class TestKernelExactness:
+    """The compiled kernel against the loops it replaced and the scalar
+    oracles, bit for bit."""
+
+    @given(
+        streams=stream_blocks(),
+        variants=st.lists(step_params, min_size=1, max_size=3),
+        targets=st.lists(st.sampled_from([0.125, 0.25, 0.5, 0.75, 0.9]), min_size=1, max_size=3),
+        data=st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_bank_equals_reference_loop_and_fold(self, streams, variants, targets, data):
+        # empty cycles and photon-less streams, clipped and unclipped
+        # schedules, gamma = 1, decays frozen before the last cycle, and a
+        # run resumed at a drawn cycle
+        n_cycles = streams[0].n_cycles
+        split = data.draw(st.integers(0, n_cycles))
+        bank = BinnerBank(targets, variants, 16, n_streams=len(streams))
+        for a, b in ((0, split), (split, n_cycles)):
+            if b > a:
+                bank.run(StreamBlock([cycle_slice(s, a, b) for s in streams]))
+        ref = BinnerBank(targets, variants, 16, n_streams=len(streams))
+        reference_bank_run(ref, StreamBlock(streams))
+        assert bank.n == ref.n == n_cycles
+        for name in ("cvs", "smoothed_step", "smoothed_delta"):
+            assert np.array_equal(getattr(bank, name), getattr(ref, name))
+        state = np.stack([bank.cvs, bank.smoothed_step, bank.smoothed_delta], axis=1)
+        state = state.reshape(len(streams), len(variants), len(targets), 3)
+        for p, stream in enumerate(streams):
+            for v, params in enumerate(variants):
+                for j, t in enumerate(targets):
+                    assert tuple(state[p, v, j]) == optimized_fold(stream, t, params)
+
+    @given(cycles=st.one_of(hand_cycles, st.integers(1, 40).map(lambda n: [[]] * n)),
+           params=step_params, target=st.floats(0.01, 0.99))
+    @settings(max_examples=150, deadline=None)
+    def test_run_optimized_equals_reference_loop_and_fold(self, cycles, params, target):
+        stream = _hand_stream(cycles)
+        fast = run_optimized(stream, target, params)
+        got = (fast.cv, fast.s_prev, fast.delta_tilde_prev)
+        assert got == reference_run_optimized(stream, target, params)
+        assert got == optimized_fold(stream, target, params)
+        assert fast.n == stream.n_cycles
+
+    @given(gamma=st.one_of(st.just(1.0), st.floats(0.5, 1.0)), freeze=st.integers(0, 60))
+    @example(gamma=0.99902, freeze=4000)
+    @example(gamma=np.nextafter(1.0, 0.0), freeze=10)
+    @settings(max_examples=100, deadline=None)
+    def test_kernel_decay_is_python_pow(self, gamma, freeze):
+        # one photon above the CV, beta1 = beta2 = 0 and a step base of 1:
+        # the step is 0.5 * gamma**min(n, freeze), exactly
+        p = StepParams(k_pct=100.0, gamma=gamma, beta1=0.0, beta2=0.0, decay_freeze_cycle=freeze)
+        stream = PhotonStream.from_cycles([np.array([0.75])], 1)
+        for n in range(freeze + 3):
+            cv, s, dtil = np.array([0.5]), np.zeros(1), np.zeros(1)
+            binner._optimized_bank([stream], n, [p], 1, np.array([0.5]), cv, s, dtil)
+            assert 2.0 * s[0] == binner._decay(p, n)
+
+    @given(
+        data=st.data(),
+        n_bins=st.sampled_from([4, 8, 16]),
+        target=st.one_of(st.sampled_from([0.25, 0.5, 0.75, 1 / 3]),
+                         st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+        step=st.one_of(st.sampled_from([0.25, 0.5, 1.0, 1.5, 3.0]), st.floats(0.25, 3.0)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_walk_equals_reference_walk(self, data, n_bins, target, step):
+        # half-integer photons, edges and CVs: photons land exactly on edges
+        # and on CVs, edges may repeat or sit at 0 and n_bins, and the walk
+        # may start and end at any cycle
+        half = st.integers(0, 2 * n_bins).map(lambda k: k / 2.0)
+        edges = sorted(data.draw(st.lists(half, max_size=4)))
+        bounds = list(zip([0.0] + edges, edges + [float(n_bins)]))
+        cvs = [min(max(data.draw(half), lo), hi) for lo, hi in bounds]
+        cycle = st.lists(st.integers(0, 2 * n_bins - 1), max_size=6).map(lambda c: np.sort(c) / 2.0)
+        stream = PhotonStream.from_cycles(data.draw(st.lists(cycle, min_size=1, max_size=40)), n_bins)
+        c0 = data.draw(st.integers(0, stream.n_cycles))
+        c1 = data.draw(st.integers(c0, stream.n_cycles))
+        assert binner.fixed_walk(stream, c0, c1, edges, cvs, target, step) == \
+            reference_fixed_walk(stream, c0, c1, edges, cvs, target, step)
+
+    @pytest.mark.parametrize("c0, c1, edges, cvs", [
+        (0, 3, [4.0], [1.0]),          # one CV for two intervals
+        (0, 3, [6.0, 4.0], [1.0, 5.0, 7.0]),  # unsorted edges
+        (0, 3, [np.nan], [1.0, 5.0]),
+        (2, 1, [], [1.0]),
+        (0, 4, [], [1.0]),
+        (-1, 2, [], [1.0]),
+    ])
+    def test_walk_rejects_what_the_kernel_cannot_index(self, c0, c1, edges, cvs):
+        stream = PhotonStream.from_cycles([np.array([1.0, 5.0])] * 3, 8)
+        with pytest.raises(InvalidParamsError):
+            binner.fixed_walk(stream, c0, c1, edges, cvs, 0.5, 1.0)
+
+    def test_bank_arrays_must_fit_the_bank(self):
+        bank = BinnerBank([0.25, 0.5], StepParams(), 8)
+        bank.cvs = np.zeros(1)
+        with pytest.raises(InvalidParamsError, match="do not fit"):
+            bank.run(PhotonStream.from_cycles([np.array([1.0])], 8))
 
 
 class TestBankValidation:

@@ -1,0 +1,65 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import edhsim.kernel as kernel
+from edhsim.errors import EdhsimError
+
+SRC = Path(kernel.__file__).resolve().parents[1]
+
+
+@pytest.fixture
+def cache(tmp_path, monkeypatch):
+    """A fresh kernel cache: ``$XDG_CACHE_HOME/edhsim`` under a tmp dir."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+    return tmp_path / "xdg" / "edhsim"
+
+
+def test_first_build_compiles_and_second_reuses(cache, monkeypatch):
+    path = kernel.build()
+    assert path.parent == cache and path.is_file()
+    assert sorted(cache.iterdir()) == [path]  # no temporary file left behind
+
+    def no_compile(*args, **kwargs):
+        raise AssertionError("compiled again")
+
+    monkeypatch.setattr(kernel.subprocess, "run", no_compile)
+    assert kernel.build() == path
+
+
+def test_default_cache_is_under_home(monkeypatch, tmp_path):
+    monkeypatch.delenv("XDG_CACHE_HOME", raising=False)
+    monkeypatch.setenv("HOME", str(tmp_path))
+    assert kernel.cache_dir() == tmp_path / ".cache" / "edhsim"
+
+
+def test_two_processes_building_at_once_both_load(cache):
+    code = "import edhsim.kernel as k; k.library(); print(k.build())"
+    env = dict(os.environ, XDG_CACHE_HOME=str(cache.parent), PYTHONPATH=str(SRC))
+    procs = [subprocess.Popen([sys.executable, "-c", code], env=env, text=True,
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE) for _ in range(2)]
+    outs = [p.communicate(timeout=120) for p in procs]
+    assert [p.returncode for p in procs] == [0, 0], [err for _, err in outs]
+    [path] = {out.strip() for out, _ in outs}
+    assert sorted(cache.iterdir()) == [Path(path)]
+
+
+def test_editing_the_source_changes_the_cache_key(cache, monkeypatch, tmp_path):
+    source = tmp_path / "kernel.c"
+    source.write_text(kernel.SOURCE.read_text())
+    monkeypatch.setattr(kernel, "SOURCE", source)
+    before = kernel.build()
+    source.write_text(source.read_text() + "\n/* edited */\n")
+    after = kernel.build()
+    assert after != before
+    assert before.is_file() and after.is_file()
+
+
+def test_missing_compiler_raises_one_error_naming_the_command(cache, monkeypatch):
+    monkeypatch.setattr(kernel, "COMPILER", ["/nonexistent/edhsim-cc"])
+    with pytest.raises(EdhsimError, match="/nonexistent/edhsim-cc .*-ffp-contract=off"):
+        kernel.build()
+    assert list(cache.iterdir()) == []

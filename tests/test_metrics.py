@@ -90,7 +90,7 @@ class TestDistanceMetrics:
 
     @given(
         errs=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=40),
-        ps=st.lists(st.floats(0.1, 40.0), min_size=2, max_size=6, unique=True),
+        ps=st.lists(st.floats(0.1, 40.0), min_size=2, max_size=6, unique_by=inlier_column),
     )
     @settings(max_examples=60)
     def test_inliers_monotone_in_threshold(self, errs, ps):
