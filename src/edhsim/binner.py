@@ -38,7 +38,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import kernel
-from .errors import InvalidParamsError, check_int
+from .errors import EdhsimError, InvalidParamsError, check_int
 from .transient import PhotonStream, StreamBlock
 
 
@@ -268,8 +268,10 @@ def fixed_walk(stream: PhotonStream, c0: int, c1: int, edges: list[float], cvs: 
         raise InvalidParamsError("walk edges must be finite and sorted")
     if not 0 <= c0 <= c1 <= stream.n_cycles:
         raise InvalidParamsError(f"cycles [{c0}, {c1}) do not lie in [0, {stream.n_cycles}]")
-    kernel.library().edh_fixed_walk(stream.timestamps, stream.cycle_offsets, c0, c1, edges,
-                                    edges.size, float(stream.n_bins), out, target_frac, step_size)
+    if kernel.library().edh_fixed_walk(stream.timestamps, stream.cycle_offsets, c0, c1, edges,
+                                       edges.size, float(stream.n_bins), out, target_frac,
+                                       step_size):
+        raise EdhsimError("fixed walk met a photon in no interval (NaN or >= n_bins)")
     return out.tolist()
 
 

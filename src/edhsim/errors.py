@@ -79,7 +79,7 @@ class QuantileMismatchError(EdhsimError):
 
 
 class KernelBuildError(EdhsimError):
-    """The compiled stepping kernel could not be built (no C compiler, or an
+    """The compiled kernel could not be built (no C compiler, or an
     unwritable cache)."""
 
 

@@ -1,4 +1,6 @@
-"""Build and load the compiled stepping kernel, ``kernel.c``.
+"""Build and load the compiled kernel, ``kernel.c``: the binner stepping
+rules behind :mod:`edhsim.binner` and the photon placement behind
+:func:`edhsim.transient.sample_stream`.
 
 The library is compiled on first use with the C compiler Python was built
 with (``sysconfig``'s ``CC``), so a C compiler is a run-time requirement. It
@@ -11,7 +13,7 @@ two processes building at once both end with a whole library.
 ``-ffp-contract=off`` stops the compiler from fusing ``a*b + c`` into one
 rounding (GCC does by default where the target has FMA), and ``-ffast-math``
 is never passed: either would change the bits that the scalar oracles in
-:mod:`edhsim.binner` pin.
+:mod:`edhsim.binner` and the sampler's numpy reference pin.
 """
 
 from __future__ import annotations
@@ -69,12 +71,16 @@ def build() -> Path:
             os.unlink(tmp)
         detail = getattr(e, "stderr", None) or e
         raise KernelBuildError(
-            f"building the stepping kernel failed: {shlex.join(command)}: {detail}") from None
+            f"building the compiled kernel failed: {shlex.join(command)}: {detail}") from None
     return out
 
 
 def _doubles(writeable=False):
     return np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS" + (",W" if writeable else ""))
+
+
+def _int64s(writeable=False):
+    return np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS" + (",W" if writeable else ""))
 
 
 @functools.cache
@@ -87,12 +93,15 @@ def library() -> ctypes.CDLL:
     lib.edh_optimized_bank.argtypes = [
         i64, ptrs, ptrs, i64, i64,
         i64, _doubles(), _doubles(), _doubles(), _doubles(),
-        np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS"), _doubles(),
+        _int64s(), _doubles(),
         i64, _doubles(), f64, _doubles(True), _doubles(True), _doubles(True),
     ]
-    lib.edh_fixed_walk.restype = None
+    lib.edh_fixed_walk.restype = ctypes.c_int
     lib.edh_fixed_walk.argtypes = [
-        _doubles(), np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS"), i64, i64,
-        _doubles(), i64, f64, _doubles(True), f64, f64,
+        _doubles(), _int64s(), i64, i64, _doubles(), i64, f64, _doubles(True), f64, f64,
+    ]
+    lib.edh_place_photons.restype = None
+    lib.edh_place_photons.argtypes = [
+        _doubles(), i64, _int64s(), i64, _doubles(), _doubles(), _int64s(True), _doubles(True),
     ]
     return lib

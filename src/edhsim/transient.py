@@ -23,6 +23,7 @@ from typing import TYPE_CHECKING, Iterator, Sequence
 import numpy as np
 from scipy.special import ndtr
 
+from . import kernel
 from .errors import DistanceExceedsRangeError, InvalidParamsError, check_int
 
 if TYPE_CHECKING:
@@ -178,8 +179,9 @@ class PhotonStream:
         if ts.size:
             if not (ts.min() >= 0.0 and ts.max() < self.n_bins):  # also rejects NaN
                 raise InvalidParamsError("timestamps must lie in [0, n_bins)")
-            dips = np.nonzero(np.diff(ts) < 0.0)[0]
-            if dips.size and not np.isin(dips, off[1:-1] - 1).all():
+            drops = np.diff(ts) < 0.0  # drops[i]: ts[i + 1] < ts[i]
+            drops[off[(0 < off) & (off < ts.size)] - 1] = False  # allowed into a new cycle
+            if drops.any():
                 raise InvalidParamsError("timestamps must be sorted within each cycle")
         ts.setflags(write=False)
         off.setflags(write=False)
@@ -257,23 +259,6 @@ class StreamBlock:
         return self.streams[0].n_bins
 
 
-def _knot_bins(cum: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``np.searchsorted(cum, x, side="right")`` for a non-decreasing ``cum``,
-    found from the needles' ranks instead of one binary search per needle.
-
-    With the needles sorted, ``below[j]`` needles lie under knot ``cum[j]``,
-    and the needle of rank ``r`` has ``cum[j] <= x`` exactly for the knots
-    with ``below[j] <= r``; counting those knots is a running sum over
-    ``below``. Equal values, flat stretches of ``cum`` and needles on a knot
-    therefore come out as the binary search has them.
-    """
-    rank = np.argsort(x)
-    below = np.searchsorted(x[rank], cum, side="left")
-    bins = np.empty(x.size, dtype=np.intp)
-    bins[rank] = np.cumsum(np.bincount(below, minlength=x.size + 1)[:x.size])
-    return bins
-
-
 def sample_stream(transient: Transient, n_cycles: int, seed) -> PhotonStream:
     """Sample an exposure of ``n_cycles`` independent laser cycles.
 
@@ -286,12 +271,15 @@ def sample_stream(transient: Transient, n_cycles: int, seed) -> PhotonStream:
     Draw order, from one PCG64 seeded with ``seed``: all ``n_cycles`` counts,
     then one bin uniform per photon (inverse CDF over the running sum of
     ``values``), then one jitter uniform per photon, photons numbered cycle
-    by cycle. The steps after the draws are exact: the bin lookup
-    (:func:`_knot_bins`) equals a right-sided binary search over the knots,
-    and the per-cycle sort (all positions, then a stable sort by cycle id,
-    a radix sort up to 65,536 cycles) keeps each cycle ascending with tied
-    positions equal floats, so the stream matches a (cycle, position)
-    lexicographic sort byte for byte.
+    by cycle. The compiled kernel (``edh_place_photons``) then places each
+    photon exactly: its bin is a right-sided search of the draw times
+    ``total`` over the knots, held to ``n_bins - 1``; its position, bin plus
+    jitter, is held below ``n_bins`` and inserted into its cycle's ascending
+    run. Tied positions are equal floats, so the stream matches a
+    (cycle, position) lexicographic sort byte for byte.
+
+    Raises:
+        KernelBuildError: if the kernel is not built yet and cannot be.
     """
     n_cycles = check_int("n_cycles", n_cycles, 1)
     cfg = transient.config
@@ -299,16 +287,10 @@ def sample_stream(transient: Transient, n_cycles: int, seed) -> PhotonStream:
     cum = np.cumsum(transient.values)
     total = cum[-1]
     counts = rng.poisson(total, size=n_cycles) if total > 0.0 else np.zeros(n_cycles, np.int64)
-    n_total = int(counts.sum())
-    if n_total:
-        bins = _knot_bins(cum, rng.random(n_total) * total)
-        np.minimum(bins, cfg.n_bins - 1, out=bins)
-        positions = bins + rng.random(n_total)
-        np.minimum(positions, np.nextafter(cfg.n_bins, 0.0), out=positions)
-        cycle_ids = np.repeat(np.arange(n_cycles, dtype=np.min_scalar_type(n_cycles - 1)), counts)
-        order = np.argsort(positions)
-        positions = positions[order[np.argsort(cycle_ids[order], kind="stable")]]
-    else:
-        positions = np.empty(0, dtype=np.float64)
     offsets = np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
+    ub = rng.random(offsets[-1])
+    uj = rng.random(offsets[-1])
+    positions = np.empty(offsets[-1], dtype=np.float64)
+    kernel.library().edh_place_photons(cum, cfg.n_bins, offsets, n_cycles, ub, uj,
+                                       np.empty(cfg.n_bins, np.int64), positions)
     return PhotonStream(positions, offsets, cfg.n_bins)

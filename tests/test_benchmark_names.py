@@ -1,10 +1,14 @@
 """Every name the benchmark in ``perfbench/`` looks up on ``edhsim.harness``
 exists there; one missing name would stop every benchmark run in ``getattr``.
+Every layer span it reports names a function that still exists in
+``edhsim``; a renamed or removed one would read as a layer that no longer
+costs anything.
 
 The benchmark's sources are parsed, not imported or run.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -53,6 +57,7 @@ def _direct_lookups() -> set:
 
 LAYERS = _tree("layers.py")
 LAYER_NAMES = _module_tuple(LAYERS, "HARNESS_CALLEES") + _module_tuple(LAYERS, "HARNESS_ROOTS")
+LAYER_SPANS = _module_tuple(LAYERS, "LAYER_SPANS")
 CHECKED = _install_checks_names()
 DIRECT = sorted(_direct_lookups())
 
@@ -62,8 +67,20 @@ def test_the_lookups_were_found():
     assert {"sample_stream", "run_experiment", "sweep", "median_tracking_experiment"} <= set(LAYER_NAMES)
     assert sorted(CHECKED) == ["hedh", "oedh", "pedh", "run_fixed", "run_optimized"]
     assert {"run_experiment", "sweep", "median_tracking_experiment", "pedh"} <= set(DIRECT)
+    assert {"transient.sample_stream", "binner.BinnerBank.run"} <= set(LAYER_SPANS)
 
 
 @pytest.mark.parametrize("name", sorted(set(LAYER_NAMES + tuple(CHECKED)) | set(DIRECT)))
 def test_harness_has_the_name(name):
     assert callable(getattr(harness, name, None)), f"edhsim.harness.{name} is gone"
+
+
+@pytest.mark.parametrize("span", LAYER_SPANS)
+def test_layer_span_names_a_function(span):
+    # "<module>.<function>" or "<module>.<Class>.<method>" in edhsim
+    module, *path = span.split(".")
+    obj = importlib.import_module(f"edhsim.{module}")
+    for attr in path:
+        obj = getattr(obj, attr, None)
+        assert obj is not None, f"edhsim.{span} is gone"
+    assert callable(obj), f"edhsim.{span} is not callable"

@@ -63,3 +63,33 @@ def test_missing_compiler_raises_one_error_naming_the_command(cache, monkeypatch
     with pytest.raises(EdhsimError, match="/nonexistent/edhsim-cc .*-ffp-contract=off"):
         kernel.build()
     assert list(cache.iterdir()) == []
+
+
+def test_fixed_walk_refuses_a_photon_in_no_interval():
+    # A NaN photon lies in no interval, so its run of photons is empty; the
+    # walk must report that rather than loop on it forever. PhotonStream
+    # refuses NaN, so both calls go around it, and the subprocess's timeout
+    # turns a hang into a failure.
+    code = """
+import numpy as np
+import edhsim.kernel as k
+from edhsim.binner import fixed_walk
+from edhsim.errors import EdhsimError
+from edhsim.transient import PhotonStream
+ts, offsets = np.array([np.nan]), np.array([0, 1], dtype=np.int64)
+cvs = np.array([512.0])
+print(k.library().edh_fixed_walk(ts, offsets, 0, 1, np.empty(0), 0, 1024.0, cvs, 0.5, 1.0))
+stream = PhotonStream.from_cycles([np.array([1.0])], 1024)
+object.__setattr__(stream, "timestamps", ts)
+try:
+    fixed_walk(stream, 0, 1, [], [512.0], 0.5, 1.0)
+except EdhsimError as e:
+    print(type(e).__name__, e)
+"""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    status, error = proc.stdout.splitlines()
+    assert status == "1"
+    assert error.startswith("EdhsimError fixed walk met a photon in no interval")

@@ -5,13 +5,13 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import norm
 
+from edhsim import kernel
 from edhsim.errors import DistanceExceedsRangeError, InvalidParamsError
 from edhsim.scene import PixelConfig
 from edhsim.transient import (
     PhotonStream,
     SimConfig,
     Transient,
-    _knot_bins,
     build_transient,
     sample_stream,
     true_quantiles,
@@ -46,11 +46,17 @@ def reference_sample_stream(transient, n_cycles, seed):
 def transients(draw):
     """Transients whose CDFs have the awkward shapes: no flux at all, flat
     background only, a pulse with no background (long flat CDF stretches), a
-    pulse against the end of the range, and a pulse on background."""
+    pulse against the end of the range, a pulse on background, and one 1.0
+    bin among 1e-300 bins, which sends the kernel's knot-search hint far from
+    the answer."""
     sim = SimConfig(n_bins=draw(st.sampled_from([2, 16, 1024])))
-    kind = draw(st.sampled_from(["zero", "background", "pulse", "edge", "mixed"]))
+    kind = draw(st.sampled_from(["zero", "background", "pulse", "edge", "mixed", "spike"]))
     if kind == "zero":
         return Transient(np.zeros(sim.n_bins), sim)
+    if kind == "spike":
+        values = np.full(sim.n_bins, 1e-300)
+        values[draw(st.integers(0, sim.n_bins - 1))] = 1.0
+        return Transient(values, sim)
     flux = st.floats(0.01, 6.0)
     z = draw(st.floats(0.05, 0.95)) * sim.z_max
     if kind == "background":
@@ -222,10 +228,11 @@ class TestSamplerOracle:
     @example(tr=build_transient(PixelConfig(7.5, 0.05, 0.0), SIM), n_cycles=65_536, seed=1)
     @example(tr=build_transient(PixelConfig(7.5, 0.05, 0.0), SIM), n_cycles=65_537, seed=1)
     @example(tr=build_transient(PixelConfig(7.5, 0.05, 0.05), SIM), n_cycles=70_000, seed=2)
+    @example(tr=build_transient(PixelConfig(7.5, 85.0, 171.0), SIM), n_cycles=40, seed=3)
     @settings(max_examples=60, deadline=None)
     def test_matches_reference_byte_for_byte(self, tr, n_cycles, seed):
-        # past 65,536 cycles the cycle ids no longer fit 16 bits and the
-        # stable sort is not a radix sort
+        # about 256 photons per cycle mixes runs that the kernel sorts by
+        # insertion with runs that it sorts with qsort
         got = sample_stream(tr, n_cycles, seed)
         want = reference_sample_stream(tr, n_cycles, seed)
         assert got.timestamps.tobytes() == want.timestamps.tobytes()
@@ -240,28 +247,95 @@ class TestSamplerOracle:
                     reference_sample_stream(tr, 5000, seed).checksum()
 
 
+def place_photons(values, ub, uj, counts=None):
+    """Positions from the kernel's ``edh_place_photons`` for a transient of
+    ``values``; photons go one per cycle unless ``counts`` says otherwise."""
+    values = np.asarray(values, dtype=np.float64)
+    ub, uj = np.asarray(ub, dtype=np.float64), np.asarray(uj, dtype=np.float64)
+    counts = np.ones(ub.size, np.int64) if counts is None else np.asarray(counts)
+    offsets = np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
+    out = np.empty(ub.size)
+    kernel.library().edh_place_photons(np.cumsum(values), values.size, offsets, counts.size,
+                                       ub, uj, np.empty(values.size, np.int64), out)
+    return out
+
+
+def reference_place(values, ub, uj, counts):
+    """``place_photons`` by numpy: a right-sided binary search, both clamps and
+    a (cycle, position) lexicographic sort."""
+    cum = np.cumsum(values)
+    bins = np.minimum(np.searchsorted(cum, np.asarray(ub) * cum[-1], side="right"), len(cum) - 1)
+    positions = np.minimum(bins + np.asarray(uj), np.nextafter(len(cum), 0.0))
+    cycle_ids = np.repeat(np.arange(len(counts)), counts)
+    return positions[np.lexsort((positions, cycle_ids))]
+
+
 class TestKnotBins:
-    # knots with a flat stretch (1, 1) and a flat tail (3, 3): total is 3
-    CUM = np.array([0.0, 1.0, 1.0, 2.0, 3.0, 3.0])
+    # bins 0, 2, 5, 6 and 8 are empty (flat CDF stretches, at both ends too);
+    # the total is 8, so a needle x = 8 * ub on a knot is exact
+    VALUES = [0.0, 1.0, 0.0, 1.0, 2.0, 0.0, 0.0, 4.0, 0.0]
+    KNOTS = np.cumsum(VALUES)
 
     @pytest.mark.parametrize("x", [
-        [0.0], [3.0], [1.0, 1.0, 2.0], [0.0, 1.0, 1.0, 2.0, 3.0, 3.0],
-        [3.0, 2.5, 1.0, 0.5, 0.0, 2.0, 1.0], [0.5, 1.5, 2.5], [],
+        [0.0], [1.0], [2.0, 2.0, 4.0], [0.0, 1.0, 1.0, 2.0, 4.0, 4.0, 4.0],
+        [7.2, 4.0, 2.0, 0.5, 0.0, 4.0, 1.0], [8.0 - 2.0**-50], [],
     ])
     def test_equals_right_sided_binary_search(self, x):
-        x = np.array(x, dtype=np.float64)
-        want = np.searchsorted(self.CUM, x, side="right")
-        got = _knot_bins(self.CUM, x)
-        assert got.dtype == want.dtype and np.array_equal(got, want)
+        got = place_photons(self.VALUES, np.array(x) / 8.0, np.zeros(len(x)))
+        want = np.searchsorted(self.KNOTS, x, side="right")
+        assert np.array_equal(got, want.astype(np.float64))
 
-    @given(st.lists(st.sampled_from([0.0, 0.25, 1.0, 1.5, 2.0, 3.0]), max_size=40),
-           st.lists(st.sampled_from([0.0, 0.25, 1.0, 2.0, 3.0]), min_size=1, max_size=30))
+    def test_zero_draw_skips_leading_empty_bins(self):
+        assert place_photons(self.VALUES, [0.0], [0.0]).tolist() == [1.0]
+        assert place_photons([1.0, 1.0], [0.0], [0.0]).tolist() == [0.0]
+
+    def test_draw_that_rounds_up_to_the_total_stays_in_the_last_bin(self):
+        # with a subnormal total, 0.75 * total rounds to the total itself, so
+        # the right-sided search returns n_bins; the last bin keeps it
+        tiny = 2.0**-1074
+        assert 0.75 * tiny == tiny
+        assert place_photons([tiny, 0.0], [0.75], [0.5]).tolist() == [1.5]
+        assert place_photons([0.0, 0.0, tiny, 0.0], [0.75], [0.0]).tolist() == [3.0]
+
+    @pytest.mark.parametrize("n_bins", [2, 1024])
+    def test_jitter_that_rounds_up_to_n_bins_stays_below_it(self, n_bins):
+        values = np.zeros(n_bins)
+        values[-1] = 1.0
+        uj = 1.0 - 2.0**-53
+        assert (n_bins - 1) + uj == n_bins
+        got = place_photons(values, [0.5, 0.5], [uj, 0.25], counts=[2])
+        assert got.tolist() == [n_bins - 0.75, np.nextafter(n_bins, 0.0)]
+
+    def test_two_bins(self):
+        got = place_photons([1.0, 3.0], [0.0, 0.2499, 0.25, 0.75, 0.9], [0.5] * 5)
+        assert got.tolist() == [0.5, 0.5, 1.5, 1.5, 1.5]
+
+    def test_hint_far_from_the_answer(self):
+        # bucket 0's hint is knot 0, so a draw there scans up across 1,000
+        # tiny knots to the one heavy bin
+        values = np.full(1024, 1e-300)
+        values[1000] = 1.0
+        ub = [0.0, 1e-6, 0.5, 1.0 - 2.0**-53]
+        assert place_photons(values, ub, [0.0] * 4).tolist() == [0.0] + [1000.0] * 3
+
+    def test_each_cycle_sorted_on_its_own(self):
+        # cycle 1's photons all lie below cycle 0's: none may cross the boundary
+        got = place_photons(self.VALUES, [0.9, 0.5, 0.0, 0.125], [0.5, 0.25, 0.75, 0.0],
+                            counts=[2, 0, 2])
+        assert got.tolist() == [7.25, 7.5, 1.75, 3.0]
+
+    @given(st.lists(st.sampled_from([0.0, 0.25, 1.0, 2.0]), min_size=2, max_size=24),
+           st.lists(st.tuples(st.sampled_from([0.0, 0.125, 0.25, 0.5, 0.75, 0.9, 1.0 - 2.0**-53]),
+                              st.sampled_from([0.0, 0.5, 1.0 - 2.0**-53])), max_size=40),
+           st.lists(st.integers(0, 40), max_size=8))
     @settings(max_examples=300)
-    def test_equals_binary_search_with_ties(self, needles, steps):
-        # knots and needles drawn from one small set, so ties are common
-        cum = np.cumsum(steps)
-        x = np.array(needles) * cum[-1] / 3.0
-        assert np.array_equal(_knot_bins(cum, x), np.searchsorted(cum, x, side="right"))
+    def test_equals_binary_search_with_ties(self, values, draws, cuts):
+        # knots and draws from one small set of dyadic values, so ties with
+        # knots, between photons and against the top clamp are common
+        ub, uj = [u for u, _ in draws], [j for _, j in draws]
+        counts = np.diff([0, *sorted(min(c, len(draws)) for c in cuts), len(draws)])
+        got = place_photons(values, ub, uj, counts)
+        assert got.tobytes() == reference_place(values, ub, uj, counts).tobytes()
 
 
 class TestPhotonStream:
@@ -275,6 +349,24 @@ class TestPhotonStream:
     def test_unsorted_cycle_rejected(self):
         with pytest.raises(InvalidParamsError):
             PhotonStream.from_cycles([np.array([2.0, 1.0])], 1024)
+
+    @pytest.mark.parametrize("cycles", [
+        [[], [], [3.0, 5.0], [1.0]],  # leading empty cycles: offsets of 0
+        [[3.0, 5.0], [1.0], [], []],  # trailing empty cycles: offsets of len(timestamps)
+        [[5.0], [], [1.0, 2.0], [0.5]],  # drops into new cycles, one past an empty cycle
+    ])
+    def test_drop_at_a_cycle_start_accepted(self, cycles):
+        s = PhotonStream.from_cycles([np.array(c) for c in cycles], 1024)
+        assert [s.cycle(i).tolist() for i in range(s.n_cycles)] == cycles
+
+    @pytest.mark.parametrize("cycles", [
+        [[], [1.0, 3.0, 2.0]],  # an offset of 0 must not excuse the last drop
+        [[1.0], [3.0, 2.0], [], []],  # nor one of len(timestamps) the drop before it
+        [[5.0], [1.0, 2.0, 1.5, 3.0], [0.5]],
+    ])
+    def test_drop_inside_a_cycle_rejected(self, cycles):
+        with pytest.raises(InvalidParamsError, match="sorted within each cycle"):
+            PhotonStream.from_cycles([np.array(c) for c in cycles], 1024)
 
     def test_out_of_range_rejected(self):
         with pytest.raises(InvalidParamsError):
