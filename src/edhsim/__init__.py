@@ -51,7 +51,6 @@ from .scene import (
 from .transient import (
     PhotonStream,
     SimConfig,
-    StreamBlock,
     Transient,
     build_transient,
     sample_stream,
@@ -71,7 +70,7 @@ __all__ = [
     "EdhBoundaries", "EwHistogram", "ewh", "hedh", "oedh", "pedh", "pedh_variants",
     "MetricsReport", "boundary_rmse", "distance_metrics",
     "DepthMap", "PixelConfig", "Scene", "load_depth_map", "synth_scene",
-    "PhotonStream", "SimConfig", "StreamBlock", "Transient", "build_transient",
+    "PhotonStream", "SimConfig", "Transient", "build_transient",
     "sample_stream", "true_quantiles",
     "__version__",
 ]

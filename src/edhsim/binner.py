@@ -22,15 +22,14 @@ Where each rule lives: :func:`fixed_step` and :func:`optimized_step` advance
 one binner by one cycle and serve as oracles. Every stream is stepped by the
 compiled kernel (:mod:`edhsim.kernel`, source ``kernel.c``), one C function
 per rule: :func:`fixed_walk`, behind :func:`run_fixed` and ``hedh``, and the
-optimized bank update, behind :class:`BinnerBank` (many binners over a block
-of streams and several step schedules) and :func:`run_optimized` (a bank of
+optimized bank update, behind :class:`BinnerBank` (many binners over one
+stream under several step schedules) and :func:`run_optimized` (a bank of
 one). The kernel repeats each oracle's operations in the same order, so the
 results agree bit for bit.
 """
 
 from __future__ import annotations
 
-import ctypes
 import math
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
@@ -39,7 +38,7 @@ import numpy as np
 
 from . import kernel
 from .errors import EdhsimError, InvalidParamsError, check_int
-from .transient import PhotonStream, StreamBlock
+from .transient import PhotonStream
 
 
 @dataclass(frozen=True)
@@ -198,35 +197,30 @@ def fixed_step(state: BinnerState, obs: CycleObservation, step_size: float) -> B
     return replace(state, cv=cv, n=state.n + 1)
 
 
-def _optimized_bank(streams: Sequence[PhotonStream], n0: int, variants: Sequence[StepParams],
+def _optimized_bank(stream: PhotonStream, n0: int, variants: Sequence[StepParams],
                     n_bins: int, targets: np.ndarray, cvs: np.ndarray, s: np.ndarray,
                     dtil: np.ndarray) -> None:
-    """Step optimized binners over every cycle of ``streams`` in one kernel
+    """Step optimized binners over every cycle of ``stream`` in one kernel
     call, starting at cycle ``n0`` of their decay schedule.
 
-    Binner ``(p, v, j)``, at flat index ``(p * V + v) * J + j``, tracks
-    ``targets`` of stream ``p`` under ``variants[v]``; ``cvs``, ``s`` and
-    ``dtil`` hold its CV and smoother memories and are updated in place. The
-    streams must share ``n_cycles``.
+    Binner ``(v, j)``, at flat index ``v * J + j``, tracks ``targets`` under
+    ``variants[v]``; ``cvs``, ``s`` and ``dtil`` hold its CV and smoother
+    memories and are updated in place.
     """
-    size = len(streams) * len(variants)
-    if not (targets.size == cvs.size == s.size == dtil.size and targets.size % size == 0):
+    if not (targets.size == cvs.size == s.size == dtil.size and targets.size % len(variants) == 0):
         raise InvalidParamsError(f"bank arrays of sizes {targets.size}, {cvs.size}, {s.size}, "
-                                 f"{dtil.size} do not fit {len(streams)} streams x {len(variants)} schedules")
+                                 f"{dtil.size} do not fit {len(variants)} schedules")
 
     def column(values, dtype=np.float64):
         return np.array(values, dtype=dtype)
 
-    def addresses(name):
-        return (ctypes.c_void_p * len(streams))(*[getattr(st, name).ctypes.data for st in streams])
-
     kernel.library().edh_optimized_bank(
-        len(streams), addresses("timestamps"), addresses("cycle_offsets"), streams[0].n_cycles, n0,
+        stream.timestamps, stream.cycle_offsets, stream.n_cycles, n0,
         len(variants), column([p.beta1 for p in variants]), column([p.beta2 for p in variants]),
         column([(1.0 - p.beta2) * _step_scale(p, n_bins) for p in variants]),
         column([p.gamma for p in variants]), column([p.decay_freeze_cycle for p in variants], np.int64),
         column([p.clip * n_bins if p.clip is not None else math.inf for p in variants]),
-        targets.size // size, targets, float(n_bins), cvs, s, dtil)
+        targets.size // len(variants), targets, float(n_bins), cvs, s, dtil)
 
 
 def run_optimized(stream: PhotonStream, target_frac: float, params: StepParams) -> BinnerState:
@@ -235,7 +229,7 @@ def run_optimized(stream: PhotonStream, target_frac: float, params: StepParams) 
     bit for bit to folding :func:`optimized_step` over the cycles."""
     state = BinnerState.initial(target_frac, params, stream.n_bins)
     cv, s, dtil = np.array([state.cv]), np.zeros(1), np.zeros(1)
-    _optimized_bank([stream], 0, [params], stream.n_bins, np.array([target_frac]), cv, s, dtil)
+    _optimized_bank(stream, 0, [params], stream.n_bins, np.array([target_frac]), cv, s, dtil)
     return replace(state, cv=float(cv[0]), s_prev=float(s[0]), delta_tilde_prev=float(dtil[0]),
                    n=stream.n_cycles)
 
@@ -284,18 +278,16 @@ def run_fixed(stream: PhotonStream, target_frac: float, step_size: float) -> Bin
 
 
 class BinnerBank:
-    """A bank of optimized binners updated together.
+    """A bank of optimized binners updated together over one stream.
 
-    Binner ``(p, v, j)`` tracks quantile ``targets[j]`` of stream ``p`` of a
-    :class:`~edhsim.transient.StreamBlock` under step schedule ("variant")
-    ``v``. :meth:`run` hands the whole block to one call of the compiled
+    Binner ``(v, j)`` tracks quantile ``targets[j]`` under step schedule
+    ("variant") ``v``. :meth:`run` hands a stream to one call of the compiled
     kernel, which walks the cycles and, on each, finds every binner's early
-    count with one binary search over its stream's cycle slice and applies
-    the scalar update of :func:`optimized_step` (same operations, same
-    order), so each binner reproduces :func:`run_optimized` bit-for-bit.
-    Streams are read in place, not padded to a common photon count. Total
-    state is four float64 arrays of one entry per binner (stream-major, then
-    variant) plus a cycle counter; nothing scales with the photon count.
+    count with one binary search over the cycle's slice and applies the
+    scalar update of :func:`optimized_step` (same operations, same order), so
+    each binner reproduces :func:`run_optimized` bit-for-bit. Total state is
+    four float64 arrays of one entry per binner (variant-major) plus a cycle
+    counter; nothing scales with the photon count.
     """
 
     def __init__(
@@ -303,7 +295,6 @@ class BinnerBank:
         targets: Sequence[float],
         params: StepParams | Sequence[StepParams],
         n_bins: int,
-        n_streams: int = 1,
     ):
         targets = np.asarray(targets, dtype=np.float64)
         if targets.ndim != 1 or targets.size == 0:
@@ -311,7 +302,6 @@ class BinnerBank:
         if not np.all((0.0 < targets) & (targets < 1.0)):
             raise InvalidParamsError("target fractions must lie in (0, 1)")
         check_int("n_bins", n_bins, 1)
-        self.n_streams = check_int("n_streams", n_streams, 1)
         variants = (params,) if isinstance(params, StepParams) else tuple(params)
         if not variants:
             raise InvalidParamsError("need at least one step schedule")
@@ -319,31 +309,25 @@ class BinnerBank:
             _step_scale(p, n_bins)
         self.variants = variants
         self.n_bins = n_bins
-        self.targets = np.tile(targets, self.n_streams * len(variants))
+        self.targets = np.tile(targets, len(variants))
         self.cvs = self.targets * n_bins
         self.smoothed_step = np.zeros_like(self.cvs)
         self.smoothed_delta = np.zeros_like(self.cvs)
         self.n = 0
 
     def step_cycle(self, cycle_timestamps: np.ndarray) -> None:
-        """Observe one cycle (sorted timestamps) and update every binner of
-        a one-stream bank."""
+        """Observe one cycle (sorted timestamps) and update every binner."""
         self.run(PhotonStream.from_cycles([cycle_timestamps], self.n_bins))
 
-    def run(self, block: PhotonStream | StreamBlock) -> np.ndarray:
-        """Consume every cycle of a block (or of one stream, for a
-        one-stream bank); returns the final CVs, one per binner,
-        stream-major then variant (the bank's own array, updated in place).
-        """
-        if isinstance(block, PhotonStream):
-            block = StreamBlock([block])
-        if block.n_bins != self.n_bins:
+    def run(self, stream: PhotonStream) -> np.ndarray:
+        """Consume every cycle of ``stream``; returns the final CVs, one per
+        binner, variant-major (the bank's own array, updated in place)."""
+        if not isinstance(stream, PhotonStream):
+            raise InvalidParamsError(f"a bank runs over one PhotonStream, not {type(stream).__name__}")
+        if stream.n_bins != self.n_bins:
             raise InvalidParamsError(
-                f"stream has n_bins={block.n_bins}, bank has n_bins={self.n_bins}")
-        if len(block) != self.n_streams:
-            raise InvalidParamsError(
-                f"block has {len(block)} streams, bank has n_streams={self.n_streams}")
-        _optimized_bank(block.streams, self.n, self.variants, self.n_bins, self.targets,
+                f"stream has n_bins={stream.n_bins}, bank has n_bins={self.n_bins}")
+        _optimized_bank(stream, self.n, self.variants, self.n_bins, self.targets,
                         self.cvs, self.smoothed_step, self.smoothed_delta)
-        self.n += block.n_cycles
+        self.n += stream.n_cycles
         return self.cvs

@@ -6,12 +6,9 @@ so results do not depend on execution order, and every method within one run
 consumes the identical photon stream (paired comparisons).
 
 Every entry point (:func:`run_experiment`, :func:`sweep`,
-:func:`scene_summaries`) samples its pixels through one block sampler,
-:func:`_sampled_blocks`, in blocks of at most ``_BLOCK`` streams, and
-``pedh`` steps a whole block in one pass over the cycles
-(:func:`pedh_variants`); the other methods run stream by stream. The bound
-keeps the streams held at once, and so the memory, small; results do not
-depend on it.
+:func:`scene_summaries`) takes one pixel at a time: it samples the pixel's
+stream, summarizes it with each method and drops it before the next pixel,
+so one stream is held at once.
 """
 
 from __future__ import annotations
@@ -42,9 +39,7 @@ from .estimator import (
     t0_hat,
     t1_hat,
 )
-# every pedh run here goes through pedh_variants; pedh stays importable as
-# harness.pedh, where the benchmark's checks and spans (perfbench/) patch it
-from .histogrammer import EdhBoundaries, EwHistogram, ewh, hedh, oedh, pedh, pedh_variants  # noqa: F401
+from .histogrammer import EdhBoundaries, EwHistogram, ewh, hedh, oedh, pedh, pedh_variants
 from .metrics import boundary_rmse, check_metric_limits, distance_metrics, inlier_column
 from .scene import PixelConfig, Scene, save_grid
 from .transient import PhotonStream, SimConfig, build_transient, sample_stream, true_quantiles
@@ -58,9 +53,6 @@ _CTX_EXPERIMENT = 0
 _CTX_FEATURES = 1
 _CTX_SIMULATE = 2
 _CTX_MEDIAN = 3
-
-# pixels sampled and stepped together; a block holds this many streams at once
-_BLOCK = 16
 
 FEATURE_MAGIC = b"EDHF"
 _FEATURE_HEADER = struct.Struct("<4sIII")
@@ -83,15 +75,11 @@ def pipeline_stream_seed(global_seed: int, pixel_index: int) -> np.random.SeedSe
 # Method and estimator tables. Each entry looks its function up in this
 # module when called, so a replacement installed here (a test spy, the
 # benchmark's checking and timing wrappers) is what runs; a stored function
-# reference would bypass it. A method maps a block of streams to one
-# summary per stream: pedh steps the block in one bank, the others go
-# stream by stream.
+# reference would bypass it.
 _EDH = {
-    "oedh": lambda streams, q, step, fixed_step_size: [oedh(s, q) for s in streams],
-    "pedh": lambda streams, q, step, fixed_step_size: [
-        b for [b] in pedh_variants(streams, q, [step])],
-    "hedh": lambda streams, q, step, fixed_step_size: [
-        hedh(s, q, fixed_step_size) for s in streams],
+    "oedh": lambda stream, q, step, fixed_step_size: oedh(stream, q),
+    "pedh": lambda stream, q, step, fixed_step_size: pedh(stream, q, step),
+    "hedh": lambda stream, q, step, fixed_step_size: hedh(stream, q, fixed_step_size),
 }
 # name -> (summary type the estimator reads, summary -> bin position)
 _ESTIMATORS = {
@@ -128,19 +116,17 @@ def conditions(methods: Sequence[str], estimators: Sequence[str]) -> list[tuple[
             if _estimator(e)[0] is (EdhBoundaries if m in _EDH else EwHistogram)]
 
 
-def summarize_block(streams: Sequence[PhotonStream], method: str, q: int, step: StepParams,
-                    fixed_step_size: float) -> list:
-    """Run one method over a block of streams, one summary per stream:
-    equi-depth boundaries for ``oedh``, ``pedh`` and ``hedh``, an N-bin
-    equi-width histogram for ``ewhN``. Every boundary set must end at its
-    stream's ``n_bins`` (:func:`check_span`)."""
+def summarize(stream: PhotonStream, method: str, q: int, step: StepParams,
+              fixed_step_size: float):
+    """Run one method over a stream: equi-depth boundaries for ``oedh``,
+    ``pedh`` and ``hedh``, an N-bin equi-width histogram for ``ewhN``. A
+    boundary set must end at the stream's ``n_bins`` (:func:`check_span`)."""
     build = _EDH.get(method)
     if build is None:
-        return [ewh(s, _ewh_bins(method)) for s in streams]
-    summaries = build(streams, q, step, fixed_step_size)
-    for stream, bounds in zip(streams, summaries):
-        check_span(bounds, stream.n_bins)
-    return summaries
+        return ewh(stream, _ewh_bins(method))
+    bounds = build(stream, q, step, fixed_step_size)
+    check_span(bounds, stream.n_bins)
+    return bounds
 
 
 def check_span(bounds: EdhBoundaries, n_bins: int) -> None:
@@ -150,33 +136,19 @@ def check_span(bounds: EdhBoundaries, n_bins: int) -> None:
         raise InvalidParamsError(f"boundary set ends at {bounds.span!r}, not at n_bins={n_bins}")
 
 
-def _sampled_blocks(pixels: Sequence[PixelConfig], sim: SimConfig,
-                    seeds: Sequence) -> Iterator[tuple[int, list, list[PhotonStream]]]:
-    """Build each pixel's transient and sample its stream, the i-th from
-    ``seeds[i]``; yields ``(start, transients, streams)`` for consecutive
-    blocks of at most ``_BLOCK`` pixels, ``start`` being the index of the
-    block's first pixel."""
-    for start in range(0, len(pixels), _BLOCK):
-        transients = [build_transient(pixel, sim) for pixel in pixels[start:start + _BLOCK]]
-        yield start, transients, [sample_stream(t, sim.n_cycles, seed)
-                                  for t, seed in zip(transients, seeds[start:start + _BLOCK])]
-
-
 def scene_summaries(scene: Scene, sim: SimConfig, method: str, q: int, step: StepParams,
                     fixed_step_size: float, seeds: Sequence) -> Iterator[tuple[int, int, object]]:
     """Sample every scene pixel (the i-th, row-major, from ``seeds[i]``) and
-    yield ``(row, col, summary)`` of ``method`` for each, in that order,
-    stepping the pixels in blocks (see :func:`summarize_block`)."""
-    cells = list(scene.iter_pixels())
-    for start, _transients, streams in _sampled_blocks([p for _r, _c, p in cells], sim, seeds):
-        summaries = summarize_block(streams, method, q, step, fixed_step_size)
-        for (r, c, _pixel), summary in zip(cells[start:], summaries):
-            yield r, c, summary
+    yield ``(row, col, summary)`` of ``method`` for each, in that order
+    (see :func:`summarize`)."""
+    for (r, c, pixel), seed in zip(scene.iter_pixels(), seeds):
+        stream = sample_stream(build_transient(pixel, sim), sim.n_cycles, seed)
+        yield r, c, summarize(stream, method, q, step, fixed_step_size)
 
 
 def estimate_bins(estimator: str, summary) -> float:
     """Time-of-flight position, in bins, that ``estimator`` reads off a
-    summary made by :func:`summarize_block`."""
+    summary made by :func:`summarize`."""
     kind, estimate = _estimator(estimator)
     if not isinstance(summary, kind):
         raise InvalidParamsError(f"{estimator} reads {kind.__name__}, not {type(summary).__name__}")
@@ -221,15 +193,16 @@ class ExperimentConfig:
             object.__setattr__(self, "out_dir", Path(self.out_dir))
 
 
-def _experiment_pixels(cfg: ExperimentConfig, pair_idx: int, mc: int) -> tuple[list, list, list]:
-    """The scene of run ``mc`` of pair ``pair_idx``, row-major: the
-    (row, col) cells, their pixels and their stream seeds."""
+def _experiment_pixels(cfg: ExperimentConfig, pair_idx: int,
+                       mc: int) -> Iterator[tuple[tuple[int, int], PixelConfig, np.random.SeedSequence]]:
+    """The scene of run ``mc`` of pair ``pair_idx``, row-major: each
+    pixel's (row, col) cell, its pixel and its stream seed."""
     phi_sig, phi_bkg = cfg.pairs[pair_idx]
     depths = cfg.scene.depth_map.depths.astype(np.float64)
-    n = cfg.scene.height * cfg.scene.width
-    cells = [divmod(i, cfg.scene.width) for i in range(n)]
-    return (cells, [PixelConfig(float(depths[rc]), phi_sig, phi_bkg) for rc in cells],
-            [derive_seed(cfg.global_seed, _CTX_EXPERIMENT, pair_idx, mc, i) for i in range(n)])
+    for i in range(cfg.scene.height * cfg.scene.width):
+        rc = divmod(i, cfg.scene.width)
+        yield (rc, PixelConfig(float(depths[rc]), phi_sig, phi_bkg),
+               derive_seed(cfg.global_seed, _CTX_EXPERIMENT, pair_idx, mc, i))
 
 
 @dataclass
@@ -248,16 +221,16 @@ class ExperimentResult:
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Run the full (pair x run x pixel x method x estimator) grid.
 
-    Each (pair, run) samples its pixels in blocks (:func:`_sampled_blocks`)
-    and runs every method over each block (:func:`summarize_block`); run
-    rows come pixel-major, then in :func:`conditions` order. A method that
-    raises stops for the rest of its pair: its conditions get error rows and
-    its run rows of that pair are dropped, while the other methods keep
-    theirs (``boundary_rmse_bins`` stays blank if the oracle failed); a
-    boundary set that does not end at ``n_bins`` is such a raise. A pair
-    whose streams cannot be sampled fails every condition. Each condition's
-    distance metrics come from its kept run rows. Callers should treat a
-    non-empty ``failures`` list as a nonzero exit.
+    Each (pair, run) samples its pixels one at a time and runs every method
+    over each stream (:func:`summarize`); run rows come pixel-major, then in
+    :func:`conditions` order. A method that raises stops for the rest of its
+    pair: its conditions get error rows and its run rows of that pair are
+    dropped, while the other methods keep theirs (``boundary_rmse_bins``
+    stays blank if the oracle failed); a boundary set that does not end at
+    ``n_bins`` is such a raise. A pair whose streams cannot be sampled fails
+    every condition. Each condition's distance metrics come from its kept run
+    rows. Callers should treat a non-empty ``failures`` list as a nonzero
+    exit.
     """
     conds = conditions(cfg.methods, cfg.estimators)
     # a method no listed estimator reads is not run
@@ -273,44 +246,40 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         errors: dict = {}
         try:
             for mc in range(cfg.n_monte_carlo):
-                cells, pixels, seeds = _experiment_pixels(cfg, pair_idx, mc)
-                for start, _transients, streams in _sampled_blocks(pixels, cfg.sim, seeds):
-                    # every method reads the identical streams; one that
+                for (r, c), pixel, seed in _experiment_pixels(cfg, pair_idx, mc):
+                    stream = sample_stream(build_transient(pixel, cfg.sim), cfg.sim.n_cycles, seed)
+                    # every method reads the identical stream; one that
                     # raises, in its summary or an estimate, joins ``errors``
                     done = {}
                     for m in (m for m in methods if m not in errors):
                         try:
-                            summaries = summarize_block(streams, m, cfg.q, cfg.step,
-                                                        cfg.fixed_step_size)
-                            done[m] = summaries, {
-                                e: [bin_to_distance(estimate_bins(e, s), cfg.sim) for s in summaries]
-                                for mm, e in conds if mm == m}
+                            summary = summarize(stream, m, cfg.q, cfg.step, cfg.fixed_step_size)
+                            done[m] = summary, {e: bin_to_distance(estimate_bins(e, summary), cfg.sim)
+                                                for mm, e in conds if mm == m}
                         except EdhsimError as exc:
                             errors[m] = exc
-                    for i, stream in enumerate(streams):
-                        (r, c), pixel = cells[start + i], pixels[start + i]
-                        checksum = stream.checksum()
-                        for m, e in conds:
-                            if m not in done:
-                                continue
-                            pair_rows.append({
-                                "schema_version": SCHEMA_VERSION,
-                                "scene": cfg.scene.label,
-                                "phi_sig": phi_sig,
-                                "phi_bkg": phi_bkg,
-                                "mc_index": mc,
-                                "pixel_row": r,
-                                "pixel_col": c,
-                                "method": m,
-                                "estimator": e,
-                                "z_true_m": pixel.z,
-                                "z_est_m": done[m][1][e][i],
-                                "stream_checksum": checksum,
-                            })
-                        if _ORACLE in done:
-                            for m, acc in bnd_acc.items():
-                                if m in done:
-                                    acc.append(boundary_rmse(done[m][0][i], done[_ORACLE][0][i]))
+                    checksum = stream.checksum()
+                    for m, e in conds:
+                        if m not in done:
+                            continue
+                        pair_rows.append({
+                            "schema_version": SCHEMA_VERSION,
+                            "scene": cfg.scene.label,
+                            "phi_sig": phi_sig,
+                            "phi_bkg": phi_bkg,
+                            "mc_index": mc,
+                            "pixel_row": r,
+                            "pixel_col": c,
+                            "method": m,
+                            "estimator": e,
+                            "z_true_m": pixel.z,
+                            "z_est_m": done[m][1][e],
+                            "stream_checksum": checksum,
+                        })
+                    if _ORACLE in done:
+                        for m, acc in bnd_acc.items():
+                            if m in done:
+                                acc.append(boundary_rmse(done[m][0], done[_ORACLE][0]))
         except EdhsimError as exc:
             failures.append(f"pair ({phi_sig}, {phi_bkg}): {exc}")
             summary_rows += [_summary_row(cfg, phi_sig, phi_bkg, m, e, error=exc) for m, e in conds]
@@ -468,9 +437,8 @@ def sweep(spec: SweepSpec, cfg: ExperimentConfig, out_path: Optional[Path] = Non
 
     Every sweep value sees the identical streams (seeds are derived exactly
     as in :func:`run_experiment`), so value-to-value differences are not
-    sampling noise. Each block of pixels is stepped once: the pixels are the
-    stream axis and the values the variant axis of one binner bank
-    (:func:`pedh_variants`). Boundary RMSE is
+    sampling noise. Each stream is stepped once, the values being the
+    schedules of one binner bank (:func:`pedh_variants`). Boundary RMSE is
     measured against the population quantiles of each transient; distance
     RMSE uses the narrowest-bin estimator against the scene truth. A
     boundary set that does not end at ``n_bins`` raises
@@ -490,16 +458,16 @@ def sweep(spec: SweepSpec, cfg: ExperimentConfig, out_path: Optional[Path] = Non
     bnd_sq = {v: [] for v in spec.values}
     for pair_idx in range(len(cfg.pairs)):
         for mc in range(cfg.n_monte_carlo):
-            _cells, pixels, seeds = _experiment_pixels(cfg, pair_idx, mc)
-            for start, transients, streams in _sampled_blocks(pixels, cfg.sim, seeds):
-                per_stream = pedh_variants(streams, cfg.q, step_variants)
-                for pixel, transient, results in zip(pixels[start:], transients, per_stream):
-                    true_bounds = true_quantiles(transient, targets)
-                    truth.append(pixel.z)
-                    for value, bounds in zip(spec.values, results):
-                        check_span(bounds, cfg.sim.n_bins)
-                        est_acc[value].append(bin_to_distance(t0_hat(bounds), cfg.sim))
-                        bnd_sq[value].extend(((bounds.interior - true_bounds) ** 2).tolist())
+            for _cell, pixel, seed in _experiment_pixels(cfg, pair_idx, mc):
+                transient = build_transient(pixel, cfg.sim)
+                stream = sample_stream(transient, cfg.sim.n_cycles, seed)
+                results = pedh_variants(stream, cfg.q, step_variants)
+                true_bounds = true_quantiles(transient, targets)
+                truth.append(pixel.z)
+                for value, bounds in zip(spec.values, results):
+                    check_span(bounds, cfg.sim.n_bins)
+                    est_acc[value].append(bin_to_distance(t0_hat(bounds), cfg.sim))
+                    bnd_sq[value].extend(((bounds.interior - true_bounds) ** 2).tolist())
 
     rows = []
     for value in spec.values:
@@ -565,7 +533,7 @@ def export_density_features(
     """Write per-pixel interpolated photon densities as a 1024-channel grid.
 
     Runs the parallel histogrammer on each pixel (using the scene's own
-    photon levels, pixels stepped in blocks by :func:`scene_summaries`) and
+    photon levels, pixel by pixel through :func:`scene_summaries`) and
     stores the interpolated density as float32 channels, plus a sidecar
     ``<path>.truth.csv`` with the ground-truth depths.
     """

@@ -88,10 +88,10 @@ def library() -> ctypes.CDLL:
     """The loaded kernel, with every function's argument and result types
     declared; built (see :func:`build`) on the first call in a process."""
     lib = ctypes.CDLL(str(build()))
-    i64, f64, ptrs = ctypes.c_int64, ctypes.c_double, ctypes.POINTER(ctypes.c_void_p)
+    i64, f64 = ctypes.c_int64, ctypes.c_double
     lib.edh_optimized_bank.restype = None
     lib.edh_optimized_bank.argtypes = [
-        i64, ptrs, ptrs, i64, i64,
+        _doubles(), _int64s(), i64, i64,
         i64, _doubles(), _doubles(), _doubles(), _doubles(),
         _int64s(), _doubles(),
         i64, _doubles(), f64, _doubles(True), _doubles(True), _doubles(True),

@@ -224,41 +224,6 @@ class PhotonStream:
         return h.hexdigest()
 
 
-class StreamBlock:
-    """Streams of one exposure length and bin count, stepped together.
-
-    A :class:`~edhsim.binner.BinnerBank` with a stream axis walks the cycles
-    of every stream in the block in one pass; the streams are kept as they
-    are (no padding to a common photon count).
-
-    Raises:
-        InvalidParamsError: if the block is empty, holds something other
-            than :class:`PhotonStream`, or mixes ``n_cycles`` or ``n_bins``.
-    """
-
-    def __init__(self, streams: Sequence[PhotonStream]):
-        if isinstance(streams, PhotonStream) or not all(isinstance(s, PhotonStream) for s in streams):
-            raise InvalidParamsError("a stream block is a sequence of PhotonStream")
-        self.streams = tuple(streams)
-        if not self.streams:
-            raise InvalidParamsError("a stream block needs at least one stream")
-        for name in ("n_cycles", "n_bins"):
-            values = {getattr(s, name) for s in self.streams}
-            if len(values) > 1:
-                raise InvalidParamsError(f"streams in a block must share {name}, got {sorted(values)}")
-
-    def __len__(self) -> int:
-        return len(self.streams)
-
-    @property
-    def n_cycles(self) -> int:
-        return self.streams[0].n_cycles
-
-    @property
-    def n_bins(self) -> int:
-        return self.streams[0].n_bins
-
-
 def sample_stream(transient: Transient, n_cycles: int, seed) -> PhotonStream:
     """Sample an exposure of ``n_cycles`` independent laser cycles.
 

@@ -23,7 +23,6 @@ from edhsim.scene import PixelConfig
 from edhsim.transient import (
     PhotonStream,
     SimConfig,
-    StreamBlock,
     build_transient,
     sample_stream,
     true_quantiles,
@@ -55,15 +54,13 @@ def reference_run_optimized(stream, target_frac, params):
     return cv, s, dtil
 
 
-def reference_bank_run(bank, block):
+def reference_bank_run(bank, stream):
     """The numpy loop that stepped a :class:`BinnerBank` before the compiled
-    kernel: per cycle, one ``searchsorted`` per stream, then one vectorized
+    kernel: per cycle, one ``searchsorted`` of every CV, then one vectorized
     update of every binner, with the step coefficient tabulated per cycle.
     Updates the bank's arrays and cycle counter in place."""
-    variants, n0, n_cycles = bank.variants, bank.n, block.n_cycles
-    per_stream = bank.targets.size // bank.n_streams
-    variant = np.tile(np.repeat(np.arange(len(variants)), per_stream // len(variants)),
-                      bank.n_streams)
+    variants, n0, n_cycles = bank.variants, bank.n, stream.n_cycles
+    variant = np.repeat(np.arange(len(variants)), bank.targets.size // len(variants))
 
     def column(values):
         return np.array(values, dtype=np.float64)[variant]
@@ -76,16 +73,11 @@ def reference_bank_run(bank, block):
         base = (1.0 - p.beta2) * ((p.k_pct / 100.0) * bank.n_bins)
         coef[:, v] = [base * binner._decay(p, n0 + i) for i in range(rows)]
     cvs, s, dtil = bank.cvs, bank.smoothed_step, bank.smoothed_delta
-    dn = np.empty_like(cvs)
     for k in range(n_cycles):
-        for p, stream in enumerate(block.streams):
-            lo, hi = stream.cycle_offsets[k], stream.cycle_offsets[k + 1]
-            part = slice(p * per_stream, (p + 1) * per_stream)
-            if hi > lo:
-                early = stream.timestamps[lo:hi].searchsorted(cvs[part])
-                np.subtract(bank.targets[part], early / (hi - lo), out=dn[part])
-            else:
-                dn[part] = 0.0
+        lo, hi = stream.cycle_offsets[k], stream.cycle_offsets[k + 1]
+        dn = 0.0
+        if hi > lo:
+            dn = bank.targets - stream.timestamps[lo:hi].searchsorted(cvs) / (hi - lo)
         np.add(b1 * dtil, (1.0 - b1) * dn, out=dtil)
         np.add(b2 * s, coef[min(k, rows - 1)][variant] * dtil, out=s)
         s.clip(-lim, lim, out=s)
@@ -445,82 +437,31 @@ class TestBankVariants:
         assert sum(a.size for a in arrays) == 4 * 2 * 31
 
 
-@st.composite
-def stream_blocks(draw):
-    """1-5 hand-built streams sharing n_cycles: unequal photon counts, empty
-    cycles common, and whole zero-photon streams."""
-    n_cycles = draw(st.integers(1, 30))
-    cycle = st.lists(st.integers(0, 31).map(lambda k: k / 2.0), max_size=6)
-    stream = st.one_of(st.lists(cycle, min_size=n_cycles, max_size=n_cycles),
-                       st.just([[]] * n_cycles))
-    return [_hand_stream(c) for c in draw(st.lists(stream, min_size=1, max_size=5))]
-
-
 class TestBankStreams:
-    @given(
-        streams=stream_blocks(),
-        variants=st.lists(step_params, min_size=1, max_size=3),
-        targets=st.lists(st.sampled_from([0.125, 0.25, 0.5, 0.75, 0.9]), min_size=1, max_size=3),
-        order=st.randoms(use_true_random=False),
-    )
-    @settings(max_examples=150, deadline=None)
-    def test_streams_equal_separate_banks_bitwise(self, streams, variants, targets, order):
-        # a P-stream bank steps exactly as P one-stream banks, and as the
-        # scalar reference; permuting the streams permutes the outputs
-        shape = (len(streams), len(variants), len(targets))
-
-        def state(bank):
-            return [a.reshape(-1, *shape[1:]) for a in (bank.cvs, bank.smoothed_step, bank.smoothed_delta)]
-
-        bank = BinnerBank(targets, variants, 16, n_streams=len(streams))
-        bank.run(StreamBlock(streams))
-        assert bank.targets.size == np.prod(shape)
-        together = state(bank)
-        for p, stream in enumerate(streams):
-            alone = BinnerBank(targets, variants, 16)
-            alone.run(stream)
-            for a, b in zip(together, state(alone)):
-                assert np.array_equal(a[p], b[0])
-            for v, params in enumerate(variants):
-                for j, t in enumerate(targets):
-                    ref = run_optimized(stream, t, params)
-                    assert (together[0][p, v, j], together[1][p, v, j], together[2][p, v, j]) == (
-                        ref.cv, ref.s_prev, ref.delta_tilde_prev)
-
-        perm = list(range(len(streams)))
-        order.shuffle(perm)
-        shuffled = BinnerBank(targets, variants, 16, n_streams=len(streams))
-        shuffled.run(StreamBlock([streams[i] for i in perm]))
-        for a, b in zip(state(shuffled), together):
-            assert np.array_equal(a, b[perm])
-
     @pytest.mark.parametrize("split", [1, 7, 512])
     def test_split_run_equals_one_run(self, split):
         # a bank resumed at cycle `split` (its decay schedule goes on from
         # there) ends where one run over all 1,100 cycles does
-        streams = [_stream(PixelConfig(z, 1.0, 2.0), n_cycles=1100, seed=s)
-                   for s, z in enumerate((3.0, 9.0))]
+        stream = _stream(PixelConfig(9.0, 1.0, 2.0), n_cycles=1100, seed=1)
         steps = [StepParams(decay_freeze_cycle=700), StepParams(gamma=1.0, clip=0.01)]
-        banks = [BinnerBank([0.25, 0.5], steps, SIM.n_bins, n_streams=2) for _ in range(2)]
-        banks[0].run(StreamBlock(streams))
+        banks = [BinnerBank([0.25, 0.5], steps, SIM.n_bins) for _ in range(2)]
+        banks[0].run(stream)
         for a, b in ((0, split), (split, 1100)):
-            banks[1].run(StreamBlock([cycle_slice(st, a, b) for st in streams]))
+            banks[1].run(cycle_slice(stream, a, b))
         assert banks[0].n == banks[1].n == 1100
         for name in ("cvs", "smoothed_step", "smoothed_delta"):
             assert np.array_equal(getattr(banks[0], name), getattr(banks[1], name))
-        cvs = banks[1].cvs.reshape(2, 2, 2)
-        for p, stream in enumerate(streams):
-            for v, step in enumerate(steps):
-                assert [cvs[p, v, j] for j in range(2)] == [
-                    run_optimized(stream, t, step).cv for t in (0.25, 0.5)]
+        cvs = banks[1].cvs.reshape(2, 2)
+        for v, step in enumerate(steps):
+            assert cvs[v].tolist() == [run_optimized(stream, t, step).cv for t in (0.25, 0.5)]
 
     def test_state_is_four_arrays_per_binner(self):
-        streams = [_stream(n_cycles=50, seed=s) for s in range(3)]
-        bank = BinnerBank(np.arange(1, 32) / 32, [StepParams(gamma=g) for g in (0.99, 1.0)],
-                          1024, n_streams=3)
-        bank.run(StreamBlock(streams))
-        arrays = [v for v in vars(bank).values() if isinstance(v, np.ndarray)]
-        assert sum(a.size for a in arrays) == 4 * 3 * 2 * 31
+        # the state does not grow with the runs or the photons a bank sees
+        bank = BinnerBank(np.arange(1, 32) / 32, [StepParams(gamma=g) for g in (0.99, 1.0)], 1024)
+        for pixel in (PixelConfig(7.5, 1.0, 1.0), PixelConfig(7.5, 5.0, 5.0)):
+            bank.run(_stream(pixel, n_cycles=50))
+            arrays = [v for v in vars(bank).values() if isinstance(v, np.ndarray)]
+            assert sum(a.size for a in arrays) == 4 * 2 * 31
 
 
 class TestKernelExactness:
@@ -528,33 +469,32 @@ class TestKernelExactness:
     oracles, bit for bit."""
 
     @given(
-        streams=stream_blocks(),
+        cycles=st.one_of(hand_cycles, st.integers(1, 40).map(lambda n: [[]] * n)),
         variants=st.lists(step_params, min_size=1, max_size=3),
         targets=st.lists(st.sampled_from([0.125, 0.25, 0.5, 0.75, 0.9]), min_size=1, max_size=3),
         data=st.data(),
     )
     @settings(max_examples=150, deadline=None)
-    def test_bank_equals_reference_loop_and_fold(self, streams, variants, targets, data):
+    def test_bank_equals_reference_loop_and_fold(self, cycles, variants, targets, data):
         # empty cycles and photon-less streams, clipped and unclipped
         # schedules, gamma = 1, decays frozen before the last cycle, and a
         # run resumed at a drawn cycle
-        n_cycles = streams[0].n_cycles
-        split = data.draw(st.integers(0, n_cycles))
-        bank = BinnerBank(targets, variants, 16, n_streams=len(streams))
-        for a, b in ((0, split), (split, n_cycles)):
+        stream = _hand_stream(cycles)
+        split = data.draw(st.integers(0, stream.n_cycles))
+        bank = BinnerBank(targets, variants, 16)
+        for a, b in ((0, split), (split, stream.n_cycles)):
             if b > a:
-                bank.run(StreamBlock([cycle_slice(s, a, b) for s in streams]))
-        ref = BinnerBank(targets, variants, 16, n_streams=len(streams))
-        reference_bank_run(ref, StreamBlock(streams))
-        assert bank.n == ref.n == n_cycles
+                bank.run(cycle_slice(stream, a, b))
+        ref = BinnerBank(targets, variants, 16)
+        reference_bank_run(ref, stream)
+        assert bank.n == ref.n == stream.n_cycles
         for name in ("cvs", "smoothed_step", "smoothed_delta"):
             assert np.array_equal(getattr(bank, name), getattr(ref, name))
         state = np.stack([bank.cvs, bank.smoothed_step, bank.smoothed_delta], axis=1)
-        state = state.reshape(len(streams), len(variants), len(targets), 3)
-        for p, stream in enumerate(streams):
-            for v, params in enumerate(variants):
-                for j, t in enumerate(targets):
-                    assert tuple(state[p, v, j]) == optimized_fold(stream, t, params)
+        state = state.reshape(len(variants), len(targets), 3)
+        for v, params in enumerate(variants):
+            for j, t in enumerate(targets):
+                assert tuple(state[v, j]) == optimized_fold(stream, t, params)
 
     @given(cycles=st.one_of(hand_cycles, st.integers(1, 40).map(lambda n: [[]] * n)),
            params=step_params, target=st.floats(0.01, 0.99))
@@ -578,7 +518,7 @@ class TestKernelExactness:
         stream = PhotonStream.from_cycles([np.array([0.75])], 1)
         for n in range(freeze + 3):
             cv, s, dtil = np.array([0.5]), np.zeros(1), np.zeros(1)
-            binner._optimized_bank([stream], n, [p], 1, np.array([0.5]), cv, s, dtil)
+            binner._optimized_bank(stream, n, [p], 1, np.array([0.5]), cv, s, dtil)
             assert 2.0 * s[0] == binner._decay(p, n)
 
     @given(
@@ -625,18 +565,13 @@ class TestKernelExactness:
 
 
 class TestBankValidation:
-    @pytest.mark.parametrize("n_streams", [0, -1, 2.0, True])
-    def test_n_streams_must_be_positive_integer(self, n_streams):
-        with pytest.raises(InvalidParamsError, match="n_streams must be an integer >= 1"):
-            BinnerBank([0.5], StepParams(), 8, n_streams=n_streams)
-
-    def test_block_size_must_match_bank(self):
+    def test_run_refuses_anything_but_one_stream(self):
         stream = PhotonStream.from_cycles([np.array([1.0])], 8)
-        bank = BinnerBank([0.5], StepParams(), 8, n_streams=2)
-        with pytest.raises(InvalidParamsError, match="n_streams=2"):
-            bank.run(stream)
-        with pytest.raises(InvalidParamsError, match="n_streams=2"):
-            bank.run(StreamBlock([stream] * 3))
+        bank = BinnerBank([0.5], StepParams(), 8)
+        for bad in ([stream], (stream, stream), stream.timestamps):
+            with pytest.raises(InvalidParamsError, match="one PhotonStream"):
+                bank.run(bad)
+        assert bank.n == 0
 
     @pytest.mark.parametrize("n_bins", [0, -4, 8.5, True])
     def test_n_bins_must_be_positive_integer(self, n_bins):

@@ -101,10 +101,7 @@ def test_estimate_direct_pipeline_matches_bounds_route(conf, tmp_path):
     assert np.array_equal(load_grid(via_bounds), load_grid(direct))
 
 
-@pytest.mark.parametrize("block", [2, 16])
-def test_edh_pedh_grid_equals_per_pixel_pedh(conf, tmp_path, monkeypatch, block):
-    # 3 pixels: blocks of 2 and 1, or one block of 3
-    monkeypatch.setattr(harness, "_BLOCK", block)
+def test_edh_pedh_grid_equals_per_pixel_pedh(conf, tmp_path):
     out = tmp_path / "bounds.csv"
     assert main(["edh", "--config", str(conf), "--method", "pedh", "--q", "8", "--out", str(out)]) == 0
     grid = read_boundaries_csv(out)

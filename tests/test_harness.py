@@ -86,23 +86,24 @@ def reference_sweep(spec, cfg):
     return rows
 
 
+def shifted(bounds, shift):
+    """``bounds`` with bound q//2 pushed up by ``shift`` and the set
+    re-sorted; a shift of 1e4 leaves the set ending past n_bins."""
+    b = bounds.bounds.copy()
+    b[bounds.q // 2] += shift
+    return EdhBoundaries(bounds.q, np.sort(b))
+
+
+def shifted_pedh(shift):
+    """harness.pedh with its result :func:`shifted`."""
+    real = harness.pedh
+    return lambda stream, q, params=None: shifted(real(stream, q, params), shift)
+
+
 def shifted_pedh_variants(shift):
-    """harness.pedh_variants with bound q//2 of every set pushed up by
-    ``shift`` and the set re-sorted; a shift of 1e4 leaves each set ending
-    past n_bins."""
+    """harness.pedh_variants with every result :func:`shifted`."""
     real = harness.pedh_variants
-
-    def pedh_variants(streams, q, steps):
-        shifted = []
-        for per_stream in real(streams, q, steps):
-            shifted.append([])
-            for bounds in per_stream:
-                b = bounds.bounds.copy()
-                b[q // 2] += shift
-                shifted[-1].append(EdhBoundaries(q, np.sort(b)))
-        return shifted
-
-    return pedh_variants
+    return lambda stream, q, steps: [shifted(b, shift) for b in real(stream, q, steps)]
 
 
 def small_config(**overrides):
@@ -157,8 +158,7 @@ class TestRunExperiment:
         calls = call_spy(monkeypatch, ("pedh", "pedh_variants", "t0_hat"))
         scene = synth_scene("constant", z=7.5, width=1, height=1, phi_sig=1.0, phi_bkg=1.0)
         run_experiment(small_config(scene=scene, methods=("pedh",), n_monte_carlo=1))
-        # pedh runs as a block (here of one pixel) through pedh_variants
-        assert calls == ["pedh_variants", "t0_hat"]
+        assert calls == ["pedh", "t0_hat"]
 
     def test_byte_identical_outputs(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -273,7 +273,7 @@ class TestRunExperiment:
         assert [r["method"] for r in result.run_rows] == ["pedh"] * 6
 
     def test_boundary_set_past_n_bins_is_an_error_row(self, monkeypatch):
-        monkeypatch.setattr(harness, "pedh_variants", shifted_pedh_variants(1e4))
+        monkeypatch.setattr(harness, "pedh", shifted_pedh(1e4))
         result = run_experiment(small_config())
         [failure] = result.failures
         assert failure.startswith("pair (1.0, 1.0), pedh: boundary set ends at ")
@@ -281,22 +281,6 @@ class TestRunExperiment:
         assert [(r["method"], r["status"]) for r in result.summary_rows] == [
             ("oedh", "ok"), ("pedh", "error")]
         assert [r["method"] for r in result.run_rows] == ["oedh"] * 6
-
-    @pytest.mark.parametrize("block", [1, 2, 3, 64])
-    def test_outputs_do_not_depend_on_the_block_size(self, monkeypatch, block):
-        cfg = small_config(
-            scene=synth_scene("staircase", n_steps=5, z_min=2.0, z_max=12.0, phi_sig=1.0, phi_bkg=1.0),
-            pairs=((1.0, 1.0), (0.001, 0.001)),
-            methods=("oedh", "pedh", "hedh", "ewh32"), estimators=("t0", "t1", "ewh_peak"),
-        )
-        spec = SweepSpec("gamma", (0.99, 1.0))
-        default = run_experiment(cfg), sweep(spec, cfg)
-        monkeypatch.setattr(harness, "_BLOCK", block)
-        blocked = run_experiment(cfg), sweep(spec, cfg)
-        assert blocked[0].summary_rows == default[0].summary_rows
-        assert blocked[0].run_rows == default[0].run_rows
-        assert blocked[0].failures == default[0].failures
-        assert blocked[1] == default[1]
 
     def test_methods_no_estimator_reads_are_not_run(self, monkeypatch):
         calls = call_spy(monkeypatch, ("oedh", "hedh", "ewh"))
@@ -437,8 +421,8 @@ class TestSweep:
         calls = call_spy(monkeypatch, ("pedh", "pedh_variants"))
         cfg = small_config(methods=("pedh",))
         sweep(SweepSpec("gamma", (0.99, 0.999, 1.0)), cfg)
-        # one block of 3 pixels per run: each stream stepped once
-        assert calls == ["pedh_variants"] * 2
+        # 3 pixels per run, 2 runs: each stream stepped once
+        assert calls == ["pedh_variants"] * 6
 
     def test_boundary_set_past_n_bins_rejected(self, monkeypatch):
         monkeypatch.setattr(harness, "pedh_variants", shifted_pedh_variants(1e4))
@@ -482,8 +466,7 @@ class TestFeatureExport:
         sidecar = tmp_path / "features.bin.truth.csv"
         assert sidecar.exists()
 
-    def test_density_equals_per_pixel_pedh(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(harness, "_BLOCK", 2)  # 3 pixels: blocks of 2 and 1
+    def test_density_equals_per_pixel_pedh(self, tmp_path):
         scene = synth_scene("staircase", n_steps=3, z_min=3.0, z_max=12.0, phi_sig=1.0, phi_bkg=2.0)
         path = tmp_path / "features.bin"
         export_density_features(scene, SIM_SMALL, STEP_SMALL, 8, path, global_seed=4)

@@ -193,7 +193,7 @@ class TestPedhVariants:
     @pytest.mark.parametrize("bkg", [0.0, 1.0, 5.0])
     def test_each_result_equals_pedh(self, bkg):
         stream = _stream_from(PixelConfig(7.5, 1.0, bkg), n_cycles=800, seed=4)
-        [results] = pedh_variants([stream], 16, self.STEPS)
+        results = pedh_variants(stream, 16, self.STEPS)
         assert len(results) == len(self.STEPS)
         for bounds, step in zip(results, self.STEPS):
             assert np.array_equal(bounds.bounds, pedh(stream, 16, step).bounds)
@@ -205,46 +205,28 @@ class TestPedhVariants:
     @settings(max_examples=60, deadline=None)
     def test_bounds_inside_range_and_end_at_n_bins(self, cycles, q):
         stream = PhotonStream.from_cycles([np.sort(c) for c in cycles], 16)
-        for bounds in pedh_variants([stream], q, self.STEPS)[0]:
+        for bounds in pedh_variants(stream, q, self.STEPS):
             b = bounds.bounds
             assert b.shape == (q + 1,)
             assert b[0] == 0.0 and b[-1] == 16.0
             assert np.all((b >= 0.0) & (b <= 16.0)) and np.all(np.diff(b) >= 0.0)
 
-    def test_block_results_equal_pedh_per_stream(self):
-        # unequal photon counts, one zero-photon stream, one stream per row
+    def test_unequal_and_empty_streams_equal_pedh(self):
+        # unequal photon counts and one zero-photon stream, one call each
         streams = [_stream_from(PixelConfig(z, 1.0, bkg), n_cycles=700, seed=s)
                    for s, (z, bkg) in enumerate([(3.0, 0.5), (7.5, 2.0), (12.0, 5.0)])]
         streams.insert(1, PhotonStream.from_cycles([np.array([])] * 700, B))
-        results = pedh_variants(streams, 8, self.STEPS)
-        assert len(results) == len(streams)
-        for stream, per_step in zip(streams, results):
-            for bounds, step in zip(per_step, self.STEPS):
+        for stream in streams:
+            for bounds, step in zip(pedh_variants(stream, 8, self.STEPS), self.STEPS):
                 assert np.array_equal(bounds.bounds, pedh(stream, 8, step).bounds)
 
 
-class TestBlockRejected:
-    """A block of streams that one bank cannot step is refused where it enters."""
-
-    def test_empty_block(self):
-        with pytest.raises(InvalidParamsError, match="at least one stream"):
-            pedh_variants([], 4, [StepParams()])
-
-    def test_mismatched_n_cycles(self):
-        streams = [PhotonStream.from_cycles([np.array([1.0])] * n, B) for n in (3, 4)]
-        with pytest.raises(InvalidParamsError, match="share n_cycles"):
-            pedh_variants(streams, 4, [StepParams()])
-
-    def test_mismatched_n_bins(self):
-        streams = [PhotonStream.from_cycles([np.array([1.0])] * 3, n) for n in (16, 32)]
-        with pytest.raises(InvalidParamsError, match="share n_bins"):
-            pedh_variants(streams, 4, [StepParams()])
-
-    def test_bare_stream(self):
-        # one stream is a block of one: [stream], not stream
+class TestListRejected:
+    def test_list_of_streams(self):
+        # pedh_variants steps one stream: [stream] is refused where it enters
         stream = PhotonStream.from_cycles([np.array([1.0])] * 3, B)
-        with pytest.raises(InvalidParamsError, match="sequence of PhotonStream"):
-            pedh_variants(stream, 4, [StepParams()])
+        with pytest.raises(InvalidParamsError, match="one PhotonStream, not list"):
+            pedh_variants([stream], 4, [StepParams()])
 
 
 class TestQMustBeInteger:
@@ -253,7 +235,7 @@ class TestQMustBeInteger:
     @pytest.mark.parametrize("build", [
         lambda s, q: oedh(s, q),
         lambda s, q: pedh(s, q),
-        lambda s, q: pedh_variants([s], q, [StepParams()]),
+        lambda s, q: pedh_variants(s, q, [StepParams()]),
         lambda s, q: hedh(s, q),
         lambda s, q: ExperimentConfig(constant_scene(1.0, 1.0), q=q),
     ], ids=["oedh", "pedh", "pedh_variants", "hedh", "ExperimentConfig"])

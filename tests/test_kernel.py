@@ -3,6 +3,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+import ctypes
+
+import numpy as np
 import pytest
 
 import edhsim.kernel as kernel
@@ -93,3 +96,24 @@ except EdhsimError as e:
     status, error = proc.stdout.splitlines()
     assert status == "1"
     assert error.startswith("EdhsimError fixed walk met a photon in no interval")
+
+
+@pytest.mark.parametrize("ts", [
+    np.array([1.0, 2.0], dtype=np.float32),
+    np.array([1.0, 9.0, 2.0, 9.0])[::2],
+], ids=["float32", "non-contiguous"])
+def test_bank_refuses_timestamps_it_would_misread(ts):
+    # the kernel reads ts as contiguous float64: anything else is refused at
+    # the call rather than stepped as garbage, and a contiguous float64 copy
+    # of the same photons is stepped
+    def step(ts):
+        one, cv = np.ones(1), np.full(1, 4.0)
+        kernel.library().edh_optimized_bank(
+            ts, np.array([0, 2], dtype=np.int64), 1, 0, 1, one * 0.95, one * 0.8, one,
+            one, np.zeros(1, np.int64), one * np.inf, 1, one * 0.5, 8.0, cv, np.zeros(1),
+            np.zeros(1))
+        return cv[0]
+
+    with pytest.raises(ctypes.ArgumentError):
+        step(ts)
+    assert step(np.ascontiguousarray(ts, np.float64)) < 4.0

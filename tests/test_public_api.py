@@ -1,12 +1,13 @@
 """The export list and the modules stay in step as names come and go."""
 
 import importlib
+import inspect
 from dataclasses import fields
 
 import pytest
 
 import edhsim
-from edhsim.binner import CycleObservation
+from edhsim.binner import BinnerBank, CycleObservation
 from edhsim.transient import PhotonStream
 
 # (module, name) of removed names; a comment gives the replacement where one is needed
@@ -18,6 +19,7 @@ REMOVED = [
     ("scene", "DEFAULT_Z_LIMIT"),      # -> transient.DEFAULT_Z_MAX
     ("transient", "sample_cycle"),     # sample_cycle(tr, rng) -> sample_stream(tr, 1, rng).timestamps
     ("transient", "sbr"),              # sbr(p) -> p.phi_sig / p.phi_bkg
+    ("transient", "StreamBlock"),      # one `pedh_variants(s, q, steps)` per stream
     ("errors", "ZeroBackgroundError"),
 ]
 
@@ -38,3 +40,7 @@ def test_removed_names_are_gone(module, name):
 def test_unread_fields_are_gone():
     assert "seed" not in {f.name for f in fields(PhotonStream)}
     assert not hasattr(CycleObservation, "total")
+
+
+def test_bank_has_no_stream_axis():
+    assert "n_streams" not in inspect.signature(BinnerBank).parameters
