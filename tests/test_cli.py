@@ -101,13 +101,15 @@ def test_estimate_direct_pipeline_matches_bounds_route(conf, tmp_path):
     assert np.array_equal(load_grid(via_bounds), load_grid(direct))
 
 
-def test_edh_pedh_grid_equals_per_pixel_pedh(conf, tmp_path):
+@pytest.mark.parametrize("q", [2, 16])
+def test_edh_pedh_grid_equals_per_pixel_pedh(conf, tmp_path, q):
     out = tmp_path / "bounds.csv"
-    assert main(["edh", "--config", str(conf), "--method", "pedh", "--q", "8", "--out", str(out)]) == 0
+    assert main(["edh", "--config", str(conf), "--method", "pedh", "--q", str(q), "--out", str(out)]) == 0
     grid = read_boundaries_csv(out)
+    assert grid.shape == (1, 3, q + 1)
     step = cfgmod.build_step_params(cfgmod.parse_config_file(conf))
     for r, c, stream in _pixel_streams(conf):
-        assert np.array_equal(grid[r, c], pedh(stream, 8, step).bounds)
+        assert np.array_equal(grid[r, c], pedh(stream, q, step).bounds)
 
 
 def test_estimate_ewh_peak(conf, tmp_path):
