@@ -39,7 +39,7 @@ from .harness import (
     run_experiment,
     sweep,
 )
-from .histogrammer import EdhBoundaries, EwHistogram, ewh, hedh, oedh, pedh, pedh_variants
+from .histogrammer import EdhBoundaries, EwHistogram, ewh, hedh, oedh, pedh
 from .metrics import MetricsReport, boundary_rmse, distance_metrics
 from .scene import (
     DepthMap,
@@ -67,7 +67,7 @@ __all__ = [
     "ewh_peak", "rho0", "rho1", "t0_hat", "t1_hat",
     "ExperimentConfig", "SweepSpec", "export_density_features",
     "median_tracking_experiment", "run_experiment", "sweep",
-    "EdhBoundaries", "EwHistogram", "ewh", "hedh", "oedh", "pedh", "pedh_variants",
+    "EdhBoundaries", "EwHistogram", "ewh", "hedh", "oedh", "pedh",
     "MetricsReport", "boundary_rmse", "distance_metrics",
     "DepthMap", "PixelConfig", "Scene", "load_depth_map", "synth_scene",
     "PhotonStream", "SimConfig", "Transient", "build_transient",

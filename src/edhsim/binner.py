@@ -23,8 +23,8 @@ one binner by one cycle and serve as oracles. Every stream is stepped by the
 compiled kernel (:mod:`edhsim.kernel`, source ``kernel.c``), one C function
 per rule: :func:`fixed_walk`, behind :func:`run_fixed` and ``hedh``, and the
 optimized bank update, behind :class:`BinnerBank` (many binners over one
-stream under several step schedules) and :func:`run_optimized` (a bank of
-one). The kernel repeats each oracle's operations in the same order, so the
+stream under one step schedule) and :func:`run_optimized` (a bank of one).
+The kernel repeats each oracle's operations in the same order, so the
 results agree bit for bit.
 """
 
@@ -145,7 +145,7 @@ class BinnerState:
         return cls(cv=target_frac * n_bins, target_frac=target_frac, params=params, n_bins=n_bins)
 
 
-def _step_scale(params: StepParams, n_bins: int) -> float:
+def step_scale(params: StepParams, n_bins: int) -> float:
     """The optimized step's scale ``(k_pct/100) * n_bins``; must be finite."""
     scale = (params.k_pct / 100.0) * n_bins
     if not math.isfinite(scale):
@@ -197,30 +197,23 @@ def fixed_step(state: BinnerState, obs: CycleObservation, step_size: float) -> B
     return replace(state, cv=cv, n=state.n + 1)
 
 
-def _optimized_bank(stream: PhotonStream, n0: int, variants: Sequence[StepParams],
-                    n_bins: int, targets: np.ndarray, cvs: np.ndarray, s: np.ndarray,
-                    dtil: np.ndarray) -> None:
+def _optimized_bank(stream: PhotonStream, n0: int, params: StepParams, n_bins: int,
+                    targets: np.ndarray, cvs: np.ndarray, s: np.ndarray, dtil: np.ndarray) -> None:
     """Step optimized binners over every cycle of ``stream`` in one kernel
     call, starting at cycle ``n0`` of their decay schedule.
 
-    Binner ``(v, j)``, at flat index ``v * J + j``, tracks ``targets`` under
-    ``variants[v]``; ``cvs``, ``s`` and ``dtil`` hold its CV and smoother
-    memories and are updated in place.
+    Binner ``j`` tracks ``targets[j]`` under ``params``; ``cvs[j]``, ``s[j]``
+    and ``dtil[j]`` hold its CV and smoother memories and are updated in place.
     """
-    if not (targets.size == cvs.size == s.size == dtil.size and targets.size % len(variants) == 0):
+    if not targets.size == cvs.size == s.size == dtil.size:
         raise InvalidParamsError(f"bank arrays of sizes {targets.size}, {cvs.size}, {s.size}, "
-                                 f"{dtil.size} do not fit {len(variants)} schedules")
-
-    def column(values, dtype=np.float64):
-        return np.array(values, dtype=dtype)
-
+                                 f"{dtil.size} do not fit one another")
+    p = params
     kernel.library().edh_optimized_bank(
-        stream.timestamps, stream.cycle_offsets, stream.n_cycles, n0,
-        len(variants), column([p.beta1 for p in variants]), column([p.beta2 for p in variants]),
-        column([(1.0 - p.beta2) * _step_scale(p, n_bins) for p in variants]),
-        column([p.gamma for p in variants]), column([p.decay_freeze_cycle for p in variants], np.int64),
-        column([p.clip * n_bins if p.clip is not None else math.inf for p in variants]),
-        targets.size // len(variants), targets, float(n_bins), cvs, s, dtil)
+        stream.timestamps, stream.cycle_offsets, stream.n_cycles, n0, p.beta1, p.beta2,
+        (1.0 - p.beta2) * step_scale(p, n_bins), p.gamma, p.decay_freeze_cycle,
+        p.clip * n_bins if p.clip is not None else math.inf,
+        targets.size, targets, float(n_bins), cvs, s, dtil)
 
 
 def run_optimized(stream: PhotonStream, target_frac: float, params: StepParams) -> BinnerState:
@@ -229,7 +222,7 @@ def run_optimized(stream: PhotonStream, target_frac: float, params: StepParams) 
     bit for bit to folding :func:`optimized_step` over the cycles."""
     state = BinnerState.initial(target_frac, params, stream.n_bins)
     cv, s, dtil = np.array([state.cv]), np.zeros(1), np.zeros(1)
-    _optimized_bank(stream, 0, [params], stream.n_bins, np.array([target_frac]), cv, s, dtil)
+    _optimized_bank(stream, 0, params, stream.n_bins, np.array([target_frac]), cv, s, dtil)
     return replace(state, cv=float(cv[0]), s_prev=float(s[0]), delta_tilde_prev=float(dtil[0]),
                    n=stream.n_cycles)
 
@@ -280,36 +273,29 @@ def run_fixed(stream: PhotonStream, target_frac: float, step_size: float) -> Bin
 class BinnerBank:
     """A bank of optimized binners updated together over one stream.
 
-    Binner ``(v, j)`` tracks quantile ``targets[j]`` under step schedule
-    ("variant") ``v``. :meth:`run` hands a stream to one call of the compiled
+    Binner ``j`` tracks quantile ``targets[j]`` under the one step schedule
+    ``params``. :meth:`run` hands a stream to one call of the compiled
     kernel, which walks the cycles and, on each, finds every binner's early
     count with one binary search over the cycle's slice and applies the
     scalar update of :func:`optimized_step` (same operations, same order), so
     each binner reproduces :func:`run_optimized` bit-for-bit. Total state is
-    four float64 arrays of one entry per binner (variant-major) plus a cycle
-    counter; nothing scales with the photon count.
+    four float64 arrays of one entry per binner plus a cycle counter; nothing
+    scales with the photon count.
     """
 
-    def __init__(
-        self,
-        targets: Sequence[float],
-        params: StepParams | Sequence[StepParams],
-        n_bins: int,
-    ):
-        targets = np.asarray(targets, dtype=np.float64)
+    def __init__(self, targets: Sequence[float], params: StepParams, n_bins: int):
+        targets = np.array(targets, dtype=np.float64)
         if targets.ndim != 1 or targets.size == 0:
             raise InvalidParamsError("need at least one target quantile")
         if not np.all((0.0 < targets) & (targets < 1.0)):
             raise InvalidParamsError("target fractions must lie in (0, 1)")
         check_int("n_bins", n_bins, 1)
-        variants = (params,) if isinstance(params, StepParams) else tuple(params)
-        if not variants:
-            raise InvalidParamsError("need at least one step schedule")
-        for p in variants:
-            _step_scale(p, n_bins)
-        self.variants = variants
+        if not isinstance(params, StepParams):
+            raise InvalidParamsError(f"a bank runs one StepParams, not {type(params).__name__}")
+        step_scale(params, n_bins)
+        self.params = params
         self.n_bins = n_bins
-        self.targets = np.tile(targets, len(variants))
+        self.targets = targets
         self.cvs = self.targets * n_bins
         self.smoothed_step = np.zeros_like(self.cvs)
         self.smoothed_delta = np.zeros_like(self.cvs)
@@ -321,13 +307,13 @@ class BinnerBank:
 
     def run(self, stream: PhotonStream) -> np.ndarray:
         """Consume every cycle of ``stream``; returns the final CVs, one per
-        binner, variant-major (the bank's own array, updated in place)."""
+        binner (the bank's own array, updated in place)."""
         if not isinstance(stream, PhotonStream):
             raise InvalidParamsError(f"a bank runs over one PhotonStream, not {type(stream).__name__}")
         if stream.n_bins != self.n_bins:
             raise InvalidParamsError(
                 f"stream has n_bins={stream.n_bins}, bank has n_bins={self.n_bins}")
-        _optimized_bank(stream, self.n, self.variants, self.n_bins, self.targets,
+        _optimized_bank(stream, self.n, self.params, self.n_bins, self.targets,
                         self.cvs, self.smoothed_step, self.smoothed_delta)
         self.n += stream.n_cycles
         return self.cvs

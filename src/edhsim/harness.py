@@ -22,7 +22,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .binner import StepParams, check_fixed_step_size, run_fixed, run_optimized
+from .binner import StepParams, check_fixed_step_size, run_fixed, run_optimized, step_scale
 from .errors import (
     EdhsimError,
     InvalidParamsError,
@@ -39,7 +39,7 @@ from .estimator import (
     t0_hat,
     t1_hat,
 )
-from .histogrammer import EdhBoundaries, EwHistogram, ewh, hedh, oedh, pedh, pedh_variants
+from .histogrammer import EdhBoundaries, EwHistogram, ewh, hedh, oedh, pedh
 from .metrics import boundary_rmse, check_metric_limits, distance_metrics, inlier_column
 from .scene import PixelConfig, Scene, save_grid
 from .transient import PhotonStream, SimConfig, build_transient, sample_stream, true_quantiles
@@ -186,6 +186,7 @@ class ExperimentConfig:
         if "hedh" in self.methods and self.q & (self.q - 1):
             raise InvalidParamsError(f"hedh requires a power-of-two q, got {self.q}")
         check_fixed_step_size(self.fixed_step_size)
+        step_scale(self.step, self.sim.n_bins)
         check_metric_limits(self.inlier_thresholds, self.sim.z_max)
         if not self.pairs:
             raise InvalidParamsError("need at least one (phi_sig, phi_bkg) pair")
@@ -437,17 +438,18 @@ def sweep(spec: SweepSpec, cfg: ExperimentConfig, out_path: Optional[Path] = Non
 
     Every sweep value sees the identical streams (seeds are derived exactly
     as in :func:`run_experiment`), so value-to-value differences are not
-    sampling noise. Each stream is stepped once, the values being the
-    schedules of one binner bank (:func:`pedh_variants`). Boundary RMSE is
+    sampling noise. Each stream is stepped once per value, by one
+    :func:`pedh` under that value's schedule. Boundary RMSE is
     measured against the population quantiles of each transient; distance
     RMSE uses the narrowest-bin estimator against the scene truth. A
     boundary set that does not end at ``n_bins`` raises
     (:func:`check_span`).
     """
-    step_variants = []
+    steps = []
     for v in spec.values:
         try:
-            step_variants.append(replace(cfg.step, **{spec.param: v}))
+            steps.append(replace(cfg.step, **{spec.param: v}))
+            step_scale(steps[-1], cfg.sim.n_bins)
         except InvalidParamsError as exc:
             raise SweepValueError(f"{spec.param}={v}: {exc}") from None
 
@@ -461,10 +463,10 @@ def sweep(spec: SweepSpec, cfg: ExperimentConfig, out_path: Optional[Path] = Non
             for _cell, pixel, seed in _experiment_pixels(cfg, pair_idx, mc):
                 transient = build_transient(pixel, cfg.sim)
                 stream = sample_stream(transient, cfg.sim.n_cycles, seed)
-                results = pedh_variants(stream, cfg.q, step_variants)
                 true_bounds = true_quantiles(transient, targets)
                 truth.append(pixel.z)
-                for value, bounds in zip(spec.values, results):
+                for value, step in zip(spec.values, steps):
+                    bounds = pedh(stream, cfg.q, step)
                     check_span(bounds, cfg.sim.n_bins)
                     est_acc[value].append(bin_to_distance(t0_hat(bounds), cfg.sim))
                     bnd_sq[value].extend(((bounds.interior - true_bounds) ** 2).tolist())

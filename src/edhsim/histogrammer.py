@@ -6,9 +6,8 @@ Four ways of summarizing an exposure:
   the pooled timestamps. Needs the full photon history, so it is an accuracy
   reference, not a sensor design.
 * :func:`pedh`  - proportional equi-depth boundaries: one optimized binner
-  per interior quantile, all running in parallel over the full exposure.
-  :func:`pedh_variants` does this for one stream under several step
-  schedules in one pass over its cycles.
+  per interior quantile, all running in parallel over the full exposure
+  under one step schedule.
 * :func:`hedh`  - hierarchical equi-depth boundaries: a binary tree of
   fixed-stepping median binners run level by level, each level consuming its
   share of the cycles and refining within the intervals found so far; a
@@ -21,7 +20,7 @@ Equi-depth boundary sets always carry the forced endpoints 0 and n_bins.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -117,23 +116,11 @@ def oedh(stream: PhotonStream, q: int) -> EdhBoundaries:
 def pedh(stream: PhotonStream, q: int, params: Optional[StepParams] = None) -> EdhBoundaries:
     """Parallel proportional equi-depth boundaries.
 
-    Instantiates q-1 optimized binners with targets j/q, every one consuming
-    every cycle of the stream. Final CVs can cross under noise since the
-    binners are independent; the output is sorted to restore a valid
-    boundary set. This is :func:`pedh_variants` with one schedule.
-    """
-    return pedh_variants(stream, q, [StepParams() if params is None else params])[0]
-
-
-def pedh_variants(stream: PhotonStream, q: int,
-                  steps: Sequence[StepParams]) -> list[EdhBoundaries]:
-    """:func:`pedh` of one stream under several step schedules at once: one
-    boundary set per schedule, in the given order.
-
-    One :class:`BinnerBank` holds ``len(steps) * (q-1)`` binners, binner
-    ``(v, j)`` tracking quantile ``(j+1)/q`` under schedule ``v``, and makes
-    a single pass over the cycles, so the per-cycle cost is shared by every
-    schedule; each result equals ``pedh(stream, q, step)`` bit for bit.
+    Instantiates q-1 optimized binners with targets j/q under one
+    :class:`BinnerBank` (default schedule when ``params`` is None), every one
+    consuming every cycle of the stream. Final CVs can cross under noise
+    since the binners are independent; the output is sorted to restore a
+    valid boundary set.
 
     Raises:
         InvalidParamsError: if ``stream`` is not a :class:`PhotonStream`.
@@ -141,10 +128,10 @@ def pedh_variants(stream: PhotonStream, q: int,
     q = check_int("q", q, 2)
     if not isinstance(stream, PhotonStream):
         raise InvalidParamsError(f"pedh runs over one PhotonStream, not {type(stream).__name__}")
-    bank = BinnerBank(np.arange(1, q, dtype=np.float64) / q, steps, stream.n_bins)
-    cvs = np.sort(bank.run(stream).reshape(len(bank.variants), q - 1))
-    end = [float(stream.n_bins)]
-    return [EdhBoundaries(q, np.concatenate(([0.0], row, end))) for row in cvs]
+    bank = BinnerBank(np.arange(1, q, dtype=np.float64) / q,
+                      StepParams() if params is None else params, stream.n_bins)
+    bounds = np.concatenate(([0.0], np.sort(bank.run(stream)), [float(stream.n_bins)]))
+    return EdhBoundaries(q, bounds)
 
 
 def hedh(stream: PhotonStream, q: int, fixed_step_size: float = 1.0) -> EdhBoundaries:

@@ -45,38 +45,34 @@ static int64_t upper_bound(const double *edges, int64_t n, double x)
  * stream (timestamps ts, cycle offsets offsets); cycle c is the bank's cycle
  * n0 + c.
  *
- * Binner i = v * n_targets + j tracks quantile targets[i] under step
- * schedule v. Schedule v has smoothers beta1[v], beta2[v], step base
- * (1 - beta2) * (k_pct / 100) * n_bins in base[v], decay gamma[v] frozen from
- * cycle freeze[v] on, and step limit lim[v] (INFINITY when not clipped).
- * cvs, s and dtil hold each binner's CV and smoother memories and are
- * updated in place. */
+ * Binner i tracks quantile targets[i]. Every binner follows one step
+ * schedule: smoothers beta1 and beta2, step base
+ * (1 - beta2) * (k_pct / 100) * n_bins, decay gamma frozen from cycle freeze
+ * on, and step limit lim (INFINITY when not clipped). cvs, s and dtil hold
+ * each binner's CV and smoother memories and are updated in place. */
 void edh_optimized_bank(const double *ts, const int64_t *offsets, int64_t n_cycles, int64_t n0,
-                        int64_t n_variants, const double *beta1, const double *beta2,
-                        const double *base, const double *gamma, const int64_t *freeze,
-                        const double *lim, int64_t n_targets, const double *targets,
-                        double n_bins, double *cvs, double *s, double *dtil)
+                        double beta1, double beta2, double base, double gamma, int64_t freeze,
+                        double lim, int64_t n_targets, const double *targets, double n_bins,
+                        double *cvs, double *s, double *dtil)
 {
+    double one_m_b1 = 1.0 - beta1;
     for (int64_t c = 0; c < n_cycles; c++) {
         int64_t n = n0 + c, lo = offsets[c], hi = offsets[c + 1];
-        for (int64_t v = 0; v < n_variants; v++) {
-            double b1 = beta1[v], one_m_b1 = 1.0 - b1, b2 = beta2[v], l = lim[v];
-            double coef = base[v] * pow(gamma[v], (double)(n < freeze[v] ? n : freeze[v]));
-            for (int64_t i = v * n_targets, end = i + n_targets; i < end; i++) {
-                double dn = 0.0;
-                if (hi > lo) {
-                    int64_t early = lower_bound(ts, lo, hi, cvs[i]) - lo;
-                    dn = targets[i] - (double)early / (double)(hi - lo);
-                }
-                dtil[i] = b1 * dtil[i] + one_m_b1 * dn;
-                double step = b2 * s[i] + coef * dtil[i];
-                step = step > -l ? step : -l;
-                step = step < l ? step : l;
-                s[i] = step;
-                double cv = cvs[i] + step;
-                cv = cv > 0.0 ? cv : 0.0;
-                cvs[i] = cv < n_bins ? cv : n_bins;
+        double coef = base * pow(gamma, (double)(n < freeze ? n : freeze));
+        for (int64_t i = 0; i < n_targets; i++) {
+            double dn = 0.0;
+            if (hi > lo) {
+                int64_t early = lower_bound(ts, lo, hi, cvs[i]) - lo;
+                dn = targets[i] - (double)early / (double)(hi - lo);
             }
+            dtil[i] = beta1 * dtil[i] + one_m_b1 * dn;
+            double step = beta2 * s[i] + coef * dtil[i];
+            step = step > -lim ? step : -lim;
+            step = step < lim ? step : lim;
+            s[i] = step;
+            double cv = cvs[i] + step;
+            cv = cv > 0.0 ? cv : 0.0;
+            cvs[i] = cv < n_bins ? cv : n_bins;
         }
     }
 }

@@ -91,9 +91,7 @@ def library() -> ctypes.CDLL:
     i64, f64 = ctypes.c_int64, ctypes.c_double
     lib.edh_optimized_bank.restype = None
     lib.edh_optimized_bank.argtypes = [
-        _doubles(), _int64s(), i64, i64,
-        i64, _doubles(), _doubles(), _doubles(), _doubles(),
-        _int64s(), _doubles(),
+        _doubles(), _int64s(), i64, i64, f64, f64, f64, f64, i64, f64,
         i64, _doubles(), f64, _doubles(True), _doubles(True), _doubles(True),
     ]
     lib.edh_fixed_walk.restype = ctypes.c_int

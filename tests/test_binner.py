@@ -59,19 +59,12 @@ def reference_bank_run(bank, stream):
     kernel: per cycle, one ``searchsorted`` of every CV, then one vectorized
     update of every binner, with the step coefficient tabulated per cycle.
     Updates the bank's arrays and cycle counter in place."""
-    variants, n0, n_cycles = bank.variants, bank.n, stream.n_cycles
-    variant = np.repeat(np.arange(len(variants)), bank.targets.size // len(variants))
-
-    def column(values):
-        return np.array(values, dtype=np.float64)[variant]
-
-    b1, b2 = column([p.beta1 for p in variants]), column([p.beta2 for p in variants])
-    lim = column([p.clip * bank.n_bins if p.clip is not None else math.inf for p in variants])
-    rows = max(1, min(n_cycles, max(p.decay_freeze_cycle for p in variants) - n0 + 1))
-    coef = np.empty((rows, len(variants)))
-    for v, p in enumerate(variants):
-        base = (1.0 - p.beta2) * ((p.k_pct / 100.0) * bank.n_bins)
-        coef[:, v] = [base * binner._decay(p, n0 + i) for i in range(rows)]
+    p, n0, n_cycles = bank.params, bank.n, stream.n_cycles
+    b1, b2 = p.beta1, p.beta2
+    lim = p.clip * bank.n_bins if p.clip is not None else math.inf
+    rows = max(1, min(n_cycles, p.decay_freeze_cycle - n0 + 1))
+    base = (1.0 - p.beta2) * ((p.k_pct / 100.0) * bank.n_bins)
+    coef = [base * binner._decay(p, n0 + i) for i in range(rows)]
     cvs, s, dtil = bank.cvs, bank.smoothed_step, bank.smoothed_delta
     for k in range(n_cycles):
         lo, hi = stream.cycle_offsets[k], stream.cycle_offsets[k + 1]
@@ -79,7 +72,7 @@ def reference_bank_run(bank, stream):
         if hi > lo:
             dn = bank.targets - stream.timestamps[lo:hi].searchsorted(cvs) / (hi - lo)
         np.add(b1 * dtil, (1.0 - b1) * dn, out=dtil)
-        np.add(b2 * s, coef[min(k, rows - 1)][variant] * dtil, out=s)
+        np.add(b2 * s, coef[min(k, rows - 1)] * dtil, out=s)
         s.clip(-lim, lim, out=s)
         (cvs + s).clip(0.0, float(bank.n_bins), out=cvs)
     bank.n += n_cycles
@@ -382,59 +375,25 @@ hand_cycles = st.lists(
 
 
 class TestBankVariants:
-    @given(
-        cycles=st.one_of(hand_cycles, st.integers(1, 40).map(lambda n: [[]] * n)),
-        variants=st.lists(step_params, min_size=1, max_size=4),
-        targets=st.lists(st.sampled_from([0.125, 0.25, 0.5, 0.75, 0.9]), min_size=1, max_size=4),
-        order=st.randoms(use_true_random=False),
-    )
-    @settings(max_examples=150, deadline=None)
-    def test_variants_equal_separate_banks_bitwise(self, cycles, variants, targets, order):
-        # V variants in one bank step exactly as V one-variant banks, and as
-        # the scalar reference; permuting the variants permutes the outputs
-        stream = _hand_stream(cycles)
-        k = len(targets)
-
-        def state(bank):
-            return [a.reshape(-1, k) for a in (bank.cvs, bank.smoothed_step, bank.smoothed_delta)]
-
-        bank = BinnerBank(targets, variants, stream.n_bins)
-        bank.run(stream)
-        assert bank.targets.size == len(variants) * k
-        together = state(bank)
-        for v, p in enumerate(variants):
-            alone = BinnerBank(targets, p, stream.n_bins)
-            alone.run(stream)
-            for a, b in zip(together, state(alone)):
-                assert np.array_equal(a[v], b[0])
-            for j, t in enumerate(targets):
-                ref = run_optimized(stream, t, p)
-                assert (together[0][v, j], together[1][v, j], together[2][v, j]) == (
-                    ref.cv, ref.s_prev, ref.delta_tilde_prev)
-
-        perm = list(range(len(variants)))
-        order.shuffle(perm)
-        shuffled = BinnerBank(targets, [variants[i] for i in perm], stream.n_bins)
-        shuffled.run(stream)
-        for a, b in zip(state(shuffled), together):
-            assert np.array_equal(a, b[perm])
+    """Banks under different step schedules, one bank per schedule."""
 
     def test_step_cycle_matches_run(self):
         stream = _stream(seed=9)
-        steps = [StepParams(decay_freeze_cycle=100), StepParams(gamma=1.0, clip=0.01)]
-        stepped = BinnerBank(np.arange(1, 8) / 8, steps, stream.n_bins)
-        for ts in stream.cycles():
-            stepped.step_cycle(ts)
-        ran = BinnerBank(np.arange(1, 8) / 8, steps, stream.n_bins)
-        ran.run(stream)
-        assert np.array_equal(stepped.cvs, ran.cvs)
-        assert stepped.n == ran.n == stream.n_cycles
+        for step in (StepParams(decay_freeze_cycle=100), StepParams(gamma=1.0, clip=0.01)):
+            stepped = BinnerBank(np.arange(1, 8) / 8, step, stream.n_bins)
+            for ts in stream.cycles():
+                stepped.step_cycle(ts)
+            ran = BinnerBank(np.arange(1, 8) / 8, step, stream.n_bins)
+            ran.run(stream)
+            assert np.array_equal(stepped.cvs, ran.cvs)
+            assert stepped.n == ran.n == stream.n_cycles
 
     def test_state_is_four_arrays_per_binner(self):
-        bank = BinnerBank(np.arange(1, 32) / 32, [StepParams(gamma=g) for g in (0.99, 1.0)], 1024)
-        bank.run(_stream(n_cycles=50))
-        arrays = [v for v in vars(bank).values() if isinstance(v, np.ndarray)]
-        assert sum(a.size for a in arrays) == 4 * 2 * 31
+        for gamma in (0.99, 1.0):
+            bank = BinnerBank(np.arange(1, 32) / 32, StepParams(gamma=gamma), 1024)
+            bank.run(_stream(n_cycles=50))
+            arrays = [v for v in vars(bank).values() if isinstance(v, np.ndarray)]
+            assert sum(a.size for a in arrays) == 4 * 31
 
 
 class TestBankStreams:
@@ -443,25 +402,24 @@ class TestBankStreams:
         # a bank resumed at cycle `split` (its decay schedule goes on from
         # there) ends where one run over all 1,100 cycles does
         stream = _stream(PixelConfig(9.0, 1.0, 2.0), n_cycles=1100, seed=1)
-        steps = [StepParams(decay_freeze_cycle=700), StepParams(gamma=1.0, clip=0.01)]
-        banks = [BinnerBank([0.25, 0.5], steps, SIM.n_bins) for _ in range(2)]
-        banks[0].run(stream)
-        for a, b in ((0, split), (split, 1100)):
-            banks[1].run(cycle_slice(stream, a, b))
-        assert banks[0].n == banks[1].n == 1100
-        for name in ("cvs", "smoothed_step", "smoothed_delta"):
-            assert np.array_equal(getattr(banks[0], name), getattr(banks[1], name))
-        cvs = banks[1].cvs.reshape(2, 2)
-        for v, step in enumerate(steps):
-            assert cvs[v].tolist() == [run_optimized(stream, t, step).cv for t in (0.25, 0.5)]
+        for step in (StepParams(decay_freeze_cycle=700), StepParams(gamma=1.0, clip=0.01)):
+            banks = [BinnerBank([0.25, 0.5], step, SIM.n_bins) for _ in range(2)]
+            banks[0].run(stream)
+            for a, b in ((0, split), (split, 1100)):
+                banks[1].run(cycle_slice(stream, a, b))
+            assert banks[0].n == banks[1].n == 1100
+            for name in ("cvs", "smoothed_step", "smoothed_delta"):
+                assert np.array_equal(getattr(banks[0], name), getattr(banks[1], name))
+            assert banks[1].cvs.tolist() == [run_optimized(stream, t, step).cv for t in (0.25, 0.5)]
 
     def test_state_is_four_arrays_per_binner(self):
         # the state does not grow with the runs or the photons a bank sees
-        bank = BinnerBank(np.arange(1, 32) / 32, [StepParams(gamma=g) for g in (0.99, 1.0)], 1024)
-        for pixel in (PixelConfig(7.5, 1.0, 1.0), PixelConfig(7.5, 5.0, 5.0)):
-            bank.run(_stream(pixel, n_cycles=50))
-            arrays = [v for v in vars(bank).values() if isinstance(v, np.ndarray)]
-            assert sum(a.size for a in arrays) == 4 * 2 * 31
+        for gamma in (0.99, 1.0):
+            bank = BinnerBank(np.arange(1, 32) / 32, StepParams(gamma=gamma), 1024)
+            for pixel in (PixelConfig(7.5, 1.0, 1.0), PixelConfig(7.5, 5.0, 5.0)):
+                bank.run(_stream(pixel, n_cycles=50))
+                arrays = [v for v in vars(bank).values() if isinstance(v, np.ndarray)]
+                assert sum(a.size for a in arrays) == 4 * 31
 
 
 class TestKernelExactness:
@@ -470,31 +428,29 @@ class TestKernelExactness:
 
     @given(
         cycles=st.one_of(hand_cycles, st.integers(1, 40).map(lambda n: [[]] * n)),
-        variants=st.lists(step_params, min_size=1, max_size=3),
+        params=step_params,
         targets=st.lists(st.sampled_from([0.125, 0.25, 0.5, 0.75, 0.9]), min_size=1, max_size=3),
         data=st.data(),
     )
     @settings(max_examples=150, deadline=None)
-    def test_bank_equals_reference_loop_and_fold(self, cycles, variants, targets, data):
+    def test_bank_equals_reference_loop_and_fold(self, cycles, params, targets, data):
         # empty cycles and photon-less streams, clipped and unclipped
         # schedules, gamma = 1, decays frozen before the last cycle, and a
         # run resumed at a drawn cycle
         stream = _hand_stream(cycles)
         split = data.draw(st.integers(0, stream.n_cycles))
-        bank = BinnerBank(targets, variants, 16)
+        bank = BinnerBank(targets, params, 16)
         for a, b in ((0, split), (split, stream.n_cycles)):
             if b > a:
                 bank.run(cycle_slice(stream, a, b))
-        ref = BinnerBank(targets, variants, 16)
+        ref = BinnerBank(targets, params, 16)
         reference_bank_run(ref, stream)
         assert bank.n == ref.n == stream.n_cycles
         for name in ("cvs", "smoothed_step", "smoothed_delta"):
             assert np.array_equal(getattr(bank, name), getattr(ref, name))
-        state = np.stack([bank.cvs, bank.smoothed_step, bank.smoothed_delta], axis=1)
-        state = state.reshape(len(variants), len(targets), 3)
-        for v, params in enumerate(variants):
-            for j, t in enumerate(targets):
-                assert tuple(state[v, j]) == optimized_fold(stream, t, params)
+        for j, t in enumerate(targets):
+            state = (bank.cvs[j], bank.smoothed_step[j], bank.smoothed_delta[j])
+            assert state == optimized_fold(stream, t, params)
 
     @given(cycles=st.one_of(hand_cycles, st.integers(1, 40).map(lambda n: [[]] * n)),
            params=step_params, target=st.floats(0.01, 0.99))
@@ -518,7 +474,7 @@ class TestKernelExactness:
         stream = PhotonStream.from_cycles([np.array([0.75])], 1)
         for n in range(freeze + 3):
             cv, s, dtil = np.array([0.5]), np.zeros(1), np.zeros(1)
-            binner._optimized_bank(stream, n, [p], 1, np.array([0.5]), cv, s, dtil)
+            binner._optimized_bank(stream, n, p, 1, np.array([0.5]), cv, s, dtil)
             assert 2.0 * s[0] == binner._decay(p, n)
 
     @given(
@@ -588,9 +544,11 @@ class TestBankValidation:
         with pytest.raises(InvalidParamsError, match="n_bins"):
             bank.run(PhotonStream.from_cycles([np.array([1.0, 12.0])], 16))
 
-    def test_empty_variant_list(self):
-        with pytest.raises(InvalidParamsError, match="at least one step schedule"):
-            BinnerBank([0.5], [], 8)
+    @pytest.mark.parametrize("steps", [[], [StepParams()], (StepParams(), StepParams(gamma=1.0))])
+    def test_schedule_sequence_refused(self, steps):
+        # a bank runs one schedule; sweep one bank per schedule instead
+        with pytest.raises(InvalidParamsError, match="one StepParams, not"):
+            BinnerBank([0.5], steps, 8)
 
 
 class TestConvergence:

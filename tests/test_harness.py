@@ -100,12 +100,6 @@ def shifted_pedh(shift):
     return lambda stream, q, params=None: shifted(real(stream, q, params), shift)
 
 
-def shifted_pedh_variants(shift):
-    """harness.pedh_variants with every result :func:`shifted`."""
-    real = harness.pedh_variants
-    return lambda stream, q, steps: [shifted(b, shift) for b in real(stream, q, steps)]
-
-
 def small_config(**overrides):
     base = dict(
         scene=synth_scene("staircase", n_steps=3, z_min=3.0, z_max=12.0,
@@ -155,7 +149,7 @@ class TestRunExperiment:
     def test_table_looks_functions_up_on_the_module(self, monkeypatch):
         # replacing a histogrammer or estimator on the harness module must
         # reach the pipeline: the benchmark's checks and layer spans rely on it
-        calls = call_spy(monkeypatch, ("pedh", "pedh_variants", "t0_hat"))
+        calls = call_spy(monkeypatch, ("pedh", "t0_hat"))
         scene = synth_scene("constant", z=7.5, width=1, height=1, phi_sig=1.0, phi_bkg=1.0)
         run_experiment(small_config(scene=scene, methods=("pedh",), n_monte_carlo=1))
         assert calls == ["pedh", "t0_hat"]
@@ -300,6 +294,11 @@ class TestConfigChecks:
         with pytest.raises(InvalidParamsError, match="fixed_step_size"):
             small_config(methods=("hedh", "pedh"), fixed_step_size=bad)
 
+    def test_overflowing_step_scale(self):
+        # k_pct=1e308 is a valid StepParams, but (k_pct/100) * n_bins overflows
+        with pytest.raises(InvalidParamsError, match="step scale"):
+            small_config(step=StepParams(k_pct=1e308))
+
     def test_hedh_needs_power_of_two_q(self):
         with pytest.raises(InvalidParamsError, match="power-of-two"):
             small_config(methods=("hedh", "pedh"), q=6)
@@ -418,21 +417,28 @@ class TestSweep:
         assert sweep(spec, cfg) == reference_sweep(spec, cfg)
 
     def test_each_stream_stepped_once(self, monkeypatch):
-        calls = call_spy(monkeypatch, ("pedh", "pedh_variants"))
+        calls = call_spy(monkeypatch, ("pedh",))
         cfg = small_config(methods=("pedh",))
         sweep(SweepSpec("gamma", (0.99, 0.999, 1.0)), cfg)
-        # 3 pixels per run, 2 runs: each stream stepped once
-        assert calls == ["pedh_variants"] * 6
+        # 3 pixels per run, 2 runs: each stream stepped once per value
+        assert calls == ["pedh"] * 18
 
     def test_boundary_set_past_n_bins_rejected(self, monkeypatch):
-        monkeypatch.setattr(harness, "pedh_variants", shifted_pedh_variants(1e4))
+        monkeypatch.setattr(harness, "pedh", shifted_pedh(1e4))
         with pytest.raises(InvalidParamsError, match="not at n_bins=1024"):
             sweep(SweepSpec("gamma", (0.99, 1.0)), small_config(methods=("pedh",)))
 
     def test_invalid_value_rejected(self):
         cfg = small_config()
-        with pytest.raises(Exception):
+        with pytest.raises(SweepValueError, match="gamma=1.5: gamma must lie in"):
             sweep(SweepSpec("gamma", (1.5,)), cfg)
+
+    def test_overflowing_step_scale_rejected_before_any_stream(self, monkeypatch):
+        # k_pct=1e308 is a valid StepParams, but (k_pct/100) * n_bins overflows
+        calls = call_spy(monkeypatch, ("sample_stream", "pedh"))
+        with pytest.raises(SweepValueError, match=r"k_pct=1e\+308: step scale"):
+            sweep(SweepSpec("k_pct", (3.0, 1e308)), small_config(methods=("pedh",)))
+        assert calls == []
 
     def test_invalid_param_rejected(self):
         with pytest.raises(Exception):

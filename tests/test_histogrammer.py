@@ -10,7 +10,7 @@ from edhsim.errors import (
     PowerOfTwoError,
     TooFewPhotonsError,
 )
-from edhsim.histogrammer import EdhBoundaries, ewh, hedh, oedh, pedh, pedh_variants
+from edhsim.histogrammer import EdhBoundaries, ewh, hedh, oedh, pedh
 from edhsim.metrics import boundary_rmse
 from edhsim.harness import ExperimentConfig
 from edhsim.scene import PixelConfig, constant_scene
@@ -183,20 +183,14 @@ class TestPedh:
 
 
 class TestPedhVariants:
+    """pedh under step schedules from the default to unsmoothed and clipped."""
+
     STEPS = (
         StepParams(),
         StepParams(gamma=1.0, clip=0.005),
         StepParams(k_pct=30.0, beta1=0.0, beta2=0.0, decay_freeze_cycle=0),
         StepParams(gamma=0.99, decay_freeze_cycle=50),
     )
-
-    @pytest.mark.parametrize("bkg", [0.0, 1.0, 5.0])
-    def test_each_result_equals_pedh(self, bkg):
-        stream = _stream_from(PixelConfig(7.5, 1.0, bkg), n_cycles=800, seed=4)
-        results = pedh_variants(stream, 16, self.STEPS)
-        assert len(results) == len(self.STEPS)
-        for bounds, step in zip(results, self.STEPS):
-            assert np.array_equal(bounds.bounds, pedh(stream, 16, step).bounds)
 
     @given(
         cycles=st.lists(st.lists(st.floats(0.0, 15.99), max_size=5), min_size=1, max_size=60),
@@ -205,28 +199,19 @@ class TestPedhVariants:
     @settings(max_examples=60, deadline=None)
     def test_bounds_inside_range_and_end_at_n_bins(self, cycles, q):
         stream = PhotonStream.from_cycles([np.sort(c) for c in cycles], 16)
-        for bounds in pedh_variants(stream, q, self.STEPS):
-            b = bounds.bounds
+        for step in self.STEPS:
+            b = pedh(stream, q, step).bounds
             assert b.shape == (q + 1,)
             assert b[0] == 0.0 and b[-1] == 16.0
             assert np.all((b >= 0.0) & (b <= 16.0)) and np.all(np.diff(b) >= 0.0)
 
-    def test_unequal_and_empty_streams_equal_pedh(self):
-        # unequal photon counts and one zero-photon stream, one call each
-        streams = [_stream_from(PixelConfig(z, 1.0, bkg), n_cycles=700, seed=s)
-                   for s, (z, bkg) in enumerate([(3.0, 0.5), (7.5, 2.0), (12.0, 5.0)])]
-        streams.insert(1, PhotonStream.from_cycles([np.array([])] * 700, B))
-        for stream in streams:
-            for bounds, step in zip(pedh_variants(stream, 8, self.STEPS), self.STEPS):
-                assert np.array_equal(bounds.bounds, pedh(stream, 8, step).bounds)
-
 
 class TestListRejected:
     def test_list_of_streams(self):
-        # pedh_variants steps one stream: [stream] is refused where it enters
+        # pedh steps one stream: [stream] is refused where it enters
         stream = PhotonStream.from_cycles([np.array([1.0])] * 3, B)
         with pytest.raises(InvalidParamsError, match="one PhotonStream, not list"):
-            pedh_variants([stream], 4, [StepParams()])
+            pedh([stream], 4)
 
 
 class TestQMustBeInteger:
@@ -235,10 +220,9 @@ class TestQMustBeInteger:
     @pytest.mark.parametrize("build", [
         lambda s, q: oedh(s, q),
         lambda s, q: pedh(s, q),
-        lambda s, q: pedh_variants(s, q, [StepParams()]),
         lambda s, q: hedh(s, q),
         lambda s, q: ExperimentConfig(constant_scene(1.0, 1.0), q=q),
-    ], ids=["oedh", "pedh", "pedh_variants", "hedh", "ExperimentConfig"])
+    ], ids=["oedh", "pedh", "hedh", "ExperimentConfig"])
     @pytest.mark.parametrize("q", [4.0, 2.5, "4", True])
     def test_non_integer_q_rejected(self, build, q):
         with pytest.raises(InvalidParamsError, match="q must be an integer"):

@@ -109,9 +109,8 @@ def test_bank_refuses_timestamps_it_would_misread(ts):
     def step(ts):
         one, cv = np.ones(1), np.full(1, 4.0)
         kernel.library().edh_optimized_bank(
-            ts, np.array([0, 2], dtype=np.int64), 1, 0, 1, one * 0.95, one * 0.8, one,
-            one, np.zeros(1, np.int64), one * np.inf, 1, one * 0.5, 8.0, cv, np.zeros(1),
-            np.zeros(1))
+            ts, np.array([0, 2], dtype=np.int64), 1, 0, 0.95, 0.8, 1.0, 1.0, 0, np.inf,
+            1, one * 0.5, 8.0, cv, np.zeros(1), np.zeros(1))
         return cv[0]
 
     with pytest.raises(ctypes.ArgumentError):

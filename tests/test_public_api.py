@@ -7,7 +7,7 @@ from dataclasses import fields
 import pytest
 
 import edhsim
-from edhsim.binner import BinnerBank, CycleObservation
+from edhsim.binner import BinnerBank, CycleObservation, StepParams
 from edhsim.transient import PhotonStream
 
 # (module, name) of removed names; a comment gives the replacement where one is needed
@@ -19,7 +19,8 @@ REMOVED = [
     ("scene", "DEFAULT_Z_LIMIT"),      # -> transient.DEFAULT_Z_MAX
     ("transient", "sample_cycle"),     # sample_cycle(tr, rng) -> sample_stream(tr, 1, rng).timestamps
     ("transient", "sbr"),              # sbr(p) -> p.phi_sig / p.phi_bkg
-    ("transient", "StreamBlock"),      # one `pedh_variants(s, q, steps)` per stream
+    ("transient", "StreamBlock"),      # one `pedh(s, q, step)` per stream
+    ("histogrammer", "pedh_variants"), # [pedh(s, q, step) for step in steps]
     ("errors", "ZeroBackgroundError"),
 ]
 
@@ -44,3 +45,7 @@ def test_unread_fields_are_gone():
 
 def test_bank_has_no_stream_axis():
     assert "n_streams" not in inspect.signature(BinnerBank).parameters
+
+
+def test_bank_has_no_schedule_axis():
+    assert not hasattr(BinnerBank([0.5], StepParams(), 8), "variants")
