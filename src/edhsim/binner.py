@@ -275,10 +275,13 @@ class BinnerBank:
 
     Binner ``j`` tracks quantile ``targets[j]`` under the one step schedule
     ``params``. :meth:`run` hands a stream to one call of the compiled
-    kernel, which walks the cycles and, on each, finds every binner's early
-    count with one binary search over the cycle's slice and applies the
-    scalar update of :func:`optimized_step` (same operations, same order), so
-    each binner reproduces :func:`run_optimized` bit-for-bit. Total state is
+    kernel, which walks the cycles and, on each, counts every binner's early
+    photons and applies the scalar update of :func:`optimized_step` (same
+    operations, same order). A bank of 8 or more binners counts a cycle of
+    up to 32 photons by comparing each photon with a block of CVs at once;
+    smaller banks and longer cycles take one binary search per binner. Both
+    give the same count, so each binner reproduces :func:`run_optimized`
+    bit-for-bit whatever the bank's size or order. Total state is
     four float64 arrays of one entry per binner plus a cycle counter; nothing
     scales with the photon count.
     """

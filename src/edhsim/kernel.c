@@ -1,12 +1,14 @@
 /* The compiled loops of edhsim: the two binner stepping rules and the
  * photon placement of sample_stream, one C function each.
  *
- * Built on first use by edhsim/kernel.py with -ffp-contract=off and never
- * -ffast-math, and called through ctypes. Each stepping loop repeats the
- * scalar oracle's arithmetic operation for operation (binner.optimized_step
+ * Built on first use by edhsim/kernel.py at -O3 with -ffp-contract=off and
+ * never -ffast-math, and called through ctypes. Each stepping loop repeats
+ * the scalar oracle's arithmetic operation for operation (binner.optimized_step
  * and binner.fixed_step): no fused multiply-add, each clip written as numpy's
  * min(max(x, lo), hi), and the decay taken from libm pow, the call behind
- * Python's float ** int. That keeps every result bit-identical to the oracle.
+ * Python's float ** int. A loop that gcc vectorizes does each element's
+ * operations in the same order, one rounding each, so every result stays
+ * bit-identical to the oracle.
  * The placement repeats numpy's product, sum and clamps on the same draws.
  */
 #include <math.h>
@@ -41,6 +43,35 @@ static int64_t upper_bound(const double *edges, int64_t n, double x)
     return lo;
 }
 
+/* A bank of at least WIDE_BANK binners counts a cycle of 1 to SHORT_CYCLE
+ * photons photon-major: each photon is compared with the CVs of a block of
+ * up to BLOCK binners at once, in a loop that gcc vectorizes at -O3. Other
+ * banks and cycles take one binary search per binner. The searches' time
+ * over the block count's, for K binners and m photons in every cycle, on
+ * x86-64 with gcc 12 (BENCH_bank_count.json): K = 8 1.2-1.6x and K = 31
+ * 1.6-2.2x at every m from 1 to 32, K = 31 0.97x at m = 64, K = 7 0.87x at
+ * m = 1, and K = 1 0.4-0.65x at every m. */
+#define BLOCK 64
+#define WIDE_BANK 8
+#define SHORT_CYCLE 32
+
+/* The scalar update of binner.optimized_step for one binner whose cycle
+ * gave the raw step dn. */
+static inline void optimized_update(double dn, double beta1, double one_m_b1, double beta2,
+                                    double coef, double lim, double n_bins, double *cv,
+                                    double *s, double *dtil)
+{
+    double d = beta1 * *dtil + one_m_b1 * dn;
+    double step = beta2 * *s + coef * d;
+    step = step > -lim ? step : -lim;
+    step = step < lim ? step : lim;
+    *dtil = d;
+    *s = step;
+    double x = *cv + step;
+    x = x > 0.0 ? x : 0.0;
+    *cv = x < n_bins ? x : n_bins;
+}
+
 /* Optimized stepping of a bank of binners over cycles [0, n_cycles) of one
  * stream (timestamps ts, cycle offsets offsets); cycle c is the bank's cycle
  * n0 + c.
@@ -49,30 +80,47 @@ static int64_t upper_bound(const double *edges, int64_t n, double x)
  * schedule: smoothers beta1 and beta2, step base
  * (1 - beta2) * (k_pct / 100) * n_bins, decay gamma frozen from cycle freeze
  * on, and step limit lim (INFINITY when not clipped). cvs, s and dtil hold
- * each binner's CV and smoother memories and are updated in place. */
+ * each binner's CV and smoother memories and are updated in place. A
+ * photon before a CV counts early and one on it late; both ways of counting
+ * (see BLOCK) give the same count, so the bank's size never changes a
+ * binner's result. */
 void edh_optimized_bank(const double *ts, const int64_t *offsets, int64_t n_cycles, int64_t n0,
                         double beta1, double beta2, double base, double gamma, int64_t freeze,
                         double lim, int64_t n_targets, const double *targets, double n_bins,
                         double *cvs, double *s, double *dtil)
 {
-    double one_m_b1 = 1.0 - beta1;
+    double one_m_b1 = 1.0 - beta1, coef = 0.0;
     for (int64_t c = 0; c < n_cycles; c++) {
-        int64_t n = n0 + c, lo = offsets[c], hi = offsets[c + 1];
-        double coef = base * pow(gamma, (double)(n < freeze ? n : freeze));
+        int64_t n = n0 + c, lo = offsets[c], hi = offsets[c + 1], m = hi - lo;
+        if (c == 0 || n <= freeze)
+            coef = base * pow(gamma, (double)(n < freeze ? n : freeze));
+        if (n_targets >= WIDE_BANK && m > 0 && m <= SHORT_CYCLE) {
+            for (int64_t b = 0; b < n_targets; b += BLOCK) {
+                int64_t w = n_targets - b < BLOCK ? n_targets - b : BLOCK;
+                const double *cv = cvs + b;
+                /* doubles, exact up to 2^53: gcc 12 does not vectorize an
+                 * integer count of double compares for x86-64's SSE2 */
+                double early[BLOCK];
+                for (int64_t k = 0; k < w; k++)
+                    early[k] = 0.0;
+                for (int64_t j = lo; j < hi; j++) {
+                    double x = ts[j];
+                    for (int64_t k = 0; k < w; k++)
+                        early[k] += x < cv[k] ? 1.0 : 0.0;
+                }
+                for (int64_t k = 0; k < w; k++)
+                    optimized_update(targets[b + k] - early[k] / (double)m, beta1,
+                                     one_m_b1, beta2, coef, lim, n_bins, &cvs[b + k],
+                                     &s[b + k], &dtil[b + k]);
+            }
+            continue;
+        }
         for (int64_t i = 0; i < n_targets; i++) {
             double dn = 0.0;
-            if (hi > lo) {
-                int64_t early = lower_bound(ts, lo, hi, cvs[i]) - lo;
-                dn = targets[i] - (double)early / (double)(hi - lo);
-            }
-            dtil[i] = beta1 * dtil[i] + one_m_b1 * dn;
-            double step = beta2 * s[i] + coef * dtil[i];
-            step = step > -lim ? step : -lim;
-            step = step < lim ? step : lim;
-            s[i] = step;
-            double cv = cvs[i] + step;
-            cv = cv > 0.0 ? cv : 0.0;
-            cvs[i] = cv < n_bins ? cv : n_bins;
+            if (m > 0)
+                dn = targets[i] - (double)(lower_bound(ts, lo, hi, cvs[i]) - lo) / (double)m;
+            optimized_update(dn, beta1, one_m_b1, beta2, coef, lim, n_bins, &cvs[i], &s[i],
+                             &dtil[i]);
         }
     }
 }

@@ -369,9 +369,15 @@ step_params = st.builds(
     clip=st.one_of(st.none(), st.floats(0.01, 0.5)),
 )
 # half-integer timestamps in [0, 16) so CVs land on photons; empty cycles common
-hand_cycles = st.lists(
-    st.lists(st.integers(0, 31).map(lambda k: k / 2.0), max_size=6), min_size=1, max_size=40,
-)
+half_photons = st.integers(0, 31).map(lambda k: k / 2.0)
+hand_cycles = st.lists(st.lists(half_photons, max_size=6), min_size=1, max_size=40)
+# the kernel counts a cycle of 1 to 32 photons photon-major in a bank of 8 or
+# more binners, 64 binners to a block, and searches otherwise: sizes on both
+# sides of each cutoff, and cycles of exactly 32 and 33 photons among others
+bank_sizes = st.sampled_from([1, 2, 3, 7, 8, 9, 63, 64, 65, 129])
+cycle_sizes = st.one_of(st.integers(0, 6), st.sampled_from([32, 33]), st.integers(30, 40))
+bank_cycles = st.lists(cycle_sizes.flatmap(
+    lambda n: st.lists(half_photons, min_size=n, max_size=n)), min_size=1, max_size=40)
 
 
 class TestBankVariants:
@@ -427,16 +433,18 @@ class TestKernelExactness:
     oracles, bit for bit."""
 
     @given(
-        cycles=st.one_of(hand_cycles, st.integers(1, 40).map(lambda n: [[]] * n)),
+        cycles=st.one_of(bank_cycles, st.integers(1, 40).map(lambda n: [[]] * n)),
         params=step_params,
-        targets=st.lists(st.sampled_from([0.125, 0.25, 0.5, 0.75, 0.9]), min_size=1, max_size=3),
+        targets=bank_sizes.flatmap(lambda n: st.lists(
+            st.sampled_from([0.125, 0.25, 0.5, 0.75, 0.9]), min_size=n, max_size=n)),
         data=st.data(),
     )
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=300, deadline=None)
     def test_bank_equals_reference_loop_and_fold(self, cycles, params, targets, data):
-        # empty cycles and photon-less streams, clipped and unclipped
-        # schedules, gamma = 1, decays frozen before the last cycle, and a
-        # run resumed at a drawn cycle
+        # empty cycles and photon-less streams, cycles of up to 40 photons,
+        # banks of 1 to 129 binners, clipped and unclipped schedules,
+        # gamma = 1, decays frozen before the last cycle, and a run resumed
+        # at a drawn cycle
         stream = _hand_stream(cycles)
         split = data.draw(st.integers(0, stream.n_cycles))
         bank = BinnerBank(targets, params, 16)
@@ -448,9 +456,29 @@ class TestKernelExactness:
         assert bank.n == ref.n == stream.n_cycles
         for name in ("cvs", "smoothed_step", "smoothed_delta"):
             assert np.array_equal(getattr(bank, name), getattr(ref, name))
+        folds = {t: optimized_fold(stream, t, params) for t in set(targets)}
         for j, t in enumerate(targets):
-            state = (bank.cvs[j], bank.smoothed_step[j], bank.smoothed_delta[j])
-            assert state == optimized_fold(stream, t, params)
+            assert (bank.cvs[j], bank.smoothed_step[j], bank.smoothed_delta[j]) == folds[t]
+
+    @pytest.mark.parametrize("pixel", [PixelConfig(7.5, 1.0, 1.0), PixelConfig(7.5, 1.0, 5.0),
+                                       PixelConfig(7.5, 15.0, 30.0)], ids=["1:1", "1:5", "15:30"])
+    def test_binner_result_does_not_depend_on_its_bank(self, pixel):
+        # a binner ends where it ends alone, whatever the bank's size (on
+        # either side of the kernel's cutoffs) or its place in the bank; at
+        # 15:30 the cycles straddle the 32-photon cutoff
+        stream = _stream(pixel, n_cycles=600, seed=11)
+        p = StepParams(decay_freeze_cycle=300)
+        alone = {}
+        for size in (1, 7, 8, 9, 64, 65, 129):
+            for targets in (np.arange(1, size + 1) / (size + 1), np.arange(size, 0, -1) / (size + 1)):
+                bank = BinnerBank(targets, p, stream.n_bins)
+                bank.run(stream)
+                for j, t in enumerate(targets.tolist()):
+                    if t not in alone:
+                        one = run_optimized(stream, t, p)
+                        alone[t] = (one.cv, one.s_prev, one.delta_tilde_prev)
+                    got = (bank.cvs[j], bank.smoothed_step[j], bank.smoothed_delta[j])
+                    assert got == alone[t], (size, j, t)
 
     @given(cycles=st.one_of(hand_cycles, st.integers(1, 40).map(lambda n: [[]] * n)),
            params=step_params, target=st.floats(0.01, 0.99))

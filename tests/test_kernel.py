@@ -116,3 +116,12 @@ def test_bank_refuses_timestamps_it_would_misread(ts):
     with pytest.raises(ctypes.ArgumentError):
         step(ts)
     assert step(np.ascontiguousarray(ts, np.float64)) < 4.0
+
+
+def test_flags_keep_the_exactness_rules():
+    # fused multiply-add and the fast-math family reorder or merge roundings,
+    # and -march=native makes the library depend on the host that built it
+    assert "-ffp-contract=off" in kernel.FLAGS
+    for flag in ("-ffast-math", "-Ofast", "-funsafe-math-optimizations", "-fassociative-math",
+                 "-march=native"):
+        assert flag not in kernel.FLAGS, flag
