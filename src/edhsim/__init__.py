@@ -11,12 +11,7 @@ oracle and conventional equi-width histograms.
 from .binner import (
     BinnerBank,
     BinnerState,
-    CycleObservation,
     StepParams,
-    delta,
-    fixed_step,
-    observe,
-    optimized_step,
     run_fixed,
     run_optimized,
 )
@@ -24,7 +19,6 @@ from .errors import EdhsimError
 from .estimator import (
     DensityEstimate,
     bin_to_distance,
-    distance_to_bin,
     ewh_peak,
     rho0,
     rho1,
@@ -60,10 +54,9 @@ from .transient import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BinnerBank", "BinnerState", "CycleObservation", "StepParams",
-    "delta", "fixed_step", "observe", "optimized_step", "run_fixed", "run_optimized",
+    "BinnerBank", "BinnerState", "StepParams", "run_fixed", "run_optimized",
     "EdhsimError",
-    "DensityEstimate", "bin_to_distance", "distance_to_bin",
+    "DensityEstimate", "bin_to_distance",
     "ewh_peak", "rho0", "rho1", "t0_hat", "t1_hat",
     "ExperimentConfig", "SweepSpec", "export_density_features",
     "median_tracking_experiment", "run_experiment", "sweep",

@@ -16,23 +16,27 @@ Two stepping strategies:
   ``gamma**n`` (held constant once n reaches ``decay_freeze_cycle``), and
   passed through two exponential smoothers (``beta1`` on the raw step,
   ``beta2`` on the applied step). Large early steps give fast convergence;
-  the decay and smoothing let the CV settle instead of wandering.
+  the decay and smoothing let the CV settle instead of wandering. Per cycle,
+  with ``delta`` taken as 0 on an empty cycle::
 
-Where each rule lives: :func:`fixed_step` and :func:`optimized_step` advance
-one binner by one cycle and serve as oracles. Every stream is stepped by the
-compiled kernel (:mod:`edhsim.kernel`, source ``kernel.c``), one C function
-per rule: :func:`fixed_walk`, behind :func:`run_fixed` and ``hedh``, and the
-optimized bank update, behind :class:`BinnerBank` (many binners over one
-stream under one step schedule) and :func:`run_optimized` (a bank of one).
-The kernel repeats each oracle's operations in the same order, so the
-results agree bit for bit.
+      delta_tilde = beta1 * delta_tilde_prev + (1 - beta1) * delta
+      step        = beta2 * s_prev + (1 - beta2) * (k_pct/100) * n_bins
+                    * gamma**min(n, decay_freeze_cycle) * delta_tilde
+      cv          = clamp(cv + step, 0, n_bins)
+
+Each rule is written once, in the compiled kernel (:mod:`edhsim.kernel`,
+source ``kernel.c``), one C function per rule: :func:`fixed_walk`, behind
+:func:`run_fixed` and ``hedh``, and the optimized bank update, behind
+:class:`BinnerBank` (many binners over one stream under one step schedule)
+and :func:`run_optimized` (a bank of one). The tests keep one Python
+reference loop per rule and check the kernel against it bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -52,7 +56,6 @@ class StepParams:
         beta2: smoothing factor for the applied step.
         decay_freeze_cycle: cycle index after which gamma**n is held constant,
             guarding against vanishing steps in long exposures.
-        clip: optional cap on |step| as a fraction of n_bins (None = off).
     """
 
     k_pct: float = 3.0
@@ -60,7 +63,6 @@ class StepParams:
     beta1: float = 0.95
     beta2: float = 0.8
     decay_freeze_cycle: int = 4000
-    clip: Optional[float] = None
 
     def __post_init__(self):
         if not 0.0 < self.k_pct < math.inf:
@@ -76,44 +78,6 @@ class StepParams:
         object.__setattr__(self, "gamma", float(self.gamma))
         object.__setattr__(self, "decay_freeze_cycle",
                            check_int("decay_freeze_cycle", self.decay_freeze_cycle, 0))
-        if self.clip is not None and not 0.0 < self.clip < math.inf:
-            raise InvalidParamsError(f"clip must be finite and > 0 when enabled, got {self.clip!r}")
-
-
-@dataclass(frozen=True)
-class CycleObservation:
-    """Early/late photon counts for one laser cycle at the current CV."""
-
-    early: int
-    late: int
-
-    def __post_init__(self):
-        if self.early < 0 or self.late < 0:
-            raise InvalidParamsError("photon counts cannot be negative")
-
-
-def observe(cv: float, cycle_timestamps) -> CycleObservation:
-    """Split one cycle's sorted timestamps at the CV.
-
-    Photons strictly before the CV count as early; a photon exactly at the CV
-    counts as late (ties have measure zero for continuous timestamps, the
-    fixed rule just keeps things deterministic).
-    """
-    ts = np.asarray(cycle_timestamps)
-    early = int(np.searchsorted(ts, cv, side="left"))
-    return CycleObservation(early=early, late=ts.size - early)
-
-
-def delta(target_frac: float, obs: CycleObservation) -> float:
-    """Raw proportional step: target fraction minus observed early fraction.
-
-    Zero when the cycle is empty (no photons carry no information).
-    Always lies in (-1, 1).
-    """
-    total = obs.early + obs.late
-    if total == 0:
-        return 0.0
-    return target_frac - obs.early / total
 
 
 @dataclass(frozen=True)
@@ -126,7 +90,6 @@ class BinnerState:
 
     cv: float
     target_frac: float
-    params: StepParams
     n_bins: int
     s_prev: float = 0.0
     delta_tilde_prev: float = 0.0
@@ -139,10 +102,10 @@ class BinnerState:
             raise InvalidParamsError("cv must lie in [0, n_bins]")
 
     @classmethod
-    def initial(cls, target_frac: float, params: StepParams, n_bins: int) -> "BinnerState":
+    def initial(cls, target_frac: float, n_bins: int) -> "BinnerState":
         """Fresh state; the CV starts at target_frac * n_bins, the exact
         quantile of a flat (pure background) transient."""
-        return cls(cv=target_frac * n_bins, target_frac=target_frac, params=params, n_bins=n_bins)
+        return cls(cv=target_frac * n_bins, target_frac=target_frac, n_bins=n_bins)
 
 
 def step_scale(params: StepParams, n_bins: int) -> float:
@@ -160,43 +123,6 @@ def check_fixed_step_size(step_size: float) -> None:
         raise InvalidParamsError("fixed_step_size must be finite and > 0")
 
 
-def _decay(params: StepParams, n: int) -> float:
-    return params.gamma ** min(n, params.decay_freeze_cycle)
-
-
-def optimized_step(state: BinnerState, obs: CycleObservation) -> BinnerState:
-    """Advance one cycle with the optimized stepping strategy.
-
-    delta_tilde = beta1 * delta_tilde_prev + (1 - beta1) * delta
-    step        = beta2 * s_prev + (1 - beta2) * (k_pct/100) * n_bins
-                  * gamma**min(n, freeze) * delta_tilde
-    cv          = clamp(cv + step, 0, n_bins)
-    """
-    p = state.params
-    dn = delta(state.target_frac, obs)
-    dtil = p.beta1 * state.delta_tilde_prev + (1.0 - p.beta1) * dn
-    coef = ((1.0 - p.beta2) * ((p.k_pct / 100.0) * state.n_bins)) * _decay(p, state.n)
-    s = p.beta2 * state.s_prev + coef * dtil
-    if p.clip is not None:
-        lim = p.clip * state.n_bins
-        s = min(max(s, -lim), lim)
-    cv = min(max(state.cv + s, 0.0), float(state.n_bins))
-    return replace(state, cv=cv, s_prev=s, delta_tilde_prev=dtil, n=state.n + 1)
-
-
-def fixed_step(state: BinnerState, obs: CycleObservation, step_size: float) -> BinnerState:
-    """Advance one cycle with the constant-step baseline strategy.
-
-    Moves by exactly ``step_size`` in the direction of the imbalance
-    (no move on a balanced or empty cycle). Smoother memories are unused.
-    """
-    check_fixed_step_size(step_size)
-    dn = delta(state.target_frac, obs)
-    sign = (dn > 0.0) - (dn < 0.0)
-    cv = min(max(state.cv + step_size * sign, 0.0), float(state.n_bins))
-    return replace(state, cv=cv, n=state.n + 1)
-
-
 def _optimized_bank(stream: PhotonStream, n0: int, params: StepParams, n_bins: int,
                     targets: np.ndarray, cvs: np.ndarray, s: np.ndarray, dtil: np.ndarray) -> None:
     """Step optimized binners over every cycle of ``stream`` in one kernel
@@ -212,15 +138,13 @@ def _optimized_bank(stream: PhotonStream, n0: int, params: StepParams, n_bins: i
     kernel.library().edh_optimized_bank(
         stream.timestamps, stream.cycle_offsets, stream.n_cycles, n0, p.beta1, p.beta2,
         (1.0 - p.beta2) * step_scale(p, n_bins), p.gamma, p.decay_freeze_cycle,
-        p.clip * n_bins if p.clip is not None else math.inf,
         targets.size, targets, float(n_bins), cvs, s, dtil)
 
 
 def run_optimized(stream: PhotonStream, target_frac: float, params: StepParams) -> BinnerState:
     """Feed a whole photon stream through one optimized binner: a bank of
-    one, stepped by the same kernel call as :class:`BinnerBank`, and equal
-    bit for bit to folding :func:`optimized_step` over the cycles."""
-    state = BinnerState.initial(target_frac, params, stream.n_bins)
+    one, stepped by the same kernel call as :class:`BinnerBank`."""
+    state = BinnerState.initial(target_frac, stream.n_bins)
     cv, s, dtil = np.array([state.cv]), np.zeros(1), np.zeros(1)
     _optimized_bank(stream, 0, params, stream.n_bins, np.array([target_frac]), cv, s, dtil)
     return replace(state, cv=float(cv[0]), s_prev=float(s[0]), delta_tilde_prev=float(dtil[0]),
@@ -237,9 +161,9 @@ def fixed_walk(stream: PhotonStream, c0: int, c1: int, edges: list[float], cvs: 
     outside it are invisible to it, and a photon on an edge belongs to the
     interval above. On each cycle with n > 0 photons in its interval,
     ``early`` of them before its CV, it moves by ``step_size`` on the sign of
-    ``target_frac - early/n`` (the rule of :func:`fixed_step`). With no edges
-    this is one binner over the full range (:func:`run_fixed`); ``hedh`` runs
-    one level of its tree per call.
+    ``target_frac - early/n``, and not at all on a balanced cycle. With no
+    edges this is one binner over the full range (:func:`run_fixed`);
+    ``hedh`` runs one level of its tree per call.
 
     The walk is photon-driven and runs in the compiled kernel: within a
     cycle, each run of photons that lands in one interval updates that
@@ -265,7 +189,7 @@ def fixed_walk(stream: PhotonStream, c0: int, c1: int, edges: list[float], cvs: 
 def run_fixed(stream: PhotonStream, target_frac: float, step_size: float) -> BinnerState:
     """Feed a whole photon stream through one fixed-stepping binner: the
     one-interval case of :func:`fixed_walk`."""
-    state = BinnerState.initial(target_frac, StepParams(), stream.n_bins)
+    state = BinnerState.initial(target_frac, stream.n_bins)
     [cv] = fixed_walk(stream, 0, stream.n_cycles, [], [state.cv], target_frac, step_size)
     return replace(state, cv=cv, n=stream.n_cycles)
 
@@ -276,14 +200,13 @@ class BinnerBank:
     Binner ``j`` tracks quantile ``targets[j]`` under the one step schedule
     ``params``. :meth:`run` hands a stream to one call of the compiled
     kernel, which walks the cycles and, on each, counts every binner's early
-    photons and applies the scalar update of :func:`optimized_step` (same
-    operations, same order). A bank of 8 or more binners counts a cycle of
-    up to 32 photons by comparing each photon with a block of CVs at once;
-    smaller banks and longer cycles take one binary search per binner. Both
-    give the same count, so each binner reproduces :func:`run_optimized`
-    bit-for-bit whatever the bank's size or order. Total state is
-    four float64 arrays of one entry per binner plus a cycle counter; nothing
-    scales with the photon count.
+    photons and applies the optimized update. A bank of 8 or more binners
+    counts a cycle of up to 32 photons by comparing each photon with a block
+    of CVs at once; smaller banks and longer cycles take one binary search
+    per binner. Both give the same count, so each binner reproduces
+    :func:`run_optimized` bit-for-bit whatever the bank's size or order.
+    Total state is four float64 arrays of one entry per binner plus a cycle
+    counter; nothing scales with the photon count.
     """
 
     def __init__(self, targets: Sequence[float], params: StepParams, n_bins: int):
@@ -303,10 +226,6 @@ class BinnerBank:
         self.smoothed_step = np.zeros_like(self.cvs)
         self.smoothed_delta = np.zeros_like(self.cvs)
         self.n = 0
-
-    def step_cycle(self, cycle_timestamps: np.ndarray) -> None:
-        """Observe one cycle (sorted timestamps) and update every binner."""
-        self.run(PhotonStream.from_cycles([cycle_timestamps], self.n_bins))
 
     def run(self, stream: PhotonStream) -> np.ndarray:
         """Consume every cycle of ``stream``; returns the final CVs, one per

@@ -111,18 +111,9 @@ def parse_numbers(name: str, text: str) -> tuple[float, ...]:
 def _settings(conf: dict, prefix: str, defaults: dict) -> dict:
     """``{name: value}`` of ``prefix + name`` for every name in ``defaults``,
     each parsed by the type of its default (an int as an integer, a float as
-    a number) or left at the default when unset. A ``None`` default marks a
-    number that ``none``, ``off`` or an empty value switches off."""
-    values = {}
-    for name, default in defaults.items():
-        key = prefix + name
-        if isinstance(default, int):
-            values[name] = get_int(conf, key, default)
-        elif default is None and conf.get(key, "").lower() in ("", "none", "off"):
-            values[name] = None
-        else:
-            values[name] = get_float(conf, key, default)
-    return values
+    a number) or left at the default when unset."""
+    return {name: (get_int if isinstance(default, int) else get_float)(conf, prefix + name, default)
+            for name, default in defaults.items()}
 
 
 def build_sim_config(conf: dict) -> SimConfig:

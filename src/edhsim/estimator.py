@@ -122,10 +122,3 @@ def bin_to_distance(t: float, cfg: SimConfig) -> float:
     if not 0.0 <= t <= cfg.n_bins:
         raise BinPositionError(f"bin position {t} outside [0, {cfg.n_bins}]")
     return cfg.c * (t * cfg.dt) / 2.0
-
-
-def distance_to_bin(z: float, cfg: SimConfig) -> float:
-    """Inverse of :func:`bin_to_distance`: the bin position of a distance."""
-    if not 0.0 <= z <= cfg.z_max:
-        raise BinPositionError(f"distance {z} outside [0, {cfg.z_max}]")
-    return (2.0 * z / cfg.c) / cfg.dt

@@ -17,6 +17,7 @@ import csv
 import re
 import struct
 from dataclasses import dataclass, field, replace
+from numbers import Real
 from pathlib import Path
 from typing import Iterator, Optional, Sequence
 
@@ -190,8 +191,20 @@ class ExperimentConfig:
         check_metric_limits(self.inlier_thresholds, self.sim.z_max)
         if not self.pairs:
             raise InvalidParamsError("need at least one (phi_sig, phi_bkg) pair")
+        for pair in self.pairs:
+            if not _is_pair(pair):
+                raise InvalidParamsError(
+                    f"each (phi_sig, phi_bkg) pair must be two real numbers, got {pair!r}")
         if self.out_dir is not None:
             object.__setattr__(self, "out_dir", Path(self.out_dir))
+
+
+def _is_pair(pair) -> bool:
+    try:
+        a, b = pair
+    except (TypeError, ValueError):
+        return False
+    return all(isinstance(x, Real) and not isinstance(x, bool) for x in (a, b))
 
 
 def _experiment_pixels(cfg: ExperimentConfig, pair_idx: int,

@@ -19,6 +19,7 @@ Equi-depth boundary sets always carry the forced endpoints 0 and n_bins.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -79,6 +80,8 @@ class EwHistogram:
             raise InvalidParamsError("histogram counts must be 1-d")
         if not np.all((0 <= c) & (c < np.inf)):
             raise InvalidParamsError("histogram counts must be finite and >= 0")
+        if not 0.0 < self.span < math.inf:
+            raise InvalidParamsError(f"histogram span must be finite and > 0, got {self.span!r}")
         c.setflags(write=False)
         object.__setattr__(self, "counts", c)
 
@@ -91,6 +94,11 @@ class EwHistogram:
         return self.span / self.bin_count
 
 
+def _check_stream(method: str, stream) -> None:
+    if not isinstance(stream, PhotonStream):
+        raise InvalidParamsError(f"{method} runs over one PhotonStream, not {type(stream).__name__}")
+
+
 def oedh(stream: PhotonStream, q: int) -> EdhBoundaries:
     """Exact empirical quantile boundaries from the pooled timestamps.
 
@@ -99,9 +107,11 @@ def oedh(stream: PhotonStream, q: int) -> EdhBoundaries:
     ``ceil(j*N/q)``. Endpoints are forced to 0 and n_bins.
 
     Raises:
+        InvalidParamsError: if ``stream`` is not a :class:`PhotonStream`.
         TooFewPhotonsError: if the stream pooled fewer than q photons.
     """
     q = check_int("q", q, 1)
+    _check_stream("oedh", stream)
     pooled = stream.pooled()
     n = pooled.size
     if n < q:
@@ -126,8 +136,7 @@ def pedh(stream: PhotonStream, q: int, params: Optional[StepParams] = None) -> E
         InvalidParamsError: if ``stream`` is not a :class:`PhotonStream`.
     """
     q = check_int("q", q, 2)
-    if not isinstance(stream, PhotonStream):
-        raise InvalidParamsError(f"pedh runs over one PhotonStream, not {type(stream).__name__}")
+    _check_stream("pedh", stream)
     bank = BinnerBank(np.arange(1, q, dtype=np.float64) / q,
                       StepParams() if params is None else params, stream.n_bins)
     bounds = np.concatenate(([0.0], np.sort(bank.run(stream)), [float(stream.n_bins)]))
@@ -147,10 +156,12 @@ def hedh(stream: PhotonStream, q: int, fixed_step_size: float = 1.0) -> EdhBound
 
     Raises:
         PowerOfTwoError: if q is not a power of two.
+        InvalidParamsError: if ``stream`` is not a :class:`PhotonStream`.
     """
     q = check_int("q", q, 1)
     if q < 2 or q & (q - 1):
         raise PowerOfTwoError(f"hedh requires a power-of-two q, got {q}")
+    _check_stream("hedh", stream)
     n_levels = q.bit_length() - 1
     cuts = np.rint(np.arange(n_levels + 1) / n_levels * stream.n_cycles).astype(np.int64).tolist()
     interior: list[float] = []
@@ -166,8 +177,10 @@ def ewh(stream: PhotonStream, bin_count: int) -> EwHistogram:
     """Equi-width photon-count histogram over the pooled stream.
 
     Raises:
+        InvalidParamsError: if ``stream`` is not a :class:`PhotonStream`.
         BinCountError: unless bin_count is an integer in [1, n_bins].
     """
+    _check_stream("ewh", stream)
     if check_int("bin_count", bin_count, 1, BinCountError) > stream.n_bins:
         raise BinCountError(f"bin_count must be at most n_bins={stream.n_bins}, got {bin_count}")
     width = stream.n_bins / bin_count

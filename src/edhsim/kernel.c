@@ -2,13 +2,13 @@
  * photon placement of sample_stream, one C function each.
  *
  * Built on first use by edhsim/kernel.py at -O3 with -ffp-contract=off and
- * never -ffast-math, and called through ctypes. Each stepping loop repeats
- * the scalar oracle's arithmetic operation for operation (binner.optimized_step
- * and binner.fixed_step): no fused multiply-add, each clip written as numpy's
- * min(max(x, lo), hi), and the decay taken from libm pow, the call behind
- * Python's float ** int. A loop that gcc vectorizes does each element's
- * operations in the same order, one rounding each, so every result stays
- * bit-identical to the oracle.
+ * never -ffast-math, and called through ctypes. Each stepping loop does the
+ * operations of its rule, as edhsim/binner.py states them, in a fixed order:
+ * no fused multiply-add, each clamp written as numpy's min(max(x, lo), hi),
+ * and the decay taken from libm pow, the call behind Python's float ** int.
+ * A loop that gcc vectorizes does each element's operations in the same
+ * order, one rounding each, so every result stays bit-identical to the
+ * tests' Python reference loop for the rule.
  * The placement repeats numpy's product, sum and clamps on the same draws.
  */
 #include <math.h>
@@ -55,16 +55,13 @@ static int64_t upper_bound(const double *edges, int64_t n, double x)
 #define WIDE_BANK 8
 #define SHORT_CYCLE 32
 
-/* The scalar update of binner.optimized_step for one binner whose cycle
- * gave the raw step dn. */
+/* The optimized update of one binner whose cycle gave the raw step dn. */
 static inline void optimized_update(double dn, double beta1, double one_m_b1, double beta2,
-                                    double coef, double lim, double n_bins, double *cv,
-                                    double *s, double *dtil)
+                                    double coef, double n_bins, double *cv, double *s,
+                                    double *dtil)
 {
     double d = beta1 * *dtil + one_m_b1 * dn;
     double step = beta2 * *s + coef * d;
-    step = step > -lim ? step : -lim;
-    step = step < lim ? step : lim;
     *dtil = d;
     *s = step;
     double x = *cv + step;
@@ -78,16 +75,16 @@ static inline void optimized_update(double dn, double beta1, double one_m_b1, do
  *
  * Binner i tracks quantile targets[i]. Every binner follows one step
  * schedule: smoothers beta1 and beta2, step base
- * (1 - beta2) * (k_pct / 100) * n_bins, decay gamma frozen from cycle freeze
- * on, and step limit lim (INFINITY when not clipped). cvs, s and dtil hold
- * each binner's CV and smoother memories and are updated in place. A
+ * (1 - beta2) * (k_pct / 100) * n_bins and decay gamma frozen from cycle
+ * freeze on. cvs, s and dtil hold each binner's CV and smoother memories
+ * and are updated in place. A
  * photon before a CV counts early and one on it late; both ways of counting
  * (see BLOCK) give the same count, so the bank's size never changes a
  * binner's result. */
 void edh_optimized_bank(const double *ts, const int64_t *offsets, int64_t n_cycles, int64_t n0,
                         double beta1, double beta2, double base, double gamma, int64_t freeze,
-                        double lim, int64_t n_targets, const double *targets, double n_bins,
-                        double *cvs, double *s, double *dtil)
+                        int64_t n_targets, const double *targets, double n_bins, double *cvs,
+                        double *s, double *dtil)
 {
     double one_m_b1 = 1.0 - beta1, coef = 0.0;
     for (int64_t c = 0; c < n_cycles; c++) {
@@ -110,8 +107,8 @@ void edh_optimized_bank(const double *ts, const int64_t *offsets, int64_t n_cycl
                 }
                 for (int64_t k = 0; k < w; k++)
                     optimized_update(targets[b + k] - early[k] / (double)m, beta1,
-                                     one_m_b1, beta2, coef, lim, n_bins, &cvs[b + k],
-                                     &s[b + k], &dtil[b + k]);
+                                     one_m_b1, beta2, coef, n_bins, &cvs[b + k], &s[b + k],
+                                     &dtil[b + k]);
             }
             continue;
         }
@@ -119,7 +116,7 @@ void edh_optimized_bank(const double *ts, const int64_t *offsets, int64_t n_cycl
             double dn = 0.0;
             if (m > 0)
                 dn = targets[i] - (double)(lower_bound(ts, lo, hi, cvs[i]) - lo) / (double)m;
-            optimized_update(dn, beta1, one_m_b1, beta2, coef, lim, n_bins, &cvs[i], &s[i],
+            optimized_update(dn, beta1, one_m_b1, beta2, coef, n_bins, &cvs[i], &s[i],
                              &dtil[i]);
         }
     }

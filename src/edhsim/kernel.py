@@ -15,8 +15,8 @@ not at ``-O2``); a vectorized loop does each element's operations in the
 source's order, one rounding each, so the bits do not change.
 ``-ffp-contract=off`` stops the compiler from fusing ``a*b + c`` into one
 rounding (GCC does by default where the target has FMA), and ``-ffast-math``
-is never passed: either would change the bits that the scalar oracles in
-:mod:`edhsim.binner` and the sampler's numpy reference pin.
+is never passed: either would change the bits that the tests' reference
+loops for each stepping rule and the sampler's numpy reference pin.
 """
 
 from __future__ import annotations
@@ -94,7 +94,7 @@ def library() -> ctypes.CDLL:
     i64, f64 = ctypes.c_int64, ctypes.c_double
     lib.edh_optimized_bank.restype = None
     lib.edh_optimized_bank.argtypes = [
-        _doubles(), _int64s(), i64, i64, f64, f64, f64, f64, i64, f64,
+        _doubles(), _int64s(), i64, i64, f64, f64, f64, f64, i64,
         i64, _doubles(), f64, _doubles(True), _doubles(True), _doubles(True),
     ]
     lib.edh_fixed_walk.restype = ctypes.c_int

@@ -103,11 +103,6 @@ class Transient:
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
-    @property
-    def total(self) -> float:
-        """Mean photons per cycle (signal inside the period plus background)."""
-        return float(self.values.sum())
-
 
 def build_transient(pixel: "PixelConfig", cfg: SimConfig) -> Transient:
     """Build the per-bin mean photon counts for a pixel.

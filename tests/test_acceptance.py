@@ -10,7 +10,7 @@ import time
 import numpy as np
 
 from conftest import ACCEPTANCE_RESULTS
-from edhsim.binner import BinnerBank, CycleObservation, StepParams, delta
+from edhsim.binner import BinnerBank, StepParams, run_optimized
 from edhsim.estimator import bin_to_distance, ewh_peak, rho0, t0_hat, t1_hat, rho1
 from edhsim.harness import ExperimentConfig, SweepSpec, median_tracking_experiment, run_experiment, sweep
 from edhsim.histogrammer import EdhBoundaries, EwHistogram, oedh, pedh, hedh
@@ -214,10 +214,18 @@ def test_criterion_7_invariant_suite(tmp_path):
     rng = np.random.default_rng(7)
     checks = []
 
-    # raw proportional step magnitude < 1
+    # raw proportional step magnitude < 1: one binner over one cycle on
+    # n_bins=1 with k_pct=100, no smoothing and no decay steps by exactly
+    # target - early/m (early photons at 0, late ones on the CV)
+    raw = StepParams(k_pct=100.0, gamma=1.0, beta1=0.0, beta2=0.0)
+
+    def raw_step(target, early, late):
+        cycle = np.array([0.0] * early + [target] * late)
+        return run_optimized(PhotonStream.from_cycles([cycle], 1), target, raw).s_prev
+
     deltas_ok = all(
-        abs(delta(float(rng.uniform(0.01, 0.99)),
-                  CycleObservation(int(rng.integers(0, 50)), int(rng.integers(0, 50))))) < 1.0
+        abs(raw_step(float(rng.uniform(0.01, 0.99)), int(rng.integers(0, 50)),
+                     int(rng.integers(0, 50)))) < 1.0
         for _ in range(500)
     )
     checks.append(("delta magnitude", deltas_ok))
@@ -229,7 +237,7 @@ def test_criterion_7_invariant_suite(tmp_path):
                       beta1=0.0, beta2=0.0, decay_freeze_cycle=0), B)
     clamped = True
     for ts in stream.cycles():
-        bank.step_cycle(ts)
+        bank.run(PhotonStream.from_cycles([ts], B))
         clamped = clamped and bool(np.all((bank.cvs >= 0.0) & (bank.cvs <= B)))
     checks.append(("cv clamped", clamped))
 

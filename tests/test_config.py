@@ -38,7 +38,6 @@ def test_known_keys():
     assert KNOWN_KEYS == {
         "sim.n_bins", "sim.rep_period", "sim.fwhm", "sim.n_cycles", "sim.c",
         "step.k_pct", "step.gamma", "step.beta1", "step.beta2", "step.decay_freeze_cycle",
-        "step.clip",
         "scene.kind", "scene.z", "scene.width", "scene.height", "scene.n_steps",
         "scene.z_min", "scene.z_max", "scene.z_left", "scene.z_right", "scene.step_width",
         "scene.phi_sig", "scene.phi_bkg", "scene.path", "scene.format",
@@ -67,9 +66,9 @@ def test_every_sim_key(tmp_path):
 
 def test_every_step_key(tmp_path):
     conf = conf_of(tmp_path, "step.k_pct = 2.5\nstep.gamma = 0.999\nstep.beta1 = 0.9\n"
-                             "step.beta2 = 0.7\nstep.decay_freeze_cycle = 100\nstep.clip = 0.02\n")
+                             "step.beta2 = 0.7\nstep.decay_freeze_cycle = 100\n")
     assert build_step_params(conf) == StepParams(
-        k_pct=2.5, gamma=0.999, beta1=0.9, beta2=0.7, decay_freeze_cycle=100, clip=0.02)
+        k_pct=2.5, gamma=0.999, beta1=0.9, beta2=0.7, decay_freeze_cycle=100)
 
 
 @pytest.mark.parametrize("kind, text, params", [
@@ -136,7 +135,6 @@ def test_every_experiment_key(tmp_path):
     ("sim.fwhm = wide", "sim.fwhm must be a number, got 'wide'"),
     ("step.decay_freeze_cycle = 1.5", "step.decay_freeze_cycle must be an integer, got '1.5'"),
     ("step.gamma = g", "step.gamma must be a number, got 'g'"),
-    ("step.clip = x", "step.clip must be a number, got 'x'"),
     ("scene.width = two", "scene.width must be an integer, got 'two'"),
     ("scene.z = far", "scene.z must be a number, got 'far'"),
     ("scene.phi_bkg = lots", "scene.phi_bkg must be a number, got 'lots'"),
@@ -156,9 +154,3 @@ def test_overflowing_c_times_rep_period_is_refused(tmp_path):
     conf = conf_of(tmp_path, "sim.c = 1e308\nsim.rep_period = 10\nsim.fwhm = 1e-9\n")
     with pytest.raises(InvalidParamsError, match=r"c=1e\+308, rep_period=10\.0"):
         build_sim_config(conf)
-
-
-@pytest.mark.parametrize("value", ["off", "OFF", "none", "None", ""])
-def test_clip_switched_off(tmp_path, value):
-    conf = conf_of(tmp_path, f"step.clip = 0.02\nstep.clip = {value}\n")
-    assert build_step_params(conf).clip is None

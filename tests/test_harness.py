@@ -7,12 +7,10 @@ import pytest
 from edhsim.binner import StepParams
 from edhsim.config import (
     build_scene,
-    build_step_params,
     load_experiment_config,
     parse_config_file,
 )
 from edhsim.errors import InvalidParamsError, ParseError, SweepValueError, TooFewPhotonsError
-from edhsim.estimator import distance_to_bin
 import edhsim.harness as harness
 from edhsim.harness import (
     SWEEPABLE_PARAMS,
@@ -217,6 +215,9 @@ class TestRunExperiment:
         with pytest.raises(InvalidParamsError):
             small_config(n_monte_carlo=0)
         for bad in (dict(q=8.0), dict(n_monte_carlo=1.5), dict(global_seed=1.5),
+                    dict(pairs=((1.0,),)), dict(pairs=(("a", "b"),)),
+                    dict(pairs=((1.0, 2.0, 3.0),)), dict(pairs=((True, 1.0),)),
+                    dict(pairs=(1.0,)),
                     dict(inlier_thresholds=(2.0, float("nan"))),
                     dict(inlier_thresholds=(float("inf"),)), dict(inlier_thresholds=(-1.0,)),
                     dict(inlier_thresholds=(2, 2.0)),
@@ -341,7 +342,7 @@ class TestMethodComparisonTable:
         }
         # every estimate is the center of one of 16 bins, each 1024/16 = 64 wide
         for row in result.run_rows:
-            t = distance_to_bin(row["z_est_m"], SIM_SMALL)
+            t = 2.0 * row["z_est_m"] / SIM_SMALL.c / SIM_SMALL.dt
             assert abs(t / 64.0 - 0.5 - round(t / 64.0 - 0.5)) < 1e-9
 
     def test_four_method_columns(self):
@@ -413,7 +414,7 @@ class TestSweep:
                   "beta1": (0.0, 0.5, 0.95), "beta2": (0.0, 0.8)}[param]
         spec = SweepSpec(param, values)
         cfg = small_config(methods=("pedh",), pairs=((1.0, 1.0), (1.0, 5.0)),
-                           step=StepParams(decay_freeze_cycle=300, clip=0.05))
+                           step=StepParams(decay_freeze_cycle=300))
         assert sweep(spec, cfg) == reference_sweep(spec, cfg)
 
     def test_each_stream_stepped_once(self, monkeypatch):
@@ -547,7 +548,6 @@ class TestConfigFiles:
             "sim.n_cycles = 300\n"
             "step.gamma = 0.999\n"
             "step.decay_freeze_cycle = 250\n"
-            "step.clip = 0.02\n"
             "scene.kind = staircase\n"
             "scene.n_steps = 4\n"
             "scene.z_min = 2.0\n"
@@ -562,7 +562,6 @@ class TestConfigFiles:
         cfg = load_experiment_config(p)
         assert cfg.sim.n_cycles == 300
         assert cfg.step.gamma == 0.999
-        assert cfg.step.clip == 0.02
         assert cfg.pairs == ((1.0, 1.0), (0.5, 2.5))
         assert cfg.scene.width == 4
         assert cfg.global_seed == 5
@@ -583,11 +582,12 @@ class TestConfigFiles:
         cfg = load_experiment_config(p, seed_override=123)
         assert cfg.global_seed == 123
 
-    def test_step_clip_off(self, tmp_path):
+    def test_step_clip_is_an_unknown_key(self, tmp_path):
+        # StepParams has no step cap, so its old key is refused like a typo
         p = tmp_path / "exp.conf"
-        p.write_text("step.clip = off\n")
-        params = build_step_params(parse_config_file(p))
-        assert params.clip is None
+        p.write_text("step.clip = 0.02\n")
+        with pytest.raises(ParseError, match="unknown key 'step.clip'"):
+            parse_config_file(p)
 
     def test_scene_from_file(self, tmp_path):
         depth = tmp_path / "d.csv"

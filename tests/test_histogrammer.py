@@ -10,7 +10,7 @@ from edhsim.errors import (
     PowerOfTwoError,
     TooFewPhotonsError,
 )
-from edhsim.histogrammer import EdhBoundaries, ewh, hedh, oedh, pedh
+from edhsim.histogrammer import EdhBoundaries, EwHistogram, ewh, hedh, oedh, pedh
 from edhsim.metrics import boundary_rmse
 from edhsim.harness import ExperimentConfig
 from edhsim.scene import PixelConfig, constant_scene
@@ -183,11 +183,11 @@ class TestPedh:
 
 
 class TestPedhVariants:
-    """pedh under step schedules from the default to unsmoothed and clipped."""
+    """pedh under step schedules from the default to undecayed and unsmoothed."""
 
     STEPS = (
         StepParams(),
-        StepParams(gamma=1.0, clip=0.005),
+        StepParams(gamma=1.0),
         StepParams(k_pct=30.0, beta1=0.0, beta2=0.0, decay_freeze_cycle=0),
         StepParams(gamma=0.99, decay_freeze_cycle=50),
     )
@@ -212,6 +212,15 @@ class TestListRejected:
         stream = PhotonStream.from_cycles([np.array([1.0])] * 3, B)
         with pytest.raises(InvalidParamsError, match="one PhotonStream, not list"):
             pedh([stream], 4)
+
+    @pytest.mark.parametrize("method, arg", [(oedh, 4), (pedh, 4), (hedh, 4), (ewh, 32)],
+                             ids=["oedh", "pedh", "hedh", "ewh"])
+    @pytest.mark.parametrize("bad", ["list", "timestamps", "none"])
+    def test_every_method_refuses_anything_but_one_stream(self, method, arg, bad):
+        stream = PhotonStream.from_cycles([np.array([1.0, 5.0, 9.0, 300.0])] * 3, B)
+        bad = {"list": [stream], "timestamps": stream.timestamps, "none": None}[bad]
+        with pytest.raises(InvalidParamsError, match=f"{method.__name__} runs over one PhotonStream"):
+            method(bad, arg)
 
 
 class TestQMustBeInteger:
@@ -323,6 +332,12 @@ class TestEwh:
         fine = ewh(stream, 1024)
         coarse = ewh(stream, 32)
         assert np.array_equal(coarse.counts, fine.counts.reshape(32, 32).sum(axis=1))
+
+    @pytest.mark.parametrize("span", [0.0, -8.0, np.inf, np.nan])
+    def test_span_must_be_finite_and_positive(self, span):
+        # a zero span put every peak at 0 m, a negative one behind the sensor
+        with pytest.raises(InvalidParamsError, match="span must be finite and > 0"):
+            EwHistogram(np.array([0, 5, 1, 0]), span)
 
     def test_bin_count_validation(self):
         stream = PhotonStream.from_cycles([np.array([1.0])], B)

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -109,7 +110,7 @@ def test_bank_refuses_timestamps_it_would_misread(ts):
     def step(ts):
         one, cv = np.ones(1), np.full(1, 4.0)
         kernel.library().edh_optimized_bank(
-            ts, np.array([0, 2], dtype=np.int64), 1, 0, 0.95, 0.8, 1.0, 1.0, 0, np.inf,
+            ts, np.array([0, 2], dtype=np.int64), 1, 0, 0.95, 0.8, 1.0, 1.0, 0,
             1, one * 0.5, 8.0, cv, np.zeros(1), np.zeros(1))
         return cv[0]
 
@@ -125,3 +126,15 @@ def test_flags_keep_the_exactness_rules():
     for flag in ("-ffast-math", "-Ofast", "-funsafe-math-optimizations", "-fassociative-math",
                  "-march=native"):
         assert flag not in kernel.FLAGS, flag
+
+
+def test_declared_argument_counts_match_the_c_definitions():
+    # ctypes does not check a call against the C signature, so a parameter
+    # added to or dropped from kernel.c but not from kernel.py would shift
+    # every argument after it
+    source = kernel.SOURCE.read_text()
+    definitions = dict(re.findall(r"^\w[\w ]*?\b(edh_\w+)\(([^)]*)\)\s*\{", source, re.MULTILINE))
+    assert sorted(definitions) == ["edh_fixed_walk", "edh_optimized_bank", "edh_place_photons"]
+    lib = kernel.library()
+    for name, params in definitions.items():
+        assert len(params.split(",")) == len(getattr(lib, name).argtypes), name

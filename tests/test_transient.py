@@ -148,14 +148,14 @@ class TestBuildTransient:
 
     def test_signal_mass_when_pulse_inside(self):
         tr = build_transient(PixelConfig(7.5, 3.0, 0.0), SIM)
-        assert tr.total == pytest.approx(3.0, rel=1e-6)
+        assert tr.values.sum() == pytest.approx(3.0, rel=1e-6)
 
     def test_signal_mass_truncated_near_range_edge(self):
         # pulse mass beyond the period is dropped, never wrapped
         z = SIM.z_max * 0.99999
         tr = build_transient(PixelConfig(z, 3.0, 0.0), SIM)
-        assert tr.total <= 3.0
-        assert tr.total < 3.0 * (1.0 - 1e-6)
+        assert tr.values.sum() <= 3.0
+        assert tr.values.sum() < 3.0 * (1.0 - 1e-6)
 
     def test_total_decomposition(self):
         pix = PixelConfig(7.5, 1.5, 0.75)
@@ -164,7 +164,7 @@ class TestBuildTransient:
         captured = norm.cdf(SIM.rep_period, loc=t_peak, scale=SIM.pulse_sigma) - norm.cdf(
             0.0, loc=t_peak, scale=SIM.pulse_sigma
         )
-        assert tr.total == pytest.approx(pix.phi_sig * captured + pix.phi_bkg, rel=1e-9)
+        assert tr.values.sum() == pytest.approx(pix.phi_sig * captured + pix.phi_bkg, rel=1e-9)
 
     def test_distance_exceeds_range(self):
         with pytest.raises(DistanceExceedsRangeError):
@@ -198,7 +198,7 @@ class TestSampleStream:
     def test_total_count_poisson(self):
         tr = build_transient(PixelConfig(7.5, 1.0, 1.0), SIM)
         stream = sample_stream(tr, 5000, 7)
-        expected = tr.total * 5000
+        expected = tr.values.sum() * 5000
         assert abs(stream.total_photons - expected) <= 3.0 * np.sqrt(2.0 * 5000)
 
     def test_cycles_sorted_and_in_range(self):
