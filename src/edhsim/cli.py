@@ -31,9 +31,10 @@ from .harness import (
     estimate_bins,
     export_density_features,
     pipeline_stream_seed,
+    pixel_streams,
     read_boundaries_csv,
     run_experiment,
-    scene_summaries,
+    summarize,
     sweep,
     write_boundaries_csv,
     write_channel_grid,
@@ -42,7 +43,7 @@ from .harness import (
 from .histogrammer import EdhBoundaries
 from .metrics import distance_metrics, inlier_column
 from .scene import load_depth_map, load_grid, save_grid
-from .transient import DEFAULT_Z_MAX, build_transient, sample_stream
+from .transient import DEFAULT_Z_MAX
 
 
 def _fmt_of(path: str) -> str:
@@ -54,36 +55,45 @@ def _add_config_arg(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=None, help="override the global seed")
 
 
-def _pipeline_scene(conf, seed_override):
-    """The config's sim, scene, and one stable stream seed per scene pixel."""
+def _pipeline_streams(conf, seed_override):
+    """The config's scene and its :func:`pixel_streams`, from stable seeds."""
     sim = cfgmod.build_sim_config(conf)
     scene = cfgmod.build_scene(conf, sim)
     seed = cfgmod.resolve_seed(conf, seed_override)
-    return sim, scene, [pipeline_stream_seed(seed, i) for i in range(scene.height * scene.width)]
+    seeds = [pipeline_stream_seed(seed, i) for i in range(scene.height * scene.width)]
+    return scene, pixel_streams(scene, sim, seeds)
+
+
+def _method_settings(args, conf):
+    """The config's step parameters, then ``--q`` and ``--fixed-step-size``,
+    or the config's values where not given."""
+    q = cfgmod.get_int(conf, "experiment.q", ExperimentConfig.q)
+    size = cfgmod.get_float(conf, "experiment.fixed_step_size", ExperimentConfig.fixed_step_size)
+    return (cfgmod.build_step_params(conf), q if args.q is None else args.q,
+            size if args.fixed_step_size is None else args.fixed_step_size)
 
 
 def _cmd_simulate(args) -> int:
     conf = cfgmod.parse_config_file(args.config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    sim, scene, seeds = _pipeline_scene(conf, args.seed)
-    for (r, c, pixel), seed in zip(scene.iter_pixels(), seeds):
-        dump_stream_csv(sample_stream(build_transient(pixel, sim), sim.n_cycles, seed),
-                        out / f"stream_r{r}_c{c}.csv")
-    print(f"wrote {len(seeds)} stream dumps to {out}")
+    scene, streams = _pipeline_streams(conf, args.seed)
+    for (r, c), _pixel, _tr, stream in streams:
+        dump_stream_csv(stream, out / f"stream_r{r}_c{c}.csv")
+    print(f"wrote {scene.height * scene.width} stream dumps to {out}")
     return 0
 
 
 def _cmd_edh(args) -> int:
     conf = cfgmod.parse_config_file(args.config)
-    step = cfgmod.build_step_params(conf)
-    sim, scene, seeds = _pipeline_scene(conf, args.seed)
-    # row-major, as scene_summaries yields them; the method checks q first
-    grid = np.array([bounds.bounds for _r, _c, bounds in scene_summaries(
-        scene, sim, args.method, args.q, step, args.fixed_step_size, seeds)])
+    step, q, size = _method_settings(args, conf)
+    scene, streams = _pipeline_streams(conf, args.seed)
+    # row-major, as pixel_streams yields them; the method checks q first
+    grid = np.array([summarize(stream, args.method, q, step, size).bounds
+                     for _cell, _pixel, _tr, stream in streams])
     grid = grid.reshape(scene.height, scene.width, -1)
     write_boundaries_csv(args.out, grid)
-    print(f"wrote {args.method} boundaries ({args.q} bins/pixel) to {args.out}")
+    print(f"wrote {args.method} boundaries ({q} bins/pixel) to {args.out}")
     if args.raw_out:
         write_channel_grid(args.raw_out, grid.astype(np.float32))
         print(f"wrote raw boundary grid to {args.raw_out}")
@@ -97,24 +107,23 @@ def _cmd_estimate(args) -> int:
         grid = read_boundaries_csv(args.bounds)
         q = grid.shape[2] - 1
         est = np.empty(grid.shape[:2])
-        for r in range(grid.shape[0]):
-            for c in range(grid.shape[1]):
-                try:
-                    bounds = EdhBoundaries(q, grid[r, c])
-                    check_span(bounds, sim.n_bins)
-                except InvalidParamsError as exc:
-                    raise InvalidParamsError(
-                        f"{args.bounds}: the row of pixel ({r}, {c}): {exc}") from None
-                est[r, c] = bin_to_distance(estimate_bins(args.estimator, bounds), sim)
+        for r, c in np.ndindex(est.shape):
+            try:
+                bounds = EdhBoundaries(q, grid[r, c])
+                check_span(bounds, sim.n_bins)
+            except InvalidParamsError as exc:
+                raise InvalidParamsError(
+                    f"{args.bounds}: the row of pixel ({r}, {c}): {exc}") from None
+            est[r, c] = bin_to_distance(estimate_bins(args.estimator, bounds), sim)
     else:
-        step = cfgmod.build_step_params(conf)
+        step, q, size = _method_settings(args, conf)
         # the estimator reads either --method's boundaries or the --ewh-bins histogram
         [(method, _)] = conditions((args.method, f"ewh{args.ewh_bins}"), (args.estimator,))
-        sim, scene, seeds = _pipeline_scene(conf, args.seed)
+        scene, streams = _pipeline_streams(conf, args.seed)
         est = np.empty((scene.height, scene.width))
-        for r, c, summary in scene_summaries(scene, sim, method, args.q, step,
-                                             args.fixed_step_size, seeds):
-            est[r, c] = bin_to_distance(estimate_bins(args.estimator, summary), sim)
+        for cell, _pixel, _tr, stream in streams:
+            summary = summarize(stream, method, q, step, size)
+            est[cell] = bin_to_distance(estimate_bins(args.estimator, summary), sim)
     save_grid(est, args.out, _fmt_of(args.out))
     print(f"wrote {args.estimator} distance map to {args.out}")
     return 0
@@ -203,8 +212,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("edh", help="write equi-depth boundary sets")
     _add_config_arg(p)
     p.add_argument("--method", choices=EDH_METHODS, required=True)
-    p.add_argument("--q", type=int, default=ExperimentConfig.q)
-    p.add_argument("--fixed-step-size", type=float, default=ExperimentConfig.fixed_step_size)
+    p.add_argument("--q", type=int, help="default: experiment.q")
+    p.add_argument("--fixed-step-size", type=float, help="default: experiment.fixed_step_size")
     p.add_argument("--out", required=True, help="boundary CSV path")
     p.add_argument("--raw-out", default=None, help="optional raw channel-grid path")
     p.set_defaults(func=_cmd_edh)
@@ -214,8 +223,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--estimator", choices=ESTIMATORS, required=True)
     p.add_argument("--bounds", default=None, help="boundary CSV from the edh command")
     p.add_argument("--method", choices=EDH_METHODS, default="pedh")
-    p.add_argument("--q", type=int, default=ExperimentConfig.q)
-    p.add_argument("--fixed-step-size", type=float, default=ExperimentConfig.fixed_step_size)
+    p.add_argument("--q", type=int, help="default: experiment.q")
+    p.add_argument("--fixed-step-size", type=float, help="default: experiment.fixed_step_size")
     p.add_argument("--ewh-bins", type=int, default=32)
     p.add_argument("--out", required=True, help="distance map path (.csv or raw_f32)")
     p.set_defaults(func=_cmd_estimate)

@@ -135,7 +135,7 @@ def build_scene(conf: dict, sim: Optional[SimConfig] = None) -> Scene:
         depth_map = load_depth_map(
             conf["scene.path"], conf.get("scene.format", "csv"), z_limit=sim.z_max
         )
-        return Scene.uniform(depth_map, phi_sig, phi_bkg, label=Path(conf["scene.path"]).stem)
+        return Scene(depth_map, phi_sig, phi_bkg, label=Path(conf["scene.path"]).stem)
     if kind not in SCENE_BUILDERS:
         raise ParseError(f"unknown scene.kind {kind!r}")
     params = _settings(conf, "scene.", _builder_defaults(SCENE_BUILDERS[kind]))

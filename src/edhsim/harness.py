@@ -5,10 +5,9 @@ Everything here is deterministic given the experiment's global seed: each
 so results do not depend on execution order, and every method within one run
 consumes the identical photon stream (paired comparisons).
 
-Every entry point (:func:`run_experiment`, :func:`sweep`,
-:func:`scene_summaries`) takes one pixel at a time: it samples the pixel's
-stream, summarizes it with each method and drops it before the next pixel,
-so one stream is held at once.
+Every scene is walked by :func:`pixel_streams`, one pixel at a time: it
+samples the pixel's stream, the caller summarizes it with each method and
+drops it before the next pixel, so one stream is held at once.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ import struct
 from dataclasses import dataclass, field, replace
 from numbers import Real
 from pathlib import Path
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -137,14 +136,12 @@ def check_span(bounds: EdhBoundaries, n_bins: int) -> None:
         raise InvalidParamsError(f"boundary set ends at {bounds.span!r}, not at n_bins={n_bins}")
 
 
-def scene_summaries(scene: Scene, sim: SimConfig, method: str, q: int, step: StepParams,
-                    fixed_step_size: float, seeds: Sequence) -> Iterator[tuple[int, int, object]]:
-    """Sample every scene pixel (the i-th, row-major, from ``seeds[i]``) and
-    yield ``(row, col, summary)`` of ``method`` for each, in that order
-    (see :func:`summarize`)."""
+def pixel_streams(scene: Scene, sim: SimConfig, seeds: Iterable) -> Iterator[tuple]:
+    """Sample every scene pixel, the i-th (row-major) from ``seeds[i]``, and
+    yield ``((row, col), pixel, transient, stream)`` for each, in that order."""
     for (r, c, pixel), seed in zip(scene.iter_pixels(), seeds):
-        stream = sample_stream(build_transient(pixel, sim), sim.n_cycles, seed)
-        yield r, c, summarize(stream, method, q, step, fixed_step_size)
+        transient = build_transient(pixel, sim)
+        yield (r, c), pixel, transient, sample_stream(transient, sim.n_cycles, seed)
 
 
 def estimate_bins(estimator: str, summary) -> float:
@@ -176,6 +173,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.methods or not self.estimators:
             raise InvalidParamsError("need at least one method and one estimator")
+        check_distinct("methods", self.methods, str)
+        check_distinct("estimators", self.estimators, str)
         for m in self.methods:
             if m not in _EDH and not 1 <= _ewh_bins(m) <= self.sim.n_bins:
                 raise InvalidParamsError(f"{m}: bin count must lie in [1, {self.sim.n_bins}]")
@@ -207,16 +206,10 @@ def _is_pair(pair) -> bool:
     return all(isinstance(x, Real) and not isinstance(x, bool) for x in (a, b))
 
 
-def _experiment_pixels(cfg: ExperimentConfig, pair_idx: int,
-                       mc: int) -> Iterator[tuple[tuple[int, int], PixelConfig, np.random.SeedSequence]]:
-    """The scene of run ``mc`` of pair ``pair_idx``, row-major: each
-    pixel's (row, col) cell, its pixel and its stream seed."""
-    phi_sig, phi_bkg = cfg.pairs[pair_idx]
-    depths = cfg.scene.depth_map.depths.astype(np.float64)
-    for i in range(cfg.scene.height * cfg.scene.width):
-        rc = divmod(i, cfg.scene.width)
-        yield (rc, PixelConfig(float(depths[rc]), phi_sig, phi_bkg),
-               derive_seed(cfg.global_seed, _CTX_EXPERIMENT, pair_idx, mc, i))
+def _experiment_seeds(cfg: ExperimentConfig, pair_idx: int, mc: int) -> Iterator:
+    """The stream seeds of run ``mc`` of pair ``pair_idx``, one per pixel."""
+    return (derive_seed(cfg.global_seed, _CTX_EXPERIMENT, pair_idx, mc, i)
+            for i in range(cfg.scene.height * cfg.scene.width))
 
 
 @dataclass
@@ -259,9 +252,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         pair_rows: list[dict] = []
         errors: dict = {}
         try:
+            scene = replace(cfg.scene, phi_sig=phi_sig, phi_bkg=phi_bkg)
             for mc in range(cfg.n_monte_carlo):
-                for (r, c), pixel, seed in _experiment_pixels(cfg, pair_idx, mc):
-                    stream = sample_stream(build_transient(pixel, cfg.sim), cfg.sim.n_cycles, seed)
+                for (r, c), pixel, _tr, stream in pixel_streams(
+                        scene, cfg.sim, _experiment_seeds(cfg, pair_idx, mc)):
                     # every method reads the identical stream; one that
                     # raises, in its summary or an estimate, joins ``errors``
                     done = {}
@@ -471,11 +465,11 @@ def sweep(spec: SweepSpec, cfg: ExperimentConfig, out_path: Optional[Path] = Non
     est_acc = {v: [] for v in spec.values}
     truth = []
     bnd_sq = {v: [] for v in spec.values}
-    for pair_idx in range(len(cfg.pairs)):
+    for pair_idx, (phi_sig, phi_bkg) in enumerate(cfg.pairs):
+        scene = replace(cfg.scene, phi_sig=phi_sig, phi_bkg=phi_bkg)
         for mc in range(cfg.n_monte_carlo):
-            for _cell, pixel, seed in _experiment_pixels(cfg, pair_idx, mc):
-                transient = build_transient(pixel, cfg.sim)
-                stream = sample_stream(transient, cfg.sim.n_cycles, seed)
+            for _cell, pixel, transient, stream in pixel_streams(
+                    scene, cfg.sim, _experiment_seeds(cfg, pair_idx, mc)):
                 true_bounds = true_quantiles(transient, targets)
                 truth.append(pixel.z)
                 for value, step in zip(spec.values, steps):
@@ -547,15 +541,15 @@ def export_density_features(
 ) -> Path:
     """Write per-pixel interpolated photon densities as a 1024-channel grid.
 
-    Runs the parallel histogrammer on each pixel (using the scene's own
-    photon levels, pixel by pixel through :func:`scene_summaries`) and
-    stores the interpolated density as float32 channels, plus a sidecar
+    Runs the parallel histogrammer on each pixel (at the scene's photon
+    level, pixel by pixel through :func:`pixel_streams`) and stores the
+    interpolated density as float32 channels, plus a sidecar
     ``<path>.truth.csv`` with the ground-truth depths.
     """
     arr = np.empty((scene.height, scene.width, RHO1_GRID_SIZE), dtype=np.float32)
     seeds = [derive_seed(global_seed, _CTX_FEATURES, i) for i in range(scene.height * scene.width)]
-    for r, c, bounds in scene_summaries(scene, sim, "pedh", q, step, 1.0, seeds):
-        arr[r, c, :] = rho1(bounds).values
+    for cell, _pixel, _tr, stream in pixel_streams(scene, sim, seeds):
+        arr[cell] = rho1(summarize(stream, "pedh", q, step, 1.0)).values
     path = Path(path)
     write_channel_grid(path, arr)
     save_grid(scene.depth_map.depths, Path(str(path) + ".truth.csv"), "csv")
@@ -613,20 +607,19 @@ def read_boundaries_csv(path) -> np.ndarray:
                 raise ParseError(f"{path}: bad row: {exc}") from None
     if not entries:
         raise ParseError(f"{path}: empty boundary file")
-    h = max(e[0] for e in entries) + 1
-    w = max(e[1] for e in entries) + 1
-    arr = np.empty((h, w, len(t_cols)))
-    filled = np.zeros((h, w), dtype=bool)
+    filled = set()
     for r, c, vals in entries:
         if r < 0 or c < 0:
             raise ParseError(f"{path}: bad row: negative pixel index ({r}, {c})")
-        if filled[r, c]:
+        if (r, c) in filled:
             raise ParseError(f"{path}: pixel ({r}, {c}) has more than one row")
         if not np.all(np.isfinite(vals)):
             raise ParseError(f"{path}: the row of pixel ({r}, {c}) holds a non-finite value")
-        arr[r, c, :] = vals
-        filled[r, c] = True
-    if not filled.all():
-        r, c = np.argwhere(~filled)[0].tolist()
+        filled.add((r, c))
+    h, w = (max(index) + 1 for index in zip(*filled))
+    # rows fill distinct cells, so a grid with more cells than rows misses one
+    # among its first len(entries) + 1; it is allocated only once it is whole
+    if h * w > len(entries):
+        r, c = next(divmod(i, w) for i in range(h * w) if divmod(i, w) not in filled)
         raise ParseError(f"{path}: boundary grid has missing pixels, the first ({r}, {c})")
-    return arr
+    return np.array([vals for _r, _c, vals in sorted(entries)]).reshape(h, w, len(t_cols))

@@ -1,4 +1,4 @@
-"""Scenes: ground-truth depth maps plus per-pixel photon levels.
+"""Scenes: ground-truth depth maps seen at one photon level.
 
 Depth maps travel in two interchangeable formats:
 
@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
+from numbers import Real
 from pathlib import Path
 from typing import Iterator
 
@@ -60,6 +61,15 @@ def check_depth_range(depths: np.ndarray, z_limit: float) -> None:
         raise DepthOutOfRangeError(float(arr[bad].flat[0]), z_limit)
 
 
+def check_levels(phi_sig, phi_bkg) -> None:
+    """Reject levels that are not finite real numbers >= 0, or both zero."""
+    for name, v in (("phi_sig", phi_sig), ("phi_bkg", phi_bkg)):
+        if not isinstance(v, Real) or isinstance(v, bool) or not 0.0 <= v < math.inf:
+            raise InvalidParamsError(f"{name} must be finite and >= 0, got {v!r}")
+    if phi_sig == 0.0 and phi_bkg == 0.0:
+        raise InvalidParamsError("phi_sig and phi_bkg cannot both be zero")
+
+
 @dataclass(frozen=True)
 class PixelConfig:
     """Per-pixel truth: distance plus mean photon totals per laser cycle.
@@ -75,45 +85,20 @@ class PixelConfig:
     def __post_init__(self):
         if not 0.0 < self.z < math.inf:
             raise InvalidParamsError(f"pixel distance must be positive, got {self.z}")
-        for name, v in (("phi_sig", self.phi_sig), ("phi_bkg", self.phi_bkg)):
-            if not 0.0 <= v < math.inf:
-                raise InvalidParamsError(f"{name} must be finite and >= 0, got {v}")
-        if self.phi_sig == 0.0 and self.phi_bkg == 0.0:
-            raise InvalidParamsError("phi_sig and phi_bkg cannot both be zero")
+        check_levels(self.phi_sig, self.phi_bkg)
 
 
 @dataclass(frozen=True)
 class Scene:
-    """A depth map with per-pixel photon levels (possibly uniform)."""
+    """A depth map seen at one photon level, the same at every pixel."""
 
     depth_map: DepthMap
-    phi_sig: np.ndarray
-    phi_bkg: np.ndarray
+    phi_sig: float
+    phi_bkg: float
     label: str = "scene"
 
     def __post_init__(self):
-        shape = self.depth_map.depths.shape
-        for name in ("phi_sig", "phi_bkg"):
-            try:
-                arr = np.broadcast_to(
-                    np.asarray(getattr(self, name), dtype=np.float64), shape
-                ).copy()
-            except ValueError:
-                raise InvalidParamsError(
-                    f"{name} grid does not match the {shape[1]}x{shape[0]} depth map"
-                ) from None
-            if not np.all((0.0 <= arr) & (arr < np.inf)):
-                raise InvalidParamsError(f"{name} grid must be finite and >= 0")
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        if np.any((self.phi_sig == 0.0) & (self.phi_bkg == 0.0)):
-            raise InvalidParamsError("some pixel has zero signal and zero background")
-
-    @classmethod
-    def uniform(
-        cls, depth_map: DepthMap, phi_sig: float, phi_bkg: float, label: str = "scene"
-    ) -> "Scene":
-        return cls(depth_map, np.float64(phi_sig), np.float64(phi_bkg), label)
+        check_levels(self.phi_sig, self.phi_bkg)
 
     @property
     def width(self) -> int:
@@ -123,17 +108,10 @@ class Scene:
     def height(self) -> int:
         return self.depth_map.height
 
-    def pixel(self, row: int, col: int) -> PixelConfig:
-        return PixelConfig(
-            z=float(self.depth_map.depths[row, col]),
-            phi_sig=float(self.phi_sig[row, col]),
-            phi_bkg=float(self.phi_bkg[row, col]),
-        )
-
     def iter_pixels(self) -> Iterator[tuple[int, int, PixelConfig]]:
-        for row in range(self.height):
-            for col in range(self.width):
-                yield row, col, self.pixel(row, col)
+        """``(row, col, pixel)`` of every pixel, row-major."""
+        for (row, col), z in np.ndenumerate(self.depth_map.depths):
+            yield row, col, PixelConfig(float(z), self.phi_sig, self.phi_bkg)
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +222,7 @@ def constant_scene(
     check_int("height", height, 1)
     check_depth_range(np.array([z]), z_limit)
     grid = np.full((height, width), z, dtype=np.float32)
-    return Scene.uniform(DepthMap(grid), phi_sig, phi_bkg, label=f"constant_{z:g}m")
+    return Scene(DepthMap(grid), phi_sig, phi_bkg, label=f"constant_{z:g}m")
 
 
 def staircase_scene(
@@ -269,7 +247,7 @@ def staircase_scene(
     steps = np.linspace(z_min, z_max, n_steps) if n_steps > 1 else np.array([z_min])
     row = np.repeat(steps, step_width)
     grid = np.tile(row, (height, 1)).astype(np.float32)
-    return Scene.uniform(DepthMap(grid), phi_sig, phi_bkg, label=f"staircase{n_steps}")
+    return Scene(DepthMap(grid), phi_sig, phi_bkg, label=f"staircase{n_steps}")
 
 
 def two_plane_scene(
@@ -289,7 +267,7 @@ def two_plane_scene(
     split = width // 2
     grid[:, :split] = z_left
     grid[:, split:] = z_right
-    return Scene.uniform(DepthMap(grid), phi_sig, phi_bkg, label="two_plane")
+    return Scene(DepthMap(grid), phi_sig, phi_bkg, label="two_plane")
 
 
 # scene kind -> builder; the config's scene.* keys are the builders' parameters

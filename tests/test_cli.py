@@ -173,6 +173,44 @@ def test_experiment_failure_exit_code(conf, tmp_path):
     assert main(["experiment", "--config", str(bad), "--out", str(tmp_path / "r")]) == 1
 
 
+def test_repeated_method_exits_2(conf, tmp_path, capsys):
+    conf.write_text(conf.read_text().replace("experiment.methods = oedh, pedh",
+                                             "experiment.methods = pedh, pedh"))
+    assert main(["experiment", "--config", str(conf), "--out", str(tmp_path / "r")]) == 2
+    assert "methods must be distinct" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
+def test_edh_q_defaults_to_the_config(conf, tmp_path):
+    # the fixture sets experiment.q = 8
+    out = tmp_path / "bounds.csv"
+    assert main(["edh", "--config", str(conf), "--method", "pedh", "--out", str(out)]) == 0
+    assert read_boundaries_csv(out).shape == (1, 3, 9)
+    flag = tmp_path / "flag.csv"
+    assert main(["edh", "--config", str(conf), "--method", "pedh", "--q", "16",
+                 "--out", str(flag)]) == 0
+    assert read_boundaries_csv(flag).shape == (1, 3, 17)
+
+
+def test_fixed_step_size_defaults_to_the_config(conf, tmp_path):
+    conf.write_text(conf.read_text() + "experiment.fixed_step_size = 2\n")
+    paths = {name: tmp_path / f"{name}.csv" for name in ("config", "flag", "other")}
+    for name, extra in (("config", []), ("flag", ["--fixed-step-size", "2"]),
+                        ("other", ["--fixed-step-size", "1"])):
+        assert main(["edh", "--config", str(conf), "--method", "hedh",
+                     "--out", str(paths[name])] + extra) == 0
+    assert paths["config"].read_bytes() == paths["flag"].read_bytes()
+    assert paths["config"].read_bytes() != paths["other"].read_bytes()
+
+
+def test_estimate_reads_the_config_q(conf, tmp_path):
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert main(["estimate", "--config", str(conf), "--estimator", "t0", "--out", str(a)]) == 0
+    assert main(["estimate", "--config", str(conf), "--estimator", "t0", "--q", "8",
+                 "--out", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+
+
 def test_sweep_command(conf, tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     assert main(["sweep", "--config", str(conf), "--param", "k_pct",

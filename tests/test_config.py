@@ -29,8 +29,7 @@ def conf_of(tmp_path, text):
 
 def assert_same_scene(a: Scene, b: Scene):
     assert a.label == b.label
-    for name in ("phi_sig", "phi_bkg"):
-        assert np.array_equal(getattr(a, name), getattr(b, name))
+    assert (a.phi_sig, a.phi_bkg) == (b.phi_sig, b.phi_bkg)
     assert np.array_equal(a.depth_map.depths, b.depth_map.depths)
 
 
@@ -102,7 +101,7 @@ def test_scene_from_file(tmp_path):
     save_grid(np.array([[3.0, 4.0], [5.0, 6.0]]), depth, "raw_f32")
     conf = conf_of(tmp_path, f"scene.kind = file\nscene.path = {depth}\nscene.format = raw_f32\n"
                              "scene.phi_sig = 0.5\nscene.phi_bkg = 3\n")
-    expected = Scene.uniform(load_depth_map(depth, "raw_f32"), 0.5, 3.0, label="room")
+    expected = Scene(load_depth_map(depth, "raw_f32"), 0.5, 3.0, label="room")
     assert_same_scene(build_scene(conf), expected)
 
 

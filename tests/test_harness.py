@@ -1,4 +1,5 @@
 import csv
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -115,13 +116,14 @@ def small_config(**overrides):
     return ExperimentConfig(**base)
 
 
-class TestSceneSummaries:
+class TestPixelStreams:
     def test_strong_signal_converges_to_truth(self):
         # near-noiseless run: lots of signal photons, no background
         sim = SimConfig(n_cycles=5000)
         scene = synth_scene("constant", z=7.5, width=1, height=1, phi_sig=5.0, phi_bkg=0.0)
-        [(r, c, bounds)] = harness.scene_summaries(scene, sim, "pedh", 32, StepParams(), 1.0, [1])
-        assert (r, c) == (0, 0)
+        [(cell, pixel, _tr, stream)] = harness.pixel_streams(scene, sim, [1])
+        assert cell == (0, 0) and pixel == PixelConfig(7.5, 5.0, 0.0)
+        bounds = harness.summarize(stream, "pedh", 32, StepParams(), 1.0)
         t = harness.estimate_bins("t0", bounds)
         center = (2.0 * 7.5 / sim.c) / sim.dt
         assert abs(t - center) <= 2.0
@@ -321,6 +323,15 @@ class TestConfigChecks:
             small_config(methods=("oedh",), estimators=("ewh_peak",))
         with pytest.raises(InvalidParamsError, match="unknown estimator"):
             small_config(estimators=("t0", "t2"))
+
+    def test_repeated_method_rejected(self):
+        # a repeat would run the method twice and write each of its rows twice
+        with pytest.raises(InvalidParamsError, match="methods must be distinct, got 'pedh' and 'pedh'"):
+            small_config(methods=("pedh", "pedh"))
+
+    def test_repeated_estimator_rejected(self):
+        with pytest.raises(InvalidParamsError, match="estimators must be distinct, got 't0' and 't0'"):
+            small_config(estimators=("t0", "t0"))
 
     def test_freeze_past_the_end_changes_nothing(self, tmp_path):
         # a freeze at or past the last cycle never triggers
@@ -531,6 +542,21 @@ class TestBoundariesCsv:
         with pytest.raises(ParseError, match=r"negative pixel index \(-1, 0\)"):
             read_boundaries_csv(path)
 
+    def test_far_pixel_index_is_refused_before_allocating(self, tmp_path):
+        # two rows cannot fill a 1,000,001-row grid; the grid such an index
+        # implies (about 55 MB here) must not be allocated to find that out
+        path = tmp_path / "bad.csv"
+        path.write_text("schema_version,pixel_row,pixel_col,t_0,t_1,t_2,t_3,t_4,t_5,t_6\n"
+                        "1,0,0,0,1,2,3,4,5,1024\n1,1000000,0,0,1,2,3,4,5,1024\n")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError, match=r"missing pixels, the first \(1, 0\)"):
+                read_boundaries_csv(path)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     def test_duplicate_pixel_rejected(self, tmp_path):
         # two rows for one pixel: neither may silently win
         path = tmp_path / "bad.csv"
@@ -596,4 +622,4 @@ class TestConfigFiles:
         p.write_text(f"scene.kind = file\nscene.path = {depth}\nscene.phi_sig = 0.5\n")
         scene = build_scene(parse_config_file(p))
         assert scene.width == 2 and scene.height == 1
-        assert scene.phi_sig[0, 0] == 0.5
+        assert scene.phi_sig == 0.5

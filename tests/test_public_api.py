@@ -33,6 +33,10 @@ REMOVED = [
     ("binner", "BinnerBank.step_cycle"),  # bank.step_cycle(ts) -> bank.run(PhotonStream.from_cycles([ts], n_bins))
     ("estimator", "distance_to_bin"),  # distance_to_bin(z, cfg) -> 2 * z / cfg.c / cfg.dt
     ("transient", "Transient.total"),  # tr.total -> tr.values.sum()
+    ("scene", "Scene.uniform"),        # Scene.uniform(d, s, b) -> Scene(d, s, b)
+    ("scene", "Scene.pixel"),          # s.pixel(r, c) -> the (r, c) entry of s.iter_pixels()
+    ("harness", "scene_summaries"),    # summarize(stream, ...) over pixel_streams(scene, sim, seeds)
+    ("harness", "_experiment_pixels"), # pixel_streams(replace(scene, phi_sig=, phi_bkg=), sim, seeds)
 ]
 
 

@@ -141,7 +141,7 @@ class TestSynthScenes:
         a = synth_scene("staircase", n_steps=5, z_min=2.0, z_max=9.0, phi_sig=0.5, phi_bkg=2.5)
         b = synth_scene("staircase", n_steps=5, z_min=2.0, z_max=9.0, phi_sig=0.5, phi_bkg=2.5)
         assert np.array_equal(a.depth_map.depths, b.depth_map.depths)
-        assert np.array_equal(a.phi_sig, b.phi_sig)
+        assert (a.phi_sig, a.phi_bkg) == (b.phi_sig, b.phi_bkg)
 
     def test_invalid_params(self):
         with pytest.raises(InvalidParamsError):
@@ -171,13 +171,31 @@ class TestPixelConfig:
 def test_scene_pixel_lookup():
     s = synth_scene("two_plane", z_left=3.0, z_right=12.0, width=4, height=1,
                     phi_sig=0.5, phi_bkg=2.5)
-    p = s.pixel(0, 3)
+    pixels = list(s.iter_pixels())
+    assert [(r, c) for r, c, _p in pixels] == [(0, 0), (0, 1), (0, 2), (0, 3)]
+    r, c, p = pixels[3]
     assert p.z == pytest.approx(12.0)
     assert p.phi_sig == 0.5 and p.phi_bkg == 2.5
-    assert len(list(s.iter_pixels())) == 4
 
 
-def test_scene_shape_mismatch_rejected():
+def test_iter_pixels_is_row_major_with_exact_depths():
+    depths = np.array([[1.1, 2.2, 3.3], [4.4, 5.5, 6.6]], dtype=np.float32)
+    s = Scene(DepthMap(depths), 0.5, 2.5)
+    pixels = list(s.iter_pixels())
+    assert [(r, c) for r, c, _p in pixels] == [(r, c) for r in range(2) for c in range(3)]
+    # each depth is the float32 grid value widened to a Python float
+    assert [p.z for _r, _c, p in pixels] == depths.astype(np.float64).ravel().tolist()
+    assert all(type(p.z) is float for _r, _c, p in pixels)
+
+
+BAD_LEVELS = [(-0.1, 1.0), (1.0, -0.1), (np.inf, 1.0), (1.0, np.nan), (0.0, 0.0),
+              ("a", 1.0), (1.0, None), (True, 1.0), (1.0, False)]
+
+
+@pytest.mark.parametrize("phi_sig, phi_bkg", BAD_LEVELS)
+def test_bad_levels_rejected_by_scene_and_pixel(phi_sig, phi_bkg):
     dm = DepthMap(np.full((2, 2), 5.0, dtype=np.float32))
-    with pytest.raises(InvalidParamsError):
-        Scene(dm, np.ones((3, 3)), np.ones((2, 2)))
+    with pytest.raises(InvalidParamsError, match="phi_sig|phi_bkg"):
+        Scene(dm, phi_sig, phi_bkg)
+    with pytest.raises(InvalidParamsError, match="phi_sig|phi_bkg"):
+        PixelConfig(5.0, phi_sig, phi_bkg)
