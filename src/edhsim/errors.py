@@ -1,7 +1,7 @@
-"""Exception types raised across the package, the one integer rule and the
-one distinctness rule."""
+"""Exception types raised across the package, the one integer rule, the one
+real-number rule and the one distinctness rule."""
 
-from numbers import Integral
+from numbers import Integral, Real
 
 
 class EdhsimError(Exception):
@@ -31,6 +31,12 @@ def check_int(name: str, value, least: int, error: type[EdhsimError] = InvalidPa
     if not isinstance(value, Integral) or isinstance(value, bool) or value < least:
         raise error(f"{name} must be an integer >= {least}, got {value!r}")
     return int(value)
+
+
+def is_real(value) -> bool:
+    """Whether ``value`` is a real number (a numpy float or integer is, a
+    bool, a string or None is not)."""
+    return isinstance(value, Real) and not isinstance(value, bool)
 
 
 def check_distinct(name: str, values, label, error: type[EdhsimError] = InvalidParamsError) -> None:

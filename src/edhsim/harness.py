@@ -16,7 +16,6 @@ import csv
 import re
 import struct
 from dataclasses import dataclass, field, replace
-from numbers import Real
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -30,6 +29,7 @@ from .errors import (
     SweepValueError,
     check_distinct,
     check_int,
+    is_real,
 )
 from .estimator import (
     RHO1_GRID_SIZE,
@@ -203,7 +203,7 @@ def _is_pair(pair) -> bool:
         a, b = pair
     except (TypeError, ValueError):
         return False
-    return all(isinstance(x, Real) and not isinstance(x, bool) for x in (a, b))
+    return is_real(a) and is_real(b)
 
 
 def _experiment_seeds(cfg: ExperimentConfig, pair_idx: int, mc: int) -> Iterator:

@@ -1,5 +1,6 @@
-/* The compiled loops of edhsim: the two binner stepping rules and the
- * photon placement of sample_stream, one C function each.
+/* The compiled loops of edhsim: the two binner stepping rules, the photon
+ * placement of sample_stream and the pulse CDF of build_transient, one C
+ * function each.
  *
  * Built on first use by edhsim/kernel.py at -O3 with -ffp-contract=off and
  * never -ffast-math, and called through ctypes. Each stepping loop does the
@@ -10,6 +11,8 @@
  * order, one rounding each, so every result stays bit-identical to the
  * tests' Python reference loop for the rule.
  * The placement repeats numpy's product, sum and clamps on the same draws.
+ * The pulse CDF is Cephes ndtr (S. L. Moshier, 1989), scipy.special.ndtr's
+ * code, kept operation for operation.
  */
 #include <math.h>
 #include <stdint.h>
@@ -222,5 +225,92 @@ void edh_place_photons(const double *cum, int64_t n_bins, const int64_t *offsets
         }
         if (!insert)
             qsort(ts + start, (size_t)(end - start), sizeof *ts, compare_doubles);
+    }
+}
+
+/* The pulse CDF of build_transient: a port of Cephes ndtr, erf and erfc
+ * (S. L. Moshier, Methods and Programs for Mathematical Functions, 1989),
+ * the code scipy.special.ndtr runs. The coefficients, the Horner order of
+ * polevl and p1evl, libm exp, the MAXLOG underflow cut and the branch tests
+ * are Cephes's, so each result is bit-identical to scipy's. ndtr calls erf
+ * only below 1 / sqrt(2) in magnitude and erfc only on |x|, so the branches
+ * for the other arguments are left out. */
+static const double NDTR_P[] = {
+    2.46196981473530512524E-10, 5.64189564831068821977E-1, 7.46321056442269912687E0,
+    4.86371970985681366614E1, 1.96520832956077098242E2, 5.26445194995477358631E2,
+    9.34528527171957607540E2, 1.02755188689515710272E3, 5.57535335369399327526E2};
+static const double NDTR_Q[] = {
+    1.32281951154744992508E1, 8.67072140885989742329E1, 3.54937778887819891062E2,
+    9.75708501743205489753E2, 1.82390916687909736289E3, 2.24633760818710981792E3,
+    1.65666309194161350182E3, 5.57535340817727675546E2};
+static const double NDTR_R[] = {
+    5.64189583547755073984E-1, 1.27536670759978104416E0, 5.01905042251180477414E0,
+    6.16021097993053585195E0, 7.40974269950448939160E0, 2.97886665372100240670E0};
+static const double NDTR_S[] = {
+    2.26052863220117276590E0, 9.39603524938001434673E0, 1.20489539808096656605E1,
+    1.70814450747565897222E1, 9.60896809063285878198E0, 3.36907645100081516050E0};
+static const double NDTR_T[] = {
+    9.60497373987051638749E0, 9.00260197203842689217E1, 2.23200534594684319226E3,
+    7.00332514112805075473E3, 5.55923013010394962768E4};
+static const double NDTR_U[] = {
+    3.35617141647503099647E1, 5.21357949780152679795E2, 4.59432382970980127987E3,
+    2.26290000613890934246E4, 4.92673942608635921086E4};
+#define SQRT1_2 0.70710678118654752440
+#define MAXLOG 7.09782712893383996843E2 /* log(DBL_MAX) */
+
+/* c[0] x^n + c[1] x^(n-1) + ... + c[n] */
+static double polevl(double x, const double *c, int n)
+{
+    double y = c[0];
+    for (int i = 1; i <= n; i++)
+        y = y * x + c[i];
+    return y;
+}
+
+/* x^n + c[0] x^(n-1) + ... + c[n-1]: polevl with a leading 1 left out */
+static double p1evl(double x, const double *c, int n)
+{
+    double y = x + c[0];
+    for (int i = 1; i < n; i++)
+        y = y * x + c[i];
+    return y;
+}
+
+/* erf(x) for |x| <= 1 */
+static double erf_small(double x)
+{
+    double z = x * x;
+    return x * polevl(z, NDTR_T, 4) / p1evl(z, NDTR_U, 5);
+}
+
+/* erfc(x) for x >= 0 */
+static double erfc_pos(double x)
+{
+    if (x < 1.0)
+        return 1.0 - erf_small(x);
+    double z = -x * x;
+    if (z < -MAXLOG)
+        return 0.0;
+    z = exp(z);
+    if (x < 8.0)
+        return z * polevl(x, NDTR_P, 8) / p1evl(x, NDTR_Q, 8);
+    return z * polevl(x, NDTR_R, 5) / p1evl(x, NDTR_S, 6);
+}
+
+/* out[i] = the standard normal CDF at a[i], NaN at NaN; out may be a. */
+void edh_ndtr(const double *a, int64_t n, double *out)
+{
+    for (int64_t i = 0; i < n; i++) {
+        double x = a[i] * SQRT1_2, z = fabs(x), y;
+        if (isnan(x))
+            y = NAN;
+        else if (z < SQRT1_2)
+            y = 0.5 + 0.5 * erf_small(x);
+        else {
+            y = 0.5 * erfc_pos(z);
+            if (x > 0)
+                y = 1.0 - y;
+        }
+        out[i] = y;
     }
 }

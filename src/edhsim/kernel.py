@@ -1,5 +1,6 @@
 """Build and load the compiled kernel, ``kernel.c``: the binner stepping
-rules behind :mod:`edhsim.binner` and the photon placement behind
+rules behind :mod:`edhsim.binner`, and the pulse CDF and photon placement
+behind :func:`edhsim.transient.build_transient` and
 :func:`edhsim.transient.sample_stream`.
 
 The library is compiled on first use with the C compiler Python was built
@@ -16,7 +17,8 @@ source's order, one rounding each, so the bits do not change.
 ``-ffp-contract=off`` stops the compiler from fusing ``a*b + c`` into one
 rounding (GCC does by default where the target has FMA), and ``-ffast-math``
 is never passed: either would change the bits that the tests' reference
-loops for each stepping rule and the sampler's numpy reference pin.
+loops for each stepping rule, the sampler's numpy reference and
+``scipy.special.ndtr`` pin.
 """
 
 from __future__ import annotations
@@ -105,4 +107,6 @@ def library() -> ctypes.CDLL:
     lib.edh_place_photons.argtypes = [
         _doubles(), i64, _int64s(), i64, _doubles(), _doubles(), _int64s(True), _doubles(True),
     ]
+    lib.edh_ndtr.restype = None
+    lib.edh_ndtr.argtypes = [_doubles(), i64, _doubles(True)]
     return lib

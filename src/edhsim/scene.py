@@ -17,13 +17,12 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from numbers import Real
 from pathlib import Path
 from typing import Iterator
 
 import numpy as np
 
-from .errors import DepthOutOfRangeError, InvalidParamsError, ParseError, check_int
+from .errors import DepthOutOfRangeError, InvalidParamsError, ParseError, check_int, is_real
 from .transient import DEFAULT_Z_MAX
 
 RAW_MAGIC = b"EDHD"
@@ -64,7 +63,7 @@ def check_depth_range(depths: np.ndarray, z_limit: float) -> None:
 def check_levels(phi_sig, phi_bkg) -> None:
     """Reject levels that are not finite real numbers >= 0, or both zero."""
     for name, v in (("phi_sig", phi_sig), ("phi_bkg", phi_bkg)):
-        if not isinstance(v, Real) or isinstance(v, bool) or not 0.0 <= v < math.inf:
+        if not is_real(v) or not 0.0 <= v < math.inf:
             raise InvalidParamsError(f"{name} must be finite and >= 0, got {v!r}")
     if phi_sig == 0.0 and phi_bkg == 0.0:
         raise InvalidParamsError("phi_sig and phi_bkg cannot both be zero")
@@ -83,8 +82,9 @@ class PixelConfig:
     phi_bkg: float
 
     def __post_init__(self):
-        if not 0.0 < self.z < math.inf:
-            raise InvalidParamsError(f"pixel distance must be positive, got {self.z}")
+        if not is_real(self.z) or not 0.0 < self.z < math.inf:
+            raise InvalidParamsError(
+                f"pixel distance must be a finite real number > 0, got {self.z!r}")
         check_levels(self.phi_sig, self.phi_bkg)
 
 

@@ -21,10 +21,9 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
-from scipy.special import ndtr
 
 from . import kernel
-from .errors import DistanceExceedsRangeError, InvalidParamsError, check_int
+from .errors import DistanceExceedsRangeError, InvalidParamsError, check_int, is_real
 
 if TYPE_CHECKING:
     from .scene import PixelConfig
@@ -56,6 +55,10 @@ class SimConfig:
     def __post_init__(self):
         check_int("n_bins", self.n_bins, 2)
         check_int("n_cycles", self.n_cycles, 1)
+        for name in ("rep_period", "fwhm", "c"):
+            value = getattr(self, name)
+            if not is_real(value):
+                raise InvalidParamsError(f"{name} must be a real number, got {value!r}")
         if not 0.0 < self.rep_period < math.inf:
             raise InvalidParamsError(f"rep_period must be finite and > 0, got {self.rep_period!r}")
         if not 0.0 < self.fwhm < self.rep_period:
@@ -112,8 +115,12 @@ def build_transient(pixel: "PixelConfig", cfg: SimConfig) -> Transient:
     of flight 2z/c; pulse mass falling outside the period is dropped, not
     wrapped.
 
+    The Gaussian's CDF at each bin edge comes from the compiled kernel
+    (``edh_ndtr``), bit for bit the value ``scipy.special.ndtr`` gives.
+
     Raises:
         DistanceExceedsRangeError: if 2z/c >= rep_period.
+        KernelBuildError: if the kernel is not built yet and cannot be.
     """
     t_peak = 2.0 * pixel.z / cfg.c
     if t_peak >= cfg.rep_period:
@@ -122,7 +129,8 @@ def build_transient(pixel: "PixelConfig", cfg: SimConfig) -> Transient:
             f"(z={pixel.z} m, z_max={cfg.z_max} m)"
         )
     edges = np.arange(cfg.n_bins + 1, dtype=np.float64) * cfg.dt
-    pulse_cdf = ndtr((edges - t_peak) / cfg.pulse_sigma)
+    pulse_cdf = (edges - t_peak) / cfg.pulse_sigma  # the CDF's arguments, replaced in place
+    kernel.library().edh_ndtr(pulse_cdf, pulse_cdf.size, pulse_cdf)
     values = pixel.phi_sig * np.diff(pulse_cdf) + pixel.phi_bkg / cfg.n_bins
     return Transient(values, cfg)
 

@@ -2,7 +2,10 @@
 
 import importlib
 import inspect
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -69,3 +72,15 @@ def test_bank_has_no_stream_axis():
 
 def test_bank_has_no_schedule_axis():
     assert not hasattr(BinnerBank([0.5], StepParams(), 8), "variants")
+
+
+def test_import_loads_no_scipy():
+    # the pulse CDF is computed in the kernel, so scipy is a test dependency
+    # only; scipy.special alone took most of the import time when the
+    # package imported it
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import edhsim; "
+            "print([m for m in sys.modules if m.startswith('scipy')])")
+    src = str(Path(edhsim.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True,
+                         check=True, timeout=120)
+    assert out.stdout.strip() == "[]"

@@ -167,6 +167,15 @@ class TestPixelConfig:
         with pytest.raises(InvalidParamsError):
             PixelConfig(7.5, -0.1, 1.0)
 
+    @pytest.mark.parametrize("z", ["a", None, True, False, 0.0, -1.0, np.inf, np.nan])
+    def test_distance_must_be_a_positive_finite_real(self, z):
+        with pytest.raises(InvalidParamsError, match="pixel distance"):
+            PixelConfig(z, 1.0, 1.0)
+
+    @pytest.mark.parametrize("z", [3, np.float32(3.0), np.int64(3)])
+    def test_numpy_and_integer_distances_accepted(self, z):
+        assert PixelConfig(z, 1.0, 1.0).z == 3.0
+
 
 def test_scene_pixel_lookup():
     s = synth_scene("two_plane", z_left=3.0, z_right=12.0, width=4, height=1,

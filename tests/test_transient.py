@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import ndtr
 from scipy.stats import norm
 
 from edhsim import kernel
@@ -106,6 +107,16 @@ class TestSimConfig:
         with pytest.raises(InvalidParamsError):
             SimConfig(**kwargs)
 
+    @pytest.mark.parametrize("name", ["rep_period", "fwhm", "c"])
+    @pytest.mark.parametrize("value", ["a", None, True, False, 1e-9j])
+    def test_float_fields_must_be_real(self, name, value):
+        with pytest.raises(InvalidParamsError, match=f"{name} must be a real number"):
+            SimConfig(**{name: value})
+
+    def test_numpy_float_fields_accepted(self):
+        cfg = SimConfig(rep_period=np.float64(100e-9), fwhm=np.float32(0.32e-9), c=np.int64(3e8))
+        assert cfg.z_max == pytest.approx(15.0)
+
     def test_numpy_integer_sizes_accepted(self):
         assert SimConfig(n_bins=np.int64(512), n_cycles=np.int32(100)).dt == pytest.approx(100e-9 / 512)
 
@@ -169,6 +180,60 @@ class TestBuildTransient:
     def test_distance_exceeds_range(self):
         with pytest.raises(DistanceExceedsRangeError):
             build_transient(PixelConfig(SIM.z_max, 1.0, 1.0), SIM)
+
+    @pytest.mark.parametrize("z", [0.01, 1.0, 7.5, 14.98, SIM.z_max * (1.0 - 1e-9)])
+    def test_equals_the_scipy_formula_bit_for_bit(self, z):
+        pix = PixelConfig(z, 2.0, 0.5)
+        edges = np.arange(SIM.n_bins + 1, dtype=np.float64) * SIM.dt
+        pulse_cdf = ndtr((edges - 2.0 * z / SIM.c) / SIM.pulse_sigma)
+        want = pix.phi_sig * np.diff(pulse_cdf) + pix.phi_bkg / SIM.n_bins
+        assert build_transient(pix, SIM).values.tobytes() == want.tobytes()
+
+
+def pulse_cdf_arguments(n_depths=3000):
+    """Every argument build_transient passes to the normal CDF, for n_depths
+    depths on (0.01 m, z_max) at the default SimConfig."""
+    z = np.linspace(0.01, SIM.z_max, n_depths, endpoint=False)
+    edges = np.arange(SIM.n_bins + 1, dtype=np.float64) * SIM.dt
+    return ((edges - (2.0 * z / SIM.c)[:, None]) / SIM.pulse_sigma).ravel()
+
+
+def branch_points():
+    """|a| = 1, sqrt(2) and 8 sqrt(2), where ndtr switches from erf to erfc
+    and erfc from 1 - erf to its two fits, with both signs and the next
+    double either side: a * sqrt(1/2) lands exactly on 1 / sqrt(2), 1 and 8
+    at a = 1 and at the double below each of the other two."""
+    a = np.array([1.0, np.sqrt(2.0), 8.0 * np.sqrt(2.0)])
+    a = np.concatenate([a, np.nextafter(a, 0.0), np.nextafter(a, np.inf)])
+    return np.concatenate([a, -a])
+
+
+PULSE_CDF_INPUTS = {
+    "uniform-40": lambda: np.random.default_rng(1).uniform(-40.0, 40.0, 2_000_000),
+    "uniform-1.5": lambda: np.random.default_rng(2).uniform(-1.5, 1.5, 2_000_000),
+    "normal-3": lambda: np.random.default_rng(3).normal(0.0, 3.0, 2_000_000),
+    "uniform-1e4": lambda: np.random.default_rng(4).uniform(-1e4, 1e4, 200_000),
+    "special": lambda: np.array([0.0, -0.0, 1.0, -1.0, np.sqrt(2.0), -np.sqrt(2.0), 38.5, -38.5,
+                                 1e300, -1e300, np.inf, -np.inf, np.nan, -np.nan]),
+    "branch-points": branch_points,
+    "build_transient": pulse_cdf_arguments,
+}
+
+
+class TestPulseCdf:
+    """edh_ndtr, the kernel's port of Cephes ndtr, against scipy.special.ndtr
+    (the same Cephes code): a scipy release that changes its ndtr, or a build
+    that fuses multiply-adds on either side, fails here rather than moving
+    every transient by an ulp."""
+
+    @pytest.mark.parametrize("inputs", PULSE_CDF_INPUTS)
+    def test_bit_identical_to_scipy(self, inputs):
+        a = PULSE_CDF_INPUTS[inputs]()
+        out = np.empty_like(a)
+        kernel.library().edh_ndtr(a, a.size, out)
+        want = ndtr(a)
+        differ = out.view(np.int64) != want.view(np.int64)
+        assert not differ.any(), (a[differ][:5], out[differ][:5], want[differ][:5])
 
 
 class TestSampleStream:
