@@ -41,7 +41,7 @@ from typing import Sequence
 import numpy as np
 
 from . import kernel
-from .errors import EdhsimError, InvalidParamsError, check_int
+from .errors import EdhsimError, InvalidParamsError, check_int, check_real
 from .transient import PhotonStream
 
 
@@ -65,14 +65,10 @@ class StepParams:
     decay_freeze_cycle: int = 4000
 
     def __post_init__(self):
-        if not 0.0 < self.k_pct < math.inf:
-            raise InvalidParamsError(f"k_pct must be finite and > 0, got {self.k_pct!r}")
-        if not 0.0 < self.gamma <= 1.0:
-            raise InvalidParamsError(f"gamma must lie in (0, 1], got {self.gamma!r}")
-        if not 0.0 <= self.beta1 < 1.0:
-            raise InvalidParamsError(f"beta1 must lie in [0, 1), got {self.beta1!r}")
-        if not 0.0 <= self.beta2 < 1.0:
-            raise InvalidParamsError(f"beta2 must lie in [0, 1), got {self.beta2!r}")
+        check_real("k_pct", self.k_pct, 0)
+        check_real("gamma", self.gamma, 0, 1, "(]")
+        check_real("beta1", self.beta1, 0, 1, "[)")
+        check_real("beta2", self.beta2, 0, 1, "[)")
         # plain Python numbers: the kernel takes gamma**n from libm pow, as
         # float ** int does, and numpy's power can differ in the last bit
         object.__setattr__(self, "gamma", float(self.gamma))
@@ -96,15 +92,14 @@ class BinnerState:
     n: int = 0
 
     def __post_init__(self):
-        if not 0.0 < self.target_frac < 1.0:
-            raise InvalidParamsError("target_frac must lie in (0, 1)")
-        if not 0.0 <= self.cv <= self.n_bins:
-            raise InvalidParamsError("cv must lie in [0, n_bins]")
+        check_real("target_frac", self.target_frac, 0, 1)
+        check_real("cv", self.cv, 0, self.n_bins, "[]")
 
     @classmethod
     def initial(cls, target_frac: float, n_bins: int) -> "BinnerState":
         """Fresh state; the CV starts at target_frac * n_bins, the exact
         quantile of a flat (pure background) transient."""
+        check_real("target_frac", target_frac, 0, 1)
         return cls(cv=target_frac * n_bins, target_frac=target_frac, n_bins=n_bins)
 
 
@@ -114,13 +109,6 @@ def step_scale(params: StepParams, n_bins: int) -> float:
     if not math.isfinite(scale):
         raise InvalidParamsError(f"step scale (k_pct/100)*n_bins overflows: k_pct={params.k_pct}")
     return scale
-
-
-def check_fixed_step_size(step_size: float) -> None:
-    """Reject a fixed step that is not finite and > 0 (an infinite step
-    turns a balanced or empty cycle into ``inf*0 = nan``)."""
-    if not 0.0 < step_size < math.inf:
-        raise InvalidParamsError("fixed_step_size must be finite and > 0")
 
 
 def _optimized_bank(stream: PhotonStream, n0: int, params: StepParams, n_bins: int,
@@ -170,7 +158,9 @@ def fixed_walk(stream: PhotonStream, c0: int, c1: int, edges: list[float], cvs: 
     interval's binner only, so the cost grows with photons per cycle rather
     than with intervals.
     """
-    check_fixed_step_size(step_size)
+    # an infinite step would turn a balanced or empty cycle into inf*0 = nan
+    check_real("fixed_step_size", step_size, 0)
+    check_real("target_frac", target_frac, 0, 1)
     edges = np.array(edges, dtype=np.float64)
     out = np.array(cvs, dtype=np.float64)
     if edges.ndim != 1 or out.shape != (edges.size + 1,):

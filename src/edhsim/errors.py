@@ -1,7 +1,12 @@
-"""Exception types raised across the package, the one integer rule, the one
-real-number rule and the one distinctness rule."""
+"""Exception types raised across the package, and the one rule per kind of
+input that every value object checks with: integers (:func:`check_int`),
+finite real numbers (:func:`check_real`), distinct values
+(:func:`check_distinct`) and read-only array fields (:func:`frozen_array`)."""
 
+import math
 from numbers import Integral, Real
+
+import numpy as np
 
 
 class EdhsimError(Exception):
@@ -35,8 +40,32 @@ def check_int(name: str, value, least: int, error: type[EdhsimError] = InvalidPa
 
 def is_real(value) -> bool:
     """Whether ``value`` is a real number (a numpy float or integer is, a
-    bool, a string or None is not)."""
-    return isinstance(value, Real) and not isinstance(value, bool)
+    bool, a string, None or a complex number is not)."""
+    # a float is tested first: an isinstance test against the Real ABC is
+    # several times slower, and most values checked are floats
+    return type(value) is float or (isinstance(value, Real) and not isinstance(value, bool))
+
+
+def check_real(name: str, value, low, high=math.inf, ends: str = "()",
+               error: type[EdhsimError] = InvalidParamsError) -> None:
+    """Raise ``error`` unless ``value`` is a finite real number (see
+    :func:`is_real`) inside the interval from ``low`` to ``high``. ``ends``
+    gives its brackets: each end is open, ``(`` or ``)``, unless it is closed,
+    ``[`` or ``]``."""
+    if not (is_real(value) and -math.inf < value < math.inf
+            and (low <= value if ends[0] == "[" else low < value)
+            and (value <= high if ends[1] == "]" else value < high)):
+        raise error(f"{name} must be a real number in {ends[0]}{low}, {high}{ends[1]}, got {value!r}")
+
+
+def frozen_array(owner, name: str, dtype) -> np.ndarray:
+    """Store field ``name`` of the frozen dataclass ``owner`` as a C-contiguous,
+    read-only array of ``dtype`` (None keeps the input's) and return it; an
+    input array that already is one is frozen in place, not copied."""
+    arr = np.ascontiguousarray(np.asarray(getattr(owner, name), dtype=dtype))
+    arr.setflags(write=False)
+    object.__setattr__(owner, name, arr)
+    return arr
 
 
 def check_distinct(name: str, values, label, error: type[EdhsimError] = InvalidParamsError) -> None:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BinPositionError, EmptyHistogramError, InvalidParamsError
+from .errors import BinPositionError, EmptyHistogramError, InvalidParamsError, check_real, frozen_array
 from .histogrammer import EdhBoundaries, EwHistogram
 from .transient import SimConfig
 
@@ -37,14 +37,10 @@ class PiecewiseDensity:
     values: np.ndarray
 
     def __post_init__(self):
-        e = np.ascontiguousarray(np.asarray(self.edges, dtype=np.float64))
-        v = np.ascontiguousarray(np.asarray(self.values, dtype=np.float64))
+        e = frozen_array(self, "edges", np.float64)
+        v = frozen_array(self, "values", np.float64)
         if e.size != v.size + 1 or v.size == 0:
             raise InvalidParamsError("need len(edges) == len(values) + 1 >= 2")
-        e.setflags(write=False)
-        v.setflags(write=False)
-        object.__setattr__(self, "edges", e)
-        object.__setattr__(self, "values", v)
 
 
 @dataclass(frozen=True)
@@ -55,16 +51,12 @@ class DensityEstimate:
     values: np.ndarray
 
     def __post_init__(self):
-        g = np.ascontiguousarray(np.asarray(self.grid, dtype=np.float64))
-        v = np.ascontiguousarray(np.asarray(self.values, dtype=np.float64))
+        g = frozen_array(self, "grid", np.float64)
+        v = frozen_array(self, "values", np.float64)
         if g.shape != (RHO1_GRID_SIZE,) or v.shape != (RHO1_GRID_SIZE,):
             raise InvalidParamsError(f"grid and values must have length {RHO1_GRID_SIZE}")
         if not np.all((0.0 <= v) & (v < np.inf)):
             raise InvalidParamsError("density values must be finite and >= 0")
-        g.setflags(write=False)
-        v.setflags(write=False)
-        object.__setattr__(self, "grid", g)
-        object.__setattr__(self, "values", v)
 
 
 def _merged_edges(bounds: EdhBoundaries) -> np.ndarray:
@@ -117,8 +109,7 @@ def bin_to_distance(t: float, cfg: SimConfig) -> float:
     """Convert a time-bin position to scene distance: z = c * (t * dt) / 2.
 
     Raises:
-        BinPositionError: if t lies outside [0, n_bins].
+        BinPositionError: unless t is a real number in [0, n_bins].
     """
-    if not 0.0 <= t <= cfg.n_bins:
-        raise BinPositionError(f"bin position {t} outside [0, {cfg.n_bins}]")
+    check_real("bin position", t, 0, cfg.n_bins, "[]", BinPositionError)
     return cfg.c * (t * cfg.dt) / 2.0

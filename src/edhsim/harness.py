@@ -21,7 +21,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .binner import StepParams, check_fixed_step_size, run_fixed, run_optimized, step_scale
+from .binner import StepParams, run_fixed, run_optimized, step_scale
 from .errors import (
     EdhsimError,
     InvalidParamsError,
@@ -29,6 +29,7 @@ from .errors import (
     SweepValueError,
     check_distinct,
     check_int,
+    check_real,
     is_real,
 )
 from .estimator import (
@@ -185,7 +186,7 @@ class ExperimentConfig:
         check_int("q", self.q, 2)
         if "hedh" in self.methods and self.q & (self.q - 1):
             raise InvalidParamsError(f"hedh requires a power-of-two q, got {self.q}")
-        check_fixed_step_size(self.fixed_step_size)
+        check_real("fixed_step_size", self.fixed_step_size, 0)
         step_scale(self.step, self.sim.n_bins)
         check_metric_limits(self.inlier_thresholds, self.sim.z_max)
         if not self.pairs:
@@ -388,11 +389,17 @@ def median_tracking_experiment(
     population median of the transient. Returns
     ``{(strategy, bkg): rmse_bins}`` and optionally writes a CSV table with
     one row per strategy and one column per background level. Empty
-    ``bkg_levels`` or ``distances``, or two levels that are equal or share a
-    column, raise :class:`InvalidParamsError`.
+    ``bkg_levels`` or ``distances``, a level, distance or ``phi_sig`` that is
+    not a finite real number (>= 0, a distance > 0), or two levels that are
+    equal or share a column, raise :class:`InvalidParamsError`.
     """
     if len(bkg_levels) == 0 or len(distances) == 0:
         raise InvalidParamsError("need at least one background level and one distance")
+    for b in bkg_levels:
+        check_real("each background level", b, 0, ends="[)")
+    for z in distances:
+        check_real("each distance", z, 0)
+    check_real("phi_sig", phi_sig, 0, ends="[)")
     check_distinct("background levels", bkg_levels, _bkg_column)
     check_int("n_seeds", n_seeds, 1)
     sq_err = {("fixed", b): [] for b in bkg_levels}
@@ -426,7 +433,8 @@ def median_tracking_experiment(
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Vary one stepping parameter over a value list, others held fixed."""
+    """Vary one stepping parameter over distinct, finite real values, others
+    held fixed; :func:`sweep` checks each against ``param``'s range."""
 
     param: str
     values: tuple[float, ...]
@@ -436,6 +444,8 @@ class SweepSpec:
             raise SweepValueError(f"param must be one of {SWEEPABLE_PARAMS}, got {self.param!r}")
         if not self.values:
             raise SweepValueError("need at least one sweep value")
+        for v in self.values:
+            check_real("each sweep value", v, -float("inf"), error=SweepValueError)
         check_distinct("sweep values", self.values, str, SweepValueError)
 
 

@@ -19,7 +19,6 @@ Equi-depth boundary sets always carry the forced endpoints 0 and n_bins.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -32,6 +31,8 @@ from .errors import (
     PowerOfTwoError,
     TooFewPhotonsError,
     check_int,
+    check_real,
+    frozen_array,
 )
 from .transient import PhotonStream
 
@@ -44,7 +45,7 @@ class EdhBoundaries:
     bounds: np.ndarray
 
     def __post_init__(self):
-        b = np.ascontiguousarray(np.asarray(self.bounds, dtype=np.float64))
+        b = frozen_array(self, "bounds", np.float64)
         object.__setattr__(self, "q", check_int("q", self.q, 1))
         if b.shape != (self.q + 1,):
             raise InvalidParamsError(f"need q+1={self.q + 1} boundaries, got {b.shape}")
@@ -54,8 +55,6 @@ class EdhBoundaries:
             raise InvalidParamsError("boundary set must start at 0")
         if np.any(np.diff(b) < 0.0):
             raise InvalidParamsError("boundaries must be non-decreasing")
-        b.setflags(write=False)
-        object.__setattr__(self, "bounds", b)
 
     @property
     def interior(self) -> np.ndarray:
@@ -75,15 +74,14 @@ class EwHistogram:
     span: float
 
     def __post_init__(self):
-        c = np.ascontiguousarray(np.asarray(self.counts))
+        c = frozen_array(self, "counts", None)
         if c.ndim != 1:
             raise InvalidParamsError("histogram counts must be 1-d")
+        if c.dtype.kind not in "iuf":
+            raise InvalidParamsError(f"histogram counts must be integers or floats, not {c.dtype}")
         if not np.all((0 <= c) & (c < np.inf)):
             raise InvalidParamsError("histogram counts must be finite and >= 0")
-        if not 0.0 < self.span < math.inf:
-            raise InvalidParamsError(f"histogram span must be finite and > 0, got {self.span!r}")
-        c.setflags(write=False)
-        object.__setattr__(self, "counts", c)
+        check_real("histogram span", self.span, 0)
 
     @property
     def bin_count(self) -> int:

@@ -8,13 +8,13 @@ alternative ``"relative"`` mode uses p% of each pixel's true depth.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidParamsError, QuantileMismatchError, ShapeMismatchError, check_distinct
+from .errors import (InvalidParamsError, QuantileMismatchError, ShapeMismatchError, check_distinct,
+                     check_real)
 from .histogrammer import EdhBoundaries
 from .transient import DEFAULT_Z_MAX
 
@@ -50,11 +50,9 @@ def check_metric_limits(thresholds: Sequence[float], z_max: float) -> None:
     and ``2.0`` are the same threshold) or shares its :func:`inlier_column`
     with one before it (``2.0000001`` and ``2.0000002`` both give
     ``inlier_2_pct``)."""
-    if not 0.0 < z_max < math.inf:
-        raise InvalidParamsError(f"z_max must be finite and > 0, got {z_max!r}")
+    check_real("z_max", z_max, 0)
     for p in thresholds:
-        if not 0.0 <= p < math.inf:
-            raise InvalidParamsError(f"inlier thresholds must be finite and >= 0, got {p!r}")
+        check_real("each inlier threshold", p, 0, ends="[)")
     check_distinct("inlier thresholds", thresholds, inlier_column)
 
 

@@ -22,7 +22,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import DepthOutOfRangeError, InvalidParamsError, ParseError, check_int, is_real
+from .errors import (DepthOutOfRangeError, InvalidParamsError, ParseError, check_int, check_real,
+                     frozen_array)
 from .transient import DEFAULT_Z_MAX
 
 RAW_MAGIC = b"EDHD"
@@ -36,12 +37,10 @@ class DepthMap:
     depths: np.ndarray
 
     def __post_init__(self):
-        d = np.ascontiguousarray(np.asarray(self.depths, dtype=np.float32))
+        d = frozen_array(self, "depths", np.float32)
         if d.ndim != 2 or d.size == 0:
             raise InvalidParamsError("depth grid must be a non-empty 2-d array")
         check_depth_range(d, math.inf)
-        d.setflags(write=False)
-        object.__setattr__(self, "depths", d)
 
     @property
     def width(self) -> int:
@@ -62,9 +61,8 @@ def check_depth_range(depths: np.ndarray, z_limit: float) -> None:
 
 def check_levels(phi_sig, phi_bkg) -> None:
     """Reject levels that are not finite real numbers >= 0, or both zero."""
-    for name, v in (("phi_sig", phi_sig), ("phi_bkg", phi_bkg)):
-        if not is_real(v) or not 0.0 <= v < math.inf:
-            raise InvalidParamsError(f"{name} must be finite and >= 0, got {v!r}")
+    check_real("phi_sig", phi_sig, 0, ends="[)")
+    check_real("phi_bkg", phi_bkg, 0, ends="[)")
     if phi_sig == 0.0 and phi_bkg == 0.0:
         raise InvalidParamsError("phi_sig and phi_bkg cannot both be zero")
 
@@ -82,9 +80,7 @@ class PixelConfig:
     phi_bkg: float
 
     def __post_init__(self):
-        if not is_real(self.z) or not 0.0 < self.z < math.inf:
-            raise InvalidParamsError(
-                f"pixel distance must be a finite real number > 0, got {self.z!r}")
+        check_real("pixel distance z", self.z, 0)
         check_levels(self.phi_sig, self.phi_bkg)
 
 

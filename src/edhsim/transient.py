@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Iterator, Sequence
 import numpy as np
 
 from . import kernel
-from .errors import DistanceExceedsRangeError, InvalidParamsError, check_int, is_real
+from .errors import DistanceExceedsRangeError, InvalidParamsError, check_int, check_real, frozen_array
 
 if TYPE_CHECKING:
     from .scene import PixelConfig
@@ -55,16 +55,9 @@ class SimConfig:
     def __post_init__(self):
         check_int("n_bins", self.n_bins, 2)
         check_int("n_cycles", self.n_cycles, 1)
-        for name in ("rep_period", "fwhm", "c"):
-            value = getattr(self, name)
-            if not is_real(value):
-                raise InvalidParamsError(f"{name} must be a real number, got {value!r}")
-        if not 0.0 < self.rep_period < math.inf:
-            raise InvalidParamsError(f"rep_period must be finite and > 0, got {self.rep_period!r}")
-        if not 0.0 < self.fwhm < self.rep_period:
-            raise InvalidParamsError("fwhm must lie in (0, rep_period)")
-        if not 0.0 < self.c < math.inf:
-            raise InvalidParamsError(f"c must be finite and > 0, got {self.c!r}")
+        check_real("rep_period", self.rep_period, 0)
+        check_real("fwhm", self.fwhm, 0, self.rep_period)
+        check_real("c", self.c, 0)
         if not float(self.c) * float(self.rep_period) < math.inf:  # no numpy overflow warning
             raise InvalidParamsError(f"c * rep_period must be finite, got c={self.c!r}, "
                                      f"rep_period={self.rep_period!r}")
@@ -96,15 +89,13 @@ class Transient:
     config: SimConfig
 
     def __post_init__(self):
-        vals = np.ascontiguousarray(np.asarray(self.values, dtype=np.float64))
+        vals = frozen_array(self, "values", np.float64)
         if vals.shape != (self.config.n_bins,):
             raise InvalidParamsError(
                 f"transient must have shape ({self.config.n_bins},), got {vals.shape}"
             )
         if not np.all((0.0 <= vals) & (vals < np.inf)):
             raise InvalidParamsError("transient values must be finite and >= 0")
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
 
 
 def build_transient(pixel: "PixelConfig", cfg: SimConfig) -> Transient:
@@ -173,8 +164,8 @@ class PhotonStream:
 
     def __post_init__(self):
         check_int("n_bins", self.n_bins, 1)
-        ts = np.ascontiguousarray(np.asarray(self.timestamps, dtype=np.float64))
-        off = np.ascontiguousarray(np.asarray(self.cycle_offsets, dtype=np.int64))
+        ts = frozen_array(self, "timestamps", np.float64)
+        off = frozen_array(self, "cycle_offsets", np.int64)
         if off.ndim != 1 or off.size < 2 or off[0] != 0 or off[-1] != ts.size:
             raise InvalidParamsError("cycle_offsets must run from 0 to len(timestamps)")
         if np.any(np.diff(off) < 0):
@@ -186,10 +177,6 @@ class PhotonStream:
             drops[off[(0 < off) & (off < ts.size)] - 1] = False  # allowed into a new cycle
             if drops.any():
                 raise InvalidParamsError("timestamps must be sorted within each cycle")
-        ts.setflags(write=False)
-        off.setflags(write=False)
-        object.__setattr__(self, "timestamps", ts)
-        object.__setattr__(self, "cycle_offsets", off)
 
     @classmethod
     def from_cycles(cls, cycles: Sequence[np.ndarray], n_bins: int) -> "PhotonStream":

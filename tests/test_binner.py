@@ -240,8 +240,14 @@ class TestFixedStep:
     def test_non_finite_step_rejected(self, bad):
         # an infinite step turns the no-move of a balanced cycle into inf*0 = nan
         stream = one_cycle([300.0, 400.0, 600.0, 700.0])
-        with pytest.raises(InvalidParamsError, match="finite"):
+        with pytest.raises(InvalidParamsError, match=r"fixed_step_size must be a real number in \(0, inf\)"):
             binner.fixed_walk(stream, 0, 1, [256.0], [128.0, 640.0], 0.5, bad)
+
+    @pytest.mark.parametrize("target", [0.0, 1.0, 2.0, -0.5, np.nan, True, "a"])
+    def test_target_frac_must_lie_in_open_unit_interval(self, target):
+        # unchecked, a target of 2 walks the CV up on every cycle: [2.0] from [1.0]
+        with pytest.raises(InvalidParamsError, match=r"target_frac must be a real number in \(0, 1\)"):
+            binner.fixed_walk(one_cycle([0.5]), 0, 1, [], [1.0], target, 1.0)
 
 
 def _stream(pixel=PixelConfig(7.5, 1.0, 1.0), n_cycles=400, seed=5):
@@ -291,7 +297,7 @@ class TestRunners:
         # two cycles, the second empty: with step inf the old loop only failed
         # after the stream, on the nan CV
         stream = PhotonStream(np.array([100.0, 900.0]), np.array([0, 2, 2]), 1024)
-        with pytest.raises(InvalidParamsError, match="fixed_step_size must be finite and > 0"):
+        with pytest.raises(InvalidParamsError, match=r"fixed_step_size must be a real number in \(0, inf\)"):
             run_fixed(stream, 0.5, bad)
 
     def test_bank_matches_scalar_runs_bitwise(self):

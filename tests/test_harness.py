@@ -409,6 +409,21 @@ class TestMedianTracking:
                                        sim=SIM_SMALL, step=STEP_SMALL)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("bad", [
+        dict(bkg_levels=["a"]), dict(bkg_levels=[0.5, None]), dict(bkg_levels=[True]),
+        dict(bkg_levels=[np.nan]), dict(bkg_levels=[-1.0]), dict(distances=["a"]),
+        dict(distances=[0.0]), dict(phi_sig="a"), dict(phi_sig=np.inf),
+    ])
+    def test_levels_and_distances_must_be_real_before_any_stream(self, monkeypatch, bad):
+        # unchecked, a string level escapes as a bare ValueError from the
+        # column label's :g format
+        calls = call_spy(monkeypatch, ("build_transient", "sample_stream"))
+        args = dict(bkg_levels=[0.5], distances=[3.0], phi_sig=1.0, n_seeds=1,
+                    sim=SIM_SMALL, step=STEP_SMALL)
+        with pytest.raises(InvalidParamsError, match="must be a real number"):
+            median_tracking_experiment(**{**args, **bad})
+        assert calls == []
+
 
 class TestSweep:
     def test_single_value_sweep_matches_experiment(self, tmp_path):
@@ -442,7 +457,7 @@ class TestSweep:
 
     def test_invalid_value_rejected(self):
         cfg = small_config()
-        with pytest.raises(SweepValueError, match="gamma=1.5: gamma must lie in"):
+        with pytest.raises(SweepValueError, match=r"gamma=1.5: gamma must be a real number in \(0, 1\]"):
             sweep(SweepSpec("gamma", (1.5,)), cfg)
 
     def test_overflowing_step_scale_rejected_before_any_stream(self, monkeypatch):
@@ -451,6 +466,12 @@ class TestSweep:
         with pytest.raises(SweepValueError, match=r"k_pct=1e\+308: step scale"):
             sweep(SweepSpec("k_pct", (3.0, 1e308)), small_config(methods=("pedh",)))
         assert calls == []
+
+    @pytest.mark.parametrize("value", ["a", None, True, 1j, np.nan, np.inf])
+    def test_values_must_be_finite_reals_when_built(self, value):
+        # unchecked, "a" raises a bare TypeError inside sweep and True runs as 1.0
+        with pytest.raises(SweepValueError, match="each sweep value must be a real number"):
+            SweepSpec("gamma", (0.99, value))
 
     def test_invalid_param_rejected(self):
         with pytest.raises(Exception):

@@ -336,8 +336,23 @@ class TestEwh:
     @pytest.mark.parametrize("span", [0.0, -8.0, np.inf, np.nan])
     def test_span_must_be_finite_and_positive(self, span):
         # a zero span put every peak at 0 m, a negative one behind the sensor
-        with pytest.raises(InvalidParamsError, match="span must be finite and > 0"):
+        with pytest.raises(InvalidParamsError, match=r"span must be a real number in \(0, inf\)"):
             EwHistogram(np.array([0, 5, 1, 0]), span)
+
+    @pytest.mark.parametrize("counts", [
+        np.array([1j, 2j]), np.array([True, False]), np.array(["1", "2"]),
+        np.array([1, None], dtype=object),
+    ])
+    def test_counts_must_be_integers_or_floats(self, counts):
+        # numpy's comparisons accept bools and complex counts (and a str
+        # array fails inside them), so the dtype is checked first
+        with pytest.raises(InvalidParamsError, match="counts must be integers or floats"):
+            EwHistogram(counts, 8.0)
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint8, np.float32, np.float64])
+    def test_integer_and_float_counts_accepted(self, dtype):
+        hist = EwHistogram(np.array([0, 5, 1, 0], dtype=dtype), 8.0)
+        assert hist.counts.dtype == dtype and not hist.counts.flags.writeable
 
     def test_bin_count_validation(self):
         stream = PhotonStream.from_cycles([np.array([1.0])], B)

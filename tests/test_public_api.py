@@ -7,11 +7,18 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import edhsim
+from edhsim import binner
 from edhsim.binner import BinnerBank, BinnerState, StepParams
-from edhsim.transient import PhotonStream
+from edhsim.errors import EdhsimError
+from edhsim.harness import ExperimentConfig, SweepSpec, median_tracking_experiment
+from edhsim.histogrammer import EwHistogram
+from edhsim.metrics import distance_metrics
+from edhsim.scene import DepthMap, PixelConfig, Scene, constant_scene
+from edhsim.transient import PhotonStream, SimConfig
 
 # (module, name) of removed names; a comment gives the replacement where one is needed
 REMOVED = [
@@ -84,3 +91,53 @@ def test_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True,
                          check=True, timeout=120)
     assert out.stdout.strip() == "[]"
+
+
+_STREAM = PhotonStream.from_cycles([np.array([100.0, 700.0])], 1024)
+_DEPTHS = DepthMap(np.full((1, 1), 5.0, dtype=np.float32))
+_ONE = np.ones((1, 1))
+
+
+def _median_track(**bad):
+    args = dict(bkg_levels=[1.0], distances=[5.0], phi_sig=1.0, n_seeds=1,
+                sim=SimConfig(n_cycles=10), step=StepParams())
+    return median_tracking_experiment(**{**args, **bad})
+
+
+# every real-valued public input, each fed one value through the real-number rule
+REAL_INPUTS = {
+    **{f"StepParams.{f}": (lambda v, f=f: StepParams(**{f: v}))
+       for f in ("k_pct", "gamma", "beta1", "beta2")},
+    **{f"SimConfig.{f}": (lambda v, f=f: SimConfig(**{f: v})) for f in ("rep_period", "fwhm", "c")},
+    "PixelConfig.z": lambda v: PixelConfig(v, 1.0, 1.0),
+    "PixelConfig.phi_sig": lambda v: PixelConfig(5.0, v, 1.0),
+    "PixelConfig.phi_bkg": lambda v: PixelConfig(5.0, 1.0, v),
+    "Scene.phi_sig": lambda v: Scene(_DEPTHS, v, 1.0),
+    "Scene.phi_bkg": lambda v: Scene(_DEPTHS, 1.0, v),
+    "EwHistogram.span": lambda v: EwHistogram(np.ones(4), v),
+    "ExperimentConfig.fixed_step_size":
+        lambda v: ExperimentConfig(constant_scene(1.0, 1.0), fixed_step_size=v),
+    "ExperimentConfig.inlier_thresholds":
+        lambda v: ExperimentConfig(constant_scene(1.0, 1.0), inlier_thresholds=(2.0, v)),
+    "run_fixed.step_size": lambda v: binner.run_fixed(_STREAM, 0.5, v),
+    "run_fixed.target_frac": lambda v: binner.run_fixed(_STREAM, v, 1.0),
+    "run_optimized.target_frac": lambda v: binner.run_optimized(_STREAM, v, StepParams()),
+    "fixed_walk.target_frac": lambda v: binner.fixed_walk(_STREAM, 0, 1, [], [512.0], v, 1.0),
+    "BinnerState.target_frac": lambda v: BinnerState(512.0, v, 1024),
+    "BinnerState.cv": lambda v: BinnerState(v, 0.5, 1024),
+    "distance_metrics.z_max": lambda v: distance_metrics(_ONE, _ONE, z_max=v),
+    "distance_metrics.thresholds": lambda v: distance_metrics(_ONE, _ONE, thresholds=(v,)),
+    "bin_to_distance.t": lambda v: edhsim.bin_to_distance(v, SimConfig()),
+    "SweepSpec.values": lambda v: SweepSpec("gamma", (v,)),
+    "median_tracking_experiment.bkg_levels": lambda v: _median_track(bkg_levels=[v]),
+    "median_tracking_experiment.distances": lambda v: _median_track(distances=[v]),
+    "median_tracking_experiment.phi_sig": lambda v: _median_track(phi_sig=v),
+}
+NOT_FINITE_REALS = [True, "a", None, 1j, float("nan"), float("inf")]
+
+
+@pytest.mark.parametrize("value", NOT_FINITE_REALS, ids=repr)
+@pytest.mark.parametrize("name", REAL_INPUTS)
+def test_every_real_input_refuses_what_is_not_a_finite_real(name, value):
+    with pytest.raises(EdhsimError, match="must be a real number in"):
+        REAL_INPUTS[name](value)
