@@ -41,7 +41,7 @@ from typing import Sequence
 import numpy as np
 
 from . import kernel
-from .errors import EdhsimError, InvalidParamsError, check_int, check_real
+from .errors import EdhsimError, InvalidParamsError, check_int, check_real, check_type, real_array
 from .transient import PhotonStream
 
 
@@ -132,6 +132,8 @@ def _optimized_bank(stream: PhotonStream, n0: int, params: StepParams, n_bins: i
 def run_optimized(stream: PhotonStream, target_frac: float, params: StepParams) -> BinnerState:
     """Feed a whole photon stream through one optimized binner: a bank of
     one, stepped by the same kernel call as :class:`BinnerBank`."""
+    check_type("stream of run_optimized", stream, PhotonStream)
+    check_type("params of run_optimized", params, StepParams)
     state = BinnerState.initial(target_frac, stream.n_bins)
     cv, s, dtil = np.array([state.cv]), np.zeros(1), np.zeros(1)
     _optimized_bank(stream, 0, params, stream.n_bins, np.array([target_frac]), cv, s, dtil)
@@ -158,11 +160,12 @@ def fixed_walk(stream: PhotonStream, c0: int, c1: int, edges: list[float], cvs: 
     interval's binner only, so the cost grows with photons per cycle rather
     than with intervals.
     """
+    check_type("stream of fixed_walk", stream, PhotonStream)
     # an infinite step would turn a balanced or empty cycle into inf*0 = nan
     check_real("fixed_step_size", step_size, 0)
     check_real("target_frac", target_frac, 0, 1)
-    edges = np.array(edges, dtype=np.float64)
-    out = np.array(cvs, dtype=np.float64)
+    edges = real_array("walk edges", edges)
+    out = real_array("walk CVs", cvs).copy()  # the kernel steps it in place
     if edges.ndim != 1 or out.shape != (edges.size + 1,):
         raise InvalidParamsError(f"need one CV per interval: {edges.size} edges, {out.size} CVs")
     if not (np.all(np.isfinite(edges)) and np.all(edges[1:] >= edges[:-1])):
@@ -179,6 +182,7 @@ def fixed_walk(stream: PhotonStream, c0: int, c1: int, edges: list[float], cvs: 
 def run_fixed(stream: PhotonStream, target_frac: float, step_size: float) -> BinnerState:
     """Feed a whole photon stream through one fixed-stepping binner: the
     one-interval case of :func:`fixed_walk`."""
+    check_type("stream of run_fixed", stream, PhotonStream)
     state = BinnerState.initial(target_frac, stream.n_bins)
     [cv] = fixed_walk(stream, 0, stream.n_cycles, [], [state.cv], target_frac, step_size)
     return replace(state, cv=cv, n=stream.n_cycles)
@@ -200,14 +204,13 @@ class BinnerBank:
     """
 
     def __init__(self, targets: Sequence[float], params: StepParams, n_bins: int):
-        targets = np.array(targets, dtype=np.float64)
+        targets = real_array("target fractions", targets).copy()
         if targets.ndim != 1 or targets.size == 0:
             raise InvalidParamsError("need at least one target quantile")
         if not np.all((0.0 < targets) & (targets < 1.0)):
             raise InvalidParamsError("target fractions must lie in (0, 1)")
         check_int("n_bins", n_bins, 1)
-        if not isinstance(params, StepParams):
-            raise InvalidParamsError(f"a bank runs one StepParams, not {type(params).__name__}")
+        check_type("params of a bank", params, StepParams)
         step_scale(params, n_bins)
         self.params = params
         self.n_bins = n_bins
@@ -220,8 +223,7 @@ class BinnerBank:
     def run(self, stream: PhotonStream) -> np.ndarray:
         """Consume every cycle of ``stream``; returns the final CVs, one per
         binner (the bank's own array, updated in place)."""
-        if not isinstance(stream, PhotonStream):
-            raise InvalidParamsError(f"a bank runs over one PhotonStream, not {type(stream).__name__}")
+        check_type("stream of a bank", stream, PhotonStream)
         if stream.n_bins != self.n_bins:
             raise InvalidParamsError(
                 f"stream has n_bins={stream.n_bins}, bank has n_bins={self.n_bins}")

@@ -30,14 +30,12 @@ from .harness import (
     dump_stream_csv,
     estimate_bins,
     export_density_features,
-    pipeline_stream_seed,
-    pixel_streams,
+    pipeline_streams,
     read_boundaries_csv,
     run_experiment,
     summarize,
     sweep,
     write_boundaries_csv,
-    write_channel_grid,
     write_csv,
 )
 from .histogrammer import EdhBoundaries
@@ -46,22 +44,16 @@ from .scene import load_depth_map, load_grid, save_grid
 from .transient import DEFAULT_Z_MAX
 
 
-def _fmt_of(path: str) -> str:
-    return "csv" if str(path).endswith(".csv") else "raw_f32"
-
-
 def _add_config_arg(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", required=True, help="flat key=value config file")
     p.add_argument("--seed", type=int, default=None, help="override the global seed")
 
 
 def _pipeline_streams(conf, seed_override):
-    """The config's scene and its :func:`pixel_streams`, from stable seeds."""
+    """The config's scene and its :func:`pipeline_streams`."""
     sim = cfgmod.build_sim_config(conf)
     scene = cfgmod.build_scene(conf, sim)
-    seed = cfgmod.resolve_seed(conf, seed_override)
-    seeds = [pipeline_stream_seed(seed, i) for i in range(scene.height * scene.width)]
-    return scene, pixel_streams(scene, sim, seeds)
+    return scene, pipeline_streams(scene, sim, cfgmod.resolve_seed(conf, seed_override))
 
 
 def _method_settings(args, conf):
@@ -94,9 +86,6 @@ def _cmd_edh(args) -> int:
     grid = grid.reshape(scene.height, scene.width, -1)
     write_boundaries_csv(args.out, grid)
     print(f"wrote {args.method} boundaries ({q} bins/pixel) to {args.out}")
-    if args.raw_out:
-        write_channel_grid(args.raw_out, grid.astype(np.float32))
-        print(f"wrote raw boundary grid to {args.raw_out}")
     return 0
 
 
@@ -124,14 +113,14 @@ def _cmd_estimate(args) -> int:
         for cell, _pixel, _tr, stream in streams:
             summary = summarize(stream, method, q, step, size)
             est[cell] = bin_to_distance(estimate_bins(args.estimator, summary), sim)
-    save_grid(est, args.out, _fmt_of(args.out))
+    save_grid(est, args.out)
     print(f"wrote {args.estimator} distance map to {args.out}")
     return 0
 
 
 def _cmd_evaluate(args) -> int:
-    truth = load_depth_map(args.truth, _fmt_of(args.truth), z_limit=float("inf"))
-    est = load_grid(args.est, _fmt_of(args.est))
+    truth = load_depth_map(args.truth, z_limit=float("inf"))
+    est = load_grid(args.est)
     thresholds = cfgmod.parse_numbers("--inliers", args.inliers)
     report = distance_metrics(
         est, truth.depths, thresholds=thresholds,
@@ -215,7 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, help="default: experiment.q")
     p.add_argument("--fixed-step-size", type=float, help="default: experiment.fixed_step_size")
     p.add_argument("--out", required=True, help="boundary CSV path")
-    p.add_argument("--raw-out", default=None, help="optional raw channel-grid path")
     p.set_defaults(func=_cmd_edh)
 
     p = sub.add_parser("estimate", help="produce a distance map")
@@ -226,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, help="default: experiment.q")
     p.add_argument("--fixed-step-size", type=float, help="default: experiment.fixed_step_size")
     p.add_argument("--ewh-bins", type=int, default=32)
-    p.add_argument("--out", required=True, help="distance map path (.csv or raw_f32)")
+    p.add_argument("--out", required=True, help="distance map path: CSV if it ends in .csv, else raw_f32")
     p.set_defaults(func=_cmd_estimate)
 
     p = sub.add_parser("evaluate", help="score a distance map against ground truth")
@@ -262,7 +250,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except EdhsimError as exc:
+    except (EdhsimError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -10,6 +10,8 @@ The keys and their defaults are read off the declarations they fill:
 ``sim.X`` is field ``X`` of :class:`~edhsim.transient.SimConfig`, ``step.X``
 field ``X`` of :class:`~edhsim.binner.StepParams`, and ``scene.X`` parameter
 ``X`` of the scene kind's builder in :data:`~edhsim.scene.SCENE_BUILDERS`.
+``scene.kind = file`` loads ``scene.path`` instead, as CSV or raw_f32 by the
+file's own first bytes (:func:`~edhsim.scene.load_grid`).
 
 Example::
 
@@ -52,7 +54,7 @@ KNOWN_KEYS = (
     {f"sim.{name}" for name in _field_defaults(SimConfig)}
     | {f"step.{name}" for name in _field_defaults(StepParams)}
     | {f"scene.{name}" for b in SCENE_BUILDERS.values() for name in _builder_defaults(b)}
-    | {"scene.kind", "scene.phi_sig", "scene.phi_bkg", "scene.path", "scene.format"}
+    | {"scene.kind", "scene.phi_sig", "scene.phi_bkg", "scene.path"}
     | {f"experiment.{name}" for name in (
         "pairs", "methods", "estimators", "n_monte_carlo", "seed", "out_dir", "q",
         "fixed_step_size", "inliers")}
@@ -63,7 +65,8 @@ def parse_config_file(path) -> dict[str, str]:
     """Parse to a flat string->string map; later duplicates win."""
     conf: dict[str, str] = {}
     path = Path(path)
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    # an undecodable byte fails the line's check like any other bad text
+    for lineno, line in enumerate(path.read_text(errors="replace").splitlines(), start=1):
         text = line.split("#", 1)[0].strip()
         if not text:
             continue
@@ -132,9 +135,7 @@ def build_scene(conf: dict, sim: Optional[SimConfig] = None) -> Scene:
     if kind == "file":
         if "scene.path" not in conf:
             raise ParseError("scene.kind = file requires scene.path")
-        depth_map = load_depth_map(
-            conf["scene.path"], conf.get("scene.format", "csv"), z_limit=sim.z_max
-        )
+        depth_map = load_depth_map(conf["scene.path"], z_limit=sim.z_max)
         return Scene(depth_map, phi_sig, phi_bkg, label=Path(conf["scene.path"]).stem)
     if kind not in SCENE_BUILDERS:
         raise ParseError(f"unknown scene.kind {kind!r}")

@@ -1,7 +1,9 @@
 """Exception types raised across the package, and the one rule per kind of
 input that every value object checks with: integers (:func:`check_int`),
-finite real numbers (:func:`check_real`), distinct values
-(:func:`check_distinct`) and read-only array fields (:func:`frozen_array`)."""
+finite real numbers (:func:`check_real`), instances of one type
+(:func:`check_type`), distinct values (:func:`check_distinct`), arrays of
+integers or floats (:func:`real_array`) and read-only array fields
+(:func:`frozen_array`)."""
 
 import math
 from numbers import Integral, Real
@@ -58,11 +60,28 @@ def check_real(name: str, value, low, high=math.inf, ends: str = "()",
         raise error(f"{name} must be a real number in {ends[0]}{low}, {high}{ends[1]}, got {value!r}")
 
 
+def check_type(name: str, value, cls: type) -> None:
+    """Raise InvalidParamsError unless ``value`` is an instance of ``cls``."""
+    if not isinstance(value, cls):
+        raise InvalidParamsError(f"{name} must be one {cls.__name__}, not {type(value).__name__}")
+
+
+def real_array(name: str, values, dtype=np.float64) -> np.ndarray:
+    """``values`` as an array of ``dtype`` (None keeps the input's), not
+    copied if it already is one. Raises InvalidParamsError unless the
+    input's own dtype is integer or float: a bool, string, complex or object
+    array is not, though numpy would convert it."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "iuf":
+        raise InvalidParamsError(f"{name} must be integers or floats, not {arr.dtype}")
+    return np.asarray(arr, dtype=dtype)
+
+
 def frozen_array(owner, name: str, dtype) -> np.ndarray:
     """Store field ``name`` of the frozen dataclass ``owner`` as a C-contiguous,
-    read-only array of ``dtype`` (None keeps the input's) and return it; an
-    input array that already is one is frozen in place, not copied."""
-    arr = np.ascontiguousarray(np.asarray(getattr(owner, name), dtype=dtype))
+    read-only :func:`real_array` of ``dtype`` and return it; an input array
+    that already is one is frozen in place, not copied."""
+    arr = np.ascontiguousarray(real_array(name, getattr(owner, name), dtype))
     arr.setflags(write=False)
     object.__setattr__(owner, name, arr)
     return arr
@@ -98,7 +117,7 @@ class BinCountError(EdhsimError):
 
 
 class EmptyHistogramError(EdhsimError):
-    """Peak lookup on a histogram with no bins."""
+    """An equi-width histogram with no bins."""
 
 
 class BinPositionError(EdhsimError):

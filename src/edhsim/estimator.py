@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BinPositionError, EmptyHistogramError, InvalidParamsError, check_real, frozen_array
+from .errors import BinPositionError, InvalidParamsError, check_real, frozen_array
 from .histogrammer import EdhBoundaries, EwHistogram
 from .transient import SimConfig
 
@@ -99,8 +99,6 @@ def t1_hat(density: DensityEstimate) -> float:
 
 def ewh_peak(hist: EwHistogram) -> float:
     """Time of flight as the center of the fullest equi-width bin."""
-    if hist.bin_count == 0:
-        raise EmptyHistogramError("histogram has no bins")
     i = int(np.argmax(hist.counts))
     return (i + 0.5) * hist.bin_width
 

@@ -6,18 +6,19 @@ so results do not depend on execution order, and every method within one run
 consumes the identical photon stream (paired comparisons).
 
 Every scene is walked by :func:`pixel_streams`, one pixel at a time: it
-samples the pixel's stream, the caller summarizes it with each method and
-drops it before the next pixel, so one stream is held at once.
+derives the pixel's seed from the global seed, the caller's key and the
+pixel's index, samples the pixel's stream, and the caller summarizes it with
+each method and drops it before the next pixel, so one stream is held at
+once.
 """
 
 from __future__ import annotations
 
 import csv
 import re
-import struct
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -32,17 +33,10 @@ from .errors import (
     check_real,
     is_real,
 )
-from .estimator import (
-    RHO1_GRID_SIZE,
-    bin_to_distance,
-    ewh_peak,
-    rho1,
-    t0_hat,
-    t1_hat,
-)
+from .estimator import RHO1_GRID_SIZE, bin_to_distance, ewh_peak, rho1, t0_hat, t1_hat
 from .histogrammer import EdhBoundaries, EwHistogram, ewh, hedh, oedh, pedh
 from .metrics import boundary_rmse, check_metric_limits, distance_metrics, inlier_column
-from .scene import PixelConfig, Scene, save_grid
+from .scene import PixelConfig, Scene, read_raw, save_grid, write_raw
 from .transient import PhotonStream, SimConfig, build_transient, sample_stream, true_quantiles
 
 SCHEMA_VERSION = 1
@@ -55,22 +49,10 @@ _CTX_FEATURES = 1
 _CTX_SIMULATE = 2
 _CTX_MEDIAN = 3
 
-FEATURE_MAGIC = b"EDHF"
-_FEATURE_HEADER = struct.Struct("<4sIII")
-
 
 def derive_seed(global_seed: int, *key: int) -> np.random.SeedSequence:
     """Stable per-worker seed from the global seed plus integer key parts."""
     return np.random.SeedSequence((int(global_seed),) + tuple(int(k) for k in key))
-
-
-def pipeline_stream_seed(global_seed: int, pixel_index: int) -> np.random.SeedSequence:
-    """Seed for single-pass pipeline tools (simulate / edh / estimate).
-
-    Shared across those tools so that, e.g., boundary sets written by one
-    invocation correspond to the streams another invocation re-derives.
-    """
-    return derive_seed(global_seed, _CTX_SIMULATE, pixel_index)
 
 
 # Method and estimator tables. Each entry looks its function up in this
@@ -137,12 +119,22 @@ def check_span(bounds: EdhBoundaries, n_bins: int) -> None:
         raise InvalidParamsError(f"boundary set ends at {bounds.span!r}, not at n_bins={n_bins}")
 
 
-def pixel_streams(scene: Scene, sim: SimConfig, seeds: Iterable) -> Iterator[tuple]:
-    """Sample every scene pixel, the i-th (row-major) from ``seeds[i]``, and
-    yield ``((row, col), pixel, transient, stream)`` for each, in that order."""
-    for (r, c, pixel), seed in zip(scene.iter_pixels(), seeds):
+def pixel_streams(scene: Scene, sim: SimConfig, global_seed: int, *key: int) -> Iterator[tuple]:
+    """Sample every scene pixel, the i-th (row-major) from
+    ``derive_seed(global_seed, *key, i)``, and yield ``((row, col), pixel,
+    transient, stream)`` for each, in that order."""
+    for i, (r, c, pixel) in enumerate(scene.iter_pixels()):
         transient = build_transient(pixel, sim)
+        seed = derive_seed(global_seed, *key, i)
         yield (r, c), pixel, transient, sample_stream(transient, sim.n_cycles, seed)
+
+
+def pipeline_streams(scene: Scene, sim: SimConfig, global_seed: int) -> Iterator[tuple]:
+    """:func:`pixel_streams` for the single-pass pipeline tools (simulate /
+    edh / estimate), under one key shared across those tools so that, e.g.,
+    boundary sets written by one invocation correspond to the streams
+    another invocation re-derives."""
+    return pixel_streams(scene, sim, global_seed, _CTX_SIMULATE)
 
 
 def estimate_bins(estimator: str, summary) -> float:
@@ -207,12 +199,6 @@ def _is_pair(pair) -> bool:
     return is_real(a) and is_real(b)
 
 
-def _experiment_seeds(cfg: ExperimentConfig, pair_idx: int, mc: int) -> Iterator:
-    """The stream seeds of run ``mc`` of pair ``pair_idx``, one per pixel."""
-    return (derive_seed(cfg.global_seed, _CTX_EXPERIMENT, pair_idx, mc, i)
-            for i in range(cfg.scene.height * cfg.scene.width))
-
-
 @dataclass
 class ExperimentResult:
     summary_rows: list
@@ -256,7 +242,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             scene = replace(cfg.scene, phi_sig=phi_sig, phi_bkg=phi_bkg)
             for mc in range(cfg.n_monte_carlo):
                 for (r, c), pixel, _tr, stream in pixel_streams(
-                        scene, cfg.sim, _experiment_seeds(cfg, pair_idx, mc)):
+                        scene, cfg.sim, cfg.global_seed, _CTX_EXPERIMENT, pair_idx, mc):
                     # every method reads the identical stream; one that
                     # raises, in its summary or an estimate, joins ``errors``
                     done = {}
@@ -455,10 +441,10 @@ def sweep(spec: SweepSpec, cfg: ExperimentConfig, out_path: Optional[Path] = Non
 
     Every sweep value sees the identical streams (seeds are derived exactly
     as in :func:`run_experiment`), so value-to-value differences are not
-    sampling noise. Each stream is stepped once per value, by one
-    :func:`pedh` under that value's schedule. Boundary RMSE is
+    sampling noise. Each stream is summarized once per value, by ``pedh``
+    under that value's schedule (:func:`summarize`). Boundary RMSE is
     measured against the population quantiles of each transient; distance
-    RMSE uses the narrowest-bin estimator against the scene truth. A
+    RMSE uses the narrowest-bin estimator ``t0`` against the scene truth. A
     boundary set that does not end at ``n_bins`` raises
     (:func:`check_span`).
     """
@@ -479,13 +465,12 @@ def sweep(spec: SweepSpec, cfg: ExperimentConfig, out_path: Optional[Path] = Non
         scene = replace(cfg.scene, phi_sig=phi_sig, phi_bkg=phi_bkg)
         for mc in range(cfg.n_monte_carlo):
             for _cell, pixel, transient, stream in pixel_streams(
-                    scene, cfg.sim, _experiment_seeds(cfg, pair_idx, mc)):
+                    scene, cfg.sim, cfg.global_seed, _CTX_EXPERIMENT, pair_idx, mc):
                 true_bounds = true_quantiles(transient, targets)
                 truth.append(pixel.z)
                 for value, step in zip(spec.values, steps):
-                    bounds = pedh(stream, cfg.q, step)
-                    check_span(bounds, cfg.sim.n_bins)
-                    est_acc[value].append(bin_to_distance(t0_hat(bounds), cfg.sim))
+                    bounds = summarize(stream, "pedh", cfg.q, step, cfg.fixed_step_size)
+                    est_acc[value].append(bin_to_distance(estimate_bins("t0", bounds), cfg.sim))
                     bnd_sq[value].extend(((bounds.interior - true_bounds) ** 2).tolist())
 
     rows = []
@@ -510,35 +495,20 @@ def sweep(spec: SweepSpec, cfg: ExperimentConfig, out_path: Optional[Path] = Non
 
 
 # ---------------------------------------------------------------------------
-# channelled binary container (density features, boundary grids)
+# channelled binary container (density features)
 
 
 def write_channel_grid(path, grid: np.ndarray) -> None:
-    """Write an (h, w, channels) float32 grid: 16-byte header then payload.
-
-    Header: magic ``EDHF``, u32 width, u32 height, u32 channels, all
-    little-endian; payload is little-endian float32, pixel-major
-    (row-major over pixels, channels contiguous per pixel).
-    """
-    arr = np.asarray(grid, dtype=np.float32)
-    if arr.ndim != 3:
+    """Write an (h, w, channels) float32 grid as raw_f32 with magic ``EDHF``
+    (see :mod:`edhsim.scene`)."""
+    if np.ndim(grid) != 3:
         raise InvalidParamsError("channel grid must be (height, width, channels)")
-    h, w, c = arr.shape
-    header = _FEATURE_HEADER.pack(FEATURE_MAGIC, w, h, c)
-    Path(path).write_bytes(header + arr.astype("<f4").tobytes(order="C"))
+    write_raw(path, grid)
 
 
 def read_channel_grid(path) -> np.ndarray:
-    blob = Path(path).read_bytes()
-    if len(blob) < _FEATURE_HEADER.size:
-        raise ParseError(f"{path}: truncated header")
-    magic, w, h, c = _FEATURE_HEADER.unpack_from(blob)
-    if magic != FEATURE_MAGIC:
-        raise ParseError(f"{path}: bad magic {magic!r}")
-    expected = _FEATURE_HEADER.size + 4 * w * h * c
-    if len(blob) != expected:
-        raise ParseError(f"{path}: expected {expected} bytes, got {len(blob)}")
-    return np.frombuffer(blob, dtype="<f4", offset=_FEATURE_HEADER.size).reshape(h, w, c)
+    """Read a grid written by :func:`write_channel_grid`."""
+    return read_raw(path, 3)
 
 
 def export_density_features(
@@ -557,12 +527,11 @@ def export_density_features(
     ``<path>.truth.csv`` with the ground-truth depths.
     """
     arr = np.empty((scene.height, scene.width, RHO1_GRID_SIZE), dtype=np.float32)
-    seeds = [derive_seed(global_seed, _CTX_FEATURES, i) for i in range(scene.height * scene.width)]
-    for cell, _pixel, _tr, stream in pixel_streams(scene, sim, seeds):
+    for cell, _pixel, _tr, stream in pixel_streams(scene, sim, global_seed, _CTX_FEATURES):
         arr[cell] = rho1(summarize(stream, "pedh", q, step, 1.0)).values
     path = Path(path)
     write_channel_grid(path, arr)
-    save_grid(scene.depth_map.depths, Path(str(path) + ".truth.csv"), "csv")
+    save_grid(scene.depth_map.depths, str(path) + ".truth.csv")
     return path
 
 
@@ -598,7 +567,7 @@ def write_boundaries_csv(path, grid: np.ndarray) -> None:
 def read_boundaries_csv(path) -> np.ndarray:
     """Read a boundary grid written by :func:`write_boundaries_csv`; every
     pixel must have exactly one row."""
-    with open(path, newline="") as fh:
+    with open(path, newline="", errors="replace") as fh:  # bad bytes fail a check below
         reader = csv.DictReader(fh)
         t_cols = sorted(
             (f for f in reader.fieldnames or [] if f.startswith("t_")),

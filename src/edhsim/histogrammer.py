@@ -27,11 +27,13 @@ import numpy as np
 from .binner import BinnerBank, StepParams, fixed_walk
 from .errors import (
     BinCountError,
+    EmptyHistogramError,
     InvalidParamsError,
     PowerOfTwoError,
     TooFewPhotonsError,
     check_int,
     check_real,
+    check_type,
     frozen_array,
 )
 from .transient import PhotonStream
@@ -68,7 +70,7 @@ class EdhBoundaries:
 
 @dataclass(frozen=True)
 class EwHistogram:
-    """Equi-width photon counts over ``bin_count`` bins spanning [0, span]."""
+    """Equi-width photon counts over ``bin_count`` >= 1 bins spanning [0, span]."""
 
     counts: np.ndarray
     span: float
@@ -77,8 +79,8 @@ class EwHistogram:
         c = frozen_array(self, "counts", None)
         if c.ndim != 1:
             raise InvalidParamsError("histogram counts must be 1-d")
-        if c.dtype.kind not in "iuf":
-            raise InvalidParamsError(f"histogram counts must be integers or floats, not {c.dtype}")
+        if c.size == 0:
+            raise EmptyHistogramError("histogram has no bins")
         if not np.all((0 <= c) & (c < np.inf)):
             raise InvalidParamsError("histogram counts must be finite and >= 0")
         check_real("histogram span", self.span, 0)
@@ -90,11 +92,6 @@ class EwHistogram:
     @property
     def bin_width(self) -> float:
         return self.span / self.bin_count
-
-
-def _check_stream(method: str, stream) -> None:
-    if not isinstance(stream, PhotonStream):
-        raise InvalidParamsError(f"{method} runs over one PhotonStream, not {type(stream).__name__}")
 
 
 def oedh(stream: PhotonStream, q: int) -> EdhBoundaries:
@@ -109,7 +106,7 @@ def oedh(stream: PhotonStream, q: int) -> EdhBoundaries:
         TooFewPhotonsError: if the stream pooled fewer than q photons.
     """
     q = check_int("q", q, 1)
-    _check_stream("oedh", stream)
+    check_type("stream of oedh", stream, PhotonStream)
     pooled = stream.pooled()
     n = pooled.size
     if n < q:
@@ -134,7 +131,7 @@ def pedh(stream: PhotonStream, q: int, params: Optional[StepParams] = None) -> E
         InvalidParamsError: if ``stream`` is not a :class:`PhotonStream`.
     """
     q = check_int("q", q, 2)
-    _check_stream("pedh", stream)
+    check_type("stream of pedh", stream, PhotonStream)
     bank = BinnerBank(np.arange(1, q, dtype=np.float64) / q,
                       StepParams() if params is None else params, stream.n_bins)
     bounds = np.concatenate(([0.0], np.sort(bank.run(stream)), [float(stream.n_bins)]))
@@ -159,7 +156,7 @@ def hedh(stream: PhotonStream, q: int, fixed_step_size: float = 1.0) -> EdhBound
     q = check_int("q", q, 1)
     if q < 2 or q & (q - 1):
         raise PowerOfTwoError(f"hedh requires a power-of-two q, got {q}")
-    _check_stream("hedh", stream)
+    check_type("stream of hedh", stream, PhotonStream)
     n_levels = q.bit_length() - 1
     cuts = np.rint(np.arange(n_levels + 1) / n_levels * stream.n_cycles).astype(np.int64).tolist()
     interior: list[float] = []
@@ -178,7 +175,7 @@ def ewh(stream: PhotonStream, bin_count: int) -> EwHistogram:
         InvalidParamsError: if ``stream`` is not a :class:`PhotonStream`.
         BinCountError: unless bin_count is an integer in [1, n_bins].
     """
-    _check_stream("ewh", stream)
+    check_type("stream of ewh", stream, PhotonStream)
     if check_int("bin_count", bin_count, 1, BinCountError) > stream.n_bins:
         raise BinCountError(f"bin_count must be at most n_bins={stream.n_bins}, got {bin_count}")
     width = stream.n_bins / bin_count

@@ -1,15 +1,21 @@
 """Scenes: ground-truth depth maps seen at one photon level.
 
-Depth maps travel in two interchangeable formats:
+Grids travel in two formats:
 
 * CSV: one image row per line, comma-separated meters, optional first line
   ``# width height``.
-* raw_f32: 16-byte header (magic ``EDHD``, u32 width, u32 height, u32
-  reserved zero, all little-endian) followed by width*height little-endian
-  float32 meters, row-major.
+* raw_f32: a 16-byte header (4-byte magic, then u32 width, u32 height and
+  u32 channels, all little-endian) followed by the little-endian float32
+  values, row-major with each pixel's channels contiguous. A depth map
+  (height, width) has magic ``EDHD`` and channels 0, which is read back as
+  reserved and ignored; a channel grid (height, width, channels), as
+  :func:`~edhsim.harness.export_density_features` writes, has magic ``EDHF``.
 
-Grids are stored as float32 so a save/load round trip through either format
-is bit-exact.
+A file's format is read off the file: raw_f32 if it starts with ``EDHD``,
+CSV otherwise (a CSV line that is not numeric is refused, so no CSV grid
+starts so). It is written as CSV under a ``.csv`` name and as raw_f32 under
+any other. Grids are stored as float32 so a save/load round trip through
+either format is bit-exact.
 """
 
 from __future__ import annotations
@@ -22,11 +28,11 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import (DepthOutOfRangeError, InvalidParamsError, ParseError, check_int, check_real,
-                     frozen_array)
-from .transient import DEFAULT_Z_MAX
+from .errors import DepthOutOfRangeError, InvalidParamsError, ParseError, check_int, check_real, frozen_array
+from .transient import DEFAULT_Z_MAX, PixelConfig, check_levels
 
-RAW_MAGIC = b"EDHD"
+# raw_f32 magic by grid rank: depth map, channel grid
+_RAW_MAGIC = {2: b"EDHD", 3: b"EDHF"}
 _RAW_HEADER = struct.Struct("<4sIII")
 
 
@@ -59,31 +65,6 @@ def check_depth_range(depths: np.ndarray, z_limit: float) -> None:
         raise DepthOutOfRangeError(float(arr[bad].flat[0]), z_limit)
 
 
-def check_levels(phi_sig, phi_bkg) -> None:
-    """Reject levels that are not finite real numbers >= 0, or both zero."""
-    check_real("phi_sig", phi_sig, 0, ends="[)")
-    check_real("phi_bkg", phi_bkg, 0, ends="[)")
-    if phi_sig == 0.0 and phi_bkg == 0.0:
-        raise InvalidParamsError("phi_sig and phi_bkg cannot both be zero")
-
-
-@dataclass(frozen=True)
-class PixelConfig:
-    """Per-pixel truth: distance plus mean photon totals per laser cycle.
-
-    ``phi_sig`` and ``phi_bkg`` are per-cycle totals; the per-bin background
-    level is ``phi_bkg / n_bins``.
-    """
-
-    z: float
-    phi_sig: float
-    phi_bkg: float
-
-    def __post_init__(self):
-        check_real("pixel distance z", self.z, 0)
-        check_levels(self.phi_sig, self.phi_bkg)
-
-
 @dataclass(frozen=True)
 class Scene:
     """A depth map seen at one photon level, the same at every pixel."""
@@ -111,48 +92,68 @@ class Scene:
 
 
 # ---------------------------------------------------------------------------
-# depth-map I/O
+# grid I/O
 
 
-def save_grid(grid: np.ndarray, path, fmt: str = "csv") -> None:
-    """Write a float32 grid (no range validation; estimates may hold 0)."""
-    arr = np.ascontiguousarray(np.asarray(grid, dtype=np.float32))
+def save_grid(grid: np.ndarray, path) -> None:
+    """Write a float32 grid (no range validation; estimates may hold 0): as
+    CSV if ``path`` ends in ``.csv``, as raw_f32 otherwise."""
+    arr = np.asarray(grid, dtype=np.float32)
     if arr.ndim != 2 or arr.size == 0:
         raise InvalidParamsError("grid must be a non-empty 2-d array")
-    path = Path(path)
-    if fmt == "csv":
-        lines = [f"# {arr.shape[1]} {arr.shape[0]}"]
-        for row in arr:
-            lines.append(",".join(repr(float(v)) for v in row))
-        path.write_text("\n".join(lines) + "\n")
-    elif fmt == "raw_f32":
-        header = _RAW_HEADER.pack(RAW_MAGIC, arr.shape[1], arr.shape[0], 0)
-        path.write_bytes(header + arr.astype("<f4").tobytes(order="C"))
-    else:
-        raise InvalidParamsError(f"unknown depth-map format {fmt!r}")
+    if not str(path).endswith(".csv"):
+        write_raw(path, arr)
+        return
+    lines = [f"# {arr.shape[1]} {arr.shape[0]}"]
+    for row in arr:
+        lines.append(",".join(repr(float(v)) for v in row))
+    Path(path).write_text("\n".join(lines) + "\n")
 
 
-def load_grid(path, fmt: str = "csv") -> np.ndarray:
-    """Read a float32 grid without depth-range validation."""
-    path = Path(path)
-    if fmt == "csv":
-        return _parse_csv(path)
-    if fmt == "raw_f32":
-        return _parse_raw(path)
-    raise InvalidParamsError(f"unknown depth-map format {fmt!r}")
+def load_grid(path) -> np.ndarray:
+    """Read a float32 grid without depth-range validation: raw_f32 if the
+    file starts with ``EDHD``, CSV otherwise."""
+    with open(path, "rb") as fh:
+        raw = fh.read(4) == _RAW_MAGIC[2]
+    return read_raw(path, 2) if raw else _parse_csv(Path(path))
 
 
-def load_depth_map(path, fmt: str = "csv", z_limit: float = DEFAULT_Z_MAX) -> DepthMap:
+def load_depth_map(path, *, z_limit: float = DEFAULT_Z_MAX) -> DepthMap:
     """Load and validate a depth map; depths must lie in (0, z_limit]."""
-    grid = load_grid(path, fmt)
+    grid = load_grid(path)
     check_depth_range(grid, z_limit)
     return DepthMap(grid)
+
+
+def write_raw(path, grid: np.ndarray) -> None:
+    """Write a 2-d depth map or a 3-d channel grid as raw_f32."""
+    arr = np.asarray(grid, dtype="<f4")
+    height, width, *channels = arr.shape
+    header = _RAW_HEADER.pack(_RAW_MAGIC[arr.ndim], width, height, *(channels or [0]))
+    Path(path).write_bytes(header + arr.tobytes(order="C"))
+
+
+def read_raw(path, ndim: int) -> np.ndarray:
+    """Read a raw_f32 grid of rank ``ndim``: a depth map (2) or a channel
+    grid (3)."""
+    blob = Path(path).read_bytes()
+    if len(blob) < _RAW_HEADER.size:
+        raise ParseError(f"{path}: truncated header ({len(blob)} bytes)")
+    magic, width, height, channels = _RAW_HEADER.unpack_from(blob)
+    if magic != _RAW_MAGIC[ndim]:
+        raise ParseError(f"{path}: bad magic {magic!r}, expected {_RAW_MAGIC[ndim]!r}")
+    shape = (height, width, channels)[:ndim]
+    expected = _RAW_HEADER.size + 4 * math.prod(shape)
+    if len(blob) != expected:
+        raise ParseError(f"{path}: expected {expected} bytes for shape {shape}, got {len(blob)}")
+    return np.frombuffer(blob, dtype="<f4", offset=_RAW_HEADER.size).reshape(shape).astype(np.float32)
 
 
 def _parse_csv(path: Path) -> np.ndarray:
     rows: list[list[np.float32]] = []
     declared = None
-    with open(path) as fh:
+    # an undecodable byte is not numeric, so it fails the value check below
+    with open(path, errors="replace") as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.strip()
             if not text:
@@ -187,20 +188,6 @@ def _parse_csv(path: Path) -> np.ndarray:
     return grid
 
 
-def _parse_raw(path: Path) -> np.ndarray:
-    blob = path.read_bytes()
-    if len(blob) < _RAW_HEADER.size:
-        raise ParseError(f"{path}: truncated header ({len(blob)} bytes)")
-    magic, width, height, _reserved = _RAW_HEADER.unpack_from(blob)
-    if magic != RAW_MAGIC:
-        raise ParseError(f"{path}: bad magic {magic!r}")
-    expected = _RAW_HEADER.size + 4 * width * height
-    if len(blob) != expected:
-        raise ParseError(f"{path}: expected {expected} bytes for {width}x{height}, got {len(blob)}")
-    grid = np.frombuffer(blob, dtype="<f4", offset=_RAW_HEADER.size)
-    return grid.reshape(height, width).astype(np.float32)
-
-
 # ---------------------------------------------------------------------------
 # synthetic scenes
 
@@ -216,6 +203,7 @@ def constant_scene(
     """All pixels at the same distance with the same photon levels."""
     check_int("width", width, 1)
     check_int("height", height, 1)
+    check_real("z", z, -math.inf)  # then check_depth_range checks (0, z_limit]
     check_depth_range(np.array([z]), z_limit)
     grid = np.full((height, width), z, dtype=np.float32)
     return Scene(DepthMap(grid), phi_sig, phi_bkg, label=f"constant_{z:g}m")
@@ -237,6 +225,8 @@ def staircase_scene(
     """
     for name, value in (("n_steps", n_steps), ("step_width", step_width), ("height", height)):
         check_int(name, value, 1)
+    check_real("z_min", z_min, -math.inf)
+    check_real("z_max", z_max, -math.inf)
     if not z_min <= z_max:
         raise InvalidParamsError("need z_min <= z_max")
     check_depth_range(np.array([z_min, z_max]), z_limit)
@@ -258,6 +248,8 @@ def two_plane_scene(
     """Two fronto-parallel planes split at column width // 2."""
     check_int("width", width, 2)
     check_int("height", height, 1)
+    check_real("z_left", z_left, -math.inf)
+    check_real("z_right", z_right, -math.inf)
     check_depth_range(np.array([z_left, z_right]), z_limit)
     grid = np.empty((height, width), dtype=np.float32)
     split = width // 2

@@ -18,15 +18,13 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from . import kernel
-from .errors import DistanceExceedsRangeError, InvalidParamsError, check_int, check_real, frozen_array
-
-if TYPE_CHECKING:
-    from .scene import PixelConfig
+from .errors import (DistanceExceedsRangeError, InvalidParamsError, check_int, check_real, check_type,
+                     frozen_array, real_array)
 
 # FWHM of a Gaussian = 2*sqrt(2*ln 2) * sigma
 _FWHM_TO_SIGMA = 1.0 / (2.0 * math.sqrt(2.0 * math.log(2.0)))
@@ -81,6 +79,31 @@ class SimConfig:
 DEFAULT_Z_MAX = SimConfig().z_max
 
 
+def check_levels(phi_sig, phi_bkg) -> None:
+    """Reject levels that are not finite real numbers >= 0, or both zero."""
+    check_real("phi_sig", phi_sig, 0, ends="[)")
+    check_real("phi_bkg", phi_bkg, 0, ends="[)")
+    if phi_sig == 0.0 and phi_bkg == 0.0:
+        raise InvalidParamsError("phi_sig and phi_bkg cannot both be zero")
+
+
+@dataclass(frozen=True)
+class PixelConfig:
+    """Per-pixel truth: distance plus mean photon totals per laser cycle.
+
+    ``phi_sig`` and ``phi_bkg`` are per-cycle totals; the per-bin background
+    level is ``phi_bkg / n_bins``.
+    """
+
+    z: float
+    phi_sig: float
+    phi_bkg: float
+
+    def __post_init__(self):
+        check_real("pixel distance z", self.z, 0)
+        check_levels(self.phi_sig, self.phi_bkg)
+
+
 @dataclass(frozen=True)
 class Transient:
     """Mean photon counts per bin per laser cycle for one pixel."""
@@ -98,7 +121,7 @@ class Transient:
             raise InvalidParamsError("transient values must be finite and >= 0")
 
 
-def build_transient(pixel: "PixelConfig", cfg: SimConfig) -> Transient:
+def build_transient(pixel: PixelConfig, cfg: SimConfig) -> Transient:
     """Build the per-bin mean photon counts for a pixel.
 
     Bin k receives ``phi_sig * integral of the unit-mass Gaussian over bin k``
@@ -111,8 +134,12 @@ def build_transient(pixel: "PixelConfig", cfg: SimConfig) -> Transient:
 
     Raises:
         DistanceExceedsRangeError: if 2z/c >= rep_period.
+        InvalidParamsError: unless ``pixel`` is a :class:`PixelConfig` and
+            ``cfg`` a :class:`SimConfig`.
         KernelBuildError: if the kernel is not built yet and cannot be.
     """
+    check_type("pixel of build_transient", pixel, PixelConfig)
+    check_type("config of build_transient", cfg, SimConfig)
     t_peak = 2.0 * pixel.z / cfg.c
     if t_peak >= cfg.rep_period:
         raise DistanceExceedsRangeError(
@@ -133,7 +160,7 @@ def true_quantiles(transient: Transient, fracs: Sequence[float]) -> np.ndarray:
     each bin, proportional to the transient), so its CDF is piecewise linear
     with knots at integer bin edges; quantiles follow by exact inversion.
     """
-    fr = np.asarray(fracs, dtype=np.float64)
+    fr = real_array("quantile fractions", fracs)
     if not np.all((0.0 < fr) & (fr < 1.0)):
         raise InvalidParamsError("quantile fractions must lie in (0, 1)")
     cum = np.concatenate(([0.0], np.cumsum(transient.values)))
@@ -180,7 +207,7 @@ class PhotonStream:
 
     @classmethod
     def from_cycles(cls, cycles: Sequence[np.ndarray], n_bins: int) -> "PhotonStream":
-        arrays = [np.asarray(c, dtype=np.float64) for c in cycles]
+        arrays = [real_array("each cycle", c) for c in cycles]
         flat = np.concatenate(arrays) if arrays else np.empty(0)
         offsets = np.concatenate(([0], np.cumsum([a.size for a in arrays], dtype=np.int64)))
         return cls(flat, offsets, n_bins)
@@ -234,8 +261,10 @@ def sample_stream(transient: Transient, n_cycles: int, seed) -> PhotonStream:
     (cycle, position) lexicographic sort byte for byte.
 
     Raises:
+        InvalidParamsError: unless ``transient`` is a :class:`Transient`.
         KernelBuildError: if the kernel is not built yet and cannot be.
     """
+    check_type("transient of sample_stream", transient, Transient)
     n_cycles = check_int("n_cycles", n_cycles, 1)
     cfg = transient.config
     rng = np.random.default_rng(seed)

@@ -10,7 +10,6 @@ from edhsim.harness import (
     EDH_METHODS,
     ESTIMATORS,
     SWEEPABLE_PARAMS,
-    pipeline_stream_seed,
     read_boundaries_csv,
     read_channel_grid,
 )
@@ -27,7 +26,7 @@ def _pixel_streams(conf):
     seed = cfgmod.resolve_seed(flat)
     for pix_idx, (r, c, pixel) in enumerate(cfgmod.build_scene(flat, sim).iter_pixels()):
         yield r, c, sample_stream(build_transient(pixel, sim), sim.n_cycles,
-                                  pipeline_stream_seed(seed, pix_idx))
+                                  harness.derive_seed(seed, harness._CTX_SIMULATE, pix_idx))
 
 
 @pytest.fixture()
@@ -243,6 +242,39 @@ def test_error_reporting(tmp_path, capsys):
     missing.write_text("scene.kind = warp\n")
     assert main(["experiment", "--config", str(missing)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["experiment", "--config", "missing.conf"],
+    ["estimate", "--config", "missing.conf", "--estimator", "t0", "--out", "est.csv"],
+    ["evaluate", "--truth", "missing.csv", "--est", "est.csv"],
+    ["experiment", "--config", "scene.conf"],  # its scene.path is missing
+])
+def test_missing_input_file_exits_2(tmp_path, monkeypatch, capsys, argv):
+    # exit 1 means an experiment finished with failed conditions
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "est.csv").write_text("3.0\n")
+    (tmp_path / "scene.conf").write_text("scene.kind = file\nscene.path = missing.csv\n")
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "missing." in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["estimate", "--config", "f.bin", "--estimator", "t0", "--out", "est.csv"],
+    ["estimate", "--config", "exp.conf", "--estimator", "t0", "--bounds", "f.bin",
+     "--out", "est.csv"],
+    ["evaluate", "--truth", "f.bin", "--est", "f.bin"],
+])
+def test_binary_file_as_text_input_exits_2(conf, tmp_path, monkeypatch, capsys, argv):
+    # a channel grid is not UTF-8 text; its bytes fail the parser's own checks
+    monkeypatch.chdir(tmp_path)
+    harness.write_channel_grid("f.bin", np.full((1, 2, 3), -2.5e-38))
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: f.bin: ") and captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv, conf_line", [

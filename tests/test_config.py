@@ -39,7 +39,7 @@ def test_known_keys():
         "step.k_pct", "step.gamma", "step.beta1", "step.beta2", "step.decay_freeze_cycle",
         "scene.kind", "scene.z", "scene.width", "scene.height", "scene.n_steps",
         "scene.z_min", "scene.z_max", "scene.z_left", "scene.z_right", "scene.step_width",
-        "scene.phi_sig", "scene.phi_bkg", "scene.path", "scene.format",
+        "scene.phi_sig", "scene.phi_bkg", "scene.path",
         "experiment.pairs", "experiment.methods", "experiment.estimators",
         "experiment.n_monte_carlo", "experiment.seed", "experiment.out_dir", "experiment.q",
         "experiment.fixed_step_size", "experiment.inliers",
@@ -98,10 +98,10 @@ def test_scene_defaults_per_kind(tmp_path, kind, other_keys, params):
 
 def test_scene_from_file(tmp_path):
     depth = tmp_path / "room.raw"
-    save_grid(np.array([[3.0, 4.0], [5.0, 6.0]]), depth, "raw_f32")
-    conf = conf_of(tmp_path, f"scene.kind = file\nscene.path = {depth}\nscene.format = raw_f32\n"
+    save_grid(np.array([[3.0, 4.0], [5.0, 6.0]]), depth)
+    conf = conf_of(tmp_path, f"scene.kind = file\nscene.path = {depth}\n"
                              "scene.phi_sig = 0.5\nscene.phi_bkg = 3\n")
-    expected = Scene(load_depth_map(depth, "raw_f32"), 0.5, 3.0, label="room")
+    expected = Scene(load_depth_map(depth), 0.5, 3.0, label="room")
     assert_same_scene(build_scene(conf), expected)
 
 

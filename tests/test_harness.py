@@ -121,7 +121,7 @@ class TestPixelStreams:
         # near-noiseless run: lots of signal photons, no background
         sim = SimConfig(n_cycles=5000)
         scene = synth_scene("constant", z=7.5, width=1, height=1, phi_sig=5.0, phi_bkg=0.0)
-        [(cell, pixel, _tr, stream)] = harness.pixel_streams(scene, sim, [1])
+        [(cell, pixel, _tr, stream)] = harness.pixel_streams(scene, sim, 1)
         assert cell == (0, 0) and pixel == PixelConfig(7.5, 5.0, 0.0)
         bounds = harness.summarize(stream, "pedh", 32, StepParams(), 1.0)
         t = harness.estimate_bins("t0", bounds)

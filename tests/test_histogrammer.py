@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from edhsim.binner import StepParams, run_fixed, run_optimized
 from edhsim.errors import (
     BinCountError,
+    EmptyHistogramError,
     InvalidParamsError,
     PowerOfTwoError,
     TooFewPhotonsError,
@@ -219,7 +220,7 @@ class TestListRejected:
     def test_every_method_refuses_anything_but_one_stream(self, method, arg, bad):
         stream = PhotonStream.from_cycles([np.array([1.0, 5.0, 9.0, 300.0])] * 3, B)
         bad = {"list": [stream], "timestamps": stream.timestamps, "none": None}[bad]
-        with pytest.raises(InvalidParamsError, match=f"{method.__name__} runs over one PhotonStream"):
+        with pytest.raises(InvalidParamsError, match=f"stream of {method.__name__} must be one PhotonStream"):
             method(bad, arg)
 
 
@@ -348,6 +349,11 @@ class TestEwh:
         # array fails inside them), so the dtype is checked first
         with pytest.raises(InvalidParamsError, match="counts must be integers or floats"):
             EwHistogram(counts, 8.0)
+
+    def test_no_bins_refused_when_built(self):
+        # bin_width would divide by zero
+        with pytest.raises(EmptyHistogramError, match="histogram has no bins"):
+            EwHistogram(np.array([]), 1.0)
 
     @pytest.mark.parametrize("dtype", [np.int64, np.uint8, np.float32, np.float64])
     def test_integer_and_float_counts_accepted(self, dtype):

@@ -13,12 +13,15 @@ import pytest
 import edhsim
 from edhsim import binner
 from edhsim.binner import BinnerBank, BinnerState, StepParams
+from edhsim.cli import build_parser
+from edhsim.config import KNOWN_KEYS
 from edhsim.errors import EdhsimError
 from edhsim.harness import ExperimentConfig, SweepSpec, median_tracking_experiment
-from edhsim.histogrammer import EwHistogram
+from edhsim.histogrammer import EdhBoundaries, EwHistogram
 from edhsim.metrics import distance_metrics
-from edhsim.scene import DepthMap, PixelConfig, Scene, constant_scene
-from edhsim.transient import PhotonStream, SimConfig
+from edhsim.scene import (DepthMap, PixelConfig, Scene, constant_scene, load_depth_map, load_grid,
+                          save_grid, staircase_scene, two_plane_scene)
+from edhsim.transient import PhotonStream, SimConfig, Transient, build_transient, sample_stream, true_quantiles
 
 # (module, name) of removed names; a comment gives the replacement where one is needed
 REMOVED = [
@@ -46,7 +49,18 @@ REMOVED = [
     ("scene", "Scene.uniform"),        # Scene.uniform(d, s, b) -> Scene(d, s, b)
     ("scene", "Scene.pixel"),          # s.pixel(r, c) -> the (r, c) entry of s.iter_pixels()
     ("harness", "scene_summaries"),    # summarize(stream, ...) over pixel_streams(scene, sim, seeds)
-    ("harness", "_experiment_pixels"), # pixel_streams(replace(scene, phi_sig=, phi_bkg=), sim, seeds)
+    ("harness", "_experiment_pixels"), # pixel_streams(replace(scene, phi_sig=, phi_bkg=), sim, seed, *key)
+    # pixel_streams derives every per-pixel stream seed from (seed, *key, pixel index)
+    ("harness", "pipeline_stream_seed"),  # pipeline_streams(scene, sim, seed)
+    ("harness", "_experiment_seeds"),
+    # one raw_f32 codec in scene serves depth maps and channel grids
+    ("harness", "_FEATURE_HEADER"),
+    ("harness", "FEATURE_MAGIC"),
+    ("scene", "RAW_MAGIC"),
+    ("scene", "_parse_raw"),           # _parse_raw(p) -> read_raw(p, 2)
+    # a grid file's format is read off the file and written by its name
+    ("cli", "_fmt_of"),
+    ("histogrammer", "_check_stream"), # -> errors.check_type
 ]
 
 
@@ -71,6 +85,15 @@ def test_unread_fields_are_gone():
     assert "seed" not in {f.name for f in fields(PhotonStream)}
     assert "params" not in {f.name for f in fields(BinnerState)}
     assert "clip" not in {f.name for f in fields(StepParams)}
+
+
+def test_no_format_parameter_or_key():
+    # loading reads the format off the file, saving takes it from the name
+    for fn in (save_grid, load_grid, load_depth_map):
+        assert "fmt" not in inspect.signature(fn).parameters
+    assert "scene.format" not in KNOWN_KEYS
+    edh = next(a for a in build_parser()._actions if a.dest == "command").choices["edh"]
+    assert "raw_out" not in {a.dest for a in edh._actions}
 
 
 def test_bank_has_no_stream_axis():
@@ -132,6 +155,11 @@ REAL_INPUTS = {
     "median_tracking_experiment.bkg_levels": lambda v: _median_track(bkg_levels=[v]),
     "median_tracking_experiment.distances": lambda v: _median_track(distances=[v]),
     "median_tracking_experiment.phi_sig": lambda v: _median_track(phi_sig=v),
+    "constant_scene.z": lambda v: constant_scene(1.0, 1.0, z=v),
+    "staircase_scene.z_min": lambda v: staircase_scene(1.0, 1.0, z_min=v),
+    "staircase_scene.z_max": lambda v: staircase_scene(1.0, 1.0, z_max=v),
+    "two_plane_scene.z_left": lambda v: two_plane_scene(1.0, 1.0, z_left=v),
+    "two_plane_scene.z_right": lambda v: two_plane_scene(1.0, 1.0, z_right=v),
 }
 NOT_FINITE_REALS = [True, "a", None, 1j, float("nan"), float("inf")]
 
@@ -141,3 +169,51 @@ NOT_FINITE_REALS = [True, "a", None, 1j, float("nan"), float("inf")]
 def test_every_real_input_refuses_what_is_not_a_finite_real(name, value):
     with pytest.raises(EdhsimError, match="must be a real number in"):
         REAL_INPUTS[name](value)
+
+
+_SIM = SimConfig(n_bins=8, n_cycles=1)
+_TRANSIENT = build_transient(PixelConfig(5.0, 1.0, 1.0), _SIM)
+
+# every array-valued public input, each fed one array
+ARRAY_INPUTS = {
+    "BinnerBank.targets": lambda a: BinnerBank(a, StepParams(), 8),
+    "EdhBoundaries.bounds": lambda a: EdhBoundaries(2, np.repeat(a, 3)),
+    "EwHistogram.counts": lambda a: EwHistogram(a, 8.0),
+    "true_quantiles.fracs": lambda a: true_quantiles(_TRANSIENT, a),
+    "fixed_walk.edges": lambda a: binner.fixed_walk(_STREAM, 0, 1, a, [1.0, 1.0], 0.5, 1.0),
+    "fixed_walk.cvs": lambda a: binner.fixed_walk(_STREAM, 0, 1, [], a, 0.5, 1.0),
+    "Transient.values": lambda a: Transient(np.repeat(a, 2), SimConfig(n_bins=2)),
+    "PhotonStream.timestamps": lambda a: PhotonStream(a, np.array([0, 1]), 8),
+    "PhotonStream.cycle_offsets": lambda a: PhotonStream(np.array([]), a, 8),
+    "PhotonStream.from_cycles": lambda a: PhotonStream.from_cycles([a], 8),
+    "DepthMap.depths": lambda a: DepthMap(np.reshape(a, (1, 1))),
+}
+# numpy would convert each to floats; the dtype is checked before any value
+NOT_REAL_ARRAYS = [np.array(["0.5"]), np.array([True]), np.array([0.5 + 0j]),
+                   np.array([0.5], dtype=object)]
+
+
+@pytest.mark.parametrize("values", NOT_REAL_ARRAYS, ids=lambda a: a.dtype.name)
+@pytest.mark.parametrize("name", ARRAY_INPUTS)
+def test_every_array_input_refuses_what_is_not_integers_or_floats(name, values):
+    with pytest.raises(EdhsimError, match="must be integers or floats"):
+        ARRAY_INPUTS[name](values)
+
+
+# every public entry point that takes one object of a package type, fed a wrong one
+TYPED_INPUTS = {
+    "run_fixed.stream": lambda v: binner.run_fixed(v, 0.5, 1.0),
+    "run_optimized.stream": lambda v: binner.run_optimized(v, 0.5, StepParams()),
+    "run_optimized.params": lambda v: binner.run_optimized(_STREAM, 0.5, v),
+    "fixed_walk.stream": lambda v: binner.fixed_walk(v, 0, 1, [], [1.0], 0.5, 1.0),
+    "sample_stream.transient": lambda v: sample_stream(v, 10, 0),
+    "build_transient.pixel": lambda v: build_transient(v, _SIM),
+    "build_transient.config": lambda v: build_transient(PixelConfig(5.0, 1.0, 1.0), v),
+}
+
+
+@pytest.mark.parametrize("value", [None, [1.0]], ids=repr)
+@pytest.mark.parametrize("name", TYPED_INPUTS)
+def test_every_typed_input_refuses_another_type(name, value):
+    with pytest.raises(EdhsimError, match=f"must be one .*, not {type(value).__name__}"):
+        TYPED_INPUTS[name](value)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from edhsim.errors import DepthOutOfRangeError, InvalidParamsError, ParseError
+from edhsim.harness import read_channel_grid, write_channel_grid
 from edhsim.scene import (
     DepthMap,
     PixelConfig,
@@ -19,7 +20,7 @@ class TestDepthMapCsv:
     def test_two_row_single_column(self, tmp_path):
         p = tmp_path / "m.csv"
         p.write_text("7.5\n7.5\n")
-        m = load_depth_map(p, "csv")
+        m = load_depth_map(p)
         assert m.width == 1 and m.height == 2
         assert np.all(m.depths == np.float32(7.5))
 
@@ -27,40 +28,40 @@ class TestDepthMapCsv:
         p = tmp_path / "m.csv"
         p.write_text("-1.0\n")
         with pytest.raises(DepthOutOfRangeError):
-            load_depth_map(p, "csv")
+            load_depth_map(p)
 
     def test_depth_beyond_range_rejected(self, tmp_path):
         p = tmp_path / "m.csv"
         p.write_text(f"{DEFAULT_Z_MAX * 1.01}\n")
         with pytest.raises(DepthOutOfRangeError):
-            load_depth_map(p, "csv")
+            load_depth_map(p)
 
     def test_header_roundtrip_and_mismatch(self, tmp_path):
         p = tmp_path / "m.csv"
         p.write_text("# 2 1\n1.0,2.0\n")
-        m = load_depth_map(p, "csv")
+        m = load_depth_map(p)
         assert m.width == 2 and m.height == 1
         p.write_text("# 3 1\n1.0,2.0\n")
         with pytest.raises(ParseError):
-            load_depth_map(p, "csv")
+            load_depth_map(p)
 
     def test_ragged_rows_rejected(self, tmp_path):
         p = tmp_path / "m.csv"
         p.write_text("1.0,2.0\n3.0\n")
         with pytest.raises(ParseError):
-            load_depth_map(p, "csv")
+            load_depth_map(p)
 
     def test_non_numeric_rejected(self, tmp_path):
         p = tmp_path / "m.csv"
         p.write_text("1.0,abc\n")
         with pytest.raises(ParseError):
-            load_depth_map(p, "csv")
+            load_depth_map(p)
 
     def test_empty_rejected(self, tmp_path):
         p = tmp_path / "m.csv"
         p.write_text("\n")
         with pytest.raises(ParseError):
-            load_depth_map(p, "csv")
+            load_depth_map(p)
 
 
 class TestDepthMapRaw:
@@ -73,15 +74,16 @@ class TestDepthMapRaw:
             struct.pack("<4sIII", b"EDHD", 2, 2, 0)
             + np.array(values, dtype="<f4").tobytes()
         )
-        m = load_depth_map(p, "raw_f32")
+        m = load_depth_map(p)
         assert m.depths.shape == (2, 2)
         assert np.array_equal(m.depths.ravel(), np.array(values, dtype=np.float32))
 
     def test_bad_magic(self, tmp_path):
+        # not EDHD, so it is read as CSV and refused as one
         p = tmp_path / "m.bin"
         p.write_bytes(b"XXXX" + b"\0" * 12)
         with pytest.raises(ParseError):
-            load_depth_map(p, "raw_f32")
+            load_depth_map(p)
 
     def test_truncated_payload(self, tmp_path):
         import struct
@@ -89,25 +91,53 @@ class TestDepthMapRaw:
         p = tmp_path / "m.bin"
         p.write_bytes(struct.pack("<4sIII", b"EDHD", 2, 2, 0) + b"\0" * 8)
         with pytest.raises(ParseError):
-            load_depth_map(p, "raw_f32")
+            load_depth_map(p)
 
 
-@pytest.mark.parametrize("fmt", ["csv", "raw_f32"])
-def test_save_load_bit_exact(tmp_path, fmt):
+@pytest.mark.parametrize("name", ["m.csv", "m.bin"], ids=["csv", "raw_f32"])
+def test_save_load_bit_exact(tmp_path, name):
     rng = np.random.default_rng(0)
     grid = rng.uniform(0.1, 14.9, size=(5, 7)).astype(np.float32)
     m = DepthMap(grid)
-    p = tmp_path / ("m.csv" if fmt == "csv" else "m.bin")
-    save_grid(m.depths, p, fmt)
-    again = load_depth_map(p, fmt)
+    p = tmp_path / name
+    save_grid(m.depths, p)
+    again = load_depth_map(p)
     assert np.array_equal(m.depths, again.depths)
     assert m.depths.dtype == again.depths.dtype
+
+
+@pytest.mark.parametrize("name, raw", [("m.csv", False), ("m.bin", True), ("m.csv.txt", True),
+                                       ("m", True)])
+def test_save_grid_writes_csv_only_under_a_csv_name(tmp_path, name, raw):
+    save_grid(np.full((2, 3), 4.5), tmp_path / name)
+    assert (tmp_path / name).read_bytes().startswith(b"EDHD") == raw
+    assert np.array_equal(load_grid(tmp_path / name), np.full((2, 3), 4.5, dtype=np.float32))
+
+
+def test_format_is_read_off_the_file_not_its_name(tmp_path):
+    # a raw grid under a .csv name, and a CSV grid under another name
+    save_grid(np.ones((1, 2)), tmp_path / "raw.bin")
+    (tmp_path / "raw.bin").rename(tmp_path / "raw.csv")
+    (tmp_path / "text.bin").write_text("1.0,1.0\n")
+    for name in ("raw.csv", "text.bin"):
+        assert np.array_equal(load_grid(tmp_path / name), np.ones((1, 2), dtype=np.float32))
+
+
+def test_channel_grid_is_not_a_depth_map(tmp_path):
+    # an EDHF file is not raw_f32 depth, so it is read as CSV, and refused
+    # as one whatever bytes its values hold
+    write_channel_grid(tmp_path / "f.bin", np.full((1, 2, 3), -2.5e-38))
+    with pytest.raises(ParseError, match="line 1: non-numeric value"):
+        load_grid(tmp_path / "f.bin")
+    save_grid(np.ones((1, 2)), tmp_path / "d.bin")
+    with pytest.raises(ParseError, match="bad magic b'EDHD', expected b'EDHF'"):
+        read_channel_grid(tmp_path / "d.bin")
 
 
 def test_load_grid_allows_zero(tmp_path):
     p = tmp_path / "est.csv"
     p.write_text("0.0,1.0\n")
-    grid = load_grid(p, "csv")
+    grid = load_grid(p)
     assert grid[0, 0] == 0.0
 
 
