@@ -1,6 +1,6 @@
-/* The compiled loops of edhsim: the two binner stepping rules, the photon
- * placement of sample_stream and the pulse CDF of build_transient, one C
- * function each.
+/* The compiled loops of edhsim: the two binner stepping rules, the random
+ * draws and photon placement of sample_stream and the pulse CDF of
+ * build_transient, one C function each.
  *
  * Built on first use by edhsim/kernel.py at -O3 with -ffp-contract=off and
  * never -ffast-math, and called through ctypes. Each stepping loop does the
@@ -10,7 +10,10 @@
  * A loop that gcc vectorizes does each element's operations in the same
  * order, one rounding each, so every result stays bit-identical to the
  * tests' Python reference loop for the rule.
- * The placement repeats numpy's product, sum and clamps on the same draws.
+ * The draws are numpy's PCG64 and Poisson code, step for step, on
+ * unsigned __int128 (gcc and clang have it on 64-bit targets), so numpy
+ * only seeds; the placement repeats numpy's product, sum and clamps on
+ * those draws.
  * The pulse CDF is Cephes ndtr (S. L. Moshier, 1989), scipy.special.ndtr's
  * code, kept operation for operation.
  */
@@ -165,6 +168,208 @@ int edh_fixed_walk(const double *ts, const int64_t *offsets, int64_t c0, int64_t
     return 0;
 }
 
+/* numpy's PCG64 (M. E. O'Neill, 2014): a 128-bit LCG, state = state *
+ * PCG_MULT + inc, whose 64-bit output is the XSL-RR of the new state.
+ * numpy's random() is the output's top 53 bits times 2^-53. A caller passes
+ * a state as four words: state high, state low, inc high, inc low. The
+ * 128-bit arithmetic is unsigned __int128, which gcc and clang provide on
+ * 64-bit targets. */
+typedef unsigned __int128 u128;
+#define PCG_MULT ((u128)0x2360ED051FC65DA4ULL << 64 | 0x4385DF649FCCF645ULL)
+
+static u128 load_u128(const uint64_t *w)
+{
+    return (u128)w[0] << 64 | w[1];
+}
+
+static void store_u128(uint64_t *w, u128 x)
+{
+    w[0] = (uint64_t)(x >> 64);
+    w[1] = (uint64_t)x;
+}
+
+/* random() of the PCG64 whose new state is state */
+static inline double pcg_double(u128 state)
+{
+    uint64_t x = (uint64_t)(state >> 64) ^ (uint64_t)state;
+    unsigned rot = (unsigned)(state >> 122);
+    x = x >> rot | x << (-rot & 63);
+    return (double)(x >> 11) * (1.0 / 9007199254740992.0);
+}
+
+/* The PCG64 state delta draws after state: the LCG taken delta times is one
+ * step x -> x * m + p, found in O(log delta) squarings (F. B. Brown, 1994). */
+static u128 pcg_advance(u128 state, u128 inc, u128 delta)
+{
+    u128 mult = PCG_MULT, plus = inc, m = 1, p = 0;
+    for (; delta; delta >>= 1) {
+        if (delta & 1) {
+            m *= mult;
+            p = p * mult + plus;
+        }
+        plus *= mult + 1;
+        mult *= mult;
+    }
+    return state * m + p;
+}
+
+/* One PCG64's random() draws, in order, made GROUP at a time, so that a
+ * refill's steps overlap the work done with the draws before them. On
+ * x86-64 with gcc 12, groups of 8 made the placement's draws about a
+ * quarter cheaper than one step per draw, and slowed the counts less than
+ * groups of 16 or more did; stepping 4 or 8 interleaved copies of the LCG
+ * instead of one saved under 2% of counts and placement together
+ * (BENCH_kernel_draws.json). buf[next:] are the group's draws not yet
+ * taken. */
+#define GROUP 8
+struct uniforms {
+    u128 state, inc;
+    double buf[GROUP];
+    int next;
+    int64_t groups;
+};
+
+static void uniforms_start(struct uniforms *u, u128 state, u128 inc)
+{
+    u->state = state * PCG_MULT + inc;
+    u->inc = inc;
+    u->next = GROUP;
+    u->groups = 0;
+}
+
+static inline double uniform(struct uniforms *u)
+{
+    if (u->next == GROUP) {
+        for (int i = 0; i < GROUP; i++) {
+            u->buf[i] = pcg_double(u->state);
+            u->state = u->state * PCG_MULT + u->inc;
+        }
+        u->next = 0;
+        u->groups++;
+    }
+    return u->buf[u->next++];
+}
+
+/* Draws taken from u so far. */
+static int64_t uniforms_taken(const struct uniforms *u)
+{
+    return u->groups * GROUP - (GROUP - u->next);
+}
+
+/* numpy's random_loggam: log Gamma(x) by Stirling's series at x + n >= 7,
+ * then n logs down to x. */
+static const double LOGGAM_A[] = {
+    8.333333333333333e-02, -2.777777777777778e-03, 7.936507936507937e-04,
+    -5.952380952380952e-04, 8.417508417508418e-04, -1.917526917526918e-03,
+    6.410256410256410e-03, -2.955065359477124e-02, 1.796443723688307e-01,
+    -1.39243221690590e+00};
+#define LG2PI 1.8378770664093453e+00 /* log(2 pi) */
+
+static double loggam(double x)
+{
+    if (x == 1.0 || x == 2.0)
+        return 0.0;
+    int64_t n = x < 7.0 ? (int64_t)(7 - x) : 0;
+    double x0 = x + n, x2 = (1.0 / x0) * (1.0 / x0), gl0 = LOGGAM_A[9];
+    for (int k = 8; k >= 0; k--) {
+        gl0 *= x2;
+        gl0 += LOGGAM_A[k];
+    }
+    double gl = gl0 / x0 + 0.5 * LG2PI + (x0 - 0.5) * log(x0) - x0;
+    if (x < 7.0)
+        for (int64_t k = 1; k <= n; k++) {
+            gl -= log(x0 - 1.0);
+            x0 -= 1.0;
+        }
+    return gl;
+}
+
+/* out[i] = loggam(x[i]); out may be x. Exported so that the tests can hold
+ * it to numpy's bit for bit: few PTRS draws reach it. */
+void edh_loggam(const double *x, int64_t n, double *out)
+{
+    for (int64_t i = 0; i < n; i++)
+        out[i] = loggam(x[i]);
+}
+
+/* The constants of numpy's PTRS at one lam. */
+struct ptrs {
+    double lam, loglam, a, b, invalpha, vr;
+};
+
+static struct ptrs ptrs_at(double lam)
+{
+    struct ptrs p = {lam, log(lam)};
+    p.b = 0.931 + 2.53 * sqrt(lam);
+    p.a = -0.059 + 0.02483 * p.b;
+    p.invalpha = 1.1239 + 1.1328 / (p.b - 3.4);
+    p.vr = 0.9277 - 3.6224 / (p.b - 2);
+    return p;
+}
+
+/* numpy's random_poisson_ptrs, transformed rejection with squeeze
+ * (W. Hörmann, 1993), for lam >= 10. A k past int64's range converts as
+ * numpy's does on the same target and is refused as negative. */
+static int64_t poisson_ptrs(struct uniforms *u, const struct ptrs *p)
+{
+    for (;;) {
+        double U = uniform(u) - 0.5;
+        double V = uniform(u);
+        double us = 0.5 - fabs(U);
+        int64_t k = (int64_t)floor((2 * p->a / us + p->b) * U + p->lam + 0.43);
+        if (us >= 0.07 && V <= p->vr)
+            return k;
+        if (k < 0 || (us < 0.013 && V > us))
+            continue;
+        if (log(V) + log(p->invalpha) - log(p->a / (us * us) + p->b) <=
+            -p->lam + k * p->loglam - loggam(k + 1.0))
+            return k;
+    }
+}
+
+/* Poisson counts of n_cycles cycles at mean lam >= 0, drawn as numpy's
+ * Generator.poisson(lam, n_cycles) draws them from the PCG64 in pcg: PTRS
+ * from 10 on, no draw at 0, and else the multiplication method, with
+ * exp(-lam) taken once (numpy takes the same value for every count).
+ * offsets[0] = 0 and offsets[c + 1] = offsets[c] + count c; pcg is left
+ * after the count draws. Returns 0, or 1 if a running total would pass
+ * INT64_MAX (pcg and offsets are then unspecified). */
+int edh_poisson_offsets(double lam, int64_t n_cycles, uint64_t *pcg, int64_t *offsets)
+{
+    u128 state = load_u128(pcg), inc = load_u128(pcg + 2);
+    struct uniforms u;
+    uniforms_start(&u, state, inc);
+    offsets[0] = 0;
+    if (lam >= 10) {
+        struct ptrs p = ptrs_at(lam);
+        for (int64_t c = 0; c < n_cycles; c++) {
+            int64_t k = poisson_ptrs(&u, &p);
+            if (k > INT64_MAX - offsets[c])
+                return 1;
+            offsets[c + 1] = offsets[c] + k;
+        }
+    } else if (lam != 0) {
+        /* A count is the number of running products of uniforms above
+         * exp(-lam) before the first at or below it. One pass over the
+         * draws, with no branch on where a count ends, keeps the
+         * processor from mispredicting that end once per cycle; each draw
+         * adds at most 1, so the total cannot overflow. */
+        double enlam = exp(-lam), prod = 1.0;
+        for (int64_t c = 0, total = 0; c < n_cycles;) {
+            prod *= uniform(&u);
+            int more = prod > enlam;
+            total += more;
+            offsets[c + 1] = total;
+            c += !more;
+            prod = more ? prod : 1.0;
+        }
+    } else
+        for (int64_t c = 0; c < n_cycles; c++)
+            offsets[c + 1] = 0;
+    store_u128(pcg, pcg_advance(state, inc, (u128)uniforms_taken(&u)));
+    return 0;
+}
+
 /* Runs longer than this are sorted with qsort, since insertion costs grow
  * with the square of the run; both orders are exact. Insertion was faster
  * up to about 300 photons per cycle on x86-64 with gcc 12. */
@@ -176,24 +381,26 @@ static int compare_doubles(const void *a, const void *b)
     return (x > y) - (x < y);
 }
 
-/* Photon placement for sample_stream, after its random draws.
+/* The photon placement of sample_stream, the one loop behind both entries
+ * below.
  *
  * cum holds the running sum of the transient's n_bins values (cum[n_bins-1]
  * is the total), offsets[c]:offsets[c+1] are cycle c's photons, and photon i
- * has bin uniform ub[i] and jitter uniform uj[i]. Photon i goes to bin k, the
- * number of knots cum[k] <= ub[i] * total (numpy's right-sided searchsorted),
- * held to n_bins - 1, lands at k + uj[i], held below n_bins, and is inserted
- * into its cycle's ascending run in ts. Tied positions are equal doubles, so
- * the bytes match a (cycle, position) sort.
+ * has bin uniform ub[i] and jitter uniform uj[i], or, when ub is NULL, the
+ * next draws of bin and jit. Photon i goes to bin k, the number of knots
+ * cum[k] <= ub[i] * total (numpy's right-sided searchsorted), held to
+ * n_bins - 1, lands at k + uj[i], held below n_bins, and is inserted into its
+ * cycle's ascending run in ts. Tied positions are equal doubles, so the bytes
+ * match a (cycle, position) sort.
  *
  * The knot search starts from hint[b], the knots at or below the lower edge
  * of the photon's bucket b = floor(ub * n_bins); one merge pass over cum fills
  * the table. The scan down and up from the hint alone decides k, so the hint
  * only sets the cost: a uniform ub falls in each bucket with chance
  * 1 / n_bins, so the expected scan is about one knot whatever cum looks like. */
-void edh_place_photons(const double *cum, int64_t n_bins, const int64_t *offsets,
-                       int64_t n_cycles, const double *ub, const double *uj,
-                       int64_t *hint, double *ts)
+static void place_photons(const double *cum, int64_t n_bins, const int64_t *offsets,
+                          int64_t n_cycles, const double *ub, const double *uj,
+                          struct uniforms *bin, struct uniforms *jit, int64_t *hint, double *ts)
 {
     double total = cum[n_bins - 1], nb = (double)n_bins;
     double top = nextafter(nb, 0.0);
@@ -207,14 +414,15 @@ void edh_place_photons(const double *cum, int64_t n_bins, const int64_t *offsets
         int64_t start = offsets[c], end = offsets[c + 1];
         int insert = end - start <= LONG_RUN;
         for (int64_t i = start; i < end; i++) {
-            double x = ub[i] * total;
-            int64_t b = (int64_t)(ub[i] * nb);
+            double u = ub ? ub[i] : uniform(bin), j = ub ? uj[i] : uniform(jit);
+            double x = u * total;
+            int64_t b = (int64_t)(u * nb);
             int64_t k = hint[b < n_bins ? b : n_bins - 1];
             while (k > 0 && cum[k - 1] > x)
                 k--;
             while (k < n_bins && cum[k] <= x)
                 k++;
-            double pos = (double)(k < n_bins ? k : n_bins - 1) + uj[i];
+            double pos = (double)(k < n_bins ? k : n_bins - 1) + j;
             pos = pos < top ? pos : top;
             int64_t m = i;
             while (insert && m > start && ts[m - 1] > pos) {
@@ -226,6 +434,30 @@ void edh_place_photons(const double *cum, int64_t n_bins, const int64_t *offsets
         if (!insert)
             qsort(ts + start, (size_t)(end - start), sizeof *ts, compare_doubles);
     }
+}
+
+/* The placement on the caller's draws ub and uj. */
+void edh_place_photons(const double *cum, int64_t n_bins, const int64_t *offsets,
+                       int64_t n_cycles, const double *ub, const double *uj,
+                       int64_t *hint, double *ts)
+{
+    place_photons(cum, n_bins, offsets, n_cycles, ub, uj, NULL, NULL, hint, ts);
+}
+
+/* The placement of the N = offsets[n_cycles] photons whose counts
+ * edh_poisson_offsets drew, on the draws numpy's random(N), twice, would
+ * give next: the bin uniforms from the PCG64 in pcg and the jitter uniforms
+ * from a copy advanced by N, in one pass. pcg is left advanced by 2N, where
+ * those two calls leave it. */
+void edh_sample_photons(const double *cum, int64_t n_bins, const int64_t *offsets,
+                        int64_t n_cycles, uint64_t *pcg, int64_t *hint, double *ts)
+{
+    u128 state = load_u128(pcg), inc = load_u128(pcg + 2), n = (u128)offsets[n_cycles];
+    struct uniforms bin, jit;
+    uniforms_start(&bin, state, inc);
+    uniforms_start(&jit, pcg_advance(state, inc, n), inc);
+    place_photons(cum, n_bins, offsets, n_cycles, NULL, NULL, &bin, &jit, hint, ts);
+    store_u128(pcg, pcg_advance(state, inc, 2 * n));
 }
 
 /* The pulse CDF of build_transient: a port of Cephes ndtr, erf and erfc

@@ -1,15 +1,18 @@
 """Build and load the compiled kernel, ``kernel.c``: the binner stepping
-rules behind :mod:`edhsim.binner`, and the pulse CDF and photon placement
-behind :func:`edhsim.transient.build_transient` and
-:func:`edhsim.transient.sample_stream`.
+rules behind :mod:`edhsim.binner`, the pulse CDF behind
+:func:`edhsim.transient.build_transient`, and the random draws and photon
+placement behind :func:`edhsim.transient.sample_stream`, which replay
+numpy's PCG64 ``Generator`` draw for draw.
 
 The library is compiled on first use with the C compiler Python was built
-with (``sysconfig``'s ``CC``), so a C compiler is a run-time requirement. It
-is cached under ``$XDG_CACHE_HOME/edhsim`` (default ``~/.cache/edhsim``) in a
-file named by the SHA-256 of the source, the compile command and the
-interpreter's extension suffix; a later run, or an edited source, finds its
-own file. Each build writes a temporary file and renames it into place, so
-two processes building at once both end with a whole library.
+with (``sysconfig``'s ``CC``), so a C compiler is a run-time requirement; it
+must have ``unsigned __int128`` for PCG64's 128-bit state, as gcc and clang
+do on 64-bit targets. It is cached under ``$XDG_CACHE_HOME/edhsim``
+(default ``~/.cache/edhsim``) in a file named by the SHA-256 of the source,
+the compile command and the interpreter's extension suffix; a later run, or
+an edited source, finds its own file. Each build writes a temporary file and
+renames it into place, so two processes building at once both end with a
+whole library.
 
 ``-O3`` lets GCC vectorize the bank's block count and update (GCC 12 does
 not at ``-O2``); a vectorized loop does each element's operations in the
@@ -17,8 +20,8 @@ source's order, one rounding each, so the bits do not change.
 ``-ffp-contract=off`` stops the compiler from fusing ``a*b + c`` into one
 rounding (GCC does by default where the target has FMA), and ``-ffast-math``
 is never passed: either would change the bits that the tests' reference
-loops for each stepping rule, the sampler's numpy reference and
-``scipy.special.ndtr`` pin.
+loops for each stepping rule, the sampler's numpy reference (numpy's own
+draws) and ``scipy.special.ndtr`` pin.
 """
 
 from __future__ import annotations
@@ -88,6 +91,10 @@ def _int64s(writeable=False):
     return np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS" + (",W" if writeable else ""))
 
 
+def _uint64s(writeable=False):
+    return np.ctypeslib.ndpointer(np.uint64, flags="C_CONTIGUOUS" + (",W" if writeable else ""))
+
+
 @functools.cache
 def library() -> ctypes.CDLL:
     """The loaded kernel, with every function's argument and result types
@@ -103,10 +110,18 @@ def library() -> ctypes.CDLL:
     lib.edh_fixed_walk.argtypes = [
         _doubles(), _int64s(), i64, i64, _doubles(), i64, f64, _doubles(True), f64, f64,
     ]
+    lib.edh_poisson_offsets.restype = ctypes.c_int
+    lib.edh_poisson_offsets.argtypes = [f64, i64, _uint64s(True), _int64s(True)]
+    lib.edh_sample_photons.restype = None
+    lib.edh_sample_photons.argtypes = [
+        _doubles(), i64, _int64s(), i64, _uint64s(True), _int64s(True), _doubles(True),
+    ]
     lib.edh_place_photons.restype = None
     lib.edh_place_photons.argtypes = [
         _doubles(), i64, _int64s(), i64, _doubles(), _doubles(), _int64s(True), _doubles(True),
     ]
+    lib.edh_loggam.restype = None
+    lib.edh_loggam.argtypes = [_doubles(), i64, _doubles(True)]
     lib.edh_ndtr.restype = None
     lib.edh_ndtr.argtypes = [_doubles(), i64, _doubles(True)]
     return lib

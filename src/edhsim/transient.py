@@ -241,6 +241,24 @@ class PhotonStream:
         return h.hexdigest()
 
 
+# The largest Poisson mean numpy's Generator.poisson accepts, its own bound
+POISSON_LAM_MAX = float(np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10)
+
+
+def _pcg64(seed) -> tuple[np.random.PCG64, bool]:
+    """The PCG64 that ``np.random.default_rng(seed)`` would draw from, and
+    whether the caller holds it, so that its state must be written back."""
+    if isinstance(seed, np.random.Generator):
+        seed = seed.bit_generator
+    if isinstance(seed, np.random.BitGenerator):
+        check_type("bit generator of sample_stream", seed, np.random.PCG64)
+        return seed, True
+    try:
+        return np.random.PCG64(seed), False
+    except (TypeError, ValueError) as e:
+        raise InvalidParamsError(f"seed of sample_stream: {e}") from None
+
+
 def sample_stream(transient: Transient, n_cycles: int, seed) -> PhotonStream:
     """Sample an exposure of ``n_cycles`` independent laser cycles.
 
@@ -250,31 +268,54 @@ def sample_stream(transient: Transient, n_cycles: int, seed) -> PhotonStream:
     transient gives ``n_cycles`` empty cycles. Identical ``(transient,
     n_cycles, seed)`` always reproduces the identical stream.
 
-    Draw order, from one PCG64 seeded with ``seed``: all ``n_cycles`` counts,
-    then one bin uniform per photon (inverse CDF over the running sum of
-    ``values``), then one jitter uniform per photon, photons numbered cycle
-    by cycle. The compiled kernel (``edh_place_photons``) then places each
-    photon exactly: its bin is a right-sided search of the draw times
-    ``total`` over the knots, held to ``n_bins - 1``; its position, bin plus
-    jitter, is held below ``n_bins`` and inserted into its cycle's ascending
-    run. Tied positions are equal floats, so the stream matches a
-    (cycle, position) lexicographic sort byte for byte.
+    ``seed`` is anything ``np.random.default_rng`` takes: a seed, which
+    seeds a new PCG64, or a ``Generator`` or ``BitGenerator`` on a PCG64,
+    which is drawn from and left where numpy's own draws would leave it.
+
+    Draw order, from that PCG64: all ``n_cycles`` counts, as
+    ``Generator.poisson`` draws them, then one bin uniform per photon
+    (inverse CDF over the running sum of ``values``), then one jitter
+    uniform per photon, as two ``Generator.random`` calls give them, photons
+    numbered cycle by cycle. numpy only seeds: the compiled kernel replays
+    every draw bit for bit (``edh_poisson_offsets``, then
+    ``edh_sample_photons``, which draws each photon's two uniforms from two
+    copies of the state, the second jumped ahead past the bin uniforms).
+    It places each photon exactly: its bin is a right-sided search of the
+    draw times ``total`` over the knots, held to ``n_bins - 1``; its
+    position, bin plus jitter, is held below ``n_bins`` and inserted into its
+    cycle's ascending run. Tied positions are equal floats, so the stream
+    matches a (cycle, position) lexicographic sort byte for byte.
 
     Raises:
-        InvalidParamsError: unless ``transient`` is a :class:`Transient`.
+        InvalidParamsError: unless ``transient`` is a :class:`Transient`; if
+            ``seed`` is not a seed numpy takes or a generator on a PCG64; if
+            the total mean passes :data:`POISSON_LAM_MAX`, numpy's bound; or
+            if the exposure's photon count would overflow int64.
         KernelBuildError: if the kernel is not built yet and cannot be.
     """
     check_type("transient of sample_stream", transient, Transient)
     n_cycles = check_int("n_cycles", n_cycles, 1)
     cfg = transient.config
-    rng = np.random.default_rng(seed)
-    cum = np.cumsum(transient.values)
+    with np.errstate(over="ignore"):  # a sum past the largest double is refused below
+        cum = np.cumsum(transient.values)
     total = cum[-1]
-    counts = rng.poisson(total, size=n_cycles) if total > 0.0 else np.zeros(n_cycles, np.int64)
-    offsets = np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
-    ub = rng.random(offsets[-1])
-    uj = rng.random(offsets[-1])
-    positions = np.empty(offsets[-1], dtype=np.float64)
-    kernel.library().edh_place_photons(cum, cfg.n_bins, offsets, n_cycles, ub, uj,
-                                       np.empty(cfg.n_bins, np.int64), positions)
+    if not total <= POISSON_LAM_MAX:
+        raise InvalidParamsError(f"total photons per cycle {float(total)!r} exceeds numpy's "
+                                 f"Poisson bound {POISSON_LAM_MAX!r}")
+    bitgen, held = _pcg64(seed)
+    lib = kernel.library()
+    with bitgen.lock:  # held, as numpy holds it for its own draws
+        pcg = bitgen.state  # the kernel takes the 128-bit state and increment as high, low words
+        words = np.array([*divmod(pcg["state"]["state"], 2**64),
+                          *divmod(pcg["state"]["inc"], 2**64)], np.uint64)
+        offsets = np.empty(n_cycles + 1, np.int64)
+        if lib.edh_poisson_offsets(total, n_cycles, words, offsets):
+            raise InvalidParamsError(f"the photon count of {n_cycles} cycles at {float(total)!r} "
+                                     f"photons per cycle overflows int64")
+        positions = np.empty(offsets[-1], dtype=np.float64)
+        lib.edh_sample_photons(cum, cfg.n_bins, offsets, n_cycles, words,
+                               np.empty(cfg.n_bins, np.int64), positions)
+        if held:
+            pcg["state"]["state"] = int(words[0]) << 64 | int(words[1])
+            bitgen.state = pcg
     return PhotonStream(positions, offsets, cfg.n_bins)

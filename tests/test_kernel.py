@@ -134,8 +134,8 @@ def test_declared_argument_counts_match_the_c_definitions():
     # every argument after it
     source = kernel.SOURCE.read_text()
     definitions = dict(re.findall(r"^\w[\w ]*?\b(edh_\w+)\(([^)]*)\)\s*\{", source, re.MULTILINE))
-    assert sorted(definitions) == ["edh_fixed_walk", "edh_ndtr", "edh_optimized_bank",
-                                   "edh_place_photons"]
+    assert sorted(definitions) == ["edh_fixed_walk", "edh_loggam", "edh_ndtr", "edh_optimized_bank",
+                                   "edh_place_photons", "edh_poisson_offsets", "edh_sample_photons"]
     lib = kernel.library()
     for name, params in definitions.items():
         assert len(params.split(",")) == len(getattr(lib, name).argtypes), name

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -8,8 +10,10 @@ from scipy.stats import norm
 
 from edhsim import kernel
 from edhsim.errors import DistanceExceedsRangeError, InvalidParamsError
+from edhsim.harness import derive_seed
 from edhsim.scene import PixelConfig
 from edhsim.transient import (
+    POISSON_LAM_MAX,
     PhotonStream,
     SimConfig,
     Transient,
@@ -19,6 +23,13 @@ from edhsim.transient import (
 )
 
 SIM = SimConfig()
+
+
+def flat(total, n_bins=16):
+    """A flat transient whose running sum ends exactly at ``total``."""
+    tr = Transient(np.full(n_bins, total / n_bins), SimConfig(n_bins=n_bins))
+    assert np.cumsum(tr.values)[-1] == total
+    return tr
 
 
 def reference_sample_stream(transient, n_cycles, seed):
@@ -275,6 +286,57 @@ class TestSampleStream:
         assert stream.timestamps.min() >= 0.0
         assert stream.timestamps.max() < SIM.n_bins
 
+    def test_total_past_numpys_poisson_bound_refused(self):
+        # numpy's own refusal of such a mean is a ValueError
+        with pytest.raises(InvalidParamsError, match="Poisson bound"):
+            sample_stream(build_transient(PixelConfig(7.5, 1e19, 1.0), SIM), 1, 0)
+        with pytest.raises(InvalidParamsError, match="Poisson bound"):
+            sample_stream(flat(np.nextafter(POISSON_LAM_MAX, np.inf)), 1, 0)
+        big = np.full(SIM.n_bins, 1e306)  # the running sum overflows to inf
+        with pytest.raises(InvalidParamsError, match="Poisson bound"):
+            sample_stream(Transient(big, SIM), 1, 0)
+
+    def test_photon_count_past_int64_refused(self):
+        with pytest.raises(InvalidParamsError, match="overflows int64"):
+            sample_stream(flat(POISSON_LAM_MAX), 2, 0)
+
+    @pytest.mark.parametrize("make", [np.random.default_rng, np.random.PCG64], ids=["Generator", "PCG64"])
+    def test_a_pcg64_generator_is_drawn_from_as_numpy_would(self, make):
+        tr = build_transient(PixelConfig(7.5, 1.0, 2.0), SIM)
+        ours, theirs = make(9), np.random.default_rng(9)
+        theirs.integers(2**32, dtype=np.uint32)  # a buffered 32-bit half rides along
+        ours_gen = ours if isinstance(ours, np.random.Generator) else np.random.Generator(ours)
+        ours_gen.integers(2**32, dtype=np.uint32)
+        for _ in range(2):
+            got = sample_stream(tr, 300, ours)
+            assert got.checksum() == reference_sample_stream(tr, 300, theirs).checksum()
+        assert ours_gen.bit_generator.state == theirs.bit_generator.state
+        sample_stream(Transient(np.zeros(SIM.n_bins), SIM), 5, ours)  # no draws, as numpy
+        assert ours_gen.bit_generator.state == theirs.bit_generator.state
+
+    @pytest.mark.parametrize("bitgen", [np.random.MT19937, np.random.Philox, np.random.SFC64,
+                                        np.random.PCG64DXSM])
+    def test_other_bit_generators_refused(self, bitgen):
+        tr = build_transient(PixelConfig(7.5, 1.0, 2.0), SIM)
+        for seed in (bitgen(1), np.random.Generator(bitgen(1))):
+            with pytest.raises(InvalidParamsError, match=f"must be one PCG64, not {bitgen.__name__}"):
+                sample_stream(tr, 10, seed)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "seed", [1, -2]], ids=repr)
+    def test_seed_numpy_refuses_refused(self, seed):
+        with pytest.raises(InvalidParamsError, match="seed of sample_stream"):
+            sample_stream(build_transient(PixelConfig(7.5, 1.0, 2.0), SIM), 10, seed)
+
+    def test_numpy_only_seeds(self, monkeypatch):
+        # every draw is made in the kernel: no numpy Generator is built
+        class NoGenerator:
+            def __init__(self, *args, **kwargs):
+                raise AssertionError("sample_stream built a numpy Generator")
+        monkeypatch.setattr(np.random, "default_rng", NoGenerator)
+        monkeypatch.setattr(np.random, "Generator", NoGenerator)
+        tr = build_transient(PixelConfig(7.5, 1.0, 2.0), SIM)
+        assert sample_stream(tr, 100, 3).total_photons > 0
+
     def test_per_bin_means_match_transient(self):
         # statistical oracle: empirical per-bin mean within 5 SE of the truth
         tr = build_transient(PixelConfig(7.5, 1.0, 1.0), SIM)
@@ -294,6 +356,10 @@ class TestSamplerOracle:
     @example(tr=build_transient(PixelConfig(7.5, 0.05, 0.0), SIM), n_cycles=65_537, seed=1)
     @example(tr=build_transient(PixelConfig(7.5, 0.05, 0.05), SIM), n_cycles=70_000, seed=2)
     @example(tr=build_transient(PixelConfig(7.5, 85.0, 171.0), SIM), n_cycles=40, seed=3)
+    # the last total numpy counts by multiplication, the first by PTRS, and PTRS at about 100
+    @example(tr=flat(np.nextafter(10.0, 0.0)), n_cycles=3000, seed=4)
+    @example(tr=flat(10.0), n_cycles=3000, seed=4)
+    @example(tr=build_transient(PixelConfig(7.5, 40.0, 60.0), SIM), n_cycles=500, seed=5)
     @settings(max_examples=60, deadline=None)
     def test_matches_reference_byte_for_byte(self, tr, n_cycles, seed):
         # about 256 photons per cycle mixes runs that the kernel sorts by
@@ -310,6 +376,87 @@ class TestSamplerOracle:
             for seed in range(5):
                 assert sample_stream(tr, 5000, seed).checksum() == \
                     reference_sample_stream(tr, 5000, seed).checksum()
+
+
+def kernel_counts(lam, n_cycles, seed):
+    """``edh_poisson_offsets`` on the PCG64 that ``default_rng(seed)`` draws
+    from: its return code, the counts and the PCG64 state it leaves."""
+    pcg = np.random.PCG64(seed).state["state"]
+    words = np.array([*divmod(pcg["state"], 2**64), *divmod(pcg["inc"], 2**64)], np.uint64)
+    offsets = np.empty(n_cycles + 1, np.int64)
+    code = kernel.library().edh_poisson_offsets(lam, n_cycles, words, offsets)
+    return code, np.diff(offsets), {"state": int(words[0]) << 64 | int(words[1]), "inc": pcg["inc"]}
+
+
+LOGGAM_A = [8.333333333333333e-02, -2.777777777777778e-03, 7.936507936507937e-04,
+            -5.952380952380952e-04, 8.417508417508418e-04, -1.917526917526918e-03,
+            6.410256410256410e-03, -2.955065359477124e-02, 1.796443723688307e-01,
+            -1.39243221690590e+00]
+
+
+def reference_loggam(x):
+    """numpy's random_loggam, operation for operation, in Python floats
+    (IEEE doubles, libm log)."""
+    if x == 1.0 or x == 2.0:
+        return 0.0
+    n = int(7.0 - x) if x < 7.0 else 0
+    x0 = x + n
+    x2 = (1.0 / x0) * (1.0 / x0)
+    gl0 = LOGGAM_A[9]
+    for a in reversed(LOGGAM_A[:9]):
+        gl0 = gl0 * x2 + a
+    gl = gl0 / x0 + 0.5 * 1.8378770664093453 + (x0 - 0.5) * math.log(x0) - x0
+    for _ in range(n):
+        gl -= math.log(x0 - 1.0)
+        x0 -= 1.0
+    return gl
+
+
+SEEDS = [0, 1, 2**32 - 1, (3, 20, 1, 0), derive_seed(7, 3, 1, 4)]
+
+
+class TestKernelDraws:
+    @pytest.mark.parametrize("seed", SEEDS, ids=repr)
+    @pytest.mark.parametrize("lam", [0.0, 5e-324, 1e-3, np.nextafter(10.0, 0.0), 10.0, 45.0, 1e3,
+                                     1e6, 1e12, np.nextafter(POISSON_LAM_MAX, 0.0)])
+    def test_counts_match_numpy_poisson(self, lam, seed):
+        # below 10 numpy multiplies uniforms, from 10 on it runs PTRS; the
+        # state left must be where numpy's draws leave it
+        for n_cycles in (1, 7, 5000):
+            rng = np.random.default_rng(seed)
+            want = rng.poisson(lam, n_cycles)
+            code, got, state = kernel_counts(lam, n_cycles, seed)
+            if sum(int(k) for k in want) > np.iinfo(np.int64).max:
+                assert code != 0
+                continue
+            assert code == 0
+            assert got.tobytes() == want.tobytes()
+            assert state == rng.bit_generator.state["state"]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_a_product_equal_to_exp_minus_lam_ends_the_count(self, seed):
+        # numpy counts a uniform while the running product stays strictly
+        # above exp(-lam); pick lam so that the first uniform equals it
+        u = np.random.default_rng(seed).random()
+        down = up = -math.log(u)
+        near = [down]
+        for _ in range(8):
+            down, up = math.nextafter(down, 0.0), math.nextafter(up, math.inf)
+            near += [down, up]
+        lam = next(x for x in near if math.exp(-x) == u)
+        assert np.random.default_rng(seed).poisson(lam, 1)[0] == 0
+        assert kernel_counts(lam, 1, seed)[1].tolist() == [0]
+
+    def test_loggam_equals_numpy_random_loggam(self):
+        # densely below 12, where a change in the series' last bits shows in
+        # some result's rounding; PTRS calls it at k + 1 for counts k >= 0
+        x = np.concatenate([np.arange(1.0, 2_000.0), np.linspace(0.001, 12.0, 40_000),
+                            [6.999999999999999, 7.0, 2.0**53, 2.0**53 + 2.0, 1e18, 9.2e18]])
+        got = np.empty_like(x)
+        kernel.library().edh_loggam(x, x.size, got)
+        want = np.array([reference_loggam(v) for v in x])
+        assert got.tobytes() == want.tobytes()
+        assert np.allclose(got, [math.lgamma(v) for v in x], rtol=1e-13, atol=1e-13)
 
 
 def place_photons(values, ub, uj, counts=None):
