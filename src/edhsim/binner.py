@@ -25,8 +25,9 @@ Two stepping strategies:
       cv          = clamp(cv + step, 0, n_bins)
 
 Each rule is written once, in the compiled kernel (:mod:`edhsim.kernel`,
-source ``kernel.c``), one C function per rule: :func:`fixed_walk`, behind
-:func:`run_fixed` and ``hedh``, and the optimized bank update, behind
+source ``kernel.c``), one C function per rule: the fixed-step walk, behind
+:func:`fixed_walk` (so :func:`run_fixed`) and every level of ``hedh``, and
+the optimized bank update, behind
 :class:`BinnerBank` (many binners over one stream under one step schedule)
 and :func:`run_optimized` (a bank of one). The tests keep one Python
 reference loop per rule and check the kernel against it bit for bit.
@@ -153,7 +154,8 @@ def fixed_walk(stream: PhotonStream, c0: int, c1: int, edges: list[float], cvs: 
     ``early`` of them before its CV, it moves by ``step_size`` on the sign of
     ``target_frac - early/n``, and not at all on a balanced cycle. With no
     edges this is one binner over the full range (:func:`run_fixed`);
-    ``hedh`` runs one level of its tree per call.
+    ``hedh`` runs each level of its tree on the same C function, all levels
+    in one kernel call.
 
     The walk is photon-driven and runs in the compiled kernel: within a
     cycle, each run of photons that lands in one interval updates that

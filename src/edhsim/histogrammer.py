@@ -10,9 +10,11 @@ Four ways of summarizing an exposure:
   under one step schedule.
 * :func:`hedh`  - hierarchical equi-depth boundaries: a binary tree of
   fixed-stepping median binners run level by level, each level consuming its
-  share of the cycles and refining within the intervals found so far; a
-  level is one call of the fixed-step walk that also runs ``run_fixed``.
-* :func:`ewh`   - a plain equi-width photon-count histogram.
+  share of the cycles and refining within the intervals found so far; one
+  kernel call runs every level, each on the fixed-step walk that also runs
+  ``run_fixed``.
+* :func:`ewh`   - a plain equi-width photon-count histogram, counted in one
+  kernel pass.
 
 Equi-depth boundary sets always carry the forced endpoints 0 and n_bins.
 """
@@ -24,9 +26,11 @@ from typing import Optional
 
 import numpy as np
 
-from .binner import BinnerBank, StepParams, fixed_walk
+from . import kernel
+from .binner import BinnerBank, StepParams
 from .errors import (
     BinCountError,
+    EdhsimError,
     EmptyHistogramError,
     InvalidParamsError,
     PowerOfTwoError,
@@ -146,30 +150,39 @@ def hedh(stream: PhotonStream, q: int, fixed_step_size: float = 1.0) -> EdhBound
     full range; level l runs 2**(l-1) median binners, each confined to one
     interval delimited by the boundaries already found (photons outside the
     interval are invisible to that binner) and initialized at the interval
-    midpoint. Each level is one :func:`~edhsim.binner.fixed_walk` at target
-    0.5, the walk behind :func:`~edhsim.binner.run_fixed`.
+    midpoint. One kernel call, ``edh_hedh``, runs every level, each on the
+    fixed-step walk at target 0.5 that :func:`~edhsim.binner.run_fixed`
+    runs, and merges each level's CVs into the boundaries found so far.
 
     Raises:
         PowerOfTwoError: if q is not a power of two.
-        InvalidParamsError: if ``stream`` is not a :class:`PhotonStream`.
+        InvalidParamsError: if ``stream`` is not a :class:`PhotonStream`, or
+            unless ``fixed_step_size`` is finite and > 0.
     """
     q = check_int("q", q, 1)
     if q < 2 or q & (q - 1):
         raise PowerOfTwoError(f"hedh requires a power-of-two q, got {q}")
     check_type("stream of hedh", stream, PhotonStream)
+    # an infinite step would turn a balanced or empty cycle into inf*0 = nan
+    check_real("fixed_step_size", fixed_step_size, 0)
     n_levels = q.bit_length() - 1
-    cuts = np.rint(np.arange(n_levels + 1) / n_levels * stream.n_cycles).astype(np.int64).tolist()
-    interior: list[float] = []
-    for level in range(n_levels):
-        edges = sorted(interior)
-        cvs = [(a + b) / 2.0 for a, b in zip([0.0] + edges, edges + [float(stream.n_bins)])]
-        interior += fixed_walk(stream, cuts[level], cuts[level + 1], edges, cvs, 0.5, fixed_step_size)
-    bounds = np.concatenate(([0.0], np.sort(interior), [float(stream.n_bins)]))
+    cuts = np.rint(np.arange(n_levels + 1) / n_levels * stream.n_cycles).astype(np.int64)
+    bounds = np.empty(q + 1)
+    bounds[0], bounds[-1] = 0.0, stream.n_bins
+    if kernel.library().edh_hedh(stream.timestamps, stream.cycle_offsets, cuts, n_levels,
+                                 float(stream.n_bins), float(fixed_step_size), np.empty(q // 2),
+                                 bounds[1:-1]):
+        raise EdhsimError("hedh met a photon in no interval (NaN or >= n_bins)")
     return EdhBoundaries(q, bounds)
 
 
 def ewh(stream: PhotonStream, bin_count: int) -> EwHistogram:
     """Equi-width photon-count histogram over the pooled stream.
+
+    A photon at t counts in bin ``t // width``, held to ``bin_count - 1``,
+    for ``width = n_bins / bin_count``: the floor of the real quotient, as
+    numpy's floor-divide gives it, found in one kernel pass
+    (``edh_ewh_counts``). The counts are int64.
 
     Raises:
         InvalidParamsError: if ``stream`` is not a :class:`PhotonStream`.
@@ -178,8 +191,7 @@ def ewh(stream: PhotonStream, bin_count: int) -> EwHistogram:
     check_type("stream of ewh", stream, PhotonStream)
     if check_int("bin_count", bin_count, 1, BinCountError) > stream.n_bins:
         raise BinCountError(f"bin_count must be at most n_bins={stream.n_bins}, got {bin_count}")
-    width = stream.n_bins / bin_count
-    idx = (stream.timestamps // width).astype(np.int64)
-    np.clip(idx, 0, bin_count - 1, out=idx)
-    counts = np.bincount(idx, minlength=bin_count)
+    counts = np.zeros(bin_count, np.int64)
+    kernel.library().edh_ewh_counts(stream.timestamps, stream.total_photons,
+                                    stream.n_bins / bin_count, bin_count, counts)
     return EwHistogram(counts, float(stream.n_bins))

@@ -1,6 +1,7 @@
-/* The compiled loops of edhsim: the two binner stepping rules, the random
- * draws and photon placement of sample_stream and the pulse CDF of
- * build_transient, one C function each.
+/* The compiled loops of edhsim: the two binner stepping rules, hedh's tree
+ * of fixed-stepping levels, ewh's equi-width counts, the random draws and
+ * photon placement of sample_stream and the pulse CDF of build_transient,
+ * one C function each.
  *
  * Built on first use by edhsim/kernel.py at -O3 with -ffp-contract=off and
  * never -ffast-math, and called through ctypes. Each stepping loop does the
@@ -166,6 +167,71 @@ int edh_fixed_walk(const double *ts, const int64_t *offsets, int64_t c0, int64_t
         }
     }
     return 0;
+}
+
+/* hedh's tree of fixed-stepping median binners, every level in one call.
+ *
+ * Level l of n_levels runs over cycles [cuts[l], cuts[l + 1]) with one
+ * binner per interval between the n_edges = 2^l - 1 sorted edges found so
+ * far, each started at its interval's midpoint (a + b) / 2.0: one
+ * edh_fixed_walk at target 0.5 and step step. A binner never leaves its
+ * interval, so the level's CVs interleave with the edges, cvs[0] <=
+ * edges[0] <= cvs[1] <= ..., and that interleave is the sorted merge. out
+ * ends with the 2^n_levels - 1 sorted interior boundaries; cvs is scratch
+ * for the 2^(n_levels - 1) CVs of the last level.
+ *
+ * Returns 0, or 1 at a photon that lies in no interval, as edh_fixed_walk
+ * does (out is then unspecified). */
+int edh_hedh(const double *ts, const int64_t *offsets, const int64_t *cuts, int64_t n_levels,
+             double n_bins, double step, double *cvs, double *out)
+{
+    for (int64_t level = 0, n_edges = 0; level < n_levels; level++) {
+        for (int64_t k = 0; k <= n_edges; k++)
+            cvs[k] = ((k > 0 ? out[k - 1] : 0.0) + (k < n_edges ? out[k] : n_bins)) / 2.0;
+        if (edh_fixed_walk(ts, offsets, cuts[level], cuts[level + 1], out, n_edges, n_bins, cvs,
+                           0.5, step))
+            return 1;
+        /* from the top down, so each edge is read before its slot is written */
+        for (int64_t k = n_edges; k >= 0; k--) {
+            if (k < n_edges)
+                out[2 * k + 1] = out[k];
+            out[2 * k] = cvs[k];
+        }
+        n_edges = 2 * n_edges + 1;
+    }
+    return 0;
+}
+
+/* ewh's counts: counts[k] += 1 for each of the n timestamps ts whose bin is
+ * k, the bin being numpy's ts // width, the floor of the real quotient of
+ * ts by the (rounded) width, held to [0, bin_count - 1].
+ *
+ * x = ts * (1 / width) has two roundings, so it lies within x * 2^-51 of
+ * the real quotient. That quotient is below n_bins / width, bin_count up to
+ * a rounding, and bin_count counts array entries, so it is far below 2^52
+ * and the truncation k of x is the floor or one off it. Unless x
+ * lies within x * 2^-50 of an integer, k is the floor; otherwise one exact
+ * sign test of k * width - ts, and if need be of (k + 1) * width - ts,
+ * corrects it by one. Each fma() is called by name and rounds once, so the
+ * sign of its result is the sign of the exact value: a test chosen here,
+ * not a contraction chosen by the compiler, so -ffp-contract=off stays. */
+void edh_ewh_counts(const double *ts, int64_t n, double width, int64_t bin_count,
+                    int64_t *counts)
+{
+    double inv = 1.0 / width;
+    for (int64_t i = 0; i < n; i++) {
+        double t = ts[i], x = t * inv, win = x * 0x1p-50;
+        int64_t k = (int64_t)x;
+        double f = x - (double)k;
+        if (f <= win || f >= 1.0 - win) {
+            if (fma((double)k, width, -t) > 0.0)
+                k--;
+            else if (fma((double)(k + 1), width, -t) <= 0.0)
+                k++;
+        }
+        k = k > 0 ? k : 0;
+        counts[k < bin_count ? k : bin_count - 1]++;
+    }
 }
 
 /* numpy's PCG64 (M. E. O'Neill, 2014): a 128-bit LCG, state = state *

@@ -1,5 +1,7 @@
 """Build and load the compiled kernel, ``kernel.c``: the binner stepping
-rules behind :mod:`edhsim.binner`, the pulse CDF behind
+rules behind :mod:`edhsim.binner`, every level of
+:func:`edhsim.histogrammer.hedh` in one call, the counts of
+:func:`edhsim.histogrammer.ewh`, the pulse CDF behind
 :func:`edhsim.transient.build_transient`, and the random draws and photon
 placement behind :func:`edhsim.transient.sample_stream`, which replay
 numpy's PCG64 ``Generator`` draw for draw.
@@ -21,7 +23,8 @@ source's order, one rounding each, so the bits do not change.
 rounding (GCC does by default where the target has FMA), and ``-ffast-math``
 is never passed: either would change the bits that the tests' reference
 loops for each stepping rule, the sampler's numpy reference (numpy's own
-draws) and ``scipy.special.ndtr`` pin.
+draws) and ``scipy.special.ndtr`` pin. The ``fma()`` that ``ewh``'s counts
+call by name is an exact sign test, not a contraction, and needs no flag.
 """
 
 from __future__ import annotations
@@ -110,6 +113,12 @@ def library() -> ctypes.CDLL:
     lib.edh_fixed_walk.argtypes = [
         _doubles(), _int64s(), i64, i64, _doubles(), i64, f64, _doubles(True), f64, f64,
     ]
+    lib.edh_hedh.restype = ctypes.c_int
+    lib.edh_hedh.argtypes = [
+        _doubles(), _int64s(), _int64s(), i64, f64, f64, _doubles(True), _doubles(True),
+    ]
+    lib.edh_ewh_counts.restype = None
+    lib.edh_ewh_counts.argtypes = [_doubles(), i64, f64, i64, _int64s(True)]
     lib.edh_poisson_offsets.restype = ctypes.c_int
     lib.edh_poisson_offsets.argtypes = [f64, i64, _uint64s(True), _int64s(True)]
     lib.edh_sample_photons.restype = None

@@ -290,7 +290,8 @@ def sample_stream(transient: Transient, n_cycles: int, seed) -> PhotonStream:
         InvalidParamsError: unless ``transient`` is a :class:`Transient`; if
             ``seed`` is not a seed numpy takes or a generator on a PCG64; if
             the total mean passes :data:`POISSON_LAM_MAX`, numpy's bound; or
-            if the exposure's photon count would overflow int64.
+            if the exposure's photon count would overflow int64 or its
+            timestamps would not fit in memory.
         KernelBuildError: if the kernel is not built yet and cannot be.
     """
     check_type("transient of sample_stream", transient, Transient)
@@ -312,7 +313,12 @@ def sample_stream(transient: Transient, n_cycles: int, seed) -> PhotonStream:
         if lib.edh_poisson_offsets(total, n_cycles, words, offsets):
             raise InvalidParamsError(f"the photon count of {n_cycles} cycles at {float(total)!r} "
                                      f"photons per cycle overflows int64")
-        positions = np.empty(offsets[-1], dtype=np.float64)
+        try:
+            positions = np.empty(offsets[-1], dtype=np.float64)
+        except MemoryError:
+            raise InvalidParamsError(f"the {offsets[-1]} photons of {n_cycles} cycles at "
+                                     f"{float(total)!r} photons per cycle do not fit in memory"
+                                     ) from None
         lib.edh_sample_photons(cum, cfg.n_bins, offsets, n_cycles, words,
                                np.empty(cfg.n_bins, np.int64), positions)
         if held:

@@ -53,6 +53,25 @@ def reference_hedh(stream, q, fixed_step_size):
     return np.concatenate(([0.0], np.sort(interior), [n_bins_f]))
 
 
+def reference_ewh(stream, bin_count):
+    """Oracle for ewh: numpy's floor-divide by the rounded width, clipped
+    to the last bin, then counted."""
+    width = stream.n_bins / bin_count
+    idx = (stream.timestamps // width).astype(np.int64)
+    np.clip(idx, 0, bin_count - 1, out=idx)
+    return np.bincount(idx, minlength=bin_count)
+
+
+def edge_stream(n_bins, bin_count, rng):
+    """One cycle of every bin edge k * width, its two float neighbours,
+    the last float below n_bins and 100 uniform draws: every edge is a
+    photon whose bin a rounded quotient can get wrong by one."""
+    edges = np.arange(bin_count + 1) * (n_bins / bin_count)
+    ts = np.concatenate((edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+                         [np.nextafter(n_bins, 0.0)], rng.uniform(0, n_bins, 100)))
+    return PhotonStream.from_cycles([np.sort(ts[(0.0 <= ts) & (ts < n_bins)])], n_bins)
+
+
 def brute_force_quantile_bounds(pooled_sorted, q, n_bins):
     """Independent oracle: scan for the first CDF crossing of each j/q."""
     n = len(pooled_sorted)
@@ -278,6 +297,14 @@ class TestHedh:
         stream = _stream_from(PixelConfig(5.0, 1.0, bkg), seed=int(q * 10 + bkg))
         assert np.array_equal(hedh(stream, q, 1.0).bounds, reference_hedh(stream, q, 1.0))
 
+    @pytest.mark.parametrize("q", [4, 32])
+    @pytest.mark.parametrize("step", [0.3, 1 / 3])
+    def test_matches_reference_at_steps_off_the_binary_grid(self, q, step):
+        # such steps leave CVs whose midpoint (a + b) / 2.0 differs in its
+        # last bit from a + (b - a) / 2.0 on one of these four streams
+        stream = _stream_from(PixelConfig(5.0, 1.0, 2.0), seed=3)
+        assert np.array_equal(hedh(stream, q, step).bounds, reference_hedh(stream, q, step))
+
     @given(
         data=st.data(),
         n_bins=st.sampled_from([4, 8, 16]),
@@ -359,6 +386,17 @@ class TestEwh:
     def test_integer_and_float_counts_accepted(self, dtype):
         hist = EwHistogram(np.array([0, 5, 1, 0], dtype=dtype), 8.0)
         assert hist.counts.dtype == dtype and not hist.counts.flags.writeable
+
+    @pytest.mark.parametrize("n_bins, bin_counts", [
+        (1024, range(1, 1025)), (1000, range(1, 1001)), (2**40, [3, 1023]),
+    ], ids=["1024", "1000", "2**40"])
+    def test_counts_equal_numpys_floor_divide(self, n_bins, bin_counts):
+        rng = np.random.default_rng(7)
+        for bin_count in bin_counts:
+            stream = edge_stream(n_bins, bin_count, rng)
+            counts, expected = ewh(stream, bin_count).counts, reference_ewh(stream, bin_count)
+            assert counts.dtype == expected.dtype
+            assert np.array_equal(counts, expected), bin_count
 
     def test_bin_count_validation(self):
         stream = PhotonStream.from_cycles([np.array([1.0])], B)

@@ -99,6 +99,35 @@ except EdhsimError as e:
     assert error.startswith("EdhsimError fixed walk met a photon in no interval")
 
 
+def test_hedh_refuses_a_photon_in_no_interval():
+    # as test_fixed_walk_refuses_a_photon_in_no_interval, for the entry that
+    # runs every hedh level: one cycle at q=4 gives cuts [0, 0, 1], so
+    # hedh meets the NaN on its second level, the direct call on its first
+    code = """
+import numpy as np
+import edhsim.kernel as k
+from edhsim.errors import EdhsimError
+from edhsim.histogrammer import hedh
+from edhsim.transient import PhotonStream
+ts, offsets = np.array([np.nan]), np.array([0, 1], dtype=np.int64)
+cuts = np.array([0, 1, 1], dtype=np.int64)
+print(k.library().edh_hedh(ts, offsets, cuts, 2, 1024.0, 1.0, np.empty(2), np.empty(3)))
+stream = PhotonStream.from_cycles([np.array([1.0])], 1024)
+object.__setattr__(stream, "timestamps", ts)
+try:
+    hedh(stream, 4, 1.0)
+except EdhsimError as e:
+    print(type(e).__name__, e)
+"""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    status, error = proc.stdout.splitlines()
+    assert status == "1"
+    assert error.startswith("EdhsimError hedh met a photon in no interval")
+
+
 @pytest.mark.parametrize("ts", [
     np.array([1.0, 2.0], dtype=np.float32),
     np.array([1.0, 9.0, 2.0, 9.0])[::2],
@@ -134,8 +163,9 @@ def test_declared_argument_counts_match_the_c_definitions():
     # every argument after it
     source = kernel.SOURCE.read_text()
     definitions = dict(re.findall(r"^\w[\w ]*?\b(edh_\w+)\(([^)]*)\)\s*\{", source, re.MULTILINE))
-    assert sorted(definitions) == ["edh_fixed_walk", "edh_loggam", "edh_ndtr", "edh_optimized_bank",
-                                   "edh_place_photons", "edh_poisson_offsets", "edh_sample_photons"]
+    assert sorted(definitions) == ["edh_ewh_counts", "edh_fixed_walk", "edh_hedh", "edh_loggam",
+                                   "edh_ndtr", "edh_optimized_bank", "edh_place_photons",
+                                   "edh_poisson_offsets", "edh_sample_photons"]
     lib = kernel.library()
     for name, params in definitions.items():
         assert len(params.split(",")) == len(getattr(lib, name).argtypes), name

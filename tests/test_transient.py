@@ -300,6 +300,13 @@ class TestSampleStream:
         with pytest.raises(InvalidParamsError, match="overflows int64"):
             sample_stream(flat(POISSON_LAM_MAX), 2, 0)
 
+    def test_photon_count_past_memory_refused(self):
+        # about 8e16 photons fit int64 but not memory (640 PB of float64):
+        # an EdhsimError naming the count, not numpy's bare MemoryError
+        with pytest.raises(InvalidParamsError,
+                           match=r"the \d+ photons of 5000 cycles .* do not fit in memory"):
+            sample_stream(flat(16e12), 5000, 0)
+
     @pytest.mark.parametrize("make", [np.random.default_rng, np.random.PCG64], ids=["Generator", "PCG64"])
     def test_a_pcg64_generator_is_drawn_from_as_numpy_would(self, make):
         tr = build_transient(PixelConfig(7.5, 1.0, 2.0), SIM)
