@@ -26,17 +26,17 @@ Two stepping strategies:
 
 Each rule is written once, in the compiled kernel (:mod:`edhsim.kernel`,
 source ``kernel.c``), one C function per rule: the fixed-step walk, behind
-:func:`fixed_walk` (so :func:`run_fixed`) and every level of ``hedh``, and
-the optimized bank update, behind
-:class:`BinnerBank` (many binners over one stream under one step schedule)
-and :func:`run_optimized` (a bank of one). The tests keep one Python
-reference loop per rule and check the kernel against it bit for bit.
+:func:`run_fixed` (one binner over the full range) and every level of
+``hedh`` (one binner per interval between edges), and the optimized bank
+update, behind :class:`BinnerBank` (many binners over one stream under one
+step schedule) and :func:`run_optimized` (a bank of one). The tests keep one
+Python reference loop per rule and check the kernel against it bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -82,7 +82,9 @@ class BinnerState:
     """One binner: control value plus the optimized-stepping memories.
 
     ``s_prev`` and ``delta_tilde_prev`` are the two smoother memories;
-    ``n`` counts completed cycles. Footprint is O(1) scalars.
+    ``n`` counts completed cycles. Footprint is O(1) scalars. A runner starts
+    the CV at ``target_frac * n_bins``, the exact quantile of a flat (pure
+    background) transient.
     """
 
     cv: float
@@ -95,13 +97,6 @@ class BinnerState:
     def __post_init__(self):
         check_real("target_frac", self.target_frac, 0, 1)
         check_real("cv", self.cv, 0, self.n_bins, "[]")
-
-    @classmethod
-    def initial(cls, target_frac: float, n_bins: int) -> "BinnerState":
-        """Fresh state; the CV starts at target_frac * n_bins, the exact
-        quantile of a flat (pure background) transient."""
-        check_real("target_frac", target_frac, 0, 1)
-        return cls(cv=target_frac * n_bins, target_frac=target_frac, n_bins=n_bins)
 
 
 def step_scale(params: StepParams, n_bins: int) -> float:
@@ -135,59 +130,35 @@ def run_optimized(stream: PhotonStream, target_frac: float, params: StepParams) 
     one, stepped by the same kernel call as :class:`BinnerBank`."""
     check_type("stream of run_optimized", stream, PhotonStream)
     check_type("params of run_optimized", params, StepParams)
-    state = BinnerState.initial(target_frac, stream.n_bins)
-    cv, s, dtil = np.array([state.cv]), np.zeros(1), np.zeros(1)
-    _optimized_bank(stream, 0, params, stream.n_bins, np.array([target_frac]), cv, s, dtil)
-    return replace(state, cv=float(cv[0]), s_prev=float(s[0]), delta_tilde_prev=float(dtil[0]),
-                   n=stream.n_cycles)
-
-
-def fixed_walk(stream: PhotonStream, c0: int, c1: int, edges: list[float], cvs: list[float],
-               target_frac: float, step_size: float) -> list[float]:
-    """Step fixed-stepping binners over cycles ``[c0, c1)`` of a stream and
-    return their final CVs.
-
-    Binner k starts at ``cvs[k]`` and is confined to the k-th interval
-    between the sorted ``edges`` (0 and n_bins close the ends); photons
-    outside it are invisible to it, and a photon on an edge belongs to the
-    interval above. On each cycle with n > 0 photons in its interval,
-    ``early`` of them before its CV, it moves by ``step_size`` on the sign of
-    ``target_frac - early/n``, and not at all on a balanced cycle. With no
-    edges this is one binner over the full range (:func:`run_fixed`);
-    ``hedh`` runs each level of its tree on the same C function, all levels
-    in one kernel call.
-
-    The walk is photon-driven and runs in the compiled kernel: within a
-    cycle, each run of photons that lands in one interval updates that
-    interval's binner only, so the cost grows with photons per cycle rather
-    than with intervals.
-    """
-    check_type("stream of fixed_walk", stream, PhotonStream)
-    # an infinite step would turn a balanced or empty cycle into inf*0 = nan
-    check_real("fixed_step_size", step_size, 0)
     check_real("target_frac", target_frac, 0, 1)
-    edges = real_array("walk edges", edges)
-    out = real_array("walk CVs", cvs).copy()  # the kernel steps it in place
-    if edges.ndim != 1 or out.shape != (edges.size + 1,):
-        raise InvalidParamsError(f"need one CV per interval: {edges.size} edges, {out.size} CVs")
-    if not (np.all(np.isfinite(edges)) and np.all(edges[1:] >= edges[:-1])):
-        raise InvalidParamsError("walk edges must be finite and sorted")
-    if not 0 <= c0 <= c1 <= stream.n_cycles:
-        raise InvalidParamsError(f"cycles [{c0}, {c1}) do not lie in [0, {stream.n_cycles}]")
-    if kernel.library().edh_fixed_walk(stream.timestamps, stream.cycle_offsets, c0, c1, edges,
-                                       edges.size, float(stream.n_bins), out, target_frac,
-                                       step_size):
-        raise EdhsimError("fixed walk met a photon in no interval (NaN or >= n_bins)")
-    return out.tolist()
+    cv, s, dtil = np.array([target_frac * stream.n_bins]), np.zeros(1), np.zeros(1)
+    _optimized_bank(stream, 0, params, stream.n_bins, np.array([target_frac]), cv, s, dtil)
+    return BinnerState(float(cv[0]), target_frac, stream.n_bins, float(s[0]), float(dtil[0]),
+                       stream.n_cycles)
+
+
+_NO_EDGES = np.empty(0)
 
 
 def run_fixed(stream: PhotonStream, target_frac: float, step_size: float) -> BinnerState:
-    """Feed a whole photon stream through one fixed-stepping binner: the
-    one-interval case of :func:`fixed_walk`."""
+    """Feed a whole photon stream through one fixed-stepping binner.
+
+    On each cycle with n > 0 photons, ``early`` of them before the CV, the
+    CV moves by ``step_size`` on the sign of ``target_frac - early/n``, held
+    to ``[0, n_bins]``, and not at all on a balanced or empty cycle. The walk
+    runs in the compiled kernel, whose same C function (``edh_fixed_walk``)
+    runs each ``hedh`` level with one binner per interval between edges.
+    """
     check_type("stream of run_fixed", stream, PhotonStream)
-    state = BinnerState.initial(target_frac, stream.n_bins)
-    [cv] = fixed_walk(stream, 0, stream.n_cycles, [], [state.cv], target_frac, step_size)
-    return replace(state, cv=cv, n=stream.n_cycles)
+    check_real("target_frac", target_frac, 0, 1)
+    # an infinite step would turn a balanced or empty cycle into inf*0 = nan
+    check_real("fixed_step_size", step_size, 0)
+    cv = np.array([target_frac * stream.n_bins], np.float64)  # the kernel steps it in place
+    if kernel.library().edh_fixed_walk(stream.timestamps, stream.cycle_offsets, 0, stream.n_cycles,
+                                       _NO_EDGES, 0, float(stream.n_bins), cv, target_frac,
+                                       step_size):
+        raise EdhsimError("fixed walk met a photon in no interval (NaN or >= n_bins)")
+    return BinnerState(float(cv[0]), target_frac, stream.n_bins, n=stream.n_cycles)
 
 
 class BinnerBank:

@@ -3,8 +3,8 @@
 One ``key = value`` pair per line, ``#`` starts a comment, dotted keys group
 settings (``sim.*`` sensor constants, ``step.*`` binner schedule, ``scene.*``
 geometry and photon levels, ``experiment.*`` run setup). Unknown keys are
-rejected so typos surface immediately. The ``EDH_SEED`` environment variable
-overrides ``experiment.seed``.
+rejected so typos surface immediately. A seed given to the loader (the CLI's
+``--seed``) overrides ``experiment.seed``.
 
 The keys and their defaults are read off the declarations they fill:
 ``sim.X`` is field ``X`` of :class:`~edhsim.transient.SimConfig`, ``step.X``
@@ -27,7 +27,6 @@ Example::
 from __future__ import annotations
 
 import inspect
-import os
 from dataclasses import fields
 from pathlib import Path
 from typing import Optional
@@ -156,11 +155,10 @@ def _parse_pairs(conf: dict) -> tuple[tuple[float, float], ...]:
 
 
 def resolve_seed(conf: dict, override: Optional[int] = None) -> int:
-    """Seed precedence: explicit override > EDH_SEED env > config > 0."""
+    """Seed precedence: explicit override > ``experiment.seed`` > 0."""
     if override is not None:
         return int(override)
-    env = get_int(os.environ, "EDH_SEED", None)
-    return env if env is not None else get_int(conf, "experiment.seed", ExperimentConfig.global_seed)
+    return get_int(conf, "experiment.seed", ExperimentConfig.global_seed)
 
 
 def build_experiment_config(

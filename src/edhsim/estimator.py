@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import BinPositionError, InvalidParamsError, check_real, frozen_array
 from .histogrammer import EdhBoundaries, EwHistogram
-from .transient import SimConfig
+from .transient import SPEED_OF_LIGHT, SimConfig
 
 RHO1_GRID_SIZE = 1024
 
@@ -110,4 +110,4 @@ def bin_to_distance(t: float, cfg: SimConfig) -> float:
         BinPositionError: unless t is a real number in [0, n_bins].
     """
     check_real("bin position", t, 0, cfg.n_bins, "[]", BinPositionError)
-    return cfg.c * (t * cfg.dt) / 2.0
+    return SPEED_OF_LIGHT * (t * cfg.dt) / 2.0

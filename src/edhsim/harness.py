@@ -207,10 +207,6 @@ class ExperimentResult:
     summary_path: Optional[Path] = None
     runs_path: Optional[Path] = None
 
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Run the full (pair x run x pixel x method x estimator) grid.
@@ -565,16 +561,18 @@ def write_boundaries_csv(path, grid: np.ndarray) -> None:
 
 
 def read_boundaries_csv(path) -> np.ndarray:
-    """Read a boundary grid written by :func:`write_boundaries_csv`; every
-    pixel must have exactly one row."""
+    """Read a boundary grid written by :func:`write_boundaries_csv`: its
+    boundary columns must be ``t_0`` to ``t_q`` in order, and every pixel
+    must have exactly one row."""
     with open(path, newline="", errors="replace") as fh:  # bad bytes fail a check below
         reader = csv.DictReader(fh)
-        t_cols = sorted(
-            (f for f in reader.fieldnames or [] if f.startswith("t_")),
-            key=lambda s: int(s[2:]),
-        )
+        t_cols = [f for f in reader.fieldnames or [] if f.startswith("t_")]
         if not t_cols:
             raise ParseError(f"{path}: no boundary columns found")
+        for j, name in enumerate(t_cols):
+            if name != f"t_{j}":
+                raise ParseError(f"{path}: boundary column {name!r} where 't_{j}' belongs: "
+                                 f"the columns must run t_0, t_1, ... t_q")
         entries = []
         for row in reader:
             try:

@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import hashlib
 import math
+import sys
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -30,6 +31,8 @@ from .errors import (DistanceExceedsRangeError, InvalidParamsError, check_int, c
 _FWHM_TO_SIGMA = 1.0 / (2.0 * math.sqrt(2.0 * math.log(2.0)))
 
 SPEED_OF_LIGHT = 2.998e8  # m/s
+# the largest rep_period whose c * rep_period, and so z_max, is finite
+REP_PERIOD_MAX = sys.float_info.max / SPEED_OF_LIGHT
 
 
 @dataclass(frozen=True)
@@ -41,24 +44,18 @@ class SimConfig:
         rep_period: laser repetition period in seconds.
         fwhm: laser pulse full width at half maximum in seconds.
         n_cycles: laser cycles per exposure.
-        c: speed of light in m/s.
     """
 
     n_bins: int = 1024
     rep_period: float = 100e-9
     fwhm: float = 0.32e-9
     n_cycles: int = 5000
-    c: float = SPEED_OF_LIGHT
 
     def __post_init__(self):
         check_int("n_bins", self.n_bins, 2)
         check_int("n_cycles", self.n_cycles, 1)
-        check_real("rep_period", self.rep_period, 0)
+        check_real("rep_period", self.rep_period, 0, REP_PERIOD_MAX, "(]")
         check_real("fwhm", self.fwhm, 0, self.rep_period)
-        check_real("c", self.c, 0)
-        if not float(self.c) * float(self.rep_period) < math.inf:  # no numpy overflow warning
-            raise InvalidParamsError(f"c * rep_period must be finite, got c={self.c!r}, "
-                                     f"rep_period={self.rep_period!r}")
 
     @property
     def dt(self) -> float:
@@ -68,7 +65,7 @@ class SimConfig:
     @property
     def z_max(self) -> float:
         """Unambiguous distance range in meters (c * rep_period / 2)."""
-        return self.c * self.rep_period / 2.0
+        return SPEED_OF_LIGHT * self.rep_period / 2.0
 
     @property
     def pulse_sigma(self) -> float:
@@ -140,7 +137,7 @@ def build_transient(pixel: PixelConfig, cfg: SimConfig) -> Transient:
     """
     check_type("pixel of build_transient", pixel, PixelConfig)
     check_type("config of build_transient", cfg, SimConfig)
-    t_peak = 2.0 * pixel.z / cfg.c
+    t_peak = 2.0 * pixel.z / SPEED_OF_LIGHT
     if t_peak >= cfg.rep_period:
         raise DistanceExceedsRangeError(
             f"round-trip time {t_peak:.3e} s >= period {cfg.rep_period:.3e} s "
@@ -221,12 +218,11 @@ class PhotonStream:
         return int(self.timestamps.size)
 
     def cycle(self, i: int) -> np.ndarray:
+        """The timestamps of cycle ``i``, an integer in ``[0, n_cycles)``."""
+        if check_int("cycle index", i, 0) >= self.n_cycles:
+            raise InvalidParamsError(f"cycle index must be < {self.n_cycles}, got {i!r}")
         s, e = self.cycle_offsets[i], self.cycle_offsets[i + 1]
         return self.timestamps[s:e]
-
-    def cycles(self) -> Iterator[np.ndarray]:
-        for i in range(self.n_cycles):
-            yield self.cycle(i)
 
     def pooled(self) -> np.ndarray:
         """All timestamps pooled across cycles, sorted ascending."""
@@ -290,8 +286,8 @@ def sample_stream(transient: Transient, n_cycles: int, seed) -> PhotonStream:
         InvalidParamsError: unless ``transient`` is a :class:`Transient`; if
             ``seed`` is not a seed numpy takes or a generator on a PCG64; if
             the total mean passes :data:`POISSON_LAM_MAX`, numpy's bound; or
-            if the exposure's photon count would overflow int64 or its
-            timestamps would not fit in memory.
+            if the exposure's photon count would overflow int64 or its cycle
+            offsets or timestamps would not fit in memory.
         KernelBuildError: if the kernel is not built yet and cannot be.
     """
     check_type("transient of sample_stream", transient, Transient)
@@ -309,7 +305,11 @@ def sample_stream(transient: Transient, n_cycles: int, seed) -> PhotonStream:
         pcg = bitgen.state  # the kernel takes the 128-bit state and increment as high, low words
         words = np.array([*divmod(pcg["state"]["state"], 2**64),
                           *divmod(pcg["state"]["inc"], 2**64)], np.uint64)
-        offsets = np.empty(n_cycles + 1, np.int64)
+        try:
+            offsets = np.empty(n_cycles + 1, np.int64)
+        except (MemoryError, ValueError):  # ValueError: past numpy's largest array
+            raise InvalidParamsError(f"the {n_cycles + 1} cycle offsets of {n_cycles} cycles do "
+                                     f"not fit in memory") from None
         if lib.edh_poisson_offsets(total, n_cycles, words, offsets):
             raise InvalidParamsError(f"the photon count of {n_cycles} cycles at {float(total)!r} "
                                      f"photons per cycle overflows int64")

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from edhsim import kernel
 from edhsim.binner import BinnerBank, StepParams, run_fixed, run_optimized
 from edhsim.errors import InvalidParamsError
 from edhsim.scene import PixelConfig
@@ -220,7 +221,7 @@ class TestOptimizedStep:
 
 
 class TestFixedStep:
-    """One cycle of the fixed rule through ``run_fixed`` and ``fixed_walk``."""
+    """One cycle of the fixed rule through ``run_fixed``."""
 
     def test_moves_down_by_step(self):
         assert run_fixed(one_cycle([100.0, 200.0, 300.0, 600.0]), 0.5, 1.0).cv == 511.0
@@ -234,20 +235,21 @@ class TestFixedStep:
 
     def test_step_size_validated(self):
         with pytest.raises(InvalidParamsError):
-            binner.fixed_walk(one_cycle([600.0]), 0, 1, [256.0], [128.0, 640.0], 0.5, 0.0)
+            run_fixed(one_cycle([600.0]), 0.5, 0.0)
 
     @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
     def test_non_finite_step_rejected(self, bad):
         # an infinite step turns the no-move of a balanced cycle into inf*0 = nan
         stream = one_cycle([300.0, 400.0, 600.0, 700.0])
         with pytest.raises(InvalidParamsError, match=r"fixed_step_size must be a real number in \(0, inf\)"):
-            binner.fixed_walk(stream, 0, 1, [256.0], [128.0, 640.0], 0.5, bad)
+            run_fixed(stream, 0.5, bad)
 
     @pytest.mark.parametrize("target", [0.0, 1.0, 2.0, -0.5, np.nan, True, "a"])
     def test_target_frac_must_lie_in_open_unit_interval(self, target):
-        # unchecked, a target of 2 walks the CV up on every cycle: [2.0] from [1.0]
+        # checked before the CV starts at target * n_bins: unchecked, a
+        # target of 2 would walk the CV up on every cycle
         with pytest.raises(InvalidParamsError, match=r"target_frac must be a real number in \(0, 1\)"):
-            binner.fixed_walk(one_cycle([0.5]), 0, 1, [], [1.0], target, 1.0)
+            run_fixed(one_cycle([0.5]), target, 1.0)
 
 
 def _stream(pixel=PixelConfig(7.5, 1.0, 1.0), n_cycles=400, seed=5):
@@ -262,6 +264,11 @@ class TestRunners:
         assert (fast.cv, fast.s_prev, fast.delta_tilde_prev) == \
             reference_run_optimized(stream, 0.3, p)
         assert fast.n == stream.n_cycles
+
+    def test_run_fixed_takes_a_float32_target_as_its_float64_value(self):
+        stream = _stream(seed=7, n_cycles=50)
+        target = np.float32(0.3)
+        assert run_fixed(stream, target, 1.0).cv == run_fixed(stream, float(target), 1.0).cv
 
     def test_run_fixed_matches_stepwise_fold(self):
         stream = _stream(seed=6)
@@ -342,8 +349,8 @@ class TestBankVariants:
         stream = _stream(seed=9)
         for step in (StepParams(decay_freeze_cycle=100), StepParams(gamma=1.0)):
             stepped = BinnerBank(np.arange(1, 8) / 8, step, stream.n_bins)
-            for ts in stream.cycles():
-                stepped.run(PhotonStream.from_cycles([ts], stream.n_bins))
+            for i in range(stream.n_cycles):
+                stepped.run(PhotonStream.from_cycles([stream.cycle(i)], stream.n_bins))
             ran = BinnerBank(np.arange(1, 8) / 8, step, stream.n_bins)
             ran.run(stream)
             assert np.array_equal(stepped.cvs, ran.cvs)
@@ -467,21 +474,12 @@ class TestKernelExactness:
         stream = PhotonStream.from_cycles(data.draw(st.lists(cycle, min_size=1, max_size=40)), n_bins)
         c0 = data.draw(st.integers(0, stream.n_cycles))
         c1 = data.draw(st.integers(c0, stream.n_cycles))
-        assert binner.fixed_walk(stream, c0, c1, edges, cvs, target, step) == \
-            reference_fixed_walk(stream, c0, c1, edges, cvs, target, step)
-
-    @pytest.mark.parametrize("c0, c1, edges, cvs", [
-        (0, 3, [4.0], [1.0]),          # one CV for two intervals
-        (0, 3, [6.0, 4.0], [1.0, 5.0, 7.0]),  # unsorted edges
-        (0, 3, [np.nan], [1.0, 5.0]),
-        (2, 1, [], [1.0]),
-        (0, 4, [], [1.0]),
-        (-1, 2, [], [1.0]),
-    ])
-    def test_walk_rejects_what_the_kernel_cannot_index(self, c0, c1, edges, cvs):
-        stream = PhotonStream.from_cycles([np.array([1.0, 5.0])] * 3, 8)
-        with pytest.raises(InvalidParamsError):
-            binner.fixed_walk(stream, c0, c1, edges, cvs, 0.5, 1.0)
+        # the kernel's walk, as edh_hedh runs it on each level
+        out = np.array(cvs, np.float64)
+        assert kernel.library().edh_fixed_walk(
+            stream.timestamps, stream.cycle_offsets, c0, c1, np.array(edges, np.float64),
+            len(edges), float(n_bins), out, target, step) == 0
+        assert out.tolist() == reference_fixed_walk(stream, c0, c1, edges, cvs, target, step)
 
     def test_bank_arrays_must_fit_the_bank(self):
         bank = BinnerBank([0.25, 0.5], StepParams(), 8)

@@ -307,6 +307,17 @@ def test_bad_number_list_or_metric_limit_exits_2(conf, tmp_path, capsys, argv, c
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("header", ["t_0,t_x", "t_0,t_2"])
+def test_estimate_rejects_misnamed_boundary_columns(conf, tmp_path, capsys, header):
+    bounds_csv = tmp_path / "bounds.csv"
+    bounds_csv.write_text(f"schema_version,pixel_row,pixel_col,{header}\n1,0,0,0.0,1024.0\n")
+    assert main(["estimate", "--config", str(conf), "--estimator", "t0",
+                 "--bounds", str(bounds_csv), "--out", str(tmp_path / "est.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"boundary column {header[4:]!r}" in err
+    assert not (tmp_path / "est.csv").exists()
+
+
 @pytest.mark.parametrize("end", [400.0, 5000.0])
 def test_estimate_rejects_bounds_not_ending_at_n_bins(conf, tmp_path, capsys, end):
     # the config has 1,024 bins; a row ending anywhere else would give a

@@ -35,7 +35,7 @@ def assert_same_scene(a: Scene, b: Scene):
 
 def test_known_keys():
     assert KNOWN_KEYS == {
-        "sim.n_bins", "sim.rep_period", "sim.fwhm", "sim.n_cycles", "sim.c",
+        "sim.n_bins", "sim.rep_period", "sim.fwhm", "sim.n_cycles",
         "step.k_pct", "step.gamma", "step.beta1", "step.beta2", "step.decay_freeze_cycle",
         "scene.kind", "scene.z", "scene.width", "scene.height", "scene.n_steps",
         "scene.z_min", "scene.z_max", "scene.z_left", "scene.z_right", "scene.step_width",
@@ -58,9 +58,9 @@ def test_unset_keys_take_the_declared_defaults(tmp_path):
 
 def test_every_sim_key(tmp_path):
     conf = conf_of(tmp_path, "sim.n_bins = 512\nsim.rep_period = 5e-8\nsim.fwhm = 2e-10\n"
-                             "sim.n_cycles = 400\nsim.c = 3e8\n")
+                             "sim.n_cycles = 400\n")
     assert build_sim_config(conf) == SimConfig(
-        n_bins=512, rep_period=5e-8, fwhm=2e-10, n_cycles=400, c=3e8)
+        n_bins=512, rep_period=5e-8, fwhm=2e-10, n_cycles=400)
 
 
 def test_every_step_key(tmp_path):
@@ -149,7 +149,8 @@ def test_bad_values_are_named(tmp_path, line, message):
 
 
 def test_overflowing_c_times_rep_period_is_refused(tmp_path):
-    # each setting is finite, but z_max = c * rep_period / 2 would be inf
-    conf = conf_of(tmp_path, "sim.c = 1e308\nsim.rep_period = 10\nsim.fwhm = 1e-9\n")
-    with pytest.raises(InvalidParamsError, match=r"c=1e\+308, rep_period=10\.0"):
+    # the setting is finite, but z_max = c * rep_period / 2 would be inf
+    conf = conf_of(tmp_path, "sim.rep_period = 1e300\nsim.fwhm = 1e-9\n")
+    with pytest.raises(InvalidParamsError, match=r"rep_period must be a real number in \(0, "
+                                                 r"5\.99\d*e\+299\], got 1e\+300"):
         build_sim_config(conf)

@@ -14,7 +14,7 @@ from edhsim.estimator import (
     t1_hat,
 )
 from edhsim.histogrammer import EdhBoundaries, EwHistogram
-from edhsim.transient import SimConfig
+from edhsim.transient import SPEED_OF_LIGHT, SimConfig
 
 SIM = SimConfig()
 B = SIM.n_bins
@@ -168,7 +168,7 @@ class TestEwhPeak:
         from edhsim.scene import PixelConfig
         from edhsim.transient import build_transient
 
-        half_coarse_cm = (B / 64) * SIM.dt * SIM.c / 2 * 100
+        half_coarse_cm = (B / 64) * SIM.dt * SPEED_OF_LIGHT / 2 * 100
         worst = 0.0
         for z in np.linspace(7.0, 8.0, 120):
             tr = build_transient(PixelConfig(float(z), 1.0, 0.0), SIM)
@@ -181,7 +181,7 @@ class TestEwhPeak:
 class TestBinDistance:
     def test_mid_range(self):
         # 512 bins * dt = 50 ns; z = c * 50 ns / 2
-        assert bin_to_distance(512.0, SIM) == pytest.approx(SIM.c * 50e-9 / 2, rel=1e-12)
+        assert bin_to_distance(512.0, SIM) == pytest.approx(SPEED_OF_LIGHT * 50e-9 / 2, rel=1e-12)
 
     def test_zero(self):
         assert bin_to_distance(0.0, SIM) == 0.0
@@ -198,4 +198,4 @@ class TestBinDistance:
     def test_roundtrip_with_inverse(self):
         # the inverse of z = c * (t * dt) / 2
         for t in (0.0, 17.3, 512.34, 1024.0):
-            assert 2.0 * bin_to_distance(t, SIM) / SIM.c / SIM.dt == pytest.approx(t, rel=1e-12)
+            assert 2.0 * bin_to_distance(t, SIM) / SPEED_OF_LIGHT / SIM.dt == pytest.approx(t, rel=1e-12)

@@ -28,7 +28,7 @@ from edhsim.harness import (
 from edhsim.metrics import distance_metrics
 from edhsim.histogrammer import EdhBoundaries, pedh
 from edhsim.scene import PixelConfig, synth_scene
-from edhsim.transient import SimConfig, build_transient, sample_stream, true_quantiles
+from edhsim.transient import SPEED_OF_LIGHT, SimConfig, build_transient, sample_stream, true_quantiles
 
 SIM_SMALL = SimConfig(n_cycles=400)
 STEP_SMALL = StepParams(decay_freeze_cycle=300)
@@ -125,7 +125,7 @@ class TestPixelStreams:
         assert cell == (0, 0) and pixel == PixelConfig(7.5, 5.0, 0.0)
         bounds = harness.summarize(stream, "pedh", 32, StepParams(), 1.0)
         t = harness.estimate_bins("t0", bounds)
-        center = (2.0 * 7.5 / sim.c) / sim.dt
+        center = (2.0 * 7.5 / SPEED_OF_LIGHT) / sim.dt
         assert abs(t - center) <= 2.0
 
 
@@ -138,7 +138,7 @@ class TestRunExperiment:
             out_dir=tmp_path,
         )
         result = run_experiment(cfg)
-        assert result.ok
+        assert not result.failures
         # per pair: oedh x {t0,t1} + pedh x {t0,t1} + ewh32 x {ewh_peak}
         assert len(result.summary_rows) == 2 * 5
         n_pixels = cfg.scene.width * cfg.scene.height
@@ -201,7 +201,7 @@ class TestRunExperiment:
     def test_failing_condition_gets_error_row(self, tmp_path):
         cfg = small_config(pairs=((1.0, 1.0), (-1.0, 1.0)), out_dir=tmp_path)
         result = run_experiment(cfg)
-        assert not result.ok
+        assert result.failures
         statuses = {(r["phi_sig"], r["status"]) for r in result.summary_rows}
         assert (1.0, "ok") in statuses
         assert (-1.0, "error") in statuses
@@ -284,7 +284,7 @@ class TestRunExperiment:
         result = run_experiment(small_config(
             methods=("oedh", "hedh", "ewh32"), estimators=("ewh_peak",), n_monte_carlo=3,
         ))
-        assert result.ok
+        assert not result.failures
         assert calls == ["ewh"] * 9  # 3 pixels x 3 runs, ewh32 only
         assert [r["method"] for r in result.summary_rows] == ["ewh32"]
 
@@ -347,13 +347,13 @@ class TestConfigChecks:
 class TestMethodComparisonTable:
     def test_any_ewh_resolution(self):
         result = run_experiment(small_config(methods=("ewh16",), estimators=("t0", "ewh_peak")))
-        assert result.ok
+        assert not result.failures
         assert {(r["method"], r["estimator"]) for r in result.summary_rows} == {
             ("ewh16", "ewh_peak")
         }
         # every estimate is the center of one of 16 bins, each 1024/16 = 64 wide
         for row in result.run_rows:
-            t = 2.0 * row["z_est_m"] / SIM_SMALL.c / SIM_SMALL.dt
+            t = 2.0 * row["z_est_m"] / SPEED_OF_LIGHT / SIM_SMALL.dt
             assert abs(t / 64.0 - 0.5 - round(t / 64.0 - 0.5)) < 1e-9
 
     def test_four_method_columns(self):
@@ -578,6 +578,18 @@ class TestBoundariesCsv:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    @pytest.mark.parametrize("header, bad", [
+        ("t_0,t_x", "'t_x' where 't_1' belongs"),  # no integer to sort by
+        ("t_0,t_2", "'t_2' where 't_1' belongs"),  # t_1 missing: not a q = 1 set
+        ("t_1,t_0", "'t_1' where 't_0' belongs"),
+        ("t_0,t_01", "'t_01' where 't_1' belongs"),
+    ])
+    def test_boundary_columns_must_run_t_0_to_t_q(self, tmp_path, header, bad):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"schema_version,pixel_row,pixel_col,{header}\n1,0,0,0.0,1024.0\n")
+        with pytest.raises(ParseError, match=f"bad.csv: boundary column {bad}"):
+            read_boundaries_csv(path)
+
     def test_duplicate_pixel_rejected(self, tmp_path):
         # two rows for one pixel: neither may silently win
         path = tmp_path / "bad.csv"
@@ -619,15 +631,15 @@ class TestConfigFiles:
         with pytest.raises(ParseError):
             parse_config_file(p)
 
-    def test_env_seed_override(self, tmp_path, monkeypatch):
+    def test_seed_comes_from_the_override_else_the_config(self, tmp_path, monkeypatch):
         p = tmp_path / "exp.conf"
         p.write_text("experiment.seed = 5\nsim.n_cycles = 300\nstep.decay_freeze_cycle = 250\n")
+        # the environment sets no seed
         monkeypatch.setenv("EDH_SEED", "99")
-        cfg = load_experiment_config(p)
-        assert cfg.global_seed == 99
-        # explicit override beats the environment
-        cfg = load_experiment_config(p, seed_override=123)
-        assert cfg.global_seed == 123
+        assert load_experiment_config(p).global_seed == 5
+        assert load_experiment_config(p, seed_override=123).global_seed == 123
+        p.write_text("sim.n_cycles = 300\n")
+        assert load_experiment_config(p).global_seed == 0
 
     def test_step_clip_is_an_unknown_key(self, tmp_path):
         # StepParams has no step cap, so its old key is refused like a typo

@@ -77,7 +77,7 @@ def test_fixed_walk_refuses_a_photon_in_no_interval():
     code = """
 import numpy as np
 import edhsim.kernel as k
-from edhsim.binner import fixed_walk
+from edhsim.binner import run_fixed
 from edhsim.errors import EdhsimError
 from edhsim.transient import PhotonStream
 ts, offsets = np.array([np.nan]), np.array([0, 1], dtype=np.int64)
@@ -86,7 +86,7 @@ print(k.library().edh_fixed_walk(ts, offsets, 0, 1, np.empty(0), 0, 1024.0, cvs,
 stream = PhotonStream.from_cycles([np.array([1.0])], 1024)
 object.__setattr__(stream, "timestamps", ts)
 try:
-    fixed_walk(stream, 0, 1, [], [512.0], 0.5, 1.0)
+    run_fixed(stream, 0.5, 1.0)
 except EdhsimError as e:
     print(type(e).__name__, e)
 """

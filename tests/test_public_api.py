@@ -1,5 +1,6 @@
 """The export list and the modules stay in step as names come and go."""
 
+import ast
 import importlib
 import inspect
 import subprocess
@@ -44,7 +45,7 @@ REMOVED = [
     ("binner", "optimized_step"),      # run_optimized over a one-cycle stream
     ("binner", "fixed_step"),          # run_fixed over a one-cycle stream
     ("binner", "BinnerBank.step_cycle"),  # bank.step_cycle(ts) -> bank.run(PhotonStream.from_cycles([ts], n_bins))
-    ("estimator", "distance_to_bin"),  # distance_to_bin(z, cfg) -> 2 * z / cfg.c / cfg.dt
+    ("estimator", "distance_to_bin"),  # distance_to_bin(z, cfg) -> 2 * z / SPEED_OF_LIGHT / cfg.dt
     ("transient", "Transient.total"),  # tr.total -> tr.values.sum()
     ("scene", "Scene.uniform"),        # Scene.uniform(d, s, b) -> Scene(d, s, b)
     ("scene", "Scene.pixel"),          # s.pixel(r, c) -> the (r, c) entry of s.iter_pixels()
@@ -61,7 +62,41 @@ REMOVED = [
     # a grid file's format is read off the file and written by its name
     ("cli", "_fmt_of"),
     ("histogrammer", "_check_stream"), # -> errors.check_type
+    # names only the tests read
+    ("binner", "fixed_walk"),          # with no edges -> run_fixed(s, f, step); edh_hedh walks with edges
+    ("binner", "BinnerState.initial"), # BinnerState.initial(f, n) -> BinnerState(f * n, f, n)
+    ("transient", "PhotonStream.cycles"),  # s.cycles() -> (s.cycle(i) for i in range(s.n_cycles))
+    ("harness", "ExperimentResult.ok"),    # r.ok -> not r.failures
 ]
+
+
+def unused_imports(source: str) -> list[str]:
+    """The names a module's source imports and never reads; a name listed in
+    its ``__all__`` is read, as a re-export."""
+    tree = ast.parse(source)
+    imported, read = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {a.asname or a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {a.asname or a.name for a in node.names}
+        elif isinstance(node, ast.Name):
+            read.add(node.id)
+        elif isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["__all__"]:
+            read |= set(ast.literal_eval(node.value))
+    return sorted(imported - read)
+
+
+@pytest.mark.parametrize("path", sorted(Path(edhsim.__file__).parent.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_a_name_it_never_uses(path):
+    assert unused_imports(path.read_text()) == []
+
+
+def test_an_unused_import_is_found():
+    source = ("from dataclasses import dataclass, replace\nimport os.path\nimport numpy as np\n"
+              "from . import kernel, scene\n__all__ = ['scene']\n"
+              "@dataclass\nclass A:\n    x: np.ndarray\n")
+    assert unused_imports(source) == ["kernel", "os", "replace"]
 
 
 def test_every_export_resolves_once():
@@ -85,6 +120,9 @@ def test_unread_fields_are_gone():
     assert "seed" not in {f.name for f in fields(PhotonStream)}
     assert "params" not in {f.name for f in fields(BinnerState)}
     assert "clip" not in {f.name for f in fields(StepParams)}
+    # the speed of light is transient.SPEED_OF_LIGHT, not a setting
+    assert "c" not in {f.name for f in fields(SimConfig)}
+    assert "sim.c" not in KNOWN_KEYS
 
 
 def test_no_format_parameter_or_key():
@@ -131,7 +169,7 @@ def _median_track(**bad):
 REAL_INPUTS = {
     **{f"StepParams.{f}": (lambda v, f=f: StepParams(**{f: v}))
        for f in ("k_pct", "gamma", "beta1", "beta2")},
-    **{f"SimConfig.{f}": (lambda v, f=f: SimConfig(**{f: v})) for f in ("rep_period", "fwhm", "c")},
+    **{f"SimConfig.{f}": (lambda v, f=f: SimConfig(**{f: v})) for f in ("rep_period", "fwhm")},
     "PixelConfig.z": lambda v: PixelConfig(v, 1.0, 1.0),
     "PixelConfig.phi_sig": lambda v: PixelConfig(5.0, v, 1.0),
     "PixelConfig.phi_bkg": lambda v: PixelConfig(5.0, 1.0, v),
@@ -145,7 +183,6 @@ REAL_INPUTS = {
     "run_fixed.step_size": lambda v: binner.run_fixed(_STREAM, 0.5, v),
     "run_fixed.target_frac": lambda v: binner.run_fixed(_STREAM, v, 1.0),
     "run_optimized.target_frac": lambda v: binner.run_optimized(_STREAM, v, StepParams()),
-    "fixed_walk.target_frac": lambda v: binner.fixed_walk(_STREAM, 0, 1, [], [512.0], v, 1.0),
     "BinnerState.target_frac": lambda v: BinnerState(512.0, v, 1024),
     "BinnerState.cv": lambda v: BinnerState(v, 0.5, 1024),
     "distance_metrics.z_max": lambda v: distance_metrics(_ONE, _ONE, z_max=v),
@@ -180,8 +217,6 @@ ARRAY_INPUTS = {
     "EdhBoundaries.bounds": lambda a: EdhBoundaries(2, np.repeat(a, 3)),
     "EwHistogram.counts": lambda a: EwHistogram(a, 8.0),
     "true_quantiles.fracs": lambda a: true_quantiles(_TRANSIENT, a),
-    "fixed_walk.edges": lambda a: binner.fixed_walk(_STREAM, 0, 1, a, [1.0, 1.0], 0.5, 1.0),
-    "fixed_walk.cvs": lambda a: binner.fixed_walk(_STREAM, 0, 1, [], a, 0.5, 1.0),
     "Transient.values": lambda a: Transient(np.repeat(a, 2), SimConfig(n_bins=2)),
     "PhotonStream.timestamps": lambda a: PhotonStream(a, np.array([0, 1]), 8),
     "PhotonStream.cycle_offsets": lambda a: PhotonStream(np.array([]), a, 8),
@@ -205,7 +240,6 @@ TYPED_INPUTS = {
     "run_fixed.stream": lambda v: binner.run_fixed(v, 0.5, 1.0),
     "run_optimized.stream": lambda v: binner.run_optimized(v, 0.5, StepParams()),
     "run_optimized.params": lambda v: binner.run_optimized(_STREAM, 0.5, v),
-    "fixed_walk.stream": lambda v: binner.fixed_walk(v, 0, 1, [], [1.0], 0.5, 1.0),
     "sample_stream.transient": lambda v: sample_stream(v, 10, 0),
     "build_transient.pixel": lambda v: build_transient(v, _SIM),
     "build_transient.config": lambda v: build_transient(PixelConfig(5.0, 1.0, 1.0), v),

@@ -14,6 +14,8 @@ from edhsim.harness import derive_seed
 from edhsim.scene import PixelConfig
 from edhsim.transient import (
     POISSON_LAM_MAX,
+    REP_PERIOD_MAX,
+    SPEED_OF_LIGHT,
     PhotonStream,
     SimConfig,
     Transient,
@@ -103,13 +105,19 @@ class TestSimConfig:
         with pytest.raises(InvalidParamsError):
             SimConfig(n_cycles=0)
         with pytest.raises(InvalidParamsError):
-            SimConfig(c=np.inf)
-        with pytest.raises(InvalidParamsError):
             SimConfig(rep_period=np.inf)
-        # each finite, but c * rep_period overflows to inf
-        for c in (1e308, np.float64(1e308)):
-            with pytest.raises(InvalidParamsError, match=r"c=.*1e\+308.*, rep_period=10\.0"):
-                SimConfig(c=c, rep_period=10.0, fwhm=1e-9)
+        # finite, but c * rep_period overflows to inf
+        for rep_period in (1e300, np.float64(1e300), 10**300):
+            with pytest.raises(InvalidParamsError, match=r"rep_period must be a real number in"):
+                SimConfig(rep_period=rep_period, fwhm=1e-9)
+
+    def test_the_largest_rep_period_keeps_z_max_finite(self):
+        # REP_PERIOD_MAX is the largest double whose product with c is finite
+        assert math.isfinite(SimConfig(rep_period=REP_PERIOD_MAX).z_max)
+        past = math.nextafter(REP_PERIOD_MAX, math.inf)
+        assert SPEED_OF_LIGHT * past == math.inf
+        with pytest.raises(InvalidParamsError, match="rep_period must be a real number in"):
+            SimConfig(rep_period=past)
 
     @pytest.mark.parametrize(
         "kwargs", [dict(n_bins=1024.5), dict(n_bins=1024.0), dict(n_cycles=5000.5), dict(n_cycles="5000")]
@@ -118,15 +126,16 @@ class TestSimConfig:
         with pytest.raises(InvalidParamsError):
             SimConfig(**kwargs)
 
-    @pytest.mark.parametrize("name", ["rep_period", "fwhm", "c"])
+    @pytest.mark.parametrize("name", ["rep_period", "fwhm"])
     @pytest.mark.parametrize("value", ["a", None, True, False, 1e-9j])
     def test_float_fields_must_be_real(self, name, value):
         with pytest.raises(InvalidParamsError, match=f"{name} must be a real number"):
             SimConfig(**{name: value})
 
     def test_numpy_float_fields_accepted(self):
-        cfg = SimConfig(rep_period=np.float64(100e-9), fwhm=np.float32(0.32e-9), c=np.int64(3e8))
-        assert cfg.z_max == pytest.approx(15.0)
+        cfg = SimConfig(rep_period=np.float64(100e-9), fwhm=np.float32(0.32e-9))
+        assert cfg.z_max == pytest.approx(14.99)
+        assert SimConfig(rep_period=np.int64(1), fwhm=1e-9).z_max == SPEED_OF_LIGHT / 2.0
 
     def test_numpy_integer_sizes_accepted(self):
         assert SimConfig(n_bins=np.int64(512), n_cycles=np.int32(100)).dt == pytest.approx(100e-9 / 512)
@@ -136,7 +145,7 @@ class TestBuildTransient:
     def test_peak_bin_location(self):
         # closed form: peak center at 2z/c in units of dt
         tr = build_transient(PixelConfig(7.5, 1.0, 1.0), SIM)
-        center_bins = (2.0 * 7.5 / SIM.c) / SIM.dt
+        center_bins = (2.0 * 7.5 / SPEED_OF_LIGHT) / SIM.dt
         assert center_bins == pytest.approx(512.34, abs=0.01)
         assert int(np.argmax(tr.values)) in (512, 513)
 
@@ -148,7 +157,7 @@ class TestBuildTransient:
         # independent oracle: numerically integrate the Gaussian over bins
         pix = PixelConfig(7.5, 2.0, 0.5)
         tr = build_transient(pix, SIM)
-        t_peak = 2.0 * pix.z / SIM.c
+        t_peak = 2.0 * pix.z / SPEED_OF_LIGHT
         sigma = SIM.pulse_sigma
         for k in (510, 512, 513, 700):
             expected, _ = quad(
@@ -161,7 +170,7 @@ class TestBuildTransient:
     def test_neighbor_ratio_matches_gaussian(self):
         # pulse centered exactly at a bin center so neighbors are symmetric
         sigma_bins = SIM.pulse_sigma / SIM.dt
-        z = 512.5 * SIM.dt * SIM.c / 2.0
+        z = 512.5 * SIM.dt * SPEED_OF_LIGHT / 2.0
         tr = build_transient(PixelConfig(z, 1.0, 0.0), SIM)
         peak = int(np.argmax(tr.values))
         assert peak == 512
@@ -182,7 +191,7 @@ class TestBuildTransient:
     def test_total_decomposition(self):
         pix = PixelConfig(7.5, 1.5, 0.75)
         tr = build_transient(pix, SIM)
-        t_peak = 2.0 * pix.z / SIM.c
+        t_peak = 2.0 * pix.z / SPEED_OF_LIGHT
         captured = norm.cdf(SIM.rep_period, loc=t_peak, scale=SIM.pulse_sigma) - norm.cdf(
             0.0, loc=t_peak, scale=SIM.pulse_sigma
         )
@@ -196,7 +205,7 @@ class TestBuildTransient:
     def test_equals_the_scipy_formula_bit_for_bit(self, z):
         pix = PixelConfig(z, 2.0, 0.5)
         edges = np.arange(SIM.n_bins + 1, dtype=np.float64) * SIM.dt
-        pulse_cdf = ndtr((edges - 2.0 * z / SIM.c) / SIM.pulse_sigma)
+        pulse_cdf = ndtr((edges - 2.0 * z / SPEED_OF_LIGHT) / SIM.pulse_sigma)
         want = pix.phi_sig * np.diff(pulse_cdf) + pix.phi_bkg / SIM.n_bins
         assert build_transient(pix, SIM).values.tobytes() == want.tobytes()
 
@@ -206,7 +215,7 @@ def pulse_cdf_arguments(n_depths=3000):
     depths on (0.01 m, z_max) at the default SimConfig."""
     z = np.linspace(0.01, SIM.z_max, n_depths, endpoint=False)
     edges = np.arange(SIM.n_bins + 1, dtype=np.float64) * SIM.dt
-    return ((edges - (2.0 * z / SIM.c)[:, None]) / SIM.pulse_sigma).ravel()
+    return ((edges - (2.0 * z / SPEED_OF_LIGHT)[:, None]) / SIM.pulse_sigma).ravel()
 
 
 def branch_points():
@@ -306,6 +315,15 @@ class TestSampleStream:
         with pytest.raises(InvalidParamsError,
                            match=r"the \d+ photons of 5000 cycles .* do not fit in memory"):
             sample_stream(flat(16e12), 5000, 0)
+
+    @pytest.mark.parametrize("n_cycles", [10**18, 2**62, 2**64])
+    def test_cycle_count_past_memory_refused(self, n_cycles):
+        # numpy refuses the offsets array (8 EB and up) without allocating it:
+        # a MemoryError, or a ValueError past its largest array
+        with pytest.raises(InvalidParamsError,
+                           match=rf"the {n_cycles + 1} cycle offsets of {n_cycles} cycles do not "
+                                 rf"fit in memory"):
+            sample_stream(Transient(np.full(16, 1.0), SimConfig(n_bins=16)), n_cycles, 0)
 
     @pytest.mark.parametrize("make", [np.random.default_rng, np.random.PCG64], ids=["Generator", "PCG64"])
     def test_a_pcg64_generator_is_drawn_from_as_numpy_would(self, make):
@@ -564,6 +582,15 @@ class TestPhotonStream:
         assert s.total_photons == 3
         assert np.array_equal(s.cycle(1), np.empty(0))
         assert np.array_equal(s.pooled(), np.array([0.5, 1.0, 2.0]))
+
+    @pytest.mark.parametrize("i", [-1, 2, 2**70, 1.0, True, None])
+    def test_cycle_index_outside_the_stream_refused(self, i):
+        # a negative index would slice from the end, one past the last
+        # would index past the offsets
+        s = PhotonStream.from_cycles([np.array([1.0]), np.array([2.0])], 8)
+        with pytest.raises(InvalidParamsError, match="cycle index must be"):
+            s.cycle(i)
+        assert s.cycle(np.int64(1)).tolist() == [2.0]
 
     def test_unsorted_cycle_rejected(self):
         with pytest.raises(InvalidParamsError):
