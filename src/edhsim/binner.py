@@ -131,6 +131,7 @@ def run_optimized(stream: PhotonStream, target_frac: float, params: StepParams) 
     check_type("stream of run_optimized", stream, PhotonStream)
     check_type("params of run_optimized", params, StepParams)
     check_real("target_frac", target_frac, 0, 1)
+    target_frac = float(target_frac)  # a numpy float runs as its float64 value
     cv, s, dtil = np.array([target_frac * stream.n_bins]), np.zeros(1), np.zeros(1)
     _optimized_bank(stream, 0, params, stream.n_bins, np.array([target_frac]), cv, s, dtil)
     return BinnerState(float(cv[0]), target_frac, stream.n_bins, float(s[0]), float(dtil[0]),
@@ -153,7 +154,8 @@ def run_fixed(stream: PhotonStream, target_frac: float, step_size: float) -> Bin
     check_real("target_frac", target_frac, 0, 1)
     # an infinite step would turn a balanced or empty cycle into inf*0 = nan
     check_real("fixed_step_size", step_size, 0)
-    cv = np.array([target_frac * stream.n_bins], np.float64)  # the kernel steps it in place
+    target_frac = float(target_frac)  # a numpy float runs as its float64 value
+    cv = np.array([target_frac * stream.n_bins])  # the kernel steps it in place
     if kernel.library().edh_fixed_walk(stream.timestamps, stream.cycle_offsets, 0, stream.n_cycles,
                                        _NO_EDGES, 0, float(stream.n_bins), cv, target_frac,
                                        step_size):

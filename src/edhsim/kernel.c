@@ -436,9 +436,18 @@ int edh_poisson_offsets(double lam, int64_t n_cycles, uint64_t *pcg, int64_t *of
     return 0;
 }
 
-/* Runs longer than this are sorted with qsort, since insertion costs grow
- * with the square of the run; both orders are exact. Insertion was faster
- * up to about 300 photons per cycle on x86-64 with gcc 12. */
+/* A cycle of at most LONG_RUN photons takes each photon into its ascending
+ * run with no branch on where it lands: from the top down, each slot t keeps
+ * min(run[t], max(run[t - 1], pos)), the merge of the run with pos. That
+ * reads every slot of the run, where a shifting insertion stops at pos's
+ * place but mispredicts that stop about half of the time on i.i.d.
+ * positions. Longer runs are sorted with qsort, since the merge grows with
+ * the square of the run. Both orders are exact: ties are equal doubles, and
+ * no NaN or -0.0 reaches them. Per photon on ready draws, on x86-64 with
+ * gcc 12 (BENCH_placement.json), the merge took 12-15 ns at 16-32 photons
+ * per cycle, 26 at 96 and 60 at 256, against 25-29, 37-40 and 60 for the
+ * shifting insertion and 35-44, 54 and 65-68 for qsort; qsort wins from
+ * about 300 on. */
 #define LONG_RUN 256
 
 static int compare_doubles(const void *a, const void *b)
@@ -448,66 +457,80 @@ static int compare_doubles(const void *a, const void *b)
 }
 
 /* The photon placement of sample_stream, the one loop behind both entries
- * below.
+ * below; returns the knot-scan steps it took.
  *
- * cum holds the running sum of the transient's n_bins values (cum[n_bins-1]
- * is the total), offsets[c]:offsets[c+1] are cycle c's photons, and photon i
- * has bin uniform ub[i] and jitter uniform uj[i], or, when ub is NULL, the
- * next draws of bin and jit. Photon i goes to bin k, the number of knots
- * cum[k] <= ub[i] * total (numpy's right-sided searchsorted), held to
+ * knots[0:n_bins] holds the running sum of the transient's n_bins values
+ * (knots[n_bins-1] is the total) and knots[n_bins] is +INFINITY,
+ * offsets[c]:offsets[c+1] are cycle c's photons, and photon i has bin
+ * uniform ub[i] and jitter uniform uj[i], or, when ub is NULL, the next
+ * draws of bin and jit. Photon i goes to bin k, the number of knots
+ * knots[k] <= ub[i] * total (numpy's right-sided searchsorted), held to
  * n_bins - 1, lands at k + uj[i], held below n_bins, and is inserted into its
  * cycle's ascending run in ts. Tied positions are equal doubles, so the bytes
  * match a (cycle, position) sort.
  *
  * The knot search starts from hint[b], the knots at or below the lower edge
- * of the photon's bucket b = floor(ub * n_bins); one merge pass over cum fills
- * the table. The scan down and up from the hint alone decides k, so the hint
- * only sets the cost: a uniform ub falls in each bucket with chance
- * 1 / n_bins, so the expected scan is about one knot whatever cum looks like. */
-static void place_photons(const double *cum, int64_t n_bins, const int64_t *offsets,
-                          int64_t n_cycles, const double *ub, const double *uj,
-                          struct uniforms *bin, struct uniforms *jit, int64_t *hint, double *ts)
+ * of the photon's bucket b = floor(ub * n_bins); one merge pass over knots
+ * fills the table. The scan down and up from the hint alone decides k, so
+ * the hint only sets the cost: a uniform ub falls in each bucket with chance
+ * 1 / n_bins, so the expected scan is under one knot whatever the knots
+ * look like. The scan up stops at the +INFINITY sentinel with no bound test,
+ * and takes its first two steps as adds, so the common scan of zero to two
+ * knots has no branch. */
+static int64_t place_photons(const double *knots, int64_t n_bins, const int64_t *offsets,
+                             int64_t n_cycles, const double *ub, const double *uj,
+                             struct uniforms *bin, struct uniforms *jit, int64_t *hint,
+                             double *ts)
 {
-    double total = cum[n_bins - 1], nb = (double)n_bins;
+    double total = knots[n_bins - 1], nb = (double)n_bins;
     double top = nextafter(nb, 0.0);
+    int64_t steps = 0;
     for (int64_t b = 0, k = 0; b < n_bins; b++) {
         double edge = (double)b / nb * total;
-        while (k < n_bins && cum[k] <= edge)
+        while (knots[k] <= edge)
             k++;
         hint[b] = k;
     }
     for (int64_t c = 0; c < n_cycles; c++) {
-        int64_t start = offsets[c], end = offsets[c + 1];
-        int insert = end - start <= LONG_RUN;
+        int64_t start = offsets[c], end = offsets[c + 1], len = end - start;
         for (int64_t i = start; i < end; i++) {
             double u = ub ? ub[i] : uniform(bin), j = ub ? uj[i] : uniform(jit);
             double x = u * total;
             int64_t b = (int64_t)(u * nb);
-            int64_t k = hint[b < n_bins ? b : n_bins - 1];
-            while (k > 0 && cum[k - 1] > x)
+            int64_t k0 = hint[b < n_bins ? b : n_bins - 1], k = k0;
+            while (k > 0 && knots[k - 1] > x)
                 k--;
-            while (k < n_bins && cum[k] <= x)
+            k += knots[k] <= x;
+            k += knots[k] <= x;
+            while (knots[k] <= x)
                 k++;
+            steps += k > k0 ? k - k0 : k0 - k;
             double pos = (double)(k < n_bins ? k : n_bins - 1) + j;
             pos = pos < top ? pos : top;
-            int64_t m = i;
-            while (insert && m > start && ts[m - 1] > pos) {
-                ts[m] = ts[m - 1];
-                m--;
-            }
-            ts[m] = pos;
+            if (len <= LONG_RUN) {
+                ts[i] = INFINITY;
+                for (int64_t t = i; t > start; t--) {
+                    double above = ts[t - 1] > pos ? ts[t - 1] : pos;
+                    ts[t] = ts[t] < above ? ts[t] : above;
+                }
+                ts[start] = ts[start] < pos ? ts[start] : pos;
+            } else
+                ts[i] = pos;
         }
-        if (!insert)
-            qsort(ts + start, (size_t)(end - start), sizeof *ts, compare_doubles);
+        if (len > LONG_RUN)
+            qsort(ts + start, (size_t)len, sizeof *ts, compare_doubles);
     }
+    return steps;
 }
 
-/* The placement on the caller's draws ub and uj. */
-void edh_place_photons(const double *cum, int64_t n_bins, const int64_t *offsets,
-                       int64_t n_cycles, const double *ub, const double *uj,
-                       int64_t *hint, double *ts)
+/* The placement on the caller's draws ub and uj; returns the knot-scan
+ * steps, knots passed down or up from the hints, so that the tests can
+ * hold the hint to its cost. */
+int64_t edh_place_photons(const double *knots, int64_t n_bins, const int64_t *offsets,
+                          int64_t n_cycles, const double *ub, const double *uj,
+                          int64_t *hint, double *ts)
 {
-    place_photons(cum, n_bins, offsets, n_cycles, ub, uj, NULL, NULL, hint, ts);
+    return place_photons(knots, n_bins, offsets, n_cycles, ub, uj, NULL, NULL, hint, ts);
 }
 
 /* The placement of the N = offsets[n_cycles] photons whose counts
@@ -515,14 +538,14 @@ void edh_place_photons(const double *cum, int64_t n_bins, const int64_t *offsets
  * give next: the bin uniforms from the PCG64 in pcg and the jitter uniforms
  * from a copy advanced by N, in one pass. pcg is left advanced by 2N, where
  * those two calls leave it. */
-void edh_sample_photons(const double *cum, int64_t n_bins, const int64_t *offsets,
+void edh_sample_photons(const double *knots, int64_t n_bins, const int64_t *offsets,
                         int64_t n_cycles, uint64_t *pcg, int64_t *hint, double *ts)
 {
     u128 state = load_u128(pcg), inc = load_u128(pcg + 2), n = (u128)offsets[n_cycles];
     struct uniforms bin, jit;
     uniforms_start(&bin, state, inc);
     uniforms_start(&jit, pcg_advance(state, inc, n), inc);
-    place_photons(cum, n_bins, offsets, n_cycles, NULL, NULL, &bin, &jit, hint, ts);
+    place_photons(knots, n_bins, offsets, n_cycles, NULL, NULL, &bin, &jit, hint, ts);
     store_u128(pcg, pcg_advance(state, inc, 2 * n));
 }
 

@@ -125,7 +125,7 @@ def library() -> ctypes.CDLL:
     lib.edh_sample_photons.argtypes = [
         _doubles(), i64, _int64s(), i64, _uint64s(True), _int64s(True), _doubles(True),
     ]
-    lib.edh_place_photons.restype = None
+    lib.edh_place_photons.restype = i64
     lib.edh_place_photons.argtypes = [
         _doubles(), i64, _int64s(), i64, _doubles(), _doubles(), _int64s(True), _doubles(True),
     ]

@@ -278,9 +278,14 @@ def sample_stream(transient: Transient, n_cycles: int, seed) -> PhotonStream:
     copies of the state, the second jumped ahead past the bin uniforms).
     It places each photon exactly: its bin is a right-sided search of the
     draw times ``total`` over the knots, held to ``n_bins - 1``; its
-    position, bin plus jitter, is held below ``n_bins`` and inserted into its
+    position, bin plus jitter, is held below ``n_bins`` and merged into its
     cycle's ascending run. Tied positions are equal floats, so the stream
     matches a (cycle, position) lexicographic sort byte for byte.
+
+    The returned stream holds the kernel's own arrays, made read-only. They
+    meet every rule :class:`PhotonStream` checks by construction, so its
+    checks are not run on them again; a property test of the sampler runs
+    them on its streams.
 
     Raises:
         InvalidParamsError: unless ``transient`` is a :class:`Transient`; if
@@ -293,9 +298,11 @@ def sample_stream(transient: Transient, n_cycles: int, seed) -> PhotonStream:
     check_type("transient of sample_stream", transient, Transient)
     n_cycles = check_int("n_cycles", n_cycles, 1)
     cfg = transient.config
+    knots = np.empty(cfg.n_bins + 1)  # the running sum, then the kernel's +inf sentinel
     with np.errstate(over="ignore"):  # a sum past the largest double is refused below
-        cum = np.cumsum(transient.values)
-    total = cum[-1]
+        np.cumsum(transient.values, out=knots[:-1])
+    knots[-1] = np.inf
+    total = knots[-2]
     if not total <= POISSON_LAM_MAX:
         raise InvalidParamsError(f"total photons per cycle {float(total)!r} exceeds numpy's "
                                  f"Poisson bound {POISSON_LAM_MAX!r}")
@@ -319,9 +326,15 @@ def sample_stream(transient: Transient, n_cycles: int, seed) -> PhotonStream:
             raise InvalidParamsError(f"the {offsets[-1]} photons of {n_cycles} cycles at "
                                      f"{float(total)!r} photons per cycle do not fit in memory"
                                      ) from None
-        lib.edh_sample_photons(cum, cfg.n_bins, offsets, n_cycles, words,
+        lib.edh_sample_photons(knots, cfg.n_bins, offsets, n_cycles, words,
                                np.empty(cfg.n_bins, np.int64), positions)
         if held:
             pcg["state"]["state"] = int(words[0]) << 64 | int(words[1])
             bitgen.state = pcg
-    return PhotonStream(positions, offsets, cfg.n_bins)
+    # The kernel's arrays meet every rule PhotonStream.__post_init__ checks,
+    # so they are frozen as it would freeze them, not checked again.
+    positions.setflags(write=False)
+    offsets.setflags(write=False)
+    stream = object.__new__(PhotonStream)
+    stream.__dict__.update(timestamps=positions, cycle_offsets=offsets, n_bins=cfg.n_bins)
+    return stream

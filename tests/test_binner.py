@@ -265,10 +265,17 @@ class TestRunners:
             reference_run_optimized(stream, 0.3, p)
         assert fast.n == stream.n_cycles
 
-    def test_run_fixed_takes_a_float32_target_as_its_float64_value(self):
-        stream = _stream(seed=7, n_cycles=50)
+    @pytest.mark.parametrize("n_bins", [1000, 1024])
+    def test_runners_take_a_float32_target_as_its_float64_value(self, n_bins):
+        stream = sample_stream(build_transient(PixelConfig(7.5, 1.0, 1.0), SimConfig(n_bins=n_bins)),
+                               50, 7)
         target = np.float32(0.3)
-        assert run_fixed(stream, target, 1.0).cv == run_fixed(stream, float(target), 1.0).cv
+        # at 1,000 bins the float32 start CV target * n_bins rounds apart from the float64 one
+        assert (float(target * n_bins) == float(target) * n_bins) == (n_bins == 1024)
+        for got, want in [(run_fixed(stream, target, 1.0), run_fixed(stream, float(target), 1.0)),
+                          (run_optimized(stream, target, StepParams()),
+                           run_optimized(stream, float(target), StepParams()))]:
+            assert got == want
 
     def test_run_fixed_matches_stepwise_fold(self):
         stream = _stream(seed=6)

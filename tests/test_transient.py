@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -362,6 +363,20 @@ class TestSampleStream:
         tr = build_transient(PixelConfig(7.5, 1.0, 2.0), SIM)
         assert sample_stream(tr, 100, 3).total_photons > 0
 
+    @given(tr=transients(), n_cycles=st.integers(1, 3000), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_the_public_checks_accept_every_stream_unchanged(self, tr, n_cycles, seed):
+        # sample_stream does not run PhotonStream's checks on the kernel's
+        # arrays: each stream must pass them as it is, and be read-only
+        got = sample_stream(tr, n_cycles, seed)
+        for arr in (got.timestamps, got.cycle_offsets):  # before the checks freeze them
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = 0
+        again = PhotonStream(got.timestamps, got.cycle_offsets, got.n_bins)
+        assert again.timestamps is got.timestamps and again.cycle_offsets is got.cycle_offsets
+        assert again.n_bins == got.n_bins and again.checksum() == got.checksum()
+
     def test_per_bin_means_match_transient(self):
         # statistical oracle: empirical per-bin mean within 5 SE of the truth
         tr = build_transient(PixelConfig(7.5, 1.0, 1.0), SIM)
@@ -484,17 +499,27 @@ class TestKernelDraws:
         assert np.allclose(got, [math.lgamma(v) for v in x], rtol=1e-13, atol=1e-13)
 
 
-def place_photons(values, ub, uj, counts=None):
+def place_photons_and_steps(values, ub, uj, counts=None):
     """Positions from the kernel's ``edh_place_photons`` for a transient of
-    ``values``; photons go one per cycle unless ``counts`` says otherwise."""
+    ``values``, and the knot-scan steps it took; photons go one per cycle
+    unless ``counts`` says otherwise."""
     values = np.asarray(values, dtype=np.float64)
     ub, uj = np.asarray(ub, dtype=np.float64), np.asarray(uj, dtype=np.float64)
     counts = np.ones(ub.size, np.int64) if counts is None else np.asarray(counts)
     offsets = np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
     out = np.empty(ub.size)
-    kernel.library().edh_place_photons(np.cumsum(values), values.size, offsets, counts.size,
-                                       ub, uj, np.empty(values.size, np.int64), out)
-    return out
+    steps = kernel.library().edh_place_photons(
+        np.append(np.cumsum(values), np.inf), values.size, offsets, counts.size, ub, uj,
+        np.empty(values.size, np.int64), out)
+    return out, steps
+
+
+def place_photons(values, ub, uj, counts=None):
+    return place_photons_and_steps(values, ub, uj, counts)[0]
+
+
+# kernel.c's longest cycle it merges each photon into; longer ones it sorts with qsort
+LONG_RUN = int(re.search(r"#define LONG_RUN (\d+)", kernel.SOURCE.read_text()).group(1))
 
 
 def reference_place(values, ub, uj, counts):
@@ -560,6 +585,34 @@ class TestKnotBins:
         got = place_photons(self.VALUES, [0.9, 0.5, 0.0, 0.125], [0.5, 0.25, 0.75, 0.0],
                             counts=[2, 0, 2])
         assert got.tolist() == [7.25, 7.5, 1.75, 3.0]
+
+    @pytest.mark.parametrize("values", [
+        np.full(1024, 2.0 / 1024), build_transient(PixelConfig(7.5, 1.0, 2.0), SIM).values])
+    def test_the_hint_keeps_the_knot_scan_short(self, values):
+        # a uniform draw passes under one knot on average from its bucket's
+        # hint: none on a flat transient, about a third at 1:2; a hint table
+        # of all zeros would scan about n_bins / 2, and one off by one about 1
+        rng = np.random.default_rng(0)
+        _, steps = place_photons_and_steps(values, rng.random(20_000), rng.random(20_000))
+        assert 0.0 <= steps / 20_000 < 0.5
+
+    @pytest.mark.parametrize("length", [1, 2, LONG_RUN - 1, LONG_RUN, LONG_RUN + 1])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equals_binary_search_at_every_run_length(self, length, seed):
+        # cycles of one length on each side of the kernel's switch from
+        # merging to qsort, with knots and draws from one small set of
+        # dyadic values: ties between photons, with knots and against the
+        # top clamp fill each run
+        rng = np.random.default_rng(seed)
+        values = np.append(rng.choice([0.0, 0.25, 1.0, 2.0], 7), 1.0)
+        n = 3 * length
+        ub = rng.choice([0.0, 0.125, 0.25, 0.5, 0.75, 0.9, 1.0 - 2.0**-53], n)
+        uj = rng.choice([0.0, 0.5, 1.0 - 2.0**-53], n)
+        ub[0] = uj[0] = 1.0 - 2.0**-53  # at least one photon meets the top clamp
+        counts = [length, 0, length, length]
+        got = place_photons(values, ub, uj, counts)
+        assert got.tobytes() == reference_place(values, ub, uj, counts).tobytes()
+        assert got.max() == np.nextafter(values.size, 0.0)
 
     @given(st.lists(st.sampled_from([0.0, 0.25, 1.0, 2.0]), min_size=2, max_size=24),
            st.lists(st.tuples(st.sampled_from([0.0, 0.125, 0.25, 0.5, 0.75, 0.9, 1.0 - 2.0**-53]),
