@@ -35,6 +35,7 @@ Python reference loop per rule and check the kernel against it bit for bit.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -70,7 +71,8 @@ class StepParams:
         check_real("gamma", self.gamma, 0, 1, "(]")
         check_real("beta1", self.beta1, 0, 1, "[)")
         check_real("beta2", self.beta2, 0, 1, "[)")
-        # plain Python numbers: the kernel takes gamma**n from libm pow, as
+        # plain Python numbers: the kernel's decay table (and the kernel
+        # itself past the table's end) takes gamma**n from libm pow, as
         # float ** int does, and numpy's power can differ in the last bit
         object.__setattr__(self, "gamma", float(self.gamma))
         object.__setattr__(self, "decay_freeze_cycle",
@@ -107,6 +109,17 @@ def step_scale(params: StepParams, n_bins: int) -> float:
     return scale
 
 
+@functools.lru_cache(maxsize=16)
+def _decay_table(gamma: float, n: int) -> np.ndarray:
+    """``gamma**e`` for ``e`` in ``[0, n)``, read-only: the decay the
+    kernel reads for every cycle up to the freeze, in place of one libm
+    ``pow`` call each."""
+    table = np.empty(n)
+    kernel.library().edh_decay_table(gamma, n, table)
+    table.flags.writeable = False
+    return table
+
+
 def _optimized_bank(stream: PhotonStream, n0: int, params: StepParams, n_bins: int,
                     targets: np.ndarray, cvs: np.ndarray, s: np.ndarray, dtil: np.ndarray) -> None:
     """Step optimized binners over every cycle of ``stream`` in one kernel
@@ -114,15 +127,20 @@ def _optimized_bank(stream: PhotonStream, n0: int, params: StepParams, n_bins: i
 
     Binner ``j`` tracks ``targets[j]`` under ``params``; ``cvs[j]``, ``s[j]``
     and ``dtil[j]`` hold its CV and smoother memories and are updated in place.
+    The decay ``gamma**e`` comes from a cached table for ``e`` below both
+    ``decay_freeze_cycle + 1`` and the stream's cycle count, and from
+    ``pow`` past it, so no table is longer than the stream, however far the
+    freeze or the run's start ``n0``.
     """
     if not targets.size == cvs.size == s.size == dtil.size:
         raise InvalidParamsError(f"bank arrays of sizes {targets.size}, {cvs.size}, {s.size}, "
                                  f"{dtil.size} do not fit one another")
     p = params
+    decay = _decay_table(p.gamma, min(p.decay_freeze_cycle + 1, stream.n_cycles))
     kernel.library().edh_optimized_bank(
         stream.timestamps, stream.cycle_offsets, stream.n_cycles, n0, p.beta1, p.beta2,
         (1.0 - p.beta2) * step_scale(p, n_bins), p.gamma, p.decay_freeze_cycle,
-        targets.size, targets, float(n_bins), cvs, s, dtil)
+        decay, decay.size, targets.size, targets, float(n_bins), cvs, s, dtil)
 
 
 def run_optimized(stream: PhotonStream, target_frac: float, params: StepParams) -> BinnerState:

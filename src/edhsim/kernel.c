@@ -7,10 +7,14 @@
  * never -ffast-math, and called through ctypes. Each stepping loop does the
  * operations of its rule, as edhsim/binner.py states them, in a fixed order:
  * no fused multiply-add, each clamp written as numpy's min(max(x, lo), hi),
- * and the decay taken from libm pow, the call behind Python's float ** int.
- * A loop that gcc vectorizes does each element's operations in the same
- * order, one rounding each, so every result stays bit-identical to the
- * tests' Python reference loop for the rule.
+ * and the decay gamma^e taken from libm pow, the call behind Python's
+ * float ** int: read from a table that edh_decay_table filled with that
+ * call, or made by it past the table's end. A loop that gcc vectorizes does
+ * each element's operations in the same order, one rounding each, so every
+ * result stays bit-identical to the tests' Python reference loop for the
+ * rule. On x86-64 with glibc the bank is built twice, for baseline x86-64
+ * and for AVX2, and the loader picks one when the library loads (see
+ * BANK_CLONES).
  * The draws are numpy's PCG64 and Poisson code, step for step, on
  * unsigned __int128 (gcc and clang have it on 64-bit targets), so numpy
  * only seeds; the placement repeats numpy's product, sum and clamps on
@@ -55,12 +59,23 @@ static int64_t upper_bound(const double *edges, int64_t n, double x)
  * up to BLOCK binners at once, in a loop that gcc vectorizes at -O3. Other
  * banks and cycles take one binary search per binner. The searches' time
  * over the block count's, for K binners and m photons in every cycle, on
- * x86-64 with gcc 12 (BENCH_bank_count.json): K = 8 1.2-1.6x and K = 31
- * 1.6-2.2x at every m from 1 to 32, K = 31 0.97x at m = 64, K = 7 0.87x at
- * m = 1, and K = 1 0.4-0.65x at every m. */
+ * x86-64 with gcc 12, in the baseline (SSE2) / AVX2 clone (BENCH_avx2.json):
+ * at every m from 1 to 32, K = 8 1.1-2.2x / 1.3-2.4x, K = 31 1.6-2.3x /
+ * 2.3-3.4x and K = 1 0.36-0.55x / 0.36-0.59x; K = 7 0.89x / 0.85x at m = 1;
+ * at m = 48, K = 8 to 65 1.1-1.3x / 1.6-2.3x but K = 127 and 129 0.92-0.97x
+ * at SSE2. Both clones share the cuts, so each stays where the block count
+ * wins at both widths. */
 #define BLOCK 64
 #define WIDE_BANK 8
 #define SHORT_CYCLE 32
+
+/* target_clones needs x86 and the ifunc of glibc's loader; elsewhere the
+ * bank is built once, for the target's baseline. */
+#if defined(__x86_64__) && defined(__GLIBC__)
+#define BANK_CLONES __attribute__((target_clones("avx2", "default")))
+#else
+#define BANK_CLONES
+#endif
 
 /* The optimized update of one binner whose cycle gave the raw step dn. */
 static inline void optimized_update(double dn, double beta1, double one_m_b1, double beta2,
@@ -82,22 +97,32 @@ static inline void optimized_update(double dn, double beta1, double one_m_b1, do
  *
  * Binner i tracks quantile targets[i]. Every binner follows one step
  * schedule: smoothers beta1 and beta2, step base
- * (1 - beta2) * (k_pct / 100) * n_bins and decay gamma frozen from cycle
- * freeze on. cvs, s and dtil hold each binner's CV and smoother memories
- * and are updated in place. A
- * photon before a CV counts early and one on it late; both ways of counting
- * (see BLOCK) give the same count, so the bank's size never changes a
- * binner's result. */
+ * (1 - beta2) * (k_pct / 100) * n_bins and decay gamma^min(n, freeze):
+ * gamma^e is decay[e] for e < n_decay, which edh_decay_table filled, and
+ * pow(gamma, e) past it, the same value, so any table length gives the same
+ * bits. cvs, s and dtil hold each binner's CV and smoother memories and are
+ * updated in place. A photon before a CV counts early and one on it late;
+ * both ways of counting (see BLOCK) give the same count, so the bank's size
+ * never changes a binner's result.
+ *
+ * BANK_CLONES builds the bank for AVX2 and for baseline x86-64, and the
+ * loader's ifunc picks one when the library loads. The AVX2 clone does the
+ * same IEEE operations four doubles wide: AVX2 does not bring FMA, and
+ * -ffp-contract=off would forbid the fusing anyway. */
+BANK_CLONES
 void edh_optimized_bank(const double *ts, const int64_t *offsets, int64_t n_cycles, int64_t n0,
                         double beta1, double beta2, double base, double gamma, int64_t freeze,
-                        int64_t n_targets, const double *targets, double n_bins, double *cvs,
-                        double *s, double *dtil)
+                        const double *decay, int64_t n_decay, int64_t n_targets,
+                        const double *targets, double n_bins, double *cvs, double *s,
+                        double *dtil)
 {
     double one_m_b1 = 1.0 - beta1, coef = 0.0;
     for (int64_t c = 0; c < n_cycles; c++) {
         int64_t n = n0 + c, lo = offsets[c], hi = offsets[c + 1], m = hi - lo;
-        if (c == 0 || n <= freeze)
-            coef = base * pow(gamma, (double)(n < freeze ? n : freeze));
+        if (c == 0 || n <= freeze) {
+            int64_t e = n < freeze ? n : freeze;
+            coef = base * (e < n_decay ? decay[e] : pow(gamma, (double)e));
+        }
         if (n_targets >= WIDE_BANK && m > 0 && m <= SHORT_CYCLE) {
             for (int64_t b = 0; b < n_targets; b += BLOCK) {
                 int64_t w = n_targets - b < BLOCK ? n_targets - b : BLOCK;
@@ -127,6 +152,14 @@ void edh_optimized_bank(const double *ts, const int64_t *offsets, int64_t n_cycl
                              &dtil[i]);
         }
     }
+}
+
+/* out[e] = gamma^e for e in [0, n), each from libm pow as the bank takes it
+ * past its table. */
+void edh_decay_table(double gamma, int64_t n, double *out)
+{
+    for (int64_t e = 0; e < n; e++)
+        out[e] = pow(gamma, (double)e);
 }
 
 /* Fixed stepping over cycles [c0, c1) of one stream.

@@ -14,11 +14,23 @@ do on 64-bit targets. It is cached under ``$XDG_CACHE_HOME/edhsim``
 the compile command and the interpreter's extension suffix; a later run, or
 an edited source, finds its own file. Each build writes a temporary file and
 renames it into place, so two processes building at once both end with a
-whole library.
+whole library. A build, and never a load, then deletes all but the
+:data:`KEEP` most recently modified libraries in the cache, so two trees
+that take turns keep each other's.
 
 ``-O3`` lets GCC vectorize the bank's block count and update (GCC 12 does
 not at ``-O2``); a vectorized loop does each element's operations in the
-source's order, one rounding each, so the bits do not change.
+source's order, one rounding each, so the bits do not change. On x86-64
+with glibc the bank (``edh_optimized_bank``) is built twice by
+``target_clones``: once for AVX2, which counts and updates four doubles at a
+time, and once for baseline x86-64; elsewhere it is built once. The dynamic
+loader runs the clones' resolver (an ifunc) once per process, as
+:func:`library` loads the library, and binds the AVX2 clone only on a CPU
+that has AVX2. So :data:`FLAGS` holds no ``-m`` flag: an ``-mavx2`` there
+would let gcc use AVX2 in every function, and the library would die with
+SIGILL on a CPU without it. One library and one cache key serve both kinds
+of CPU.
+
 ``-ffp-contract=off`` stops the compiler from fusing ``a*b + c`` into one
 rounding (GCC does by default where the target has FMA), and ``-ffast-math``
 is never passed: either would change the bits that the tests' reference
@@ -47,6 +59,7 @@ SOURCE = Path(__file__).with_name("kernel.c")
 COMPILER = shlex.split(sysconfig.get_config_var("CC") or "cc")
 FLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off")
 SUFFIX = sysconfig.get_config_var("EXT_SUFFIX") or ".so"
+KEEP = 8  # libraries a build leaves in the cache, its own among them
 
 
 def cache_dir() -> Path:
@@ -83,6 +96,12 @@ def build() -> Path:
         detail = getattr(e, "stderr", None) or e
         raise KernelBuildError(
             f"building the compiled kernel failed: {shlex.join(command)}: {detail}") from None
+    try:
+        libraries = sorted(out.parent.glob("kernel-*"), key=lambda path: path.stat().st_mtime_ns)
+        for path in libraries[:-KEEP]:
+            path.unlink(missing_ok=True)
+    except OSError:
+        pass  # another build pruned first, or the cache is read-only: the next build prunes
     return out
 
 
@@ -106,9 +125,11 @@ def library() -> ctypes.CDLL:
     i64, f64 = ctypes.c_int64, ctypes.c_double
     lib.edh_optimized_bank.restype = None
     lib.edh_optimized_bank.argtypes = [
-        _doubles(), _int64s(), i64, i64, f64, f64, f64, f64, i64,
+        _doubles(), _int64s(), i64, i64, f64, f64, f64, f64, i64, _doubles(), i64,
         i64, _doubles(), f64, _doubles(True), _doubles(True), _doubles(True),
     ]
+    lib.edh_decay_table.restype = None
+    lib.edh_decay_table.argtypes = [f64, i64, _doubles(True)]
     lib.edh_fixed_walk.restype = ctypes.c_int
     lib.edh_fixed_walk.argtypes = [
         _doubles(), _int64s(), i64, i64, _doubles(), i64, f64, _doubles(True), f64, f64,

@@ -495,6 +495,87 @@ class TestKernelExactness:
             bank.run(PhotonStream.from_cycles([np.array([1.0])], 8))
 
 
+class TestDecayTable:
+    """The bank reads gamma**e from a cached table up to its end and takes
+    libm pow past it; each binner matches the reference loop bit for bit."""
+
+    TARGETS = np.arange(1, 10) / 10  # a bank wide enough for the block count
+
+    def assert_bank_is_reference(self, bank, stream):
+        assert bank.n == stream.n_cycles
+        for j, t in enumerate(self.TARGETS.tolist()):
+            got = (bank.cvs[j], bank.smoothed_step[j], bank.smoothed_delta[j])
+            assert got == reference_run_optimized(stream, t, bank.params), t
+
+    def run_bank(self, stream, params, splits=()):
+        bank = BinnerBank(self.TARGETS, params, stream.n_bins)
+        bounds = [0, *splits, stream.n_cycles]
+        for a, b in zip(bounds, bounds[1:]):
+            bank.run(cycle_slice(stream, a, b))
+        return bank
+
+    @pytest.mark.parametrize("freeze", [0, 1, 399], ids=["0", "1", "last cycle"])
+    def test_freeze_at_the_ends_of_the_stream(self, freeze):
+        stream = _stream(n_cycles=400)
+        p = StepParams(gamma=0.99, decay_freeze_cycle=freeze)
+        self.assert_bank_is_reference(self.run_bank(stream, p), stream)
+
+    def test_a_far_freeze_allocates_no_more_than_the_stream(self, monkeypatch):
+        # nor does a resumed run: its table is as long as its own stream
+        lengths = []
+
+        def spy(gamma, n):
+            lengths.append(n)
+            return real(gamma, n)
+
+        real = binner._decay_table
+        monkeypatch.setattr(binner, "_decay_table", spy)
+        stream = _stream(n_cycles=400)
+        p = StepParams(gamma=0.99, decay_freeze_cycle=10**12)
+        self.assert_bank_is_reference(self.run_bank(stream, p, splits=(300,)), stream)
+        assert lengths == [300, 100]
+
+    def test_a_second_run_crosses_the_first_runs_table(self):
+        # the first run's table ends at cycle 250 and the second run's, of
+        # 150 entries, before the run's first cycle: from cycle 250 to its
+        # freeze at 300 the second run takes every decay from pow
+        stream = _stream(n_cycles=400)
+        p = StepParams(gamma=0.99, decay_freeze_cycle=300)
+        self.assert_bank_is_reference(self.run_bank(stream, p, splits=(250,)), stream)
+
+    @pytest.mark.parametrize("n_decay", [0, 1, 150, 301, 1000])
+    def test_any_table_length_gives_the_same_bits(self, n_decay):
+        # the kernel takes pow(gamma, e) for every e at or past the table's end
+        stream = _stream(n_cycles=400)
+        p = StepParams(gamma=0.99, decay_freeze_cycle=300)
+        full = self.run_bank(stream, p)
+        decay = np.array([p.gamma ** e for e in range(n_decay)])
+        cvs, s, dtil = self.TARGETS * stream.n_bins, np.zeros(9), np.zeros(9)
+        kernel.library().edh_optimized_bank(
+            stream.timestamps, stream.cycle_offsets, stream.n_cycles, 0, p.beta1, p.beta2,
+            (1.0 - p.beta2) * binner.step_scale(p, stream.n_bins), p.gamma,
+            p.decay_freeze_cycle, decay, decay.size, 9, self.TARGETS, float(stream.n_bins),
+            cvs, s, dtil)
+        for got, want in ((cvs, full.cvs), (s, full.smoothed_step), (dtil, full.smoothed_delta)):
+            assert got.tobytes() == want.tobytes()
+
+    def test_gamma_one(self):
+        stream = _stream(n_cycles=400)
+        p = StepParams(gamma=1.0, decay_freeze_cycle=10**6)
+        assert binner._decay_table(1.0, 400).tolist() == [1.0] * 400
+        self.assert_bank_is_reference(self.run_bank(stream, p, splits=(100,)), stream)
+
+    def test_a_decay_that_underflows_through_subnormals_to_zero(self):
+        # 0.5**1074 is the least subnormal and 0.5**1075 rounds to 0: the
+        # steps shrink to nothing within the stream, as the reference's do
+        stream = _stream(n_cycles=1100)
+        p = StepParams(k_pct=50.0, gamma=0.5, decay_freeze_cycle=2000)
+        table = binner._decay_table(0.5, 1100)
+        assert table[1022] == np.finfo(np.float64).tiny and 0.0 < table[1023] < table[1022]
+        assert table[1074] == 5e-324 and table[1075] == 0.0 and not table.flags.writeable
+        self.assert_bank_is_reference(self.run_bank(stream, p), stream)
+
+
 class TestBankValidation:
     def test_run_refuses_anything_but_one_stream(self):
         stream = PhotonStream.from_cycles([np.array([1.0])], 8)

@@ -11,6 +11,8 @@ import pytest
 
 import edhsim.kernel as kernel
 from edhsim.errors import EdhsimError
+from edhsim.scene import PixelConfig
+from edhsim.transient import SimConfig, build_transient, sample_stream
 
 SRC = Path(kernel.__file__).resolve().parents[1]
 
@@ -139,7 +141,7 @@ def test_bank_refuses_timestamps_it_would_misread(ts):
     def step(ts):
         one, cv = np.ones(1), np.full(1, 4.0)
         kernel.library().edh_optimized_bank(
-            ts, np.array([0, 2], dtype=np.int64), 1, 0, 0.95, 0.8, 1.0, 1.0, 0,
+            ts, np.array([0, 2], dtype=np.int64), 1, 0, 0.95, 0.8, 1.0, 1.0, 0, one, 1,
             1, one * 0.5, 8.0, cv, np.zeros(1), np.zeros(1))
         return cv[0]
 
@@ -149,12 +151,14 @@ def test_bank_refuses_timestamps_it_would_misread(ts):
 
 
 def test_flags_keep_the_exactness_rules():
-    # fused multiply-add and the fast-math family reorder or merge roundings,
-    # and -march=native makes the library depend on the host that built it
+    # fused multiply-add and the fast-math family reorder or merge roundings;
+    # an instruction-set flag makes the library die on a CPU without that
+    # set, so the bank's target_clones is the only way into AVX2
     assert "-ffp-contract=off" in kernel.FLAGS
-    for flag in ("-ffast-math", "-Ofast", "-funsafe-math-optimizations", "-fassociative-math",
-                 "-march=native"):
+    for flag in ("-ffast-math", "-Ofast", "-funsafe-math-optimizations", "-fassociative-math"):
         assert flag not in kernel.FLAGS, flag
+    for flag in kernel.FLAGS:
+        assert not flag.startswith(("-mavx", "-mfma", "-march=")), flag
 
 
 def test_declared_argument_counts_match_the_c_definitions():
@@ -163,9 +167,122 @@ def test_declared_argument_counts_match_the_c_definitions():
     # every argument after it
     source = kernel.SOURCE.read_text()
     definitions = dict(re.findall(r"^\w[\w ]*?\b(edh_\w+)\(([^)]*)\)\s*\{", source, re.MULTILINE))
-    assert sorted(definitions) == ["edh_ewh_counts", "edh_fixed_walk", "edh_hedh", "edh_loggam",
-                                   "edh_ndtr", "edh_optimized_bank", "edh_place_photons",
-                                   "edh_poisson_offsets", "edh_sample_photons"]
+    assert sorted(definitions) == ["edh_decay_table", "edh_ewh_counts", "edh_fixed_walk",
+                                   "edh_hedh", "edh_loggam", "edh_ndtr", "edh_optimized_bank",
+                                   "edh_place_photons", "edh_poisson_offsets",
+                                   "edh_sample_photons"]
     lib = kernel.library()
     for name, params in definitions.items():
         assert len(params.split(",")) == len(getattr(lib, name).argtypes), name
+
+
+def test_a_build_keeps_the_most_recent_libraries(cache, monkeypatch):
+    # a build, and only a build, deletes all but the KEEP most recently
+    # modified libraries, its own among them; loading deletes nothing
+    cache.mkdir(parents=True)
+    stale = [cache / f"kernel-{i:032x}{kernel.SUFFIX}" for i in range(kernel.KEEP + 3)]
+    for i, path in enumerate(stale):  # the higher i, the newer, all long ago
+        path.write_bytes(b"")
+        os.utime(path, (10**9 + i, 10**9 + i))
+    other = cache / "notes.txt"
+    other.write_text("kept")
+    lib = kernel.build()
+    assert set(cache.glob("kernel-*")) == {lib, *stale[-(kernel.KEEP - 1):]}
+    assert other.read_text() == "kept"
+
+    def no_compile(*args, **kwargs):
+        raise AssertionError("compiled again")
+
+    monkeypatch.setattr(kernel.subprocess, "run", no_compile)
+    for path in stale:
+        path.write_bytes(b"")  # the older ones come back; a cached load leaves them all
+    assert kernel.build() == lib
+    assert set(cache.glob("kernel-*")) == {lib, *stale}
+
+
+def _has_avx2():
+    try:
+        return "avx2" in Path("/proc/cpuinfo").read_text().split()
+    except OSError:
+        return False
+
+
+BANK_FLAGS = {"baseline": kernel.FLAGS, "avx2": kernel.FLAGS + ("-mavx2",)}
+
+
+@pytest.fixture(scope="module")
+def bank_copies(tmp_path_factory):
+    """The shipped library and the bank built without its clones, once with
+    :data:`kernel.FLAGS` and once with ``-mavx2`` added (None when this CPU
+    has no AVX2), each in a cache of its own."""
+    root = tmp_path_factory.mktemp("clones")
+    attribute = '__attribute__((target_clones("avx2", "default")))'
+    text = kernel.SOURCE.read_text()
+    assert text.count(attribute) == 1
+    source = root / "kernel.c"
+    source.write_text(text.replace(attribute, ""))
+    libs = {"shipped": kernel.library()}
+    for name, flags in BANK_FLAGS.items():
+        if name == "avx2" and not _has_avx2():
+            libs[name] = None
+            continue
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv("XDG_CACHE_HOME", str(root / name))
+            mp.setattr(kernel, "SOURCE", source)
+            mp.setattr(kernel, "FLAGS", flags)
+            lib = ctypes.CDLL(str(kernel.build()))
+        lib.edh_optimized_bank.restype = None
+        lib.edh_optimized_bank.argtypes = libs["shipped"].edh_optimized_bank.argtypes
+        libs[name] = lib
+    return libs
+
+
+def _bank_case(pixel, n_cycles, n_targets, freeze, seed=3):
+    sim = SimConfig()
+    stream = sample_stream(build_transient(PixelConfig(*pixel), sim), n_cycles, seed)
+    targets = np.arange(1, n_targets + 1) / (n_targets + 1)
+    return stream.timestamps, stream.cycle_offsets, n_cycles, freeze, targets, float(sim.n_bins)
+
+
+def _hand_case(n_targets, seed):
+    # half-integer photons on a 16-bin range, so CVs land on photons, in
+    # cycles of 0 to 40 photons: both sides of the block count's cutoff
+    rng = np.random.default_rng(seed)
+    sizes = rng.choice([0, 1, 2, 5, 31, 32, 33, 40], size=60)
+    offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
+    ts = np.concatenate([np.sort(rng.integers(0, 32, m) / 2.0) for m in sizes])
+    targets = np.sort(rng.choice([0.125, 0.25, 0.5, 0.75, 0.9], size=n_targets))
+    return ts, offsets, sizes.size, 20, targets, 16.0
+
+
+BANK_CASES = {
+    # 1 to 3 photons a cycle: the block count for K >= 8, searches below
+    **{f"1:1 K={k}": (lambda k=k: _bank_case((7.5, 1.0, 1.0), 600, k, 300))
+       for k in (1, 7, 8, 31, 65, 129)},
+    **{f"1:5 K={k}": (lambda k=k: _bank_case((7.5, 1.0, 5.0), 600, k, 300))
+       for k in (1, 8, 31)},
+    # about 45 photons a cycle: every cycle searched, whatever the bank
+    **{f"15:30 K={k}": (lambda k=k: _bank_case((7.5, 15.0, 30.0), 300, k, 100))
+       for k in (1, 8, 31)},
+    **{f"hand K={k}": (lambda k=k: _hand_case(k, k)) for k in (1, 2, 8, 9, 64, 65)},
+}
+
+
+@pytest.mark.parametrize("case", list(BANK_CASES))
+@pytest.mark.parametrize("copy", list(BANK_FLAGS))
+def test_bank_clones_agree_byte_for_byte(bank_copies, case, copy):
+    # the clone the loader picks here and the bank built for baseline x86-64
+    # and for AVX2 give the same bytes, in every binner's CV and memories
+    if bank_copies[copy] is None:
+        pytest.skip("this CPU has no AVX2 (no avx2 flag in /proc/cpuinfo)")
+    ts, offsets, n_cycles, freeze, targets, n_bins = BANK_CASES[case]()
+    decay = np.array([0.99902 ** e for e in range(freeze // 2)])  # the rest from pow
+
+    def run(lib):
+        cvs, s, dtil = targets * n_bins, np.zeros(targets.size), np.zeros(targets.size)
+        lib.edh_optimized_bank(ts, offsets, n_cycles, 0, 0.95, 0.8, 0.2 * 0.03 * n_bins,
+                               0.99902, freeze, decay, decay.size, targets.size, targets,
+                               n_bins, cvs, s, dtil)
+        return b"".join(a.tobytes() for a in (cvs, s, dtil))
+
+    assert run(bank_copies[copy]) == run(bank_copies["shipped"])
