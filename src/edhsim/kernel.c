@@ -10,11 +10,14 @@
  * and the decay gamma^e taken from libm pow, the call behind Python's
  * float ** int: read from a table that edh_decay_table filled with that
  * call, or made by it past the table's end. A loop that gcc vectorizes does
- * each element's operations in the same order, one rounding each, so every
- * result stays bit-identical to the tests' Python reference loop for the
- * rule. On x86-64 with glibc the bank is built twice, for baseline x86-64
- * and for AVX2, and the loader picks one when the library loads (see
- * BANK_CLONES).
+ * each element's operations in the same order, one rounding each, and so
+ * does each lane of the bank's wide path, written once with gcc's vector
+ * types, so every result stays bit-identical to the tests' Python reference
+ * loop for the rule. On x86-64 the wide path is built at 8, 4 and 2 lanes,
+ * for AVX-512, AVX2 and baseline x86-64, and the library's constructor picks
+ * the widest this CPU has when the library loads (see WIDE_BANK_INSTANCE);
+ * everything else, the bank's search path among it, is built once, for
+ * baseline x86-64.
  * The draws are numpy's PCG64 and Poisson code, step for step, on
  * unsigned __int128 (gcc and clang have it on 64-bit targets), so numpy
  * only seeds; the placement repeats numpy's product, sum and clamps on
@@ -54,102 +57,198 @@ static int64_t upper_bound(const double *edges, int64_t n, double x)
     return lo;
 }
 
-/* A bank of at least WIDE_BANK binners counts a cycle of 1 to SHORT_CYCLE
- * photons photon-major: each photon is compared with the CVs of a block of
- * up to BLOCK binners at once, in a loop that gcc vectorizes at -O3. Other
- * banks and cycles take one binary search per binner. The searches' time
- * over the block count's, for K binners and m photons in every cycle, on
- * x86-64 with gcc 12, in the baseline (SSE2) / AVX2 clone (BENCH_avx2.json):
- * at every m from 1 to 32, K = 8 1.1-2.2x / 1.3-2.4x, K = 31 1.6-2.3x /
- * 2.3-3.4x and K = 1 0.36-0.55x / 0.36-0.59x; K = 7 0.89x / 0.85x at m = 1;
- * at m = 48, K = 8 to 65 1.1-1.3x / 1.6-2.3x but K = 127 and 129 0.92-0.97x
- * at SSE2. Both clones share the cuts, so each stays where the block count
- * wins at both widths. */
-#define BLOCK 64
-#define WIDE_BANK 8
-#define SHORT_CYCLE 32
+/* A bank of at least WIDE_BANK binners steps each cycle of up to its wide
+ * instance's short cycle (32, 128 or 256 photons at 2, 4 or 8 lanes) in the
+ * wide path (see WIDE_BANK_INSTANCE); other banks and cycles take one binary
+ * search per binner. The searches' time over the wide path's, for K
+ * binners and m photons in every cycle, on x86-64 with gcc 12, at 8 / 4 / 2
+ * lanes (BENCH_bank_vector.json): K = 1 0.36-0.92 / 0.41-0.98 / 0.40-0.75
+ * at every m from 1 to the short cycle, so a bank of one is searched; K = 4
+ * at least 1.08 at every such m but 0.94 / 0.76 at 4 / 2 lanes on empty
+ * cycles; K = 5 1.24-2.61 / 1.31-2.66 / 1.17-1.63, and 1.07 / 1.00 / 0.79
+ * on empty cycles; K = 8 to 127 at least 1.09 at every such m, and on
+ * empty cycles at least 1.28 / 1.19 / 0.97. Past its short cycle the 2-lane
+ * instance loses at K = 127 (0.88 at m = 48) and the 4-lane one still wins
+ * (at least 1.24 at m = 192); the 8-lane one was timed up to its own. */
+#define WIDE_BANK 5
+/* The wide path steps a bank SLICE binners at a time, each slice padded to
+ * a multiple of PAD, the widest instance's lanes. */
+#define PAD 8
+#define SLICE 512
 
-/* target_clones needs x86 and the ifunc of glibc's loader; elsewhere the
- * bank is built once, for the target's baseline. */
-#if defined(__x86_64__) && defined(__GLIBC__)
-#define BANK_CLONES __attribute__((target_clones("avx2", "default")))
-#else
-#define BANK_CLONES
-#endif
-
-/* The optimized update of one binner whose cycle gave the raw step dn. */
-static inline void optimized_update(double dn, double beta1, double one_m_b1, double beta2,
-                                    double coef, double n_bins, double *cv, double *s,
-                                    double *dtil)
-{
-    double d = beta1 * *dtil + one_m_b1 * dn;
-    double step = beta2 * *s + coef * d;
-    *dtil = d;
-    *s = step;
-    double x = *cv + step;
-    x = x > 0.0 ? x : 0.0;
-    *cv = x < n_bins ? x : n_bins;
-}
-
-/* Optimized stepping of a bank of binners over cycles [0, n_cycles) of one
- * stream (timestamps ts, cycle offsets offsets); cycle c is the bank's cycle
- * n0 + c.
- *
- * Binner i tracks quantile targets[i]. Every binner follows one step
- * schedule: smoothers beta1 and beta2, step base
- * (1 - beta2) * (k_pct / 100) * n_bins and decay gamma^min(n, freeze):
+/* The bank's step schedule: smoothers beta1 and beta2, step base
+ * (1 - beta2) * (k_pct / 100) * n_bins and decay gamma^min(n, freeze), where
  * gamma^e is decay[e] for e < n_decay, which edh_decay_table filled, and
  * pow(gamma, e) past it, the same value, so any table length gives the same
- * bits. cvs, s and dtil hold each binner's CV and smoother memories and are
- * updated in place. A photon before a CV counts early and one on it late;
- * both ways of counting (see BLOCK) give the same count, so the bank's size
- * never changes a binner's result.
- *
- * BANK_CLONES builds the bank for AVX2 and for baseline x86-64, and the
- * loader's ifunc picks one when the library loads. The AVX2 clone does the
- * same IEEE operations four doubles wide: AVX2 does not bring FMA, and
- * -ffp-contract=off would forbid the fusing anyway. */
-BANK_CLONES
+ * bits; CVs are held to [0, n_bins]. */
+struct schedule {
+    double beta1, beta2, base, gamma, n_bins;
+    int64_t freeze, n_decay;
+    const double *decay;
+};
+
+/* The step coefficient base * gamma^min(n, freeze) of the bank's cycle n. */
+static inline double step_coef(const struct schedule *p, int64_t n)
+{
+    int64_t e = n < p->freeze ? n : p->freeze;
+    return p->base * (e < p->n_decay ? p->decay[e] : pow(p->gamma, (double)e));
+}
+
+/* The signature of both paths: binners [0, n_targets), binner i tracking
+ * quantile targets[i] with its CV and smoother memories in cvs[i], s[i] and
+ * dtil[i], stepped in place over cycles [0, n_cycles) of one stream
+ * (timestamps ts, cycle offsets offsets); cycle c is the bank's cycle n0 + c.
+ * A photon before a CV counts early and one on it late. */
+typedef void bank_path(const double *ts, const int64_t *offsets, int64_t n_cycles, int64_t n0,
+                       struct schedule p, int64_t n_targets, const double *targets, double *cvs,
+                       double *s, double *dtil);
+
+/* The search path: one binary search per binner and cycle. */
+static void search_bank(const double *ts, const int64_t *offsets, int64_t n_cycles, int64_t n0,
+                        struct schedule p, int64_t n_targets, const double *targets, double *cvs,
+                        double *s, double *dtil)
+{
+    double one_m_b1 = 1.0 - p.beta1, coef = 0.0;
+    for (int64_t c = 0; c < n_cycles; c++) {
+        int64_t n = n0 + c, lo = offsets[c], hi = offsets[c + 1], m = hi - lo;
+        if (c == 0 || n <= p.freeze)
+            coef = step_coef(&p, n);
+        for (int64_t i = 0; i < n_targets; i++) {
+            double dn = 0.0;
+            if (m > 0)
+                dn = targets[i] - (double)(lower_bound(ts, lo, hi, cvs[i]) - lo) / (double)m;
+            double d = p.beta1 * dtil[i] + one_m_b1 * dn;
+            double step = p.beta2 * s[i] + coef * d;
+            dtil[i] = d;
+            s[i] = step;
+            double x = cvs[i] + step;
+            x = x > 0.0 ? x : 0.0;
+            cvs[i] = x < p.n_bins ? x : p.n_bins;
+        }
+    }
+}
+
+/* An instance of the wide path: its cycles and the most photons a cycle it
+ * takes may have. */
+struct wide_path {
+    bank_path *cycles;
+    int64_t short_cycle;
+};
+
+/* The wide path, as NAME, LANES doubles wide under TARGET: for each chunk of
+ * LANES binners, on each cycle, the CVs, memories and targets are loaded
+ * once, every photon is compared with all LANES CVs at once and counted into
+ * two registers, even and odd photons (doubles, exact to 2^53), the search
+ * path's update runs lane by lane in registers, and the chunk is stored
+ * once. Each lane does the search path's IEEE operations in its order, one
+ * rounding each: -ffp-contract=off keeps AVX-512's FMA out, and each clamp is
+ * a compare and a select by mask, so every lane's bits are the search path's.
+ * cvs, s, dtil and targets hold a multiple of LANES binners and are aligned
+ * to LANES doubles. The instance takes cycles of up to SHORT_CYCLE photons.
+ */
+#define WIDE_BANK_INSTANCE(NAME, LANES, SHORT_CYCLE, TARGET)                                   \
+    TARGET static void NAME##_cycles(const double *ts, const int64_t *offsets,                 \
+                                     int64_t n_cycles, int64_t n0, struct schedule p,          \
+                                     int64_t n_targets, const double *targets, double *cvs,    \
+                                     double *s, double *dtil)                                  \
+    {                                                                                          \
+        typedef double vd __attribute__((vector_size(8 * LANES), may_alias));                  \
+        typedef int64_t vi __attribute__((vector_size(8 * LANES), may_alias));                 \
+        vd zero = {0.0}, one = zero + 1.0, n_bins = zero + p.n_bins;                           \
+        double one_m_b1 = 1.0 - p.beta1, coef = 0.0;                                           \
+        for (int64_t c = 0; c < n_cycles; c++) {                                               \
+            int64_t n = n0 + c, lo = offsets[c], hi = offsets[c + 1];                          \
+            if (c == 0 || n <= p.freeze)                                                       \
+                coef = step_coef(&p, n);                                                       \
+            for (int64_t k = 0; k < n_targets; k += LANES) {                                   \
+                vd cv = *(vd *)(cvs + k), early = zero, odd = zero, dn = zero;                 \
+                int64_t j = lo;                                                                \
+                for (; j + 1 < hi; j += 2) {                                                   \
+                    early += (vd)((vi)one & (ts[j] < cv));                                     \
+                    odd += (vd)((vi)one & (ts[j + 1] < cv));                                   \
+                }                                                                              \
+                if (j < hi)                                                                    \
+                    early += (vd)((vi)one & (ts[j] < cv));                                     \
+                if (hi > lo)                                                                   \
+                    dn = *(const vd *)(targets + k) - (early + odd) / (double)(hi - lo);       \
+                vd d = p.beta1 * *(vd *)(dtil + k) + one_m_b1 * dn;                            \
+                vd step = p.beta2 * *(vd *)(s + k) + coef * d;                                 \
+                *(vd *)(dtil + k) = d;                                                         \
+                *(vd *)(s + k) = step;                                                         \
+                vd x = cv + step;                                                              \
+                x = (vd)((vi)x & (x > 0.0));                                                   \
+                vi below = x < n_bins;                                                         \
+                *(vd *)(cvs + k) = (vd)(((vi)x & below) | ((vi)n_bins & ~below));              \
+            }                                                                                  \
+        }                                                                                      \
+    }                                                                                          \
+    static const struct wide_path NAME = {NAME##_cycles, SHORT_CYCLE};
+
+WIDE_BANK_INSTANCE(wide2, 2, 32, )
+static const struct wide_path *wide = &wide2;
+
+/* On x86-64 the wide path is built for AVX-512 and AVX2 too, and the
+ * library's constructor picks the widest that this CPU has, once per process,
+ * as the library loads. */
+#if defined(__x86_64__)
+WIDE_BANK_INSTANCE(wide4, 4, 128, __attribute__((target("avx2"))))
+WIDE_BANK_INSTANCE(wide8, 8, 256, __attribute__((target("avx512f"))))
+
+__attribute__((constructor)) static void pick_wide_path(void)
+{
+    __builtin_cpu_init();
+    if (__builtin_cpu_supports("avx512f"))
+        wide = &wide8;
+    else if (__builtin_cpu_supports("avx2"))
+        wide = &wide4;
+}
+#endif
+
+/* Optimized stepping of a bank of n_targets binners over cycles [0, n_cycles)
+ * of one stream, under the schedule of struct schedule: see bank_path for
+ * the arrays. A bank of at least WIDE_BANK binners is copied, SLICE binners
+ * at a time, into scratch padded to a multiple of PAD (pad binners at 0,
+ * which stay at 0), stepped there, each run of short cycles in the wide path
+ * and each run of longer cycles in the search path, and copied back. Both
+ * paths give the same count and the same update, so the bank's size never
+ * changes a binner's result. */
 void edh_optimized_bank(const double *ts, const int64_t *offsets, int64_t n_cycles, int64_t n0,
                         double beta1, double beta2, double base, double gamma, int64_t freeze,
                         const double *decay, int64_t n_decay, int64_t n_targets,
                         const double *targets, double n_bins, double *cvs, double *s,
                         double *dtil)
 {
-    double one_m_b1 = 1.0 - beta1, coef = 0.0;
-    for (int64_t c = 0; c < n_cycles; c++) {
-        int64_t n = n0 + c, lo = offsets[c], hi = offsets[c + 1], m = hi - lo;
-        if (c == 0 || n <= freeze) {
-            int64_t e = n < freeze ? n : freeze;
-            coef = base * (e < n_decay ? decay[e] : pow(gamma, (double)e));
+    struct schedule p = {beta1, beta2, base, gamma, n_bins, freeze, n_decay, decay};
+    if (n_targets < WIDE_BANK) {
+        search_bank(ts, offsets, n_cycles, n0, p, n_targets, targets, cvs, s, dtil);
+        return;
+    }
+    _Alignas(64) double tg[SLICE], cv[SLICE], sv[SLICE], dv[SLICE];
+    for (int64_t b = 0; b < n_targets; b += SLICE) {
+        int64_t w = n_targets - b < SLICE ? n_targets - b : SLICE;
+        int64_t padded = (w + PAD - 1) / PAD * PAD;
+        for (int64_t k = 0; k < padded; k++) {
+            int real = k < w;
+            tg[k] = real ? targets[b + k] : 0.0;
+            cv[k] = real ? cvs[b + k] : 0.0;
+            sv[k] = real ? s[b + k] : 0.0;
+            dv[k] = real ? dtil[b + k] : 0.0;
         }
-        if (n_targets >= WIDE_BANK && m > 0 && m <= SHORT_CYCLE) {
-            for (int64_t b = 0; b < n_targets; b += BLOCK) {
-                int64_t w = n_targets - b < BLOCK ? n_targets - b : BLOCK;
-                const double *cv = cvs + b;
-                /* doubles, exact up to 2^53: gcc 12 does not vectorize an
-                 * integer count of double compares for x86-64's SSE2 */
-                double early[BLOCK];
-                for (int64_t k = 0; k < w; k++)
-                    early[k] = 0.0;
-                for (int64_t j = lo; j < hi; j++) {
-                    double x = ts[j];
-                    for (int64_t k = 0; k < w; k++)
-                        early[k] += x < cv[k] ? 1.0 : 0.0;
-                }
-                for (int64_t k = 0; k < w; k++)
-                    optimized_update(targets[b + k] - early[k] / (double)m, beta1,
-                                     one_m_b1, beta2, coef, n_bins, &cvs[b + k], &s[b + k],
-                                     &dtil[b + k]);
-            }
-            continue;
+        for (int64_t c = 0, end; c < n_cycles; c = end) {
+            int64_t most = wide->short_cycle;
+            int short_run = offsets[c + 1] - offsets[c] <= most;
+            end = c + 1;
+            while (end < n_cycles && (offsets[end + 1] - offsets[end] <= most) == short_run)
+                end++;
+            if (short_run)
+                wide->cycles(ts, offsets + c, end - c, n0 + c, p, padded, tg, cv, sv, dv);
+            else
+                search_bank(ts, offsets + c, end - c, n0 + c, p, w, tg, cv, sv, dv);
         }
-        for (int64_t i = 0; i < n_targets; i++) {
-            double dn = 0.0;
-            if (m > 0)
-                dn = targets[i] - (double)(lower_bound(ts, lo, hi, cvs[i]) - lo) / (double)m;
-            optimized_update(dn, beta1, one_m_b1, beta2, coef, n_bins, &cvs[i], &s[i],
-                             &dtil[i]);
+        for (int64_t k = 0; k < w; k++) {
+            cvs[b + k] = cv[k];
+            s[b + k] = sv[k];
+            dtil[b + k] = dv[k];
         }
     }
 }

@@ -18,24 +18,26 @@ whole library. A build, and never a load, then deletes all but the
 :data:`KEEP` most recently modified libraries in the cache, so two trees
 that take turns keep each other's.
 
-``-O3`` lets GCC vectorize the bank's block count and update (GCC 12 does
-not at ``-O2``); a vectorized loop does each element's operations in the
-source's order, one rounding each, so the bits do not change. On x86-64
-with glibc the bank (``edh_optimized_bank``) is built twice by
-``target_clones``: once for AVX2, which counts and updates four doubles at a
-time, and once for baseline x86-64; elsewhere it is built once. The dynamic
-loader runs the clones' resolver (an ifunc) once per process, as
-:func:`library` loads the library, and binds the AVX2 clone only on a CPU
-that has AVX2. So :data:`FLAGS` holds no ``-m`` flag: an ``-mavx2`` there
-would let gcc use AVX2 in every function, and the library would die with
-SIGILL on a CPU without it. One library and one cache key serve both kinds
+``-O3`` lets GCC vectorize the loops it can (GCC 12 does not at ``-O2``); a
+vectorized loop does each element's operations in the source's order, one
+rounding each, so the bits do not change. The bank's wide path
+(``edh_optimized_bank``) is written once with GCC's vector types and built
+at each width: on x86-64 for AVX-512 (8 doubles a register), for AVX2 (4)
+and for baseline x86-64 (2), elsewhere at 2 only. The library's constructor
+runs once per process, as :func:`library` loads the library, and picks the
+widest instance that this CPU has; everything else is built once, for
+baseline x86-64. So :data:`FLAGS` holds no ``-m`` flag: an ``-mavx2`` there
+would let GCC use AVX2 in every function, and the library would die with
+SIGILL on a CPU without it. One library and one cache key serve every kind
 of CPU.
 
 ``-ffp-contract=off`` stops the compiler from fusing ``a*b + c`` into one
-rounding (GCC does by default where the target has FMA), and ``-ffast-math``
-is never passed: either would change the bits that the tests' reference
-loops for each stepping rule, the sampler's numpy reference (numpy's own
-draws) and ``scipy.special.ndtr`` pin. The ``fma()`` that ``ewh``'s counts
+rounding (GCC does by default where the target has FMA). AVX-512 brings FMA
+with it, so this flag is what keeps the bank's 8-lane instance at the
+search path's roundings. ``-ffast-math`` is never passed: either would
+change the bits that the tests' reference loops for each stepping rule, the
+sampler's numpy reference (numpy's own draws) and ``scipy.special.ndtr``
+pin. The ``fma()`` that ``ewh``'s counts
 call by name is an exact sign test, not a contraction, and needs no flag.
 """
 

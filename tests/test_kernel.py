@@ -153,7 +153,8 @@ def test_bank_refuses_timestamps_it_would_misread(ts):
 def test_flags_keep_the_exactness_rules():
     # fused multiply-add and the fast-math family reorder or merge roundings;
     # an instruction-set flag makes the library die on a CPU without that
-    # set, so the bank's target_clones is the only way into AVX2
+    # set, so the wide bank's instances, picked at load, are the only way
+    # into AVX2 and AVX-512
     assert "-ffp-contract=off" in kernel.FLAGS
     for flag in ("-ffast-math", "-Ofast", "-funsafe-math-optimizations", "-fassociative-math"):
         assert flag not in kernel.FLAGS, flag
@@ -200,40 +201,44 @@ def test_a_build_keeps_the_most_recent_libraries(cache, monkeypatch):
     assert set(cache.glob("kernel-*")) == {lib, *stale}
 
 
-def _has_avx2():
+def _cpu_has(flag):
     try:
-        return "avx2" in Path("/proc/cpuinfo").read_text().split()
+        return flag in Path("/proc/cpuinfo").read_text().split()
     except OSError:
         return False
 
 
-BANK_FLAGS = {"baseline": kernel.FLAGS, "avx2": kernel.FLAGS + ("-mavx2",)}
+# the wide path's instances, by lanes: the CPU flag each needs, and what its
+# forced build's resolver asks of __builtin_cpu_supports
+RESOLVER = ('__builtin_cpu_supports("avx512f")', '__builtin_cpu_supports("avx2")')
+INSTANCES = {8: ("avx512f", ("1", "0")), 4: ("avx2", ("0", "1")), 2: (None, ("0", "0"))}
 
 
 @pytest.fixture(scope="module")
 def bank_copies(tmp_path_factory):
-    """The shipped library and the bank built without its clones, once with
-    :data:`kernel.FLAGS` and once with ``-mavx2`` added (None when this CPU
-    has no AVX2), each in a cache of its own."""
-    root = tmp_path_factory.mktemp("clones")
-    attribute = '__attribute__((target_clones("avx2", "default")))'
+    """The shipped library and, by lanes, a build whose constructor picks
+    that instance of the wide path whatever the CPU has (None when this CPU
+    lacks the instance's flag), each in a cache of its own."""
+    root = tmp_path_factory.mktemp("instances")
     text = kernel.SOURCE.read_text()
-    assert text.count(attribute) == 1
-    source = root / "kernel.c"
-    source.write_text(text.replace(attribute, ""))
     libs = {"shipped": kernel.library()}
-    for name, flags in BANK_FLAGS.items():
-        if name == "avx2" and not _has_avx2():
-            libs[name] = None
+    for lanes, (flag, answers) in INSTANCES.items():
+        if flag is not None and not _cpu_has(flag):
+            libs[lanes] = None
             continue
+        forced = text
+        for call, answer in zip(RESOLVER, answers):
+            assert forced.count(call) == 1, call
+            forced = forced.replace(call, answer)
+        source = root / f"kernel{lanes}.c"
+        source.write_text(forced)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setenv("XDG_CACHE_HOME", str(root / name))
+            mp.setenv("XDG_CACHE_HOME", str(root / str(lanes)))
             mp.setattr(kernel, "SOURCE", source)
-            mp.setattr(kernel, "FLAGS", flags)
             lib = ctypes.CDLL(str(kernel.build()))
         lib.edh_optimized_bank.restype = None
         lib.edh_optimized_bank.argtypes = libs["shipped"].edh_optimized_bank.argtypes
-        libs[name] = lib
+        libs[lanes] = lib
     return libs
 
 
@@ -246,9 +251,9 @@ def _bank_case(pixel, n_cycles, n_targets, freeze, seed=3):
 
 def _hand_case(n_targets, seed):
     # half-integer photons on a 16-bin range, so CVs land on photons, in
-    # cycles of 0 to 40 photons: both sides of the block count's cutoff
+    # cycles of 0 to 257 photons: both sides of each instance's short cycle
     rng = np.random.default_rng(seed)
-    sizes = rng.choice([0, 1, 2, 5, 31, 32, 33, 40], size=60)
+    sizes = rng.choice([0, 1, 2, 5, 31, 32, 33, 40, 128, 129, 256, 257], size=60)
     offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
     ts = np.concatenate([np.sort(rng.integers(0, 32, m) / 2.0) for m in sizes])
     targets = np.sort(rng.choice([0.125, 0.25, 0.5, 0.75, 0.9], size=n_targets))
@@ -256,33 +261,40 @@ def _hand_case(n_targets, seed):
 
 
 BANK_CASES = {
-    # 1 to 3 photons a cycle: the block count for K >= 8, searches below
+    # 0 to 3 photons a cycle: the wide path for K >= 5, searches below; a
+    # bank that is no multiple of 8 has pad lanes
     **{f"1:1 K={k}": (lambda k=k: _bank_case((7.5, 1.0, 1.0), 600, k, 300))
-       for k in (1, 7, 8, 31, 65, 129)},
+       for k in (1, 4, 5, 7, 8, 9, 15, 17, 31, 33, 63, 65, 127, 129)},
     **{f"1:5 K={k}": (lambda k=k: _bank_case((7.5, 1.0, 5.0), 600, k, 300))
        for k in (1, 8, 31)},
-    # about 45 photons a cycle: every cycle searched, whatever the bank
+    # about 45 photons a cycle: either side of the 2-lane short cycle
     **{f"15:30 K={k}": (lambda k=k: _bank_case((7.5, 15.0, 30.0), 300, k, 100))
        for k in (1, 8, 31)},
-    **{f"hand K={k}": (lambda k=k: _hand_case(k, k)) for k in (1, 2, 8, 9, 64, 65)},
+    # 1,030 binners: the wide path's slices of 512, the last one padded
+    **{f"hand K={k}": (lambda k=k: _hand_case(k, k)) for k in (1, 2, 8, 9, 64, 65, 1030)},
 }
 
 
 @pytest.mark.parametrize("case", list(BANK_CASES))
-@pytest.mark.parametrize("copy", list(BANK_FLAGS))
-def test_bank_clones_agree_byte_for_byte(bank_copies, case, copy):
-    # the clone the loader picks here and the bank built for baseline x86-64
-    # and for AVX2 give the same bytes, in every binner's CV and memories
-    if bank_copies[copy] is None:
-        pytest.skip("this CPU has no AVX2 (no avx2 flag in /proc/cpuinfo)")
+@pytest.mark.parametrize("lanes", list(INSTANCES))
+def test_bank_instances_agree_byte_for_byte(bank_copies, case, lanes):
+    # the instance the constructor picks here and each instance forced in a
+    # build of its own give the same bytes, in every binner's CV and memories,
+    # and write nothing past the bank's arrays
+    if bank_copies[lanes] is None:
+        pytest.skip(f"this CPU has no {INSTANCES[lanes][0]} (not in /proc/cpuinfo)")
     ts, offsets, n_cycles, freeze, targets, n_bins = BANK_CASES[case]()
     decay = np.array([0.99902 ** e for e in range(freeze // 2)])  # the rest from pow
+    k, tail = targets.size, np.full(8, 12345.0)
 
     def run(lib):
-        cvs, s, dtil = targets * n_bins, np.zeros(targets.size), np.zeros(targets.size)
+        cvs, s, dtil = (np.concatenate([a, tail]) for a in (targets * n_bins, np.zeros(k),
+                                                            np.zeros(k)))
         lib.edh_optimized_bank(ts, offsets, n_cycles, 0, 0.95, 0.8, 0.2 * 0.03 * n_bins,
-                               0.99902, freeze, decay, decay.size, targets.size, targets,
-                               n_bins, cvs, s, dtil)
-        return b"".join(a.tobytes() for a in (cvs, s, dtil))
+                               0.99902, freeze, decay, decay.size, k, targets, n_bins,
+                               cvs[:k], s[:k], dtil[:k])
+        for a in (cvs, s, dtil):
+            assert a[k:].tobytes() == tail.tobytes()
+        return b"".join(a[:k].tobytes() for a in (cvs, s, dtil))
 
-    assert run(bank_copies[copy]) == run(bank_copies["shipped"])
+    assert run(bank_copies[lanes]) == run(bank_copies["shipped"])
