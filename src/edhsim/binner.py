@@ -187,12 +187,12 @@ class BinnerBank:
     Binner ``j`` tracks quantile ``targets[j]`` under the one step schedule
     ``params``. :meth:`run` hands a stream to one call of the compiled
     kernel, which walks the cycles and, on each, counts every binner's early
-    photons and applies the optimized update. A bank of 5 or more binners
-    steps a short cycle (up to 32, 128 or 256 photons at the CPU's vector
-    width) by comparing each photon with a vector register of CVs at once;
-    smaller banks and longer cycles take one binary search per binner. Both
-    give the same count, so each binner reproduces :func:`run_optimized`
-    bit-for-bit whatever the bank's size or order.
+    photons and applies the optimized update. A bank of 8 or more binners
+    steps a cycle of up to 32 photons by comparing each photon with a vector
+    register of CVs at once, at the CPU's widest vector width; smaller banks
+    and longer cycles take one binary search per binner. Both give the same
+    count, so each binner reproduces :func:`run_optimized` bit-for-bit
+    whatever the bank's size or order.
     Total state is four float64 arrays of one entry per binner plus a cycle
     counter; nothing scales with the photon count.
     """

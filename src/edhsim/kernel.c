@@ -57,20 +57,20 @@ static int64_t upper_bound(const double *edges, int64_t n, double x)
     return lo;
 }
 
-/* A bank of at least WIDE_BANK binners steps each cycle of up to its wide
- * instance's short cycle (32, 128 or 256 photons at 2, 4 or 8 lanes) in the
- * wide path (see WIDE_BANK_INSTANCE); other banks and cycles take one binary
- * search per binner. The searches' time over the wide path's, for K
- * binners and m photons in every cycle, on x86-64 with gcc 12, at 8 / 4 / 2
- * lanes (BENCH_bank_vector.json): K = 1 0.36-0.92 / 0.41-0.98 / 0.40-0.75
- * at every m from 1 to the short cycle, so a bank of one is searched; K = 4
- * at least 1.08 at every such m but 0.94 / 0.76 at 4 / 2 lanes on empty
- * cycles; K = 5 1.24-2.61 / 1.31-2.66 / 1.17-1.63, and 1.07 / 1.00 / 0.79
- * on empty cycles; K = 8 to 127 at least 1.09 at every such m, and on
- * empty cycles at least 1.28 / 1.19 / 0.97. Past its short cycle the 2-lane
- * instance loses at K = 127 (0.88 at m = 48) and the 4-lane one still wins
- * (at least 1.24 at m = 192); the 8-lane one was timed up to its own. */
-#define WIDE_BANK 5
+/* A bank of at least WIDE_BANK binners steps each cycle of up to SHORT_CYCLE
+ * photons in the wide path (see WIDE_BANK_INSTANCE); other banks and cycles
+ * take one binary search per binner. The searches' time over the wide
+ * path's, for K binners and m photons in every cycle, on x86-64 with gcc 12,
+ * at 8 / 4 / 2 lanes (BENCH_bank_vector.json): K = 8 to 127 at least 1.07 at
+ * every width and every m from 1 to 32, and on empty cycles at least 1.19 /
+ * 1.06 / 0.74, the least at K = 9, which the padding to a multiple of 8
+ * makes 16 binners; K = 5 to 7 win at every such m but lose on empty cycles
+ * at 2 lanes (0.79-0.91); K = 1 0.40-0.99 at every such m, so a bank of one
+ * is searched. Past 32 photons the 2-lane instance loses at K = 127 (at most
+ * 0.93 at m = 48) while the wider ones win; no workload has cycles that
+ * long, so every instance shares one cut. */
+#define WIDE_BANK 8
+#define SHORT_CYCLE 32
 /* The wide path steps a bank SLICE binners at a time, each slice padded to
  * a multiple of PAD, the widest instance's lanes. */
 #define PAD 8
@@ -128,13 +128,6 @@ static void search_bank(const double *ts, const int64_t *offsets, int64_t n_cycl
     }
 }
 
-/* An instance of the wide path: its cycles and the most photons a cycle it
- * takes may have. */
-struct wide_path {
-    bank_path *cycles;
-    int64_t short_cycle;
-};
-
 /* The wide path, as NAME, LANES doubles wide under TARGET: for each chunk of
  * LANES binners, on each cycle, the CVs, memories and targets are loaded
  * once, every photon is compared with all LANES CVs at once and counted into
@@ -144,13 +137,11 @@ struct wide_path {
  * rounding each: -ffp-contract=off keeps AVX-512's FMA out, and each clamp is
  * a compare and a select by mask, so every lane's bits are the search path's.
  * cvs, s, dtil and targets hold a multiple of LANES binners and are aligned
- * to LANES doubles. The instance takes cycles of up to SHORT_CYCLE photons.
- */
-#define WIDE_BANK_INSTANCE(NAME, LANES, SHORT_CYCLE, TARGET)                                   \
-    TARGET static void NAME##_cycles(const double *ts, const int64_t *offsets,                 \
-                                     int64_t n_cycles, int64_t n0, struct schedule p,          \
-                                     int64_t n_targets, const double *targets, double *cvs,    \
-                                     double *s, double *dtil)                                  \
+ * to LANES doubles. */
+#define WIDE_BANK_INSTANCE(NAME, LANES, TARGET)                                                \
+    TARGET static void NAME(const double *ts, const int64_t *offsets, int64_t n_cycles,        \
+                            int64_t n0, struct schedule p, int64_t n_targets,                  \
+                            const double *targets, double *cvs, double *s, double *dtil)       \
     {                                                                                          \
         typedef double vd __attribute__((vector_size(8 * LANES), may_alias));                  \
         typedef int64_t vi __attribute__((vector_size(8 * LANES), may_alias));                 \
@@ -181,26 +172,25 @@ struct wide_path {
                 *(vd *)(cvs + k) = (vd)(((vi)x & below) | ((vi)n_bins & ~below));              \
             }                                                                                  \
         }                                                                                      \
-    }                                                                                          \
-    static const struct wide_path NAME = {NAME##_cycles, SHORT_CYCLE};
+    }
 
-WIDE_BANK_INSTANCE(wide2, 2, 32, )
-static const struct wide_path *wide = &wide2;
+WIDE_BANK_INSTANCE(wide2, 2, )
+static bank_path *wide = wide2;
 
 /* On x86-64 the wide path is built for AVX-512 and AVX2 too, and the
  * library's constructor picks the widest that this CPU has, once per process,
  * as the library loads. */
 #if defined(__x86_64__)
-WIDE_BANK_INSTANCE(wide4, 4, 128, __attribute__((target("avx2"))))
-WIDE_BANK_INSTANCE(wide8, 8, 256, __attribute__((target("avx512f"))))
+WIDE_BANK_INSTANCE(wide4, 4, __attribute__((target("avx2"))))
+WIDE_BANK_INSTANCE(wide8, 8, __attribute__((target("avx512f"))))
 
 __attribute__((constructor)) static void pick_wide_path(void)
 {
     __builtin_cpu_init();
     if (__builtin_cpu_supports("avx512f"))
-        wide = &wide8;
+        wide = wide8;
     else if (__builtin_cpu_supports("avx2"))
-        wide = &wide4;
+        wide = wide4;
 }
 #endif
 
@@ -235,13 +225,12 @@ void edh_optimized_bank(const double *ts, const int64_t *offsets, int64_t n_cycl
             dv[k] = real ? dtil[b + k] : 0.0;
         }
         for (int64_t c = 0, end; c < n_cycles; c = end) {
-            int64_t most = wide->short_cycle;
-            int short_run = offsets[c + 1] - offsets[c] <= most;
+            int short_run = offsets[c + 1] - offsets[c] <= SHORT_CYCLE;
             end = c + 1;
-            while (end < n_cycles && (offsets[end + 1] - offsets[end] <= most) == short_run)
+            while (end < n_cycles && (offsets[end + 1] - offsets[end] <= SHORT_CYCLE) == short_run)
                 end++;
             if (short_run)
-                wide->cycles(ts, offsets + c, end - c, n0 + c, p, padded, tg, cv, sv, dv);
+                wide(ts, offsets + c, end - c, n0 + c, p, padded, tg, cv, sv, dv);
             else
                 search_bank(ts, offsets + c, end - c, n0 + c, p, w, tg, cv, sv, dv);
         }

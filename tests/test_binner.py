@@ -339,12 +339,12 @@ step_params = st.builds(
 # half-integer timestamps in [0, 16) so CVs land on photons; empty cycles common
 half_photons = st.integers(0, 31).map(lambda k: k / 2.0)
 hand_cycles = st.lists(st.lists(half_photons, max_size=6), min_size=1, max_size=40)
-# the kernel steps a bank of 5 or more binners in its wide path, 8 binners
-# to a chunk, on each cycle of up to 32, 128 or 256 photons (2, 4 or 8 lanes),
-# and searches otherwise: sizes on both sides of each cutoff
-bank_sizes = st.sampled_from([1, 2, 4, 5, 7, 8, 9, 63, 64, 65, 129])
-cycle_sizes = st.one_of(st.integers(0, 6), st.sampled_from([32, 33, 128, 129, 256, 257]),
-                        st.integers(30, 40))
+# the kernel steps a bank of 8 or more binners in its wide path, padded to
+# a multiple of 8 binners, on each cycle of up to 32 photons, and searches
+# otherwise: sizes on both sides of each cutoff, and cycles of exactly 32 and
+# 33 photons among others
+bank_sizes = st.sampled_from([1, 2, 3, 7, 8, 9, 63, 64, 65, 129])
+cycle_sizes = st.one_of(st.integers(0, 6), st.sampled_from([32, 33]), st.integers(30, 40))
 bank_cycles = st.lists(cycle_sizes.flatmap(
     lambda n: st.lists(half_photons, min_size=n, max_size=n)), min_size=1, max_size=40)
 
@@ -404,7 +404,7 @@ class TestKernelExactness:
     )
     @settings(max_examples=300, deadline=None)
     def test_bank_equals_reference_loop_and_fold(self, cycles, params, targets, data):
-        # empty cycles and photon-less streams, cycles of up to 257 photons,
+        # empty cycles and photon-less streams, cycles of up to 40 photons,
         # banks of 1 to 129 binners, gamma = 1, decays frozen before the
         # last cycle, and a run resumed at a drawn cycle
         stream = _hand_stream(cycles)
@@ -423,11 +423,11 @@ class TestKernelExactness:
     def test_binner_result_does_not_depend_on_its_bank(self, pixel):
         # a binner ends where it ends alone, whatever the bank's size (on
         # either side of the kernel's cutoffs) or its place in the bank; at
-        # 15:30 the cycles straddle the 2-lane instance's 32-photon cutoff
+        # 15:30 the cycles straddle the 32-photon cutoff
         stream = _stream(pixel, n_cycles=600, seed=11)
         p = StepParams(decay_freeze_cycle=300)
         alone = {}
-        for size in (1, 4, 5, 7, 8, 9, 64, 65, 129):
+        for size in (1, 7, 8, 9, 64, 65, 129):
             for targets in (np.arange(1, size + 1) / (size + 1), np.arange(size, 0, -1) / (size + 1)):
                 bank = BinnerBank(targets, p, stream.n_bins)
                 bank.run(stream)
