@@ -71,9 +71,9 @@ class StepParams:
         check_real("gamma", self.gamma, 0, 1, "(]")
         check_real("beta1", self.beta1, 0, 1, "[)")
         check_real("beta2", self.beta2, 0, 1, "[)")
-        # plain Python numbers: the kernel's decay table (and the kernel
-        # itself past the table's end) takes gamma**n from libm pow, as
-        # float ** int does, and numpy's power can differ in the last bit
+        # plain Python numbers: the bank's decay is float ** int, libm pow,
+        # both in its table and in the kernel past the table's end, and
+        # numpy's power can differ in the last bit
         object.__setattr__(self, "gamma", float(self.gamma))
         object.__setattr__(self, "decay_freeze_cycle",
                            check_int("decay_freeze_cycle", self.decay_freeze_cycle, 0))
@@ -113,9 +113,8 @@ def step_scale(params: StepParams, n_bins: int) -> float:
 def _decay_table(gamma: float, n: int) -> np.ndarray:
     """``gamma**e`` for ``e`` in ``[0, n)``, read-only: the decay the
     kernel reads for every cycle up to the freeze, in place of one libm
-    ``pow`` call each."""
-    table = np.empty(n)
-    kernel.library().edh_decay_table(gamma, n, table)
+    ``pow`` call each, the call that Python's ``float ** int`` makes."""
+    table = np.fromiter((gamma ** e for e in range(n)), np.float64, n)
     table.flags.writeable = False
     return table
 
@@ -128,9 +127,9 @@ def _optimized_bank(stream: PhotonStream, n0: int, params: StepParams, n_bins: i
     Binner ``j`` tracks ``targets[j]`` under ``params``; ``cvs[j]``, ``s[j]``
     and ``dtil[j]`` hold its CV and smoother memories and are updated in place.
     The decay ``gamma**e`` comes from a cached table for ``e`` below both
-    ``decay_freeze_cycle + 1`` and the stream's cycle count, and from
-    ``pow`` past it, so no table is longer than the stream, however far the
-    freeze or the run's start ``n0``.
+    ``decay_freeze_cycle + 1`` and the stream's cycle count, and from the
+    kernel's own ``pow`` call past it, so no table is longer than the
+    stream, however far the freeze or the run's start ``n0``.
     """
     if not targets.size == cvs.size == s.size == dtil.size:
         raise InvalidParamsError(f"bank arrays of sizes {targets.size}, {cvs.size}, {s.size}, "
@@ -188,11 +187,11 @@ class BinnerBank:
     ``params``. :meth:`run` hands a stream to one call of the compiled
     kernel, which walks the cycles and, on each, counts every binner's early
     photons and applies the optimized update. A bank of 8 or more binners
-    steps a cycle of up to 32 photons by comparing each photon with a vector
-    register of CVs at once, at the CPU's widest vector width; smaller banks
-    and longer cycles take one binary search per binner. Both give the same
-    count, so each binner reproduces :func:`run_optimized` bit-for-bit
-    whatever the bank's size or order.
+    steps every cycle by comparing each photon with a vector register of CVs
+    at once, at the CPU's widest vector width; a smaller bank takes one
+    binary search per binner and cycle. Both give the same count, so each
+    binner reproduces :func:`run_optimized` bit-for-bit whatever the bank's
+    size or order.
     Total state is four float64 arrays of one entry per binner plus a cycle
     counter; nothing scales with the photon count.
     """

@@ -51,8 +51,10 @@ _CTX_MEDIAN = 3
 
 
 def derive_seed(global_seed: int, *key: int) -> np.random.SeedSequence:
-    """Stable per-worker seed from the global seed plus integer key parts."""
-    return np.random.SeedSequence((int(global_seed),) + tuple(int(k) for k in key))
+    """Stable per-worker seed from the global seed, an integer >= 0 (checked
+    here, so for every stream), plus integer key parts."""
+    return np.random.SeedSequence((check_int("global_seed", global_seed, 0),)
+                                  + tuple(int(k) for k in key))
 
 
 # Method and estimator tables. Each entry looks its function up in this

@@ -8,8 +8,8 @@
  * operations of its rule, as edhsim/binner.py states them, in a fixed order:
  * no fused multiply-add, each clamp written as numpy's min(max(x, lo), hi),
  * and the decay gamma^e taken from libm pow, the call behind Python's
- * float ** int: read from a table that edh_decay_table filled with that
- * call, or made by it past the table's end. A loop that gcc vectorizes does
+ * float ** int: read from a table that Python filled with float ** int, or
+ * made by pow past the table's end. A loop that gcc vectorizes does
  * each element's operations in the same order, one rounding each, and so
  * does each lane of the bank's wide path, written once with gcc's vector
  * types, so every result stays bit-identical to the tests' Python reference
@@ -57,20 +57,21 @@ static int64_t upper_bound(const double *edges, int64_t n, double x)
     return lo;
 }
 
-/* A bank of at least WIDE_BANK binners steps each cycle of up to SHORT_CYCLE
- * photons in the wide path (see WIDE_BANK_INSTANCE); other banks and cycles
- * take one binary search per binner. The searches' time over the wide
- * path's, for K binners and m photons in every cycle, on x86-64 with gcc 12,
- * at 8 / 4 / 2 lanes (BENCH_bank_vector.json): K = 8 to 127 at least 1.07 at
- * every width and every m from 1 to 32, and on empty cycles at least 1.19 /
- * 1.06 / 0.74, the least at K = 9, which the padding to a multiple of 8
- * makes 16 binners; K = 5 to 7 win at every such m but lose on empty cycles
- * at 2 lanes (0.79-0.91); K = 1 0.40-0.99 at every such m, so a bank of one
- * is searched. Past 32 photons the 2-lane instance loses at K = 127 (at most
- * 0.93 at m = 48) while the wider ones win; no workload has cycles that
- * long, so every instance shares one cut. */
+/* A bank of at least WIDE_BANK binners steps every cycle in the wide path
+ * (see WIDE_BANK_INSTANCE); a smaller bank takes one binary search per binner
+ * and cycle. The searches' time over the wide path's, for K binners and m
+ * photons in every cycle, on x86-64 with gcc 12, at 8 / 4 / 2 lanes
+ * (BENCH_bank_vector.json): K = 8 to 127 at least 1.07 at every width and
+ * every m from 1 to 32, and on empty cycles at least 1.19 / 1.06 / 0.74, the
+ * least at K = 9, which the padding to a multiple of 8 makes 16 binners;
+ * K = 5 to 7 win at every such m but lose on empty cycles at 2 lanes
+ * (0.79-0.91); K = 1 0.40-0.99 at every such m, so a bank of one is searched.
+ * At about 300 photons a cycle it is 1.26-2.26 / 0.76-1.44 / 0.35-0.62 for
+ * K = 8 to 127 (BENCH_wide_cycles.json), the least at K = 9: the 2-lane
+ * instance, on CPUs without AVX2, wins up to about 45 photons a cycle and
+ * loses past that. No workload has a cycle past 32 photons, so every width
+ * takes one path. */
 #define WIDE_BANK 8
-#define SHORT_CYCLE 32
 /* The wide path steps a bank SLICE binners at a time, each slice padded to
  * a multiple of PAD, the widest instance's lanes. */
 #define PAD 8
@@ -78,9 +79,9 @@ static int64_t upper_bound(const double *edges, int64_t n, double x)
 
 /* The bank's step schedule: smoothers beta1 and beta2, step base
  * (1 - beta2) * (k_pct / 100) * n_bins and decay gamma^min(n, freeze), where
- * gamma^e is decay[e] for e < n_decay, which edh_decay_table filled, and
- * pow(gamma, e) past it, the same value, so any table length gives the same
- * bits; CVs are held to [0, n_bins]. */
+ * gamma^e is decay[e] for e < n_decay, which the caller filled with
+ * gamma ** e, and pow(gamma, e) past it, the same value, so any table length
+ * gives the same bits; CVs are held to [0, n_bins]. */
 struct schedule {
     double beta1, beta2, base, gamma, n_bins;
     int64_t freeze, n_decay;
@@ -198,10 +199,9 @@ __attribute__((constructor)) static void pick_wide_path(void)
  * of one stream, under the schedule of struct schedule: see bank_path for
  * the arrays. A bank of at least WIDE_BANK binners is copied, SLICE binners
  * at a time, into scratch padded to a multiple of PAD (pad binners at 0,
- * which stay at 0), stepped there, each run of short cycles in the wide path
- * and each run of longer cycles in the search path, and copied back. Both
- * paths give the same count and the same update, so the bank's size never
- * changes a binner's result. */
+ * which stay at 0), stepped there over every cycle in the wide path, and
+ * copied back. Both paths give the same count and the same update, so the
+ * bank's size never changes a binner's result. */
 void edh_optimized_bank(const double *ts, const int64_t *offsets, int64_t n_cycles, int64_t n0,
                         double beta1, double beta2, double base, double gamma, int64_t freeze,
                         const double *decay, int64_t n_decay, int64_t n_targets,
@@ -224,30 +224,13 @@ void edh_optimized_bank(const double *ts, const int64_t *offsets, int64_t n_cycl
             sv[k] = real ? s[b + k] : 0.0;
             dv[k] = real ? dtil[b + k] : 0.0;
         }
-        for (int64_t c = 0, end; c < n_cycles; c = end) {
-            int short_run = offsets[c + 1] - offsets[c] <= SHORT_CYCLE;
-            end = c + 1;
-            while (end < n_cycles && (offsets[end + 1] - offsets[end] <= SHORT_CYCLE) == short_run)
-                end++;
-            if (short_run)
-                wide(ts, offsets + c, end - c, n0 + c, p, padded, tg, cv, sv, dv);
-            else
-                search_bank(ts, offsets + c, end - c, n0 + c, p, w, tg, cv, sv, dv);
-        }
+        wide(ts, offsets, n_cycles, n0, p, padded, tg, cv, sv, dv);
         for (int64_t k = 0; k < w; k++) {
             cvs[b + k] = cv[k];
             s[b + k] = sv[k];
             dtil[b + k] = dv[k];
         }
     }
-}
-
-/* out[e] = gamma^e for e in [0, n), each from libm pow as the bank takes it
- * past its table. */
-void edh_decay_table(double gamma, int64_t n, double *out)
-{
-    for (int64_t e = 0; e < n; e++)
-        out[e] = pow(gamma, (double)e);
 }
 
 /* Fixed stepping over cycles [c0, c1) of one stream.
@@ -486,7 +469,7 @@ struct ptrs {
 
 static struct ptrs ptrs_at(double lam)
 {
-    struct ptrs p = {lam, log(lam)};
+    struct ptrs p = {.lam = lam, .loglam = log(lam)};
     p.b = 0.931 + 2.53 * sqrt(lam);
     p.a = -0.059 + 0.02483 * p.b;
     p.invalpha = 1.1239 + 1.1328 / (p.b - 3.4);

@@ -130,8 +130,6 @@ def library() -> ctypes.CDLL:
         _doubles(), _int64s(), i64, i64, f64, f64, f64, f64, i64, _doubles(), i64,
         i64, _doubles(), f64, _doubles(True), _doubles(True), _doubles(True),
     ]
-    lib.edh_decay_table.restype = None
-    lib.edh_decay_table.argtypes = [f64, i64, _doubles(True)]
     lib.edh_fixed_walk.restype = ctypes.c_int
     lib.edh_fixed_walk.argtypes = [
         _doubles(), _int64s(), i64, i64, _doubles(), i64, f64, _doubles(True), f64, f64,

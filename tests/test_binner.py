@@ -340,9 +340,10 @@ step_params = st.builds(
 half_photons = st.integers(0, 31).map(lambda k: k / 2.0)
 hand_cycles = st.lists(st.lists(half_photons, max_size=6), min_size=1, max_size=40)
 # the kernel steps a bank of 8 or more binners in its wide path, padded to
-# a multiple of 8 binners, on each cycle of up to 32 photons, and searches
-# otherwise: sizes on both sides of each cutoff, and cycles of exactly 32 and
-# 33 photons among others
+# a multiple of 8 binners, and searches a smaller one: sizes on both sides of
+# the cutoff and of the padding, and cycles of up to 40 photons, odd and even
+# (32 and 33 among them), so the wide path's photon pairs end with and
+# without a tail
 bank_sizes = st.sampled_from([1, 2, 3, 7, 8, 9, 63, 64, 65, 129])
 cycle_sizes = st.one_of(st.integers(0, 6), st.sampled_from([32, 33]), st.integers(30, 40))
 bank_cycles = st.lists(cycle_sizes.flatmap(
@@ -422,8 +423,8 @@ class TestKernelExactness:
                                        PixelConfig(7.5, 15.0, 30.0)], ids=["1:1", "1:5", "15:30"])
     def test_binner_result_does_not_depend_on_its_bank(self, pixel):
         # a binner ends where it ends alone, whatever the bank's size (on
-        # either side of the kernel's cutoffs) or its place in the bank; at
-        # 15:30 the cycles straddle the 32-photon cutoff
+        # either side of the kernel's cutoff) or its place in the bank; at
+        # 15:30 the wide path steps cycles of about 45 photons
         stream = _stream(pixel, n_cycles=600, seed=11)
         p = StepParams(decay_freeze_cycle=300)
         alone = {}

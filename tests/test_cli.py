@@ -244,6 +244,25 @@ def test_error_reporting(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, conf_line", [
+    (["simulate", "--seed", "-1", "--out", "streams"], ""),
+    (["edh", "--seed", "-1", "--method", "pedh", "--q", "8", "--out", "b.csv"], ""),
+    (["estimate", "--seed", "-1", "--estimator", "t0", "--method", "pedh", "--q", "8",
+      "--out", "est.csv"], ""),
+    (["export-features", "--seed", "-1", "--out", "f.bin"], ""),
+    (["simulate", "--out", "streams"], "experiment.seed = -1"),
+])
+def test_negative_seed_exits_2(conf, tmp_path, monkeypatch, capsys, argv, conf_line):
+    # every stream's seed is checked where it is derived, so no subcommand
+    # ends in numpy's own traceback
+    monkeypatch.chdir(tmp_path)
+    conf.write_text(conf.read_text() + conf_line + "\n")
+    assert main(argv + ["--config", str(conf)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: global_seed must be an integer >= 0, got -1\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["experiment", "--config", "missing.conf"],
     ["estimate", "--config", "missing.conf", "--estimator", "t0", "--out", "est.csv"],

@@ -390,6 +390,7 @@ class TestMedianTracking:
 
     @pytest.mark.parametrize("bad", [
         dict(n_seeds=0), dict(n_seeds=1.5), dict(bkg_levels=[]), dict(distances=[]),
+        dict(global_seed=-1), dict(global_seed=1.7), dict(global_seed=True),
     ])
     def test_validation(self, bad):
         args = dict(bkg_levels=[0.5], distances=[3.0], phi_sig=1.0, n_seeds=1,

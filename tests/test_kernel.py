@@ -168,13 +168,23 @@ def test_declared_argument_counts_match_the_c_definitions():
     # every argument after it
     source = kernel.SOURCE.read_text()
     definitions = dict(re.findall(r"^\w[\w ]*?\b(edh_\w+)\(([^)]*)\)\s*\{", source, re.MULTILINE))
-    assert sorted(definitions) == ["edh_decay_table", "edh_ewh_counts", "edh_fixed_walk",
-                                   "edh_hedh", "edh_loggam", "edh_ndtr", "edh_optimized_bank",
+    assert sorted(definitions) == ["edh_ewh_counts", "edh_fixed_walk", "edh_hedh",
+                                   "edh_loggam", "edh_ndtr", "edh_optimized_bank",
                                    "edh_place_photons", "edh_poisson_offsets",
                                    "edh_sample_photons"]
     lib = kernel.library()
     for name, params in definitions.items():
         assert len(params.split(",")) == len(getattr(lib, name).argtypes), name
+
+
+def test_kernel_builds_without_a_warning(tmp_path):
+    # with the build's own compiler and flags: a static helper left without
+    # a caller, an unused variable or a partial initializer fails here, as an
+    # unused import does in the Python modules
+    command = [*kernel.COMPILER, *kernel.FLAGS, "-Wall", "-Wextra", "-Werror",
+               "-o", str(tmp_path / f"kernel{kernel.SUFFIX}"), str(kernel.SOURCE), "-lm"]
+    proc = subprocess.run(command, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_a_build_keeps_the_most_recent_libraries(cache, monkeypatch):
@@ -251,7 +261,8 @@ def _bank_case(pixel, n_cycles, n_targets, freeze, seed=3):
 
 def _hand_case(n_targets, seed):
     # half-integer photons on a 16-bin range, so CVs land on photons, in
-    # cycles of 0 to 40 photons: both sides of the wide path's short cycle
+    # cycles of 0 to 40 photons, odd and even: the wide path's photon pairs
+    # end with and without a tail
     rng = np.random.default_rng(seed)
     sizes = rng.choice([0, 1, 2, 5, 31, 32, 33, 40], size=60)
     offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
@@ -267,9 +278,12 @@ BANK_CASES = {
        for k in (1, 7, 8, 9, 15, 17, 31, 33, 63, 65, 127, 129)},
     **{f"1:5 K={k}": (lambda k=k: _bank_case((7.5, 1.0, 5.0), 600, k, 300))
        for k in (1, 8, 31)},
-    # about 45 photons a cycle: mostly past the short cycle, so searched
+    # long cycles, about 45 and 300 photons: the wide path for K >= 8 steps
+    # them as it steps short ones
     **{f"15:30 K={k}": (lambda k=k: _bank_case((7.5, 15.0, 30.0), 300, k, 100))
        for k in (1, 8, 31)},
+    **{f"100:200 K={k}": (lambda k=k: _bank_case((7.5, 100.0, 200.0), 40, k, 20))
+       for k in (8, 9, 31, 127)},
     # 1,030 binners: the wide path's slices of 512, the last one padded
     **{f"hand K={k}": (lambda k=k: _hand_case(k, k)) for k in (1, 2, 8, 9, 64, 65, 1030)},
 }
