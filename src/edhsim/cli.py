@@ -248,9 +248,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # numpy refuses a size it cannot allocate with a MemoryError, before
+    # allocating anything; it is reported as a bad value is
     try:
         return args.func(args)
-    except (EdhsimError, OSError) as exc:
+    except (EdhsimError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

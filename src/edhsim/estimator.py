@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BinPositionError, InvalidParamsError, check_real, frozen_array
+from .errors import InvalidParamsError, check_real, frozen_array
 from .histogrammer import EdhBoundaries, EwHistogram
 from .transient import SPEED_OF_LIGHT, SimConfig
 
@@ -107,7 +107,7 @@ def bin_to_distance(t: float, cfg: SimConfig) -> float:
     """Convert a time-bin position to scene distance: z = c * (t * dt) / 2.
 
     Raises:
-        BinPositionError: unless t is a real number in [0, n_bins].
+        InvalidParamsError: unless t is a real number in [0, n_bins].
     """
-    check_real("bin position", t, 0, cfg.n_bins, "[]", BinPositionError)
+    check_real("bin position", t, 0, cfg.n_bins, "[]")
     return SPEED_OF_LIGHT * (t * cfg.dt) / 2.0

@@ -27,16 +27,16 @@ from .errors import (
     EdhsimError,
     InvalidParamsError,
     ParseError,
-    SweepValueError,
     check_distinct,
     check_int,
     check_real,
+    check_type,
     is_real,
 )
 from .estimator import RHO1_GRID_SIZE, bin_to_distance, ewh_peak, rho1, t0_hat, t1_hat
 from .histogrammer import EdhBoundaries, EwHistogram, ewh, hedh, oedh, pedh
 from .metrics import boundary_rmse, check_metric_limits, distance_metrics, inlier_column
-from .scene import PixelConfig, Scene, read_raw, save_grid, write_raw
+from .scene import PixelConfig, Scene, save_grid, write_raw
 from .transient import PhotonStream, SimConfig, build_transient, sample_stream, true_quantiles
 
 SCHEMA_VERSION = 1
@@ -373,9 +373,11 @@ def median_tracking_experiment(
     population median of the transient. Returns
     ``{(strategy, bkg): rmse_bins}`` and optionally writes a CSV table with
     one row per strategy and one column per background level. Empty
-    ``bkg_levels`` or ``distances``, a level, distance or ``phi_sig`` that is
-    not a finite real number (>= 0, a distance > 0), or two levels that are
-    equal or share a column, raise :class:`InvalidParamsError`.
+    ``bkg_levels`` or ``distances``, a level, distance, ``phi_sig`` or
+    ``fixed_step_size`` that is not a finite real number (>= 0, a distance
+    or step size > 0), a ``step`` that is not a :class:`StepParams`, or two
+    levels that are equal or share a column, raise
+    :class:`InvalidParamsError` before any stream is sampled.
     """
     if len(bkg_levels) == 0 or len(distances) == 0:
         raise InvalidParamsError("need at least one background level and one distance")
@@ -384,6 +386,8 @@ def median_tracking_experiment(
     for z in distances:
         check_real("each distance", z, 0)
     check_real("phi_sig", phi_sig, 0, ends="[)")
+    check_real("fixed_step_size", fixed_step_size, 0)
+    check_type("step", step, StepParams)
     check_distinct("background levels", bkg_levels, _bkg_column)
     check_int("n_seeds", n_seeds, 1)
     sq_err = {("fixed", b): [] for b in bkg_levels}
@@ -425,12 +429,12 @@ class SweepSpec:
 
     def __post_init__(self):
         if self.param not in SWEEPABLE_PARAMS:
-            raise SweepValueError(f"param must be one of {SWEEPABLE_PARAMS}, got {self.param!r}")
+            raise InvalidParamsError(f"param must be one of {SWEEPABLE_PARAMS}, got {self.param!r}")
         if not self.values:
-            raise SweepValueError("need at least one sweep value")
+            raise InvalidParamsError("need at least one sweep value")
         for v in self.values:
-            check_real("each sweep value", v, -float("inf"), error=SweepValueError)
-        check_distinct("sweep values", self.values, str, SweepValueError)
+            check_real("each sweep value", v, -float("inf"))
+        check_distinct("sweep values", self.values, str)
 
 
 def sweep(spec: SweepSpec, cfg: ExperimentConfig, out_path: Optional[Path] = None) -> list:
@@ -452,7 +456,7 @@ def sweep(spec: SweepSpec, cfg: ExperimentConfig, out_path: Optional[Path] = Non
             steps.append(replace(cfg.step, **{spec.param: v}))
             step_scale(steps[-1], cfg.sim.n_bins)
         except InvalidParamsError as exc:
-            raise SweepValueError(f"{spec.param}={v}: {exc}") from None
+            raise InvalidParamsError(f"{spec.param}={v}: {exc}") from None
 
     targets = np.arange(1, cfg.q, dtype=np.float64) / cfg.q
 
@@ -493,20 +497,7 @@ def sweep(spec: SweepSpec, cfg: ExperimentConfig, out_path: Optional[Path] = Non
 
 
 # ---------------------------------------------------------------------------
-# channelled binary container (density features)
-
-
-def write_channel_grid(path, grid: np.ndarray) -> None:
-    """Write an (h, w, channels) float32 grid as raw_f32 with magic ``EDHF``
-    (see :mod:`edhsim.scene`)."""
-    if np.ndim(grid) != 3:
-        raise InvalidParamsError("channel grid must be (height, width, channels)")
-    write_raw(path, grid)
-
-
-def read_channel_grid(path) -> np.ndarray:
-    """Read a grid written by :func:`write_channel_grid`."""
-    return read_raw(path, 3)
+# density features
 
 
 def export_density_features(
@@ -521,14 +512,15 @@ def export_density_features(
 
     Runs the parallel histogrammer on each pixel (at the scene's photon
     level, pixel by pixel through :func:`pixel_streams`) and stores the
-    interpolated density as float32 channels, plus a sidecar
+    interpolated density as float32 channels of a raw_f32 channel grid
+    (magic ``EDHF``, see :mod:`edhsim.scene`), plus a sidecar
     ``<path>.truth.csv`` with the ground-truth depths.
     """
     arr = np.empty((scene.height, scene.width, RHO1_GRID_SIZE), dtype=np.float32)
     for cell, _pixel, _tr, stream in pixel_streams(scene, sim, global_seed, _CTX_FEATURES):
         arr[cell] = rho1(summarize(stream, "pedh", q, step, 1.0)).values
     path = Path(path)
-    write_channel_grid(path, arr)
+    write_raw(path, arr)
     save_grid(scene.depth_map.depths, str(path) + ".truth.csv")
     return path
 

@@ -28,18 +28,7 @@ import numpy as np
 
 from . import kernel
 from .binner import BinnerBank, StepParams
-from .errors import (
-    BinCountError,
-    EdhsimError,
-    EmptyHistogramError,
-    InvalidParamsError,
-    PowerOfTwoError,
-    TooFewPhotonsError,
-    check_int,
-    check_real,
-    check_type,
-    frozen_array,
-)
+from .errors import EdhsimError, InvalidParamsError, check_int, check_real, check_type, frozen_array
 from .transient import PhotonStream
 
 
@@ -84,7 +73,7 @@ class EwHistogram:
         if c.ndim != 1:
             raise InvalidParamsError("histogram counts must be 1-d")
         if c.size == 0:
-            raise EmptyHistogramError("histogram has no bins")
+            raise InvalidParamsError("histogram has no bins")
         if not np.all((0 <= c) & (c < np.inf)):
             raise InvalidParamsError("histogram counts must be finite and >= 0")
         check_real("histogram span", self.span, 0)
@@ -106,15 +95,15 @@ def oedh(stream: PhotonStream, q: int) -> EdhBoundaries:
     ``ceil(j*N/q)``. Endpoints are forced to 0 and n_bins.
 
     Raises:
-        InvalidParamsError: if ``stream`` is not a :class:`PhotonStream`.
-        TooFewPhotonsError: if the stream pooled fewer than q photons.
+        InvalidParamsError: if ``stream`` is not a :class:`PhotonStream`, or
+            if it pooled fewer than q photons.
     """
     q = check_int("q", q, 1)
     check_type("stream of oedh", stream, PhotonStream)
     pooled = stream.pooled()
     n = pooled.size
     if n < q:
-        raise TooFewPhotonsError(f"need >= {q} photons for {q} quantiles, stream has {n}")
+        raise InvalidParamsError(f"need >= {q} photons for {q} quantiles, stream has {n}")
     j = np.arange(1, q, dtype=np.int64)
     ranks = (j * n + q - 1) // q  # ceil(j*n/q) in integer arithmetic
     interior = pooled[ranks - 1]
@@ -155,13 +144,13 @@ def hedh(stream: PhotonStream, q: int, fixed_step_size: float = 1.0) -> EdhBound
     runs, and merges each level's CVs into the boundaries found so far.
 
     Raises:
-        PowerOfTwoError: if q is not a power of two.
-        InvalidParamsError: if ``stream`` is not a :class:`PhotonStream`, or
-            unless ``fixed_step_size`` is finite and > 0.
+        InvalidParamsError: if q is not a power of two or ``stream`` is not
+            a :class:`PhotonStream`, or unless ``fixed_step_size`` is finite
+            and > 0.
     """
     q = check_int("q", q, 1)
     if q < 2 or q & (q - 1):
-        raise PowerOfTwoError(f"hedh requires a power-of-two q, got {q}")
+        raise InvalidParamsError(f"hedh requires a power-of-two q, got {q}")
     check_type("stream of hedh", stream, PhotonStream)
     # an infinite step would turn a balanced or empty cycle into inf*0 = nan
     check_real("fixed_step_size", fixed_step_size, 0)
@@ -185,12 +174,12 @@ def ewh(stream: PhotonStream, bin_count: int) -> EwHistogram:
     (``edh_ewh_counts``). The counts are int64.
 
     Raises:
-        InvalidParamsError: if ``stream`` is not a :class:`PhotonStream`.
-        BinCountError: unless bin_count is an integer in [1, n_bins].
+        InvalidParamsError: if ``stream`` is not a :class:`PhotonStream`, or
+            unless bin_count is an integer in [1, n_bins].
     """
     check_type("stream of ewh", stream, PhotonStream)
-    if check_int("bin_count", bin_count, 1, BinCountError) > stream.n_bins:
-        raise BinCountError(f"bin_count must be at most n_bins={stream.n_bins}, got {bin_count}")
+    if check_int("bin_count", bin_count, 1) > stream.n_bins:
+        raise InvalidParamsError(f"bin_count must be at most n_bins={stream.n_bins}, got {bin_count}")
     counts = np.zeros(bin_count, np.int64)
     kernel.library().edh_ewh_counts(stream.timestamps, stream.total_photons,
                                     stream.n_bins / bin_count, bin_count, counts)

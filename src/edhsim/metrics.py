@@ -13,8 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (InvalidParamsError, QuantileMismatchError, ShapeMismatchError, check_distinct,
-                     check_real)
+from .errors import InvalidParamsError, check_distinct, check_real
 from .histogrammer import EdhBoundaries
 from .transient import DEFAULT_Z_MAX
 
@@ -66,13 +65,13 @@ def distance_metrics(
     """RMSE, MAE and p% inlier percentages between estimate and truth.
 
     Raises:
-        ShapeMismatchError: if the two grids differ in shape.
-        InvalidParamsError: if :func:`check_metric_limits` rejects the limits.
+        InvalidParamsError: if the two grids differ in shape, or if
+            :func:`check_metric_limits` rejects the limits.
     """
     est_arr = np.asarray(est, dtype=np.float64)
     truth_arr = np.asarray(truth, dtype=np.float64)
     if est_arr.shape != truth_arr.shape:
-        raise ShapeMismatchError(f"estimate {est_arr.shape} vs truth {truth_arr.shape}")
+        raise InvalidParamsError(f"estimate {est_arr.shape} vs truth {truth_arr.shape}")
     if inlier_mode not in ("range", "relative"):
         raise InvalidParamsError(f"inlier_mode must be 'range' or 'relative', got {inlier_mode!r}")
     check_metric_limits(thresholds, z_max)
@@ -96,10 +95,10 @@ def boundary_rmse(est: EdhBoundaries, oracle: EdhBoundaries) -> float:
     """Root-mean-square error over interior boundaries, in bins.
 
     Raises:
-        QuantileMismatchError: if the two sets track different q.
+        InvalidParamsError: if the two sets track different q.
     """
     if est.q != oracle.q:
-        raise QuantileMismatchError(f"q mismatch: {est.q} vs {oracle.q}")
+        raise InvalidParamsError(f"q mismatch: {est.q} vs {oracle.q}")
     diff = est.interior - oracle.interior
     if diff.size == 0:
         return 0.0

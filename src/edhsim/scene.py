@@ -28,7 +28,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import DepthOutOfRangeError, InvalidParamsError, ParseError, check_int, check_real, frozen_array
+from .errors import InvalidParamsError, ParseError, check_int, check_real, frozen_array
 from .transient import DEFAULT_Z_MAX, PixelConfig, check_levels
 
 # raw_f32 magic by grid rank: depth map, channel grid
@@ -62,7 +62,8 @@ def check_depth_range(depths: np.ndarray, z_limit: float) -> None:
     arr = np.asarray(depths, dtype=np.float64)
     bad = ~(np.isfinite(arr) & (0.0 < arr) & (arr <= z_limit))
     if np.any(bad):
-        raise DepthOutOfRangeError(float(arr[bad].flat[0]), z_limit)
+        raise InvalidParamsError(f"depth must be finite and in (0, {z_limit!r}] m, "
+                                 f"got {float(arr[bad].flat[0])!r} m")
 
 
 @dataclass(frozen=True)

@@ -24,8 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from . import kernel
-from .errors import (DistanceExceedsRangeError, InvalidParamsError, check_int, check_real, check_type,
-                     frozen_array, real_array)
+from .errors import InvalidParamsError, check_int, check_real, check_type, frozen_array, real_array
 
 # FWHM of a Gaussian = 2*sqrt(2*ln 2) * sigma
 _FWHM_TO_SIGMA = 1.0 / (2.0 * math.sqrt(2.0 * math.log(2.0)))
@@ -130,16 +129,15 @@ def build_transient(pixel: PixelConfig, cfg: SimConfig) -> Transient:
     (``edh_ndtr``), bit for bit the value ``scipy.special.ndtr`` gives.
 
     Raises:
-        DistanceExceedsRangeError: if 2z/c >= rep_period.
-        InvalidParamsError: unless ``pixel`` is a :class:`PixelConfig` and
-            ``cfg`` a :class:`SimConfig`.
+        InvalidParamsError: if 2z/c >= rep_period, or unless ``pixel`` is a
+            :class:`PixelConfig` and ``cfg`` a :class:`SimConfig`.
         KernelBuildError: if the kernel is not built yet and cannot be.
     """
     check_type("pixel of build_transient", pixel, PixelConfig)
     check_type("config of build_transient", cfg, SimConfig)
     t_peak = 2.0 * pixel.z / SPEED_OF_LIGHT
     if t_peak >= cfg.rep_period:
-        raise DistanceExceedsRangeError(
+        raise InvalidParamsError(
             f"round-trip time {t_peak:.3e} s >= period {cfg.rep_period:.3e} s "
             f"(z={pixel.z} m, z_max={cfg.z_max} m)"
         )

@@ -11,11 +11,10 @@ from edhsim.harness import (
     ESTIMATORS,
     SWEEPABLE_PARAMS,
     read_boundaries_csv,
-    read_channel_grid,
 )
 from edhsim.histogrammer import ewh, hedh, pedh
 import edhsim.harness as harness
-from edhsim.scene import load_grid
+from edhsim.scene import load_grid, read_raw, write_raw
 from edhsim.transient import build_transient, sample_stream
 
 
@@ -221,7 +220,7 @@ def test_sweep_command(conf, tmp_path, capsys):
 def test_export_features_command(conf, tmp_path):
     out = tmp_path / "features.bin"
     assert main(["export-features", "--config", str(conf), "--out", str(out)]) == 0
-    arr = read_channel_grid(out)
+    arr = read_raw(out, 3)
     assert arr.shape == (1, 3, 1024)
 
 
@@ -290,7 +289,7 @@ def test_missing_input_file_exits_2(tmp_path, monkeypatch, capsys, argv):
 def test_binary_file_as_text_input_exits_2(conf, tmp_path, monkeypatch, capsys, argv):
     # a channel grid is not UTF-8 text; its bytes fail the parser's own checks
     monkeypatch.chdir(tmp_path)
-    harness.write_channel_grid("f.bin", np.full((1, 2, 3), -2.5e-38))
+    write_raw("f.bin", np.full((1, 2, 3), -2.5e-38))
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: f.bin: ") and captured.err.count("\n") == 1
@@ -324,6 +323,23 @@ def test_bad_number_list_or_metric_limit_exits_2(conf, tmp_path, capsys, argv, c
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, conf_line", [
+    (["--method", "pedh", "--q", "100000000000000"], ""),
+    (["--method", "hedh", "--q", "1099511627776"], ""),
+    (["--method", "pedh"], "sim.n_bins = 100000000000000"),
+    (["--method", "pedh"], "scene.kind = constant\nscene.width = 100000000000000"),
+])
+def test_size_numpy_cannot_allocate_exits_2(conf, tmp_path, capsys, argv, conf_line):
+    # numpy refuses each array (terabytes) before allocating it, and the
+    # CLI reports its MemoryError as it does a bad value
+    conf.write_text(conf.read_text() + conf_line + "\n")
+    out = tmp_path / "bounds.csv"
+    assert main(["edh", "--config", str(conf), *argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: Unable to allocate ") and captured.err.count("\n") == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("header", ["t_0,t_x", "t_0,t_2"])

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from edhsim.errors import BinPositionError, EmptyHistogramError
+from edhsim.errors import InvalidParamsError
 from edhsim.estimator import (
     RHO1_GRID_SIZE,
     bin_to_distance,
@@ -159,7 +159,7 @@ class TestEwhPeak:
         assert ewh_peak(hist) == 0.5 * (B / 4)
 
     def test_empty_rejected(self):
-        with pytest.raises(EmptyHistogramError):
+        with pytest.raises(InvalidParamsError, match="histogram has no bins"):
             ewh_peak(EwHistogram(np.array([]), float(B)))
 
     def test_noiseless_32bin_quantization_bound(self):
@@ -190,9 +190,9 @@ class TestBinDistance:
         assert bin_to_distance(float(B), SIM) == pytest.approx(SIM.z_max, rel=1e-12)
 
     def test_out_of_range(self):
-        with pytest.raises(BinPositionError):
+        with pytest.raises(InvalidParamsError, match="bin position must be a real number in"):
             bin_to_distance(-0.1, SIM)
-        with pytest.raises(BinPositionError):
+        with pytest.raises(InvalidParamsError, match="bin position must be a real number in"):
             bin_to_distance(B + 0.1, SIM)
 
     def test_roundtrip_with_inverse(self):

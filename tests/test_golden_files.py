@@ -11,8 +11,7 @@ import hashlib
 import numpy as np
 
 from edhsim.cli import main
-from edhsim.harness import read_channel_grid
-from edhsim.scene import load_grid
+from edhsim.scene import load_grid, read_raw
 
 CONFIG = """\
 sim.n_cycles = 300
@@ -98,4 +97,4 @@ def test_raw_and_csv_outputs_load_by_content(tmp_path, monkeypatch, capsys):
     # the boundary route and the fresh route read the same pedh boundaries
     assert np.array_equal(load_grid(tmp_path / "t0_bounds.bin"), load_grid(tmp_path / "t0_fresh.csv"))
     assert load_grid(tmp_path / "t1_fresh.bin").shape == (1, 3)
-    assert read_channel_grid(tmp_path / "features.bin").shape == (1, 3, 1024)
+    assert read_raw(tmp_path / "features.bin", 3).shape == (1, 3, 1024)

@@ -11,7 +11,7 @@ from edhsim.config import (
     load_experiment_config,
     parse_config_file,
 )
-from edhsim.errors import InvalidParamsError, ParseError, SweepValueError, TooFewPhotonsError
+from edhsim.errors import InvalidParamsError, ParseError
 import edhsim.harness as harness
 from edhsim.harness import (
     SWEEPABLE_PARAMS,
@@ -20,14 +20,13 @@ from edhsim.harness import (
     export_density_features,
     median_tracking_experiment,
     read_boundaries_csv,
-    read_channel_grid,
     run_experiment,
     sweep,
     write_boundaries_csv,
 )
 from edhsim.metrics import distance_metrics
 from edhsim.histogrammer import EdhBoundaries, pedh
-from edhsim.scene import PixelConfig, synth_scene
+from edhsim.scene import PixelConfig, read_raw, synth_scene
 from edhsim.transient import SPEED_OF_LIGHT, SimConfig, build_transient, sample_stream, true_quantiles
 
 SIM_SMALL = SimConfig(n_cycles=400)
@@ -257,7 +256,7 @@ class TestRunExperiment:
         def oedh(stream, q):
             calls.append(q)
             if len(calls) == 4:
-                raise TooFewPhotonsError("injected")
+                raise InvalidParamsError("injected")
             return real(stream, q)
 
         monkeypatch.setattr(harness, "oedh", oedh)
@@ -410,18 +409,22 @@ class TestMedianTracking:
                                        sim=SIM_SMALL, step=STEP_SMALL)
         assert str(info.value) == message
 
-    @pytest.mark.parametrize("bad", [
-        dict(bkg_levels=["a"]), dict(bkg_levels=[0.5, None]), dict(bkg_levels=[True]),
-        dict(bkg_levels=[np.nan]), dict(bkg_levels=[-1.0]), dict(distances=["a"]),
-        dict(distances=[0.0]), dict(phi_sig="a"), dict(phi_sig=np.inf),
+    @pytest.mark.parametrize("bad, message", [
+        *((bad, "must be a real number") for bad in (
+            dict(bkg_levels=["a"]), dict(bkg_levels=[0.5, None]), dict(bkg_levels=[True]),
+            dict(bkg_levels=[np.nan]), dict(bkg_levels=[-1.0]), dict(distances=["a"]),
+            dict(distances=[0.0]), dict(phi_sig="a"), dict(phi_sig=np.inf),
+            dict(fixed_step_size=np.nan), dict(fixed_step_size=-1.0))),
+        (dict(step="x"), "step must be one StepParams, not str"),
     ])
-    def test_levels_and_distances_must_be_real_before_any_stream(self, monkeypatch, bad):
+    def test_levels_and_distances_must_be_real_before_any_stream(self, monkeypatch, bad, message):
         # unchecked, a string level escapes as a bare ValueError from the
-        # column label's :g format
+        # column label's :g format, and a bad step size or schedule is
+        # refused only once a stream is sampled
         calls = call_spy(monkeypatch, ("build_transient", "sample_stream"))
         args = dict(bkg_levels=[0.5], distances=[3.0], phi_sig=1.0, n_seeds=1,
                     sim=SIM_SMALL, step=STEP_SMALL)
-        with pytest.raises(InvalidParamsError, match="must be a real number"):
+        with pytest.raises(InvalidParamsError, match=message):
             median_tracking_experiment(**{**args, **bad})
         assert calls == []
 
@@ -458,29 +461,29 @@ class TestSweep:
 
     def test_invalid_value_rejected(self):
         cfg = small_config()
-        with pytest.raises(SweepValueError, match=r"gamma=1.5: gamma must be a real number in \(0, 1\]"):
+        with pytest.raises(InvalidParamsError, match=r"gamma=1.5: gamma must be a real number in \(0, 1\]"):
             sweep(SweepSpec("gamma", (1.5,)), cfg)
 
     def test_overflowing_step_scale_rejected_before_any_stream(self, monkeypatch):
         # k_pct=1e308 is a valid StepParams, but (k_pct/100) * n_bins overflows
         calls = call_spy(monkeypatch, ("sample_stream", "pedh"))
-        with pytest.raises(SweepValueError, match=r"k_pct=1e\+308: step scale"):
+        with pytest.raises(InvalidParamsError, match=r"k_pct=1e\+308: step scale"):
             sweep(SweepSpec("k_pct", (3.0, 1e308)), small_config(methods=("pedh",)))
         assert calls == []
 
     @pytest.mark.parametrize("value", ["a", None, True, 1j, np.nan, np.inf])
     def test_values_must_be_finite_reals_when_built(self, value):
         # unchecked, "a" raises a bare TypeError inside sweep and True runs as 1.0
-        with pytest.raises(SweepValueError, match="each sweep value must be a real number"):
+        with pytest.raises(InvalidParamsError, match="each sweep value must be a real number"):
             SweepSpec("gamma", (0.99, value))
 
     def test_invalid_param_rejected(self):
-        with pytest.raises(Exception):
+        with pytest.raises(InvalidParamsError, match="param must be one of"):
             SweepSpec("bogus", (1.0,))
 
     @pytest.mark.parametrize("values", [(0.99, 0.99), (0.99, 1.0, 0.99), (1, 1.0)])
     def test_repeated_values_rejected_when_built(self, values):
-        with pytest.raises(SweepValueError, match="sweep values must be distinct"):
+        with pytest.raises(InvalidParamsError, match="sweep values must be distinct"):
             SweepSpec("gamma", values)
 
     def test_csv_written(self, tmp_path):
@@ -499,7 +502,7 @@ class TestFeatureExport:
         export_density_features(scene, SIM_SMALL, STEP_SMALL, 8, path, global_seed=0)
         blob = path.read_bytes()
         assert len(blob) == 16 + 2 * 2 * 1024 * 4
-        arr = read_channel_grid(path)
+        arr = read_raw(path, 3)
         assert arr.shape == (2, 2, 1024)
         assert arr.dtype == np.float32
         # sidecar with ground truth
@@ -510,7 +513,7 @@ class TestFeatureExport:
         scene = synth_scene("staircase", n_steps=3, z_min=3.0, z_max=12.0, phi_sig=1.0, phi_bkg=2.0)
         path = tmp_path / "features.bin"
         export_density_features(scene, SIM_SMALL, STEP_SMALL, 8, path, global_seed=4)
-        arr = read_channel_grid(path)
+        arr = read_raw(path, 3)
         for pix_idx, (r, c, pixel) in enumerate(scene.iter_pixels()):
             seed = harness.derive_seed(4, harness._CTX_FEATURES, pix_idx)
             stream = sample_stream(build_transient(pixel, SIM_SMALL), SIM_SMALL.n_cycles, seed)
@@ -525,7 +528,7 @@ class TestFeatureExport:
         path = tmp_path / "flat.bin"
         q = 8
         export_density_features(scene, SIM_SMALL, STEP_SMALL, q, path, global_seed=0)
-        arr = read_channel_grid(path)
+        arr = read_raw(path, 3)
         assert np.all(arr == np.float32(q / SIM_SMALL.n_bins))
 
 

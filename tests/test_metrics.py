@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edhsim.errors import InvalidParamsError, QuantileMismatchError, ShapeMismatchError
+from edhsim.errors import InvalidParamsError
 from edhsim.histogrammer import EdhBoundaries
 from edhsim.metrics import DEFAULT_Z_MAX, boundary_rmse, check_metric_limits, distance_metrics, inlier_column
 
@@ -56,7 +56,7 @@ class TestDistanceMetrics:
         assert report.rmse_cm == pytest.approx(100.0 * np.sqrt(2.0))
 
     def test_shape_mismatch(self):
-        with pytest.raises(ShapeMismatchError):
+        with pytest.raises(InvalidParamsError, match=r"estimate \(2, 2\) vs truth \(2, 3\)"):
             distance_metrics(np.ones((2, 2)), np.ones((2, 3)))
 
     def test_permutation_invariance(self):
@@ -121,7 +121,7 @@ class TestBoundaryRmse:
     def test_q_mismatch(self):
         a = EdhBoundaries(2, np.array([0.0, 512.0, 1024.0]))
         b = EdhBoundaries(4, np.array([0.0, 256.0, 512.0, 768.0, 1024.0]))
-        with pytest.raises(QuantileMismatchError):
+        with pytest.raises(InvalidParamsError, match="q mismatch: 2 vs 4"):
             boundary_rmse(a, b)
 
 

@@ -67,6 +67,20 @@ REMOVED = [
     ("binner", "BinnerState.initial"), # BinnerState.initial(f, n) -> BinnerState(f * n, f, n)
     ("transient", "PhotonStream.cycles"),  # s.cycles() -> (s.cycle(i) for i in range(s.n_cycles))
     ("harness", "ExperimentResult.ok"),    # r.ok -> not r.failures
+    ("harness", "write_channel_grid"),     # write_channel_grid(p, g) -> scene.write_raw(p, g)
+    ("harness", "read_channel_grid"),      # read_channel_grid(p) -> scene.read_raw(p, 3)
+    # one error type per kind of fault; a value that breaks a precondition
+    # raises InvalidParamsError with the message it had
+    ("errors", "DepthOutOfRangeError"),       # -> InvalidParamsError
+    ("errors", "DistanceExceedsRangeError"),  # -> InvalidParamsError
+    ("errors", "TooFewPhotonsError"),         # -> InvalidParamsError
+    ("errors", "PowerOfTwoError"),            # -> InvalidParamsError
+    ("errors", "BinCountError"),              # -> InvalidParamsError
+    ("errors", "EmptyHistogramError"),        # -> InvalidParamsError
+    ("errors", "BinPositionError"),           # -> InvalidParamsError
+    ("errors", "ShapeMismatchError"),         # -> InvalidParamsError
+    ("errors", "QuantileMismatchError"),      # -> InvalidParamsError
+    ("errors", "SweepValueError"),            # -> InvalidParamsError
 ]
 
 
@@ -97,6 +111,32 @@ def test_an_unused_import_is_found():
               "from . import kernel, scene\n__all__ = ['scene']\n"
               "@dataclass\nclass A:\n    x: np.ndarray\n")
     assert unused_imports(source) == ["kernel", "os", "replace"]
+
+
+def raised_names(source: str) -> set[str]:
+    """The names a module's source raises, as ``raise X`` or ``raise X(...)``."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                names.add(exc.id)
+    return names
+
+
+def test_a_raised_name_is_found():
+    source = ("try:\n    raise A\nexcept A:\n    raise\n"
+              "raise B('x') from None\nraise mod.C()\nD\n")
+    assert raised_names(source) == {"A", "B"}
+
+
+def test_every_error_type_is_raised():
+    # an error type no module raises is a public name only the tests read
+    package = Path(edhsim.__file__).parent
+    defined = {node.name for node in ast.parse((package / "errors.py").read_text()).body
+               if isinstance(node, ast.ClassDef)}
+    raised = set().union(*(raised_names(path.read_text()) for path in package.glob("*.py")))
+    assert sorted(defined - raised) == []
 
 
 def test_every_export_resolves_once():

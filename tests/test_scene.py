@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from edhsim.errors import DepthOutOfRangeError, InvalidParamsError, ParseError
-from edhsim.harness import read_channel_grid, write_channel_grid
+from edhsim.errors import InvalidParamsError, ParseError
 from edhsim.scene import (
     DepthMap,
     PixelConfig,
@@ -10,8 +9,10 @@ from edhsim.scene import (
     constant_scene,
     load_depth_map,
     load_grid,
+    read_raw,
     save_grid,
     synth_scene,
+    write_raw,
 )
 from edhsim.transient import DEFAULT_Z_MAX
 
@@ -27,13 +28,13 @@ class TestDepthMapCsv:
     def test_negative_depth_rejected(self, tmp_path):
         p = tmp_path / "m.csv"
         p.write_text("-1.0\n")
-        with pytest.raises(DepthOutOfRangeError):
+        with pytest.raises(InvalidParamsError, match=r"depth must be finite and in \(0, .*\] m, got -1.0 m"):
             load_depth_map(p)
 
     def test_depth_beyond_range_rejected(self, tmp_path):
         p = tmp_path / "m.csv"
         p.write_text(f"{DEFAULT_Z_MAX * 1.01}\n")
-        with pytest.raises(DepthOutOfRangeError):
+        with pytest.raises(InvalidParamsError, match="depth must be finite and in"):
             load_depth_map(p)
 
     def test_header_roundtrip_and_mismatch(self, tmp_path):
@@ -126,12 +127,12 @@ def test_format_is_read_off_the_file_not_its_name(tmp_path):
 def test_channel_grid_is_not_a_depth_map(tmp_path):
     # an EDHF file is not raw_f32 depth, so it is read as CSV, and refused
     # as one whatever bytes its values hold
-    write_channel_grid(tmp_path / "f.bin", np.full((1, 2, 3), -2.5e-38))
+    write_raw(tmp_path / "f.bin", np.full((1, 2, 3), -2.5e-38))
     with pytest.raises(ParseError, match="line 1: non-numeric value"):
         load_grid(tmp_path / "f.bin")
     save_grid(np.ones((1, 2)), tmp_path / "d.bin")
     with pytest.raises(ParseError, match="bad magic b'EDHD', expected b'EDHF'"):
-        read_channel_grid(tmp_path / "d.bin")
+        read_raw(tmp_path / "d.bin", 3)
 
 
 def test_load_grid_allows_zero(tmp_path):
@@ -178,7 +179,7 @@ class TestSynthScenes:
             synth_scene("staircase", n_steps=0, z_min=1.0, z_max=2.0, phi_sig=1.0, phi_bkg=1.0)
         with pytest.raises(InvalidParamsError, match="width must be an integer >= 1, got 2.5"):
             constant_scene(1.0, 1.0, width=2.5)
-        with pytest.raises(DepthOutOfRangeError):
+        with pytest.raises(InvalidParamsError, match=r"depth must be finite and in \(0, .*\] m, got 99.0 m"):
             synth_scene("constant", z=99.0, width=1, height=1, phi_sig=1.0, phi_bkg=1.0)
         with pytest.raises(InvalidParamsError):
             synth_scene("spiral", z=1.0)

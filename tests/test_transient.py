@@ -10,7 +10,7 @@ from scipy.special import ndtr
 from scipy.stats import norm
 
 from edhsim import kernel
-from edhsim.errors import DistanceExceedsRangeError, InvalidParamsError
+from edhsim.errors import InvalidParamsError
 from edhsim.harness import derive_seed
 from edhsim.scene import PixelConfig
 from edhsim.transient import (
@@ -199,7 +199,7 @@ class TestBuildTransient:
         assert tr.values.sum() == pytest.approx(pix.phi_sig * captured + pix.phi_bkg, rel=1e-9)
 
     def test_distance_exceeds_range(self):
-        with pytest.raises(DistanceExceedsRangeError):
+        with pytest.raises(InvalidParamsError, match=r"round-trip time .* s >= period .* s \(z="):
             build_transient(PixelConfig(SIM.z_max, 1.0, 1.0), SIM)
 
     @pytest.mark.parametrize("z", [0.01, 1.0, 7.5, 14.98, SIM.z_max * (1.0 - 1e-9)])
